@@ -188,6 +188,9 @@ pub struct HamsController {
     nvdimm: Nvdimm,
     pinned: PinnedRegion,
     archive: ArchiveSet,
+    /// The archive set's exported capacity, fixed until the backend is
+    /// re-shaped: every access range-checks against it.
+    mos_capacity: u64,
     ddr: Ddr4Channel,
     pcie: PcieLink,
     cxl: CxlLink,
@@ -242,6 +245,7 @@ impl HamsController {
         );
         HamsController {
             tags: ShardedTagArray::with_config(num_sets, config.shards),
+            mos_capacity: archive.capacity_bytes(),
             archive,
             ddr: Ddr4Channel::new(Ddr4Config::ddr4_2666()),
             pcie: PcieLink::new(PcieConfig::gen3_x4()),
@@ -280,7 +284,7 @@ impl HamsController {
     /// capacity of the archive set's unified address space).
     #[must_use]
     pub fn mos_capacity_bytes(&self) -> u64 {
-        self.archive.capacity_bytes()
+        self.mos_capacity
     }
 
     /// Number of NVDIMM cache sets (MoS pages resident simultaneously).
@@ -389,7 +393,7 @@ impl HamsController {
         breakdown: &mut LatencyVector,
     ) -> (Nanos, bool) {
         assert!(
-            addr < self.mos_capacity_bytes(),
+            addr < self.mos_capacity,
             "MoS address {addr:#x} beyond capacity"
         );
         let page = self.page_of(addr);
@@ -597,7 +601,7 @@ impl HamsController {
         breakdown: &mut LatencyVector,
     ) -> (Nanos, bool) {
         assert!(
-            addr < self.mos_capacity_bytes(),
+            addr < self.mos_capacity,
             "MoS address {addr:#x} beyond capacity"
         );
         let page = self.page_of(addr);
@@ -726,6 +730,7 @@ impl HamsController {
     pub fn set_backend_topology(&mut self, topology: BackendTopology) {
         self.config.backend = topology;
         self.archive = ArchiveSet::new(self.config.ssd, topology, self.config.mos_page_size);
+        self.mos_capacity = self.archive.capacity_bytes();
         // The interconnects are rebuilt too: a re-shaped backend changes
         // which links the data path crosses, and a genuinely cold rebuild
         // must not inherit the previous topology's FCFS reservations.

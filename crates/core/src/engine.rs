@@ -7,17 +7,24 @@
 //! the pinned NVDIMM region — can be scanned after a power failure to find the
 //! commands that never completed (§V-C, Fig. 15).
 //!
-//! The engine manages a [`QueueSet`] of N submission/completion pairs.
-//! Independent fills are striped across the pairs (the paper's multi-queue
-//! submission) and their completion interrupts coalesce through an
-//! [`MsiCoalescer`]; [`QueueConfig::single`] reproduces the original
-//! single-queue engine exactly.
+//! Each in-flight command lives exactly once, in a slot of the engine's
+//! slab: the slot is the command's journal entry, and the completion event
+//! the device model schedules carries the slot index. Retiring a command
+//! pops the completion heap and takes its slot, so issue and retire cost
+//! O(log n) in the number of commands in flight. The device fetches every
+//! command the instant it is submitted, so the model keeps no ring state:
+//! a per-queue command-identifier counter is all that remains of each
+//! submission/completion pair.
+//!
+//! Independent fills are striped across the [`QueueConfig`]'s queue pairs
+//! (the paper's multi-queue submission) and their completion interrupts
+//! coalesce through an [`MsiCoalescer`]; [`QueueConfig::single`] reproduces
+//! the original single-queue engine exactly.
 
 use hams_nvme::{
-    CommandId, MsiCoalescer, MsiCoalescerStats, MsiTable, NvmeCommand, NvmeOpcode, NvmeStatus,
-    PrpList, QueueConfig, QueueError, QueueSet,
+    CommandId, MsiCoalescer, MsiCoalescerStats, NvmeCommand, NvmeOpcode, PrpList, QueueConfig,
 };
-use hams_sim::{CompletionSource, FastHashMap, Nanos};
+use hams_sim::{CompletionSource, Nanos};
 use serde::{Deserialize, Serialize};
 
 use crate::tag_array::ShardConfig;
@@ -61,6 +68,16 @@ pub struct EngineStats {
     pub recovered: u64,
 }
 
+/// A command in its slab slot, with the sequence number of its completion
+/// event. Recovery can vacate a slot while the command's completion is
+/// still scheduled, and the slot may then hold a newer command: an event
+/// retires a slot only when the sequence numbers match.
+#[derive(Debug, Clone)]
+struct InFlight {
+    event: u64,
+    tracked: TrackedCommand,
+}
+
 /// The in-controller NVMe engine.
 ///
 /// # Example
@@ -70,9 +87,7 @@ pub struct EngineStats {
 /// use hams_sim::Nanos;
 ///
 /// let mut engine = NvmeEngine::new(64);
-/// let id = engine
-///     .issue_write(7, 0x1c0, 4096, 0xF000, false, Nanos::from_micros(5))
-///     .unwrap();
+/// let id = engine.issue_write(7, 0x1c0, 4096, 0xF000, false, Nanos::from_micros(5));
 /// assert_eq!(engine.journaled_incomplete(Nanos::ZERO).len(), 1);
 /// engine.retire_due(Nanos::from_micros(5));
 /// assert!(engine.journaled_incomplete(Nanos::from_micros(5)).is_empty());
@@ -85,14 +100,14 @@ pub struct NvmeEngine {
     cache_sets: u64,
     devices: u16,
     stripe_lbas: u64,
-    queues: QueueSet,
-    msi: MsiTable,
+    /// Next command identifier of each queue pair; wraps like an NVMe cid.
+    next_cid: Vec<u16>,
     coalescer: MsiCoalescer,
-    completions: CompletionSource<CommandId>,
-    /// Outstanding commands by id. Touched several times per simulated miss
-    /// (insert at issue, remove at retire), so it uses the simulator's fast
-    /// deterministic hasher rather than `SipHash`.
-    tracked: FastHashMap<CommandId, TrackedCommand>,
+    /// Completion events, each carrying its command's slot index.
+    completions: CompletionSource<u32>,
+    slots: Vec<Option<InFlight>>,
+    /// Empty slots, reused last-in first-out.
+    vacant: Vec<u32>,
     stats: EngineStats,
 }
 
@@ -134,11 +149,11 @@ impl NvmeEngine {
         stripe_lbas: u64,
     ) -> Self {
         NvmeEngine {
-            queues: QueueSet::from_config(config),
-            msi: MsiTable::new(),
+            next_cid: vec![0; usize::from(config.num_queues.max(1))],
             coalescer: MsiCoalescer::new(config.coalescing),
             completions: CompletionSource::new(),
-            tracked: FastHashMap::default(),
+            slots: Vec::new(),
+            vacant: Vec::new(),
             stats: EngineStats::default(),
             config,
             shards,
@@ -157,7 +172,7 @@ impl NvmeEngine {
     /// Number of queue pairs managed.
     #[must_use]
     pub fn num_queues(&self) -> u16 {
-        self.queues.num_queues()
+        self.next_cid.len() as u16
     }
 
     /// Engine counters.
@@ -175,13 +190,14 @@ impl NvmeEngine {
     /// Number of commands issued but not yet retired.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.tracked.len()
+        self.slots.len() - self.vacant.len()
     }
 
-    /// The queue pair a MoS page's commands stripe onto.
+    /// The queue pair a MoS page's commands stripe onto: pages are
+    /// distributed round-robin across the pairs.
     #[must_use]
     pub fn queue_for_page(&self, mos_page: u64) -> u16 {
-        self.queues.queue_for(mos_page)
+        (mos_page % self.next_cid.len() as u64) as u16
     }
 
     /// The tag-directory shard shape this engine stamps onto journal tags.
@@ -214,10 +230,6 @@ impl NvmeEngine {
     /// Issues a fill (read) command for `mos_page`, whose data lands at
     /// NVDIMM address `nvdimm_addr` and whose device service completes at
     /// `completes_at`. The command is striped onto the page's queue pair.
-    ///
-    /// # Errors
-    ///
-    /// Propagates queue-full errors from the submission queue.
     pub fn issue_read(
         &mut self,
         mos_page: u64,
@@ -225,7 +237,7 @@ impl NvmeEngine {
         length: u64,
         nvdimm_addr: u64,
         completes_at: Nanos,
-    ) -> Result<CommandId, QueueError> {
+    ) -> CommandId {
         self.issue_read_on(
             self.queue_for_page(mos_page),
             mos_page,
@@ -240,9 +252,9 @@ impl NvmeEngine {
     /// where the controller spreads one MoS page's stripe commands across
     /// the whole set.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Propagates queue-full errors from the submission queue.
+    /// Panics if `queue` is not one of the engine's queue pairs.
     pub fn issue_read_on(
         &mut self,
         queue: u16,
@@ -251,14 +263,13 @@ impl NvmeEngine {
         length: u64,
         nvdimm_addr: u64,
         completes_at: Nanos,
-    ) -> Result<CommandId, QueueError> {
+    ) -> CommandId {
         let cmd = NvmeCommand::read(
             1,
             slba,
             length,
             PrpList::for_transfer(nvdimm_addr, length, 4096),
-        )
-        .with_journal_tag(true);
+        );
         self.issue(queue, cmd, mos_page, completes_at)
     }
 
@@ -267,30 +278,17 @@ impl NvmeEngine {
     /// exact command for the device service, so the engine journals it
     /// as-is instead of re-deriving an identical one (and its PRP list)
     /// from scratch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates queue-full errors from the submission queue.
     pub fn issue_read_tracked(
         &mut self,
         mos_page: u64,
         cmd: NvmeCommand,
         completes_at: Nanos,
-    ) -> Result<CommandId, QueueError> {
-        self.issue(
-            self.queue_for_page(mos_page),
-            cmd.with_journal_tag(true),
-            mos_page,
-            completes_at,
-        )
+    ) -> CommandId {
+        self.issue(self.queue_for_page(mos_page), cmd, mos_page, completes_at)
     }
 
     /// Issues an eviction (write) command for `mos_page` reading its data from
     /// NVDIMM address `nvdimm_addr` (typically a PRP-pool clone slot).
-    ///
-    /// # Errors
-    ///
-    /// Propagates queue-full errors from the submission queue.
     pub fn issue_write(
         &mut self,
         mos_page: u64,
@@ -299,51 +297,60 @@ impl NvmeEngine {
         nvdimm_addr: u64,
         fua: bool,
         completes_at: Nanos,
-    ) -> Result<CommandId, QueueError> {
+    ) -> CommandId {
         let cmd = NvmeCommand::write(
             1,
             slba,
             length,
             PrpList::for_transfer(nvdimm_addr, length, 4096),
         )
-        .with_fua(fua)
-        .with_journal_tag(true);
+        .with_fua(fua);
         self.issue(self.queue_for_page(mos_page), cmd, mos_page, completes_at)
     }
 
+    /// Journals `cmd` on `queue` with its tag set and schedules its
+    /// completion: the command's one copy moves into a slab slot.
     fn issue(
         &mut self,
         queue: u16,
-        cmd: NvmeCommand,
+        mut cmd: NvmeCommand,
         mos_page: u64,
         completes_at: Nanos,
-    ) -> Result<CommandId, QueueError> {
+    ) -> CommandId {
         match cmd.opcode {
             NvmeOpcode::Read => self.stats.reads_issued += 1,
             NvmeOpcode::Write => self.stats.writes_issued += 1,
             NvmeOpcode::Flush => {}
         }
-        let id = self.queues.submit_on(queue, cmd)?;
-        // The device fetches the command immediately in this model.
-        let fetched = self
-            .queues
-            .fetch_next(queue)
-            .expect("command just submitted must be fetchable");
-        self.completions.schedule(completes_at, id);
-        let shard = self.shard_for_page(mos_page);
-        let device = self.device_for_slba(fetched.slba);
-        self.tracked.insert(
+        let next = &mut self.next_cid[usize::from(queue)];
+        let id = CommandId::new(queue, *next);
+        *next = next.wrapping_add(1);
+        cmd.cid = id.cid;
+        cmd.journal_tag = true;
+        let slot = self.vacant.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            (self.slots.len() - 1) as u32
+        });
+        let tracked = TrackedCommand {
             id,
-            TrackedCommand {
-                id,
-                command: fetched,
-                mos_page,
-                shard,
-                device,
-                completes_at,
-            },
-        );
-        Ok(id)
+            shard: self.shard_for_page(mos_page),
+            device: self.device_for_slba(cmd.slba),
+            command: cmd,
+            mos_page,
+            completes_at,
+        };
+        let event = self.completions.schedule(completes_at, slot);
+        self.slots[slot as usize] = Some(InFlight { event, tracked });
+        id
+    }
+
+    /// Empties an occupied `slot`, returning the command it held.
+    fn vacate(&mut self, slot: u32) -> TrackedCommand {
+        let held = self.slots[slot as usize]
+            .take()
+            .expect("only occupied slots are vacated");
+        self.vacant.push(slot);
+        held.tracked
     }
 
     /// Delivery times of one burst of stripe completions under the engine's
@@ -362,10 +369,9 @@ impl NvmeEngine {
     }
 
     /// Processes every completion whose device service has finished by `now`,
-    /// in global completion order across all queues: posts the CQ entry,
-    /// raises and consumes the MSI, clears the journal tag and removes the
-    /// command from the outstanding set. Returns the MoS pages whose
-    /// commands retired.
+    /// in global completion order across all queues: clears the journal tag
+    /// and removes the command from the outstanding set. Returns the MoS
+    /// pages whose commands retired.
     pub fn retire_due(&mut self, now: Nanos) -> Vec<u64> {
         let mut pages = Vec::new();
         self.retire_due_into(now, &mut pages);
@@ -381,16 +387,14 @@ impl NvmeEngine {
     pub fn retire_due_into(&mut self, now: Nanos, pages: &mut Vec<u64>) {
         pages.clear();
         while let Some(event) = self.completions.pop_due(now) {
-            let id = event.payload;
-            if self.queues.complete(id, NvmeStatus::Success).is_ok() {
-                self.msi.raise(id.queue);
-                let _ = self.msi.consume();
-                let _ = self.queues.reap(id.queue);
-            }
-            if let Some(t) = self.tracked.remove(&id) {
-                pages.push(t.mos_page);
-            }
             self.stats.completions += 1;
+            let slot = event.payload;
+            if self.slots[slot as usize]
+                .as_ref()
+                .is_some_and(|held| held.event == event.seq)
+            {
+                pages.push(self.vacate(slot).mos_page);
+            }
         }
         pages.sort_unstable();
     }
@@ -402,8 +406,10 @@ impl NvmeEngine {
     #[must_use]
     pub fn journaled_incomplete(&self, now: Nanos) -> Vec<TrackedCommand> {
         let mut v: Vec<TrackedCommand> = self
-            .tracked
-            .values()
+            .slots
+            .iter()
+            .flatten()
+            .map(|held| &held.tracked)
             .filter(|t| t.completes_at > now && t.command.journal_tag)
             .cloned()
             .collect();
@@ -418,39 +424,47 @@ impl NvmeEngine {
     /// tracked commands, not the completion stream.
     pub fn drop_in_flight_completions(&mut self) {
         self.completions.clear();
-        self.msi.clear();
     }
 
     /// Marks a set of commands as recovered (re-issued after power
     /// restoration) and retires them.
     pub fn mark_recovered(&mut self, ids: &[CommandId]) {
-        for id in ids {
-            if self.tracked.remove(id).is_some() {
+        let mut ids = ids.to_vec();
+        ids.sort_unstable();
+        for slot in 0..self.slots.len() as u32 {
+            let recovered = self.slots[slot as usize]
+                .as_ref()
+                .is_some_and(|held| ids.binary_search(&held.tracked.id).is_ok());
+            if recovered {
+                self.vacate(slot);
                 self.stats.recovered += 1;
             }
         }
     }
 
-    /// Returns `true` when no command is in flight and every queue pair's
-    /// tail pointers coincide — the paper's quiescence condition.
+    /// Returns `true` when no command is in flight and no completion is
+    /// pending — the paper's quiescence condition, under which the queue
+    /// pairs' head and tail pointers coincide.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.tracked.is_empty() && self.queues.is_quiescent()
+        self.outstanding() == 0 && self.completions.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
     fn issue_and_retire_lifecycle() {
         let mut e = NvmeEngine::new(16);
         assert!(e.is_quiescent());
-        e.issue_read(3, 0, 4096, 0x1000, Nanos::from_micros(8))
-            .unwrap();
-        e.issue_write(5, 8, 4096, 0x2000, false, Nanos::from_micros(4))
-            .unwrap();
+        e.issue_read(3, 0, 4096, 0x1000, Nanos::from_micros(8));
+        e.issue_write(5, 8, 4096, 0x2000, false, Nanos::from_micros(4));
         assert_eq!(e.outstanding(), 2);
         assert!(!e.is_quiescent());
 
@@ -468,10 +482,8 @@ mod tests {
     #[test]
     fn journal_scan_finds_only_incomplete_commands() {
         let mut e = NvmeEngine::new(16);
-        e.issue_write(1, 0, 4096, 0x1000, false, Nanos::from_micros(2))
-            .unwrap();
-        e.issue_write(2, 8, 4096, 0x2000, false, Nanos::from_micros(50))
-            .unwrap();
+        e.issue_write(1, 0, 4096, 0x1000, false, Nanos::from_micros(2));
+        e.issue_write(2, 8, 4096, 0x2000, false, Nanos::from_micros(50));
         e.retire_due(Nanos::from_micros(10));
         // Power fails at 10 µs: only the second command is journaled-incomplete.
         let pending = e.journaled_incomplete(Nanos::from_micros(10));
@@ -483,9 +495,7 @@ mod tests {
     #[test]
     fn mark_recovered_counts_and_clears() {
         let mut e = NvmeEngine::new(16);
-        let id = e
-            .issue_write(9, 0, 4096, 0x1000, true, Nanos::from_micros(100))
-            .unwrap();
+        let id = e.issue_write(9, 0, 4096, 0x1000, true, Nanos::from_micros(100));
         let pending = e.journaled_incomplete(Nanos::ZERO);
         assert_eq!(pending.len(), 1);
         e.mark_recovered(&[id]);
@@ -496,8 +506,8 @@ mod tests {
     #[test]
     fn stats_split_reads_and_writes() {
         let mut e = NvmeEngine::new(16);
-        e.issue_read(1, 0, 4096, 0, Nanos::ZERO).unwrap();
-        e.issue_write(2, 0, 4096, 0, false, Nanos::ZERO).unwrap();
+        e.issue_read(1, 0, 4096, 0, Nanos::ZERO);
+        e.issue_write(2, 0, 4096, 0, false, Nanos::ZERO);
         assert_eq!(e.stats().reads_issued, 1);
         assert_eq!(e.stats().writes_issued, 1);
     }
@@ -505,18 +515,18 @@ mod tests {
     #[test]
     fn shallow_queue_still_accepts_back_to_back_commands() {
         let mut e = NvmeEngine::new(2);
-        e.issue_read(1, 0, 4096, 0, Nanos::from_secs(1)).unwrap();
-        // The first command was fetched, freeing the SQ slot, so a second
-        // submission succeeds; the queue depth bounds *unfetched* entries.
-        assert!(e.issue_read(2, 0, 4096, 0, Nanos::from_secs(1)).is_ok());
-        assert_eq!(e.outstanding(), 2);
+        // The device fetches each command as it is submitted, so the ring
+        // depth bounds nothing: three commands fit a two-entry queue.
+        for page in 0..3 {
+            e.issue_read(page, 0, 4096, 0, Nanos::from_secs(1));
+        }
+        assert_eq!(e.outstanding(), 3);
     }
 
     #[test]
     fn dropped_completions_are_never_drained_as_successes() {
         let mut e = NvmeEngine::new(8);
-        e.issue_write(1, 0, 4096, 0x1000, false, Nanos::from_micros(100))
-            .unwrap();
+        e.issue_write(1, 0, 4096, 0x1000, false, Nanos::from_micros(100));
         // Power fails at 50 µs: the in-flight completion dies with it, and
         // recovery re-issues the journaled command.
         let pending = e.journaled_incomplete(Nanos::from_micros(50));
@@ -534,9 +544,9 @@ mod tests {
     fn multi_queue_engine_stripes_pages_across_pairs() {
         let mut e = NvmeEngine::with_config(QueueConfig::striped(4).with_depth(16));
         assert_eq!(e.num_queues(), 4);
-        let a = e.issue_read(0, 0, 4096, 0, Nanos::from_micros(1)).unwrap();
-        let b = e.issue_read(1, 8, 4096, 0, Nanos::from_micros(2)).unwrap();
-        let c = e.issue_read(5, 16, 4096, 0, Nanos::from_micros(3)).unwrap();
+        let a = e.issue_read(0, 0, 4096, 0, Nanos::from_micros(1));
+        let b = e.issue_read(1, 8, 4096, 0, Nanos::from_micros(2));
+        let c = e.issue_read(5, 16, 4096, 0, Nanos::from_micros(3));
         assert_eq!(a.queue, 0);
         assert_eq!(b.queue, 1);
         assert_eq!(c.queue, 1, "page 5 stripes onto queue 5 % 4");
@@ -549,9 +559,7 @@ mod tests {
     #[test]
     fn explicit_queue_reads_land_where_directed() {
         let mut e = NvmeEngine::with_config(QueueConfig::striped(2).with_depth(8));
-        let id = e
-            .issue_read_on(1, 0, 0, 4096, 0, Nanos::from_micros(1))
-            .unwrap();
+        let id = e.issue_read_on(1, 0, 0, 4096, 0, Nanos::from_micros(1));
         assert_eq!(id.queue, 1);
         let pending = e.journaled_incomplete(Nanos::ZERO);
         assert_eq!(pending[0].id, id);
@@ -566,12 +574,9 @@ mod tests {
         );
         // Pages 0, 1, 5 map to sets 0, 1, 5 of 8; interleaved over 4 banks
         // that is shards 0, 1, 1.
-        e.issue_write(0, 0, 4096, 0, false, Nanos::from_secs(1))
-            .unwrap();
-        e.issue_write(1, 8, 4096, 0, false, Nanos::from_secs(1))
-            .unwrap();
-        e.issue_write(5, 16, 4096, 0, false, Nanos::from_secs(1))
-            .unwrap();
+        e.issue_write(0, 0, 4096, 0, false, Nanos::from_secs(1));
+        e.issue_write(1, 8, 4096, 0, false, Nanos::from_secs(1));
+        e.issue_write(5, 16, 4096, 0, false, Nanos::from_secs(1));
         let shards: Vec<u16> = e
             .journaled_incomplete(Nanos::ZERO)
             .iter()
@@ -602,12 +607,9 @@ mod tests {
         );
         // slba 0 → stripe 0 → device 0; slba 8 → stripe 1 → device 1;
         // slba 40 → stripe 5 → device 1.
-        e.issue_write(0, 0, 4096, 0, false, Nanos::from_secs(1))
-            .unwrap();
-        e.issue_write(1, 8, 4096, 0, false, Nanos::from_secs(1))
-            .unwrap();
-        e.issue_write(5, 40, 4096, 0, false, Nanos::from_secs(1))
-            .unwrap();
+        e.issue_write(0, 0, 4096, 0, false, Nanos::from_secs(1));
+        e.issue_write(1, 8, 4096, 0, false, Nanos::from_secs(1));
+        e.issue_write(5, 40, 4096, 0, false, Nanos::from_secs(1));
         let devices: Vec<u16> = e
             .journaled_incomplete(Nanos::ZERO)
             .iter()
@@ -622,9 +624,7 @@ mod tests {
     fn issue_read_tracked_journals_the_composed_command_verbatim() {
         let mut e = NvmeEngine::new(16);
         let cmd = NvmeCommand::read(1, 24, 4096, PrpList::for_transfer(0x3000, 4096, 4096));
-        let id = e
-            .issue_read_tracked(3, cmd.clone(), Nanos::from_micros(9))
-            .unwrap();
+        let id = e.issue_read_tracked(3, cmd.clone(), Nanos::from_micros(9));
         let pending = e.journaled_incomplete(Nanos::ZERO);
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].id, id);
@@ -648,14 +648,144 @@ mod tests {
     fn multi_queue_journal_scan_orders_by_queue_then_cid() {
         let mut e = NvmeEngine::with_config(QueueConfig::striped(2).with_depth(8));
         // Pages 1 and 3 both stripe onto queue 1; page 2 onto queue 0.
-        e.issue_write(1, 0, 4096, 0, false, Nanos::from_secs(1))
-            .unwrap();
-        e.issue_write(2, 8, 4096, 0, false, Nanos::from_secs(1))
-            .unwrap();
-        e.issue_write(3, 16, 4096, 0, false, Nanos::from_secs(1))
-            .unwrap();
+        e.issue_write(1, 0, 4096, 0, false, Nanos::from_secs(1));
+        e.issue_write(2, 8, 4096, 0, false, Nanos::from_secs(1));
+        e.issue_write(3, 16, 4096, 0, false, Nanos::from_secs(1));
         let pending = e.journaled_incomplete(Nanos::ZERO);
         let order: Vec<u64> = pending.iter().map(|t| t.mos_page).collect();
         assert_eq!(order, vec![2, 1, 3]);
+    }
+
+    /// The engine's contract without the slab: commands keyed by id, and
+    /// completion events in firing order, each naming its command's id.
+    #[derive(Default)]
+    struct Model {
+        tracked: BTreeMap<CommandId, (u64, Nanos)>,
+        events: BTreeMap<(Nanos, u64), CommandId>,
+        next_seq: u64,
+        next_cid: [u16; 2],
+        stats: EngineStats,
+    }
+
+    impl Model {
+        fn issue(&mut self, page: u64, is_write: bool, at: Nanos) -> CommandId {
+            let queue = (page % 2) as u16;
+            let id = CommandId::new(queue, self.next_cid[usize::from(queue)]);
+            self.next_cid[usize::from(queue)] += 1;
+            if is_write {
+                self.stats.writes_issued += 1;
+            } else {
+                self.stats.reads_issued += 1;
+            }
+            self.tracked.insert(id, (page, at));
+            self.events.insert((at, self.next_seq), id);
+            self.next_seq += 1;
+            id
+        }
+
+        fn retire(&mut self, now: Nanos) -> Vec<u64> {
+            let mut pages = Vec::new();
+            while let Some(entry) = self.events.first_entry() {
+                if entry.key().0 > now {
+                    break;
+                }
+                let id = entry.remove();
+                self.stats.completions += 1;
+                pages.extend(self.tracked.remove(&id).map(|(page, _)| page));
+            }
+            pages.sort_unstable();
+            pages
+        }
+
+        fn journaled(&self, now: Nanos) -> Vec<(CommandId, u64, Nanos)> {
+            self.tracked
+                .iter()
+                .filter(|(_, &(_, at))| at > now)
+                .map(|(&id, &(page, at))| (id, page, at))
+                .collect()
+        }
+
+        fn recover(&mut self, ids: &[CommandId]) {
+            for id in ids {
+                if self.tracked.remove(id).is_some() {
+                    self.stats.recovered += 1;
+                }
+            }
+        }
+    }
+
+    fn journaled(e: &NvmeEngine, now: Nanos) -> Vec<(CommandId, u64, Nanos)> {
+        let pending = e.journaled_incomplete(now);
+        assert!(
+            pending.windows(2).all(|w| w[0].id < w[1].id),
+            "journal scan must be sorted by (queue, cid)"
+        );
+        pending
+            .iter()
+            .map(|t| (t.id, t.mos_page, t.completes_at))
+            .collect()
+    }
+
+    proptest! {
+        /// Issue / retire / power-fail / recover / re-issue sequences agree
+        /// with the keyed model. Recovery may vacate a slot whose completion
+        /// is still scheduled (no power failure dropped it), and a later
+        /// command may reuse that slot: the stale completion must retire
+        /// nothing, exactly as it finds no command under its id.
+        #[test]
+        fn slab_engine_matches_the_keyed_model(
+            ops in proptest::collection::vec((0u8..6, 0u64..64, 0u64..64), 1..200),
+        ) {
+            let mut e = NvmeEngine::with_config(QueueConfig::striped(2));
+            let mut m = Model::default();
+            let mut now = Nanos::ZERO;
+            for (op, a, b) in ops {
+                match op {
+                    0 | 1 => {
+                        let page = a % 16;
+                        let at = now + Nanos::from_micros(b % 40);
+                        let id = if op == 0 {
+                            e.issue_write(page, page * 8, 4096, 0, false, at)
+                        } else {
+                            e.issue_read(page, page * 8, 4096, 0, at)
+                        };
+                        prop_assert_eq!(id, m.issue(page, op == 0, at));
+                    }
+                    2 => {
+                        now += Nanos::from_micros(a % 16);
+                        prop_assert_eq!(e.retire_due(now), m.retire(now));
+                    }
+                    3 => {
+                        // Power failure: drain what finished, then every
+                        // later completion dies with the power.
+                        now += Nanos::from_micros(a % 16);
+                        prop_assert_eq!(e.retire_due(now), m.retire(now));
+                        e.drop_in_flight_completions();
+                        m.events.clear();
+                    }
+                    4 => {
+                        let ids: Vec<CommandId> =
+                            journaled(&e, now).iter().map(|t| t.0).collect();
+                        e.mark_recovered(&ids);
+                        m.recover(&ids);
+                    }
+                    _ => {
+                        let pending = journaled(&e, now);
+                        if !pending.is_empty() {
+                            let id = pending[b as usize % pending.len()].0;
+                            e.mark_recovered(&[id]);
+                            m.recover(&[id]);
+                        }
+                    }
+                }
+                prop_assert_eq!(journaled(&e, now), m.journaled(now));
+                prop_assert_eq!(e.outstanding(), m.tracked.len());
+                prop_assert_eq!(*e.stats(), m.stats);
+                prop_assert_eq!(
+                    e.is_quiescent(),
+                    m.tracked.is_empty() && m.events.is_empty()
+                );
+            }
+        }
     }
 }

@@ -6,9 +6,10 @@
 //! then DMAs from the clone, so the cache slot can be reused immediately and
 //! no eviction hazard or redundant eviction can occur.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use hams_sim::Nanos;
+use hams_sim::{FastHashMap, Nanos};
 use serde::{Deserialize, Serialize};
 
 /// A clone currently occupying a PRP-pool slot.
@@ -37,7 +38,13 @@ pub struct CloneSlot {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PrpPool {
     slots: Vec<Option<CloneSlot>>,
-    by_page: HashMap<u64, usize>,
+    /// One bit per slot, set while the slot is free.
+    free: Vec<u64>,
+    /// `(release_at, slot)` of every allocation, earliest first. An entry
+    /// outlives its clone when the slot is released explicitly; reclaim
+    /// only vacates a slot whose current clone has expired.
+    expiries: BinaryHeap<Reverse<(Nanos, usize)>>,
+    by_page: FastHashMap<u64, usize>,
     high_water: usize,
 }
 
@@ -50,9 +57,15 @@ impl PrpPool {
     #[must_use]
     pub fn new(slots: usize) -> Self {
         assert!(slots > 0, "PRP pool needs at least one slot");
+        let mut free = vec![0u64; slots.div_ceil(64)];
+        for index in 0..slots {
+            free[index / 64] |= 1 << (index % 64);
+        }
         PrpPool {
             slots: vec![None; slots],
-            by_page: HashMap::new(),
+            free,
+            expiries: BinaryHeap::new(),
+            by_page: FastHashMap::default(),
             high_water: 0,
         }
     }
@@ -92,22 +105,26 @@ impl PrpPool {
 
     /// Allocates a slot for a clone of `mos_page` whose eviction completes at
     /// `release_at`. Expired slots (release time at or before `now`) are
-    /// reclaimed first. Returns `None` if the pool is genuinely full.
+    /// reclaimed first, then the lowest free slot is taken. Returns `None`
+    /// if the pool is genuinely full.
     pub fn allocate(&mut self, mos_page: u64, release_at: Nanos, now: Nanos) -> Option<usize> {
-        // Reclaim any slot whose eviction has already completed.
-        for i in 0..self.slots.len() {
-            if let Some(slot) = self.slots[i] {
-                if slot.release_at <= now {
-                    self.by_page.remove(&slot.mos_page);
-                    self.slots[i] = None;
-                }
+        while let Some(&Reverse((expiry, index))) = self.expiries.peek() {
+            if expiry > now {
+                break;
+            }
+            self.expiries.pop();
+            if self.slots[index].is_some_and(|slot| slot.release_at <= now) {
+                self.release(index);
             }
         }
-        let idx = self.slots.iter().position(Option::is_none)?;
+        let (word, bits) = self.free.iter().enumerate().find(|(_, bits)| **bits != 0)?;
+        let idx = word * 64 + bits.trailing_zeros() as usize;
+        self.free[word] &= !(1 << (idx % 64));
         self.slots[idx] = Some(CloneSlot {
             mos_page,
             release_at,
         });
+        self.expiries.push(Reverse((release_at, idx)));
         self.by_page.insert(mos_page, idx);
         self.high_water = self.high_water.max(self.by_page.len());
         Some(idx)
@@ -117,12 +134,17 @@ impl PrpPool {
     pub fn release(&mut self, index: usize) {
         if let Some(slot) = self.slots.get_mut(index).and_then(Option::take) {
             self.by_page.remove(&slot.mos_page);
+            self.free[index / 64] |= 1 << (index % 64);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -165,5 +187,87 @@ mod tests {
     #[should_panic(expected = "at least one slot")]
     fn zero_slots_panics() {
         let _ = PrpPool::new(0);
+    }
+
+    /// The linear-scan pool the heap and bitmap replaced, kept as the
+    /// reference they must match slot for slot.
+    struct ScanPool {
+        slots: Vec<Option<CloneSlot>>,
+        by_page: HashMap<u64, usize>,
+        high_water: usize,
+    }
+
+    impl ScanPool {
+        fn new(slots: usize) -> Self {
+            ScanPool {
+                slots: vec![None; slots],
+                by_page: HashMap::new(),
+                high_water: 0,
+            }
+        }
+
+        fn allocate(&mut self, mos_page: u64, release_at: Nanos, now: Nanos) -> Option<usize> {
+            for i in 0..self.slots.len() {
+                if let Some(slot) = self.slots[i] {
+                    if slot.release_at <= now {
+                        self.by_page.remove(&slot.mos_page);
+                        self.slots[i] = None;
+                    }
+                }
+            }
+            let idx = self.slots.iter().position(Option::is_none)?;
+            self.slots[idx] = Some(CloneSlot {
+                mos_page,
+                release_at,
+            });
+            self.by_page.insert(mos_page, idx);
+            self.high_water = self.high_water.max(self.by_page.len());
+            Some(idx)
+        }
+
+        fn release(&mut self, index: usize) {
+            if let Some(slot) = self.slots.get_mut(index).and_then(Option::take) {
+                self.by_page.remove(&slot.mos_page);
+            }
+        }
+    }
+
+    proptest! {
+        /// Random allocate / release streams — repeated pages, clocks that
+        /// step back as well as forward, pools narrower and wider than one
+        /// bitmap word — hand out the scan's slots and report its occupancy.
+        #[test]
+        fn heap_and_bitmap_match_the_linear_scan(
+            capacity in 1usize..100,
+            ops in proptest::collection::vec((0u8..8, 0u64..24, 0u64..400, 0u64..24), 1..300),
+        ) {
+            let mut pool = PrpPool::new(capacity);
+            let mut scan = ScanPool::new(capacity);
+            let mut now = 500u64;
+            for (op, page, span, step) in ops {
+                now = (now + step).saturating_sub(10);
+                let at = Nanos::from_nanos(now);
+                match op {
+                    0..=5 => {
+                        let release_at = Nanos::from_nanos(now + 10 * span);
+                        prop_assert_eq!(
+                            pool.allocate(page, release_at, at),
+                            scan.allocate(page, release_at, at)
+                        );
+                    }
+                    6 => {
+                        let index = span as usize % (capacity + 2);
+                        pool.release(index);
+                        scan.release(index);
+                    }
+                    _ => now += span,
+                }
+                prop_assert_eq!(pool.in_use(), scan.by_page.len());
+                prop_assert_eq!(pool.high_water(), scan.high_water);
+                for p in 0..24 {
+                    prop_assert_eq!(pool.holds_page(p), scan.by_page.contains_key(&p));
+                }
+            }
+        }
     }
 }

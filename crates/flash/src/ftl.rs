@@ -102,13 +102,16 @@ struct BlockInfo {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Ftl {
     geometry: FlashGeometry,
-    /// Fraction of blocks held back as over-provisioning (not exported).
-    over_provisioning: f64,
+    /// Logical pages exported to the host: total pages minus the
+    /// over-provisioned fraction, fixed at construction.
+    exported_pages: u64,
     map: FastHashMap<u64, u64>,
     reverse: FastHashMap<u64, u64>,
     blocks: Vec<BlockInfo>,
     /// Per-plane pools of fully-erased blocks.
     free_blocks: Vec<VecDeque<usize>>,
+    /// Blocks across every `free_blocks` pool.
+    free_count: usize,
     /// Per-plane block currently being filled, if any.
     active_blocks: Vec<Option<usize>>,
     /// Round-robin cursor used to stripe consecutive writes across planes
@@ -147,11 +150,12 @@ impl Ftl {
         }
         Ftl {
             geometry,
-            over_provisioning,
+            exported_pages: (geometry.total_pages() as f64 * (1.0 - over_provisioning)) as u64,
             map: FastHashMap::default(),
             reverse: FastHashMap::default(),
             blocks,
             free_blocks,
+            free_count: total_blocks,
             active_blocks: vec![None; planes],
             plane_cursor: 0,
             stats: FtlStats::default(),
@@ -168,8 +172,7 @@ impl Ftl {
     /// over-provisioned space).
     #[must_use]
     pub fn exported_pages(&self) -> u64 {
-        let total = self.geometry.total_pages() as f64;
-        (total * (1.0 - self.over_provisioning)) as u64
+        self.exported_pages
     }
 
     /// Exported capacity in bytes.
@@ -187,13 +190,14 @@ impl Ftl {
     /// Number of blocks currently in the free pool.
     #[must_use]
     pub fn free_block_count(&self) -> usize {
-        self.free_blocks.iter().map(VecDeque::len).sum::<usize>()
-            + self.active_blocks.iter().filter(|b| b.is_some()).count()
+        self.free_count + self.active_blocks.iter().filter(|b| b.is_some()).count()
     }
 
-    /// Total number of erased blocks available for allocation.
-    fn free_pool_len(&self) -> usize {
-        self.free_blocks.iter().map(VecDeque::len).sum()
+    /// Takes the next erased block of `plane`'s pool, if any.
+    fn take_free_block(&mut self, plane: usize) -> Option<usize> {
+        let block = self.free_blocks[plane].pop_front()?;
+        self.free_count -= 1;
+        Some(block)
     }
 
     /// Maximum erase count across all blocks (wear indicator).
@@ -217,13 +221,13 @@ impl Ftl {
     /// capacity and [`FtlError::OutOfSpace`] if no free block can be found
     /// even after garbage collection.
     pub fn write(&mut self, lpn: u64) -> Result<WriteOutcome, FtlError> {
-        if lpn >= self.exported_pages() {
+        if lpn >= self.exported_pages {
             return Err(FtlError::LpnOutOfRange(lpn));
         }
         let mut outcome = WriteOutcome::default();
 
         // Reclaim space first if the free pool is nearly exhausted.
-        if self.free_pool_len() < 2 {
+        if self.free_count < 2 {
             self.collect_garbage(&mut outcome)?;
         }
 
@@ -272,7 +276,7 @@ impl Ftl {
     /// Fraction of exported pages currently mapped.
     #[must_use]
     pub fn occupancy(&self) -> f64 {
-        self.map.len() as f64 / self.exported_pages() as f64
+        self.map.len() as f64 / self.exported_pages as f64
     }
 
     fn block_of(&self, ppn: u64) -> usize {
@@ -317,7 +321,7 @@ impl Ftl {
             for offset in 0..planes {
                 let plane = (self.plane_cursor + offset) % planes;
                 if self.active_blocks[plane].is_none() {
-                    self.active_blocks[plane] = self.free_blocks[plane].pop_front();
+                    self.active_blocks[plane] = self.take_free_block(plane);
                 }
                 let Some(block_idx) = self.active_blocks[plane] else {
                     continue;
@@ -325,7 +329,7 @@ impl Ftl {
                 let write_ptr = self.blocks[block_idx].write_ptr;
                 if write_ptr >= self.geometry.pages_per_block {
                     // Block filled up; retire it and try to open a fresh one.
-                    self.active_blocks[plane] = self.free_blocks[plane].pop_front();
+                    self.active_blocks[plane] = self.take_free_block(plane);
                     let Some(fresh) = self.active_blocks[plane] else {
                         continue;
                     };
@@ -339,9 +343,9 @@ impl Ftl {
                 return Ok(self.ppn_of(block_idx, write_ptr));
             }
             // Every plane is out of erased blocks: reclaim and retry.
-            let free_before = self.free_pool_len();
+            let free_before = self.free_count;
             self.collect_garbage(outcome)?;
-            if self.free_pool_len() == free_before {
+            if self.free_count == free_before {
                 return Err(FtlError::OutOfSpace);
             }
         }
@@ -389,6 +393,7 @@ impl Ftl {
         self.stats.erases += 1;
         let plane = victim / self.geometry.blocks_per_plane as usize;
         self.free_blocks[plane].push_back(victim);
+        self.free_count += 1;
         outcome.erased_blocks.push(victim);
         Ok(())
     }
@@ -466,6 +471,11 @@ mod tests {
             }
         }
         assert!(ftl.stats().gc_runs > 0, "expected GC to run");
+        assert_eq!(
+            ftl.free_count,
+            ftl.free_blocks.iter().map(VecDeque::len).sum::<usize>(),
+            "the running free count must track the pools through GC"
+        );
         assert!(ftl.stats().write_amplification() >= 1.0);
         // All logical pages still resolve, to distinct physical pages.
         let mut seen = std::collections::HashSet::new();

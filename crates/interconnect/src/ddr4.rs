@@ -79,9 +79,10 @@ pub struct Ddr4Channel {
     config: Ddr4Config,
     bus: Resource,
     bytes_moved: u64,
-    /// Rolling two-entry memo of the last transfer sizes' wire times. The
-    /// channel sees the same one or two sizes millions of times per run (the
-    /// CPU access granule and the MoS page), and the burst round-up plus
+    /// Rolling four-entry memo of the last transfer sizes' wire times. The
+    /// channel sees the same few sizes millions of times per run (64-byte
+    /// commands, the CPU access granule and the MoS page on the miss path),
+    /// and the burst round-up plus
     /// `f64` bandwidth division was the dominant per-transfer bookkeeping
     /// cost — the FCFS grant itself is a single busy-until compare. The memo
     /// caches the exact [`Self::service_time`] result per byte count, so
@@ -90,32 +91,28 @@ pub struct Ddr4Channel {
     service_memo: ServiceMemo,
 }
 
-/// Most-recently-used pair of `(bytes, service_time(bytes))` results.
+/// Most-recently-used `(bytes, service_time(bytes))` results, most recent
+/// first.
 ///
 /// The default entries map 0 bytes to zero time, which is exactly
 /// [`Ddr4Channel::service_time`]`(0)` — so a freshly deserialized or reset
 /// memo is a *valid* (cold) cache, never a wrong one.
 #[derive(Debug, Clone, Copy, Default)]
 struct ServiceMemo {
-    entries: [(u64, Nanos); 2],
+    entries: [(u64, Nanos); 4],
 }
 
 impl ServiceMemo {
     #[inline]
     fn lookup(&mut self, bytes: u64) -> Option<Nanos> {
-        if self.entries[0].0 == bytes {
-            return Some(self.entries[0].1);
-        }
-        if self.entries[1].0 == bytes {
-            self.entries.swap(0, 1);
-            return Some(self.entries[0].1);
-        }
-        None
+        let i = self.entries.iter().position(|e| e.0 == bytes)?;
+        self.entries[..=i].rotate_right(1);
+        Some(self.entries[0].1)
     }
 
     #[inline]
     fn insert(&mut self, bytes: u64, service: Nanos) {
-        self.entries[1] = self.entries[0];
+        self.entries.rotate_right(1);
         self.entries[0] = (bytes, service);
     }
 }
@@ -247,10 +244,10 @@ mod tests {
         let mut ch = Ddr4Channel::new(Ddr4Config::ddr4_2666());
         let reference = Ddr4Channel::new(Ddr4Config::ddr4_2666());
         let mut now = Nanos::ZERO;
-        // Alternate three sizes so the two-entry memo keeps evicting; every
+        // Cycle six sizes so the four-entry memo keeps evicting; every
         // grant's service span must still equal the uncached computation.
-        for i in 0..64u64 {
-            let bytes = [64u64, 8192, 65, 0][i as usize % 4];
+        for i in 0..96u64 {
+            let bytes = [64u64, 8192, 65, 0, 4096, 64, 8192, 128][i as usize % 8];
             let t = ch.transfer(bytes, now);
             assert_eq!(t.service, reference.service_time(bytes), "bytes={bytes}");
             now = t.finished_at;

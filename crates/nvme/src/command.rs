@@ -1,4 +1,4 @@
-//! NVMe command and completion-status types.
+//! NVMe command types.
 //!
 //! Commands are modelled at field granularity rather than as raw 64-byte
 //! encodings; the fields kept are exactly those the HAMS controller
@@ -36,31 +36,10 @@ impl NvmeOpcode {
     }
 }
 
-/// Completion status returned in a completion-queue entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum NvmeStatus {
-    /// The command completed successfully.
-    Success,
-    /// The command referenced an LBA beyond the namespace capacity.
-    LbaOutOfRange,
-    /// The command was aborted (e.g. by a power failure before service).
-    Aborted,
-    /// An internal device error occurred.
-    InternalError,
-}
-
-impl NvmeStatus {
-    /// Returns `true` if the status indicates success.
-    #[must_use]
-    pub fn is_success(self) -> bool {
-        matches!(self, NvmeStatus::Success)
-    }
-}
-
 /// Fully-qualified identifier of an outstanding command: the queue pair it
 /// was submitted on plus the per-queue command identifier. `cid`s are only
-/// unique within one queue pair, so everything that tracks commands across a
-/// [`QueueSet`](crate::QueueSet) keys on this pair instead.
+/// unique within one queue pair, so everything that tracks commands across
+/// several pairs keys on this pair instead.
 ///
 /// Ordering is `(queue, cid)` lexicographic, which keeps multi-queue scans
 /// (e.g. the power-failure journal walk) deterministic and, for a single
@@ -85,8 +64,8 @@ impl CommandId {
 
 /// A single 64-byte NVMe command as manipulated by the HAMS NVMe engine.
 ///
-/// The `cid` (command identifier) is assigned by the submission queue when the
-/// command is enqueued; a freshly constructed command carries `cid == 0`.
+/// The `cid` (command identifier) is assigned when the command is submitted
+/// on a queue pair; a freshly constructed command carries `cid == 0`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NvmeCommand {
     /// Command identifier, unique among outstanding commands of one queue.
@@ -205,13 +184,6 @@ mod tests {
             .with_journal_tag(true);
         assert!(c.fua);
         assert!(c.journal_tag);
-    }
-
-    #[test]
-    fn status_success_check() {
-        assert!(NvmeStatus::Success.is_success());
-        assert!(!NvmeStatus::Aborted.is_success());
-        assert!(!NvmeStatus::LbaOutOfRange.is_success());
     }
 
     #[test]

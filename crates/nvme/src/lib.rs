@@ -7,33 +7,35 @@
 //! that machinery faithfully enough to reproduce the behaviours the paper
 //! relies on:
 //!
-//! * FIFO submission queues and completion queues with head/tail pointers and
-//!   doorbell synchronisation ([`queue`]),
 //! * 64-byte commands carrying opcode, LBA, length, PRP pointers, a
 //!   force-unit-access flag and the HAMS *journal tag* stored in the command's
 //!   reserved area ([`command`]),
 //! * PRP lists describing where in host memory (NVDIMM, for HAMS) the data for
 //!   a command lives ([`prp`]),
-//! * message-signalled interrupts delivered on completion, plus the MSI
-//!   coalescing model (threshold + timeout aggregation) ([`msi`]),
-//! * multi-queue submission: a [`QueueSet`] of N pairs with
-//!   [`CommandId`]-keyed tracking, configured by a [`QueueConfig`]
-//!   ([`queue`]).
+//! * the MSI coalescing model (threshold + timeout aggregation) that decides
+//!   when completion interrupts are posted ([`msi`]),
+//! * multi-queue submission: the [`QueueConfig`] shape of N queue pairs,
+//!   commands identified across pairs by [`CommandId`], and the stripe split
+//!   every multi-queue submitter shares ([`queue`]).
+//!
+//! The submission and completion rings themselves are not modelled as
+//! state: the device fetches each command as it is submitted, so the HAMS
+//! engine (`hams_core::NvmeEngine`) journals each in-flight command once and
+//! retires it when its completion arrives.
 //!
 //! # Example
 //!
 //! ```
-//! use hams_nvme::{NvmeCommand, NvmeOpcode, QueuePair, PrpList};
+//! use hams_nvme::{stripe_ranges, NvmeCommand, PrpList, QueueConfig};
 //!
-//! let mut qp = QueuePair::new(0, 64);
-//! let cmd = NvmeCommand::read(1, 0x80, 4096, PrpList::single(0x1000));
-//! let cid = qp.submit(cmd).unwrap();
-//! // Device side: fetch, service, complete.
-//! let fetched = qp.fetch_next().unwrap();
-//! assert_eq!(fetched.cid, cid);
-//! qp.complete(cid, hams_nvme::NvmeStatus::Success).unwrap();
-//! let cqe = qp.reap().unwrap();
-//! assert_eq!(cqe.cid, cid);
+//! let shape = QueueConfig::striped(4);
+//! // One 32 KB fill (8 LBAs) split into a stripe per queue pair.
+//! let stripes = stripe_ranges(8, u64::from(shape.num_queues));
+//! assert_eq!(stripes, vec![(0, 2), (2, 2), (4, 2), (6, 2)]);
+//! let (lba, count) = stripes[1];
+//! let cmd = NvmeCommand::read(1, lba, count * 4096, PrpList::for_transfer(0x1000, count * 4096, 4096))
+//!     .with_journal_tag(true);
+//! assert_eq!(cmd.prp.len(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -44,10 +46,7 @@ pub mod msi;
 pub mod prp;
 pub mod queue;
 
-pub use command::{CommandId, NvmeCommand, NvmeOpcode, NvmeStatus};
-pub use msi::{MsiCoalescer, MsiCoalescerStats, MsiCoalescing, MsiTable, MsiVector};
+pub use command::{CommandId, NvmeCommand, NvmeOpcode};
+pub use msi::{MsiCoalescer, MsiCoalescerStats, MsiCoalescing};
 pub use prp::{PrpEntry, PrpList};
-pub use queue::{
-    stripe_ranges, stripe_ranges_into, CompletionEntry, CompletionQueue, QueueConfig, QueueError,
-    QueuePair, QueueSet, SubmissionQueue,
-};
+pub use queue::{stripe_ranges, stripe_ranges_into, QueueConfig};

@@ -3,10 +3,9 @@
 //! ULL-Flash notifies the host of a completion by writing an MSI vector;
 //! HAMS keeps the MSI table in the pinned NVDIMM region (Fig. 9) and its NVMe
 //! engine consumes the interrupts directly instead of invoking an OS interrupt
-//! service routine. The model records delivered vectors so tests and the
-//! platform runner can assert on interrupt traffic.
-
-use std::collections::VecDeque;
+//! service routine. What costs time is when an interrupt is posted, so the
+//! model is the coalescing policy that decides it; the coalescer's counters
+//! record the interrupt traffic.
 
 use hams_sim::Nanos;
 use serde::{Deserialize, Serialize};
@@ -181,104 +180,9 @@ impl MsiCoalescer {
     }
 }
 
-/// A single MSI vector: which queue pair signalled, and a monotonically
-/// increasing delivery sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct MsiVector {
-    /// Queue pair that raised the interrupt.
-    pub queue_id: u16,
-    /// Delivery sequence number assigned by the [`MsiTable`].
-    pub sequence: u64,
-}
-
-/// The MSI table: pending (delivered but unconsumed) interrupt vectors.
-///
-/// # Example
-///
-/// ```
-/// use hams_nvme::MsiTable;
-///
-/// let mut table = MsiTable::new();
-/// table.raise(0);
-/// table.raise(0);
-/// assert_eq!(table.pending(), 2);
-/// let v = table.consume().unwrap();
-/// assert_eq!(v.queue_id, 0);
-/// assert_eq!(table.pending(), 1);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MsiTable {
-    /// FIFO of delivered-but-unconsumed vectors: consumed from the front on
-    /// every retired completion, so a ring buffer rather than a `Vec` whose
-    /// `remove(0)` would shift the tail on each consume.
-    pending: VecDeque<MsiVector>,
-    delivered: u64,
-}
-
-impl MsiTable {
-    /// Creates an empty MSI table.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Device side: raises an interrupt for `queue_id`.
-    pub fn raise(&mut self, queue_id: u16) -> MsiVector {
-        let v = MsiVector {
-            queue_id,
-            sequence: self.delivered,
-        };
-        self.delivered += 1;
-        self.pending.push_back(v);
-        v
-    }
-
-    /// Host/HAMS side: consumes the oldest pending interrupt.
-    pub fn consume(&mut self) -> Option<MsiVector> {
-        self.pending.pop_front()
-    }
-
-    /// Number of pending (unconsumed) interrupts.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Total number of interrupts ever delivered.
-    #[must_use]
-    pub fn total_delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Clears pending interrupts (a power failure drops undelivered MSIs; the
-    /// recovery path relies on journal tags instead).
-    pub fn clear(&mut self) {
-        self.pending.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn raise_and_consume_in_order() {
-        let mut t = MsiTable::new();
-        t.raise(1);
-        t.raise(2);
-        assert_eq!(t.consume().unwrap().queue_id, 1);
-        assert_eq!(t.consume().unwrap().queue_id, 2);
-        assert!(t.consume().is_none());
-        assert_eq!(t.total_delivered(), 2);
-    }
-
-    #[test]
-    fn sequence_numbers_increase() {
-        let mut t = MsiTable::new();
-        let a = t.raise(0);
-        let b = t.raise(0);
-        assert!(b.sequence > a.sequence);
-    }
 
     #[test]
     fn immediate_coalescing_is_the_identity() {
@@ -365,14 +269,5 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_threshold_panics() {
         let _ = MsiCoalescing::batched(0, Nanos::ZERO);
-    }
-
-    #[test]
-    fn clear_drops_pending_but_not_count() {
-        let mut t = MsiTable::new();
-        t.raise(0);
-        t.clear();
-        assert_eq!(t.pending(), 0);
-        assert_eq!(t.total_delivered(), 1);
     }
 }

@@ -1,372 +1,17 @@
-//! Submission and completion queues with doorbell semantics.
+//! The shape of the NVMe submission path and the stripe split shared by
+//! every multi-queue submitter.
 //!
-//! The queues are simple FIFO rings, each entry referenced by PRP pointers,
-//! exactly as §II-C describes. HAMS places the rings in a pinned,
-//! MMU-invisible region of NVDIMM; this module models the ring *state*
-//! (entries, head/tail pointers, doorbells) while the NVDIMM crate models
-//! where that state lives and what survives a power failure.
-
-use std::collections::VecDeque;
-use std::fmt;
+//! HAMS places the submission and completion rings in a pinned,
+//! MMU-invisible region of NVDIMM (§II-C, §IV-B). The device fetches each
+//! command the moment it is submitted, so the rings never hold more than
+//! the entry being written: the model keeps the queue *shape* here, and the
+//! in-controller engine journals each in-flight command once, keyed by the
+//! [`CommandId`](crate::CommandId) of the queue pair it was submitted on.
 
 use hams_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
-use crate::command::{CommandId, NvmeCommand, NvmeStatus};
 use crate::msi::MsiCoalescing;
-
-/// Errors produced by queue operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QueueError {
-    /// The submission queue is full; the host must wait for completions.
-    SubmissionQueueFull,
-    /// The completion queue is full; the device must wait for the host to reap.
-    CompletionQueueFull,
-    /// A completion was posted for a command identifier that is not outstanding.
-    UnknownCommand(u16),
-}
-
-impl fmt::Display for QueueError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueueError::SubmissionQueueFull => write!(f, "submission queue full"),
-            QueueError::CompletionQueueFull => write!(f, "completion queue full"),
-            QueueError::UnknownCommand(cid) => write!(f, "unknown command identifier {cid}"),
-        }
-    }
-}
-
-impl std::error::Error for QueueError {}
-
-/// A completion-queue entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CompletionEntry {
-    /// Identifier of the completed command.
-    pub cid: u16,
-    /// Completion status.
-    pub status: NvmeStatus,
-    /// Submission-queue head pointer at completion time, used by the host to
-    /// learn how far the device has consumed the SQ.
-    pub sq_head: u16,
-}
-
-/// A FIFO submission queue with head/tail pointers and a tail doorbell.
-///
-/// `tail` advances on submission (host side), `head` advances when the device
-/// fetches a command. The *doorbell* records the last tail value the host has
-/// rung; entries between the doorbell and the tail are invisible to the
-/// device, which is exactly the window the HAMS power-failure recovery logic
-/// inspects (§IV-B).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SubmissionQueue {
-    capacity: usize,
-    entries: VecDeque<NvmeCommand>,
-    next_cid: u16,
-    head: u16,
-    tail: u16,
-    doorbell: u16,
-}
-
-impl SubmissionQueue {
-    /// Creates an empty submission queue with the given entry capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is below the NVMe minimum of 2 entries or exceeds
-    /// the maximum of 65 536.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!((2..=65_536).contains(&capacity), "invalid SQ capacity");
-        SubmissionQueue {
-            capacity,
-            entries: VecDeque::with_capacity(capacity),
-            next_cid: 0,
-            head: 0,
-            tail: 0,
-            doorbell: 0,
-        }
-    }
-
-    /// Queue capacity in entries.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of commands currently waiting to be fetched by the device.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if no commands are waiting.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Returns `true` if the queue cannot accept another command.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
-    /// Current head pointer (device consumption point).
-    #[must_use]
-    pub fn head(&self) -> u16 {
-        self.head
-    }
-
-    /// Current tail pointer (host production point).
-    #[must_use]
-    pub fn tail(&self) -> u16 {
-        self.tail
-    }
-
-    /// Last tail value rung through the doorbell.
-    #[must_use]
-    pub fn doorbell(&self) -> u16 {
-        self.doorbell
-    }
-
-    /// Enqueues a command, assigning it a command identifier, and returns that
-    /// identifier. The doorbell is *not* rung; call [`ring_doorbell`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueError::SubmissionQueueFull`] when the ring is full.
-    ///
-    /// [`ring_doorbell`]: SubmissionQueue::ring_doorbell
-    pub fn push(&mut self, mut cmd: NvmeCommand) -> Result<u16, QueueError> {
-        if self.is_full() {
-            return Err(QueueError::SubmissionQueueFull);
-        }
-        let cid = self.next_cid;
-        self.next_cid = self.next_cid.wrapping_add(1);
-        cmd.cid = cid;
-        self.entries.push_back(cmd);
-        self.tail = self.tail.wrapping_add(1) % self.capacity as u16;
-        Ok(cid)
-    }
-
-    /// Rings the tail doorbell, making every pushed entry visible to the device.
-    pub fn ring_doorbell(&mut self) {
-        self.doorbell = self.tail;
-    }
-
-    /// Device side: fetches the oldest visible command, advancing the head.
-    /// Returns `None` when no doorbell-visible command is pending.
-    pub fn fetch(&mut self) -> Option<NvmeCommand> {
-        if self.head == self.doorbell {
-            return None;
-        }
-        let cmd = self.entries.pop_front()?;
-        self.head = self.head.wrapping_add(1) % self.capacity as u16;
-        Some(cmd)
-    }
-
-    /// Commands pushed but not yet fetched, in submission order. Used by the
-    /// HAMS recovery scan, which re-reads the SQ ring out of the pinned
-    /// NVDIMM region after a power failure.
-    #[must_use]
-    pub fn pending(&self) -> Vec<NvmeCommand> {
-        self.entries.iter().cloned().collect()
-    }
-
-    /// Returns `true` if head, tail and doorbell all coincide — the paper's
-    /// consistency condition for "no requests were in flight at power-off".
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.head == self.tail && self.tail == self.doorbell && self.entries.is_empty()
-    }
-}
-
-/// A FIFO completion queue with head/tail pointers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CompletionQueue {
-    capacity: usize,
-    entries: VecDeque<CompletionEntry>,
-    head: u16,
-    tail: u16,
-}
-
-impl CompletionQueue {
-    /// Creates an empty completion queue with the given entry capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is below the NVMe minimum of 2 entries or exceeds
-    /// the maximum of 65 536.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!((2..=65_536).contains(&capacity), "invalid CQ capacity");
-        CompletionQueue {
-            capacity,
-            entries: VecDeque::with_capacity(capacity),
-            head: 0,
-            tail: 0,
-        }
-    }
-
-    /// Number of completions waiting to be reaped by the host.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if no completions are waiting.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Current head pointer (host consumption point).
-    #[must_use]
-    pub fn head(&self) -> u16 {
-        self.head
-    }
-
-    /// Current tail pointer (device production point).
-    #[must_use]
-    pub fn tail(&self) -> u16 {
-        self.tail
-    }
-
-    /// Device side: posts a completion entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueError::CompletionQueueFull`] when the ring is full.
-    pub fn post(&mut self, entry: CompletionEntry) -> Result<(), QueueError> {
-        if self.entries.len() >= self.capacity {
-            return Err(QueueError::CompletionQueueFull);
-        }
-        self.entries.push_back(entry);
-        self.tail = self.tail.wrapping_add(1) % self.capacity as u16;
-        Ok(())
-    }
-
-    /// Host side: reaps the oldest completion, advancing the head.
-    pub fn reap(&mut self) -> Option<CompletionEntry> {
-        let e = self.entries.pop_front()?;
-        self.head = self.head.wrapping_add(1) % self.capacity as u16;
-        Some(e)
-    }
-
-    /// Returns `true` if head and tail coincide with an empty ring.
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.head == self.tail && self.entries.is_empty()
-    }
-}
-
-/// A paired submission/completion queue with outstanding-command tracking —
-/// the unit of NVMe I/O the HAMS NVMe engine manages.
-///
-/// See the crate-level example for typical use.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QueuePair {
-    /// Queue identifier (0 is the admin queue in real NVMe; the model uses
-    /// a single I/O queue pair with identifier 0 by convention).
-    pub id: u16,
-    sq: SubmissionQueue,
-    cq: CompletionQueue,
-    outstanding: Vec<NvmeCommand>,
-}
-
-impl QueuePair {
-    /// Creates a queue pair whose SQ and CQ both hold `depth` entries.
-    #[must_use]
-    pub fn new(id: u16, depth: usize) -> Self {
-        QueuePair {
-            id,
-            sq: SubmissionQueue::new(depth),
-            cq: CompletionQueue::new(depth),
-            outstanding: Vec::new(),
-        }
-    }
-
-    /// Read access to the submission queue.
-    #[must_use]
-    pub fn submission(&self) -> &SubmissionQueue {
-        &self.sq
-    }
-
-    /// Read access to the completion queue.
-    #[must_use]
-    pub fn completion(&self) -> &CompletionQueue {
-        &self.cq
-    }
-
-    /// Number of commands fetched by the device but not yet completed.
-    #[must_use]
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Host side: submits a command and rings the doorbell.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueError::SubmissionQueueFull`] when the SQ is full.
-    pub fn submit(&mut self, cmd: NvmeCommand) -> Result<u16, QueueError> {
-        let cid = self.sq.push(cmd)?;
-        self.sq.ring_doorbell();
-        Ok(cid)
-    }
-
-    /// Device side: fetches the next doorbell-visible command and marks it
-    /// outstanding.
-    pub fn fetch_next(&mut self) -> Option<NvmeCommand> {
-        let cmd = self.sq.fetch()?;
-        self.outstanding.push(cmd.clone());
-        Some(cmd)
-    }
-
-    /// Device side: completes an outstanding command, posting a CQ entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueError::UnknownCommand`] if `cid` is not outstanding, or
-    /// [`QueueError::CompletionQueueFull`] if the CQ has no room.
-    pub fn complete(&mut self, cid: u16, status: NvmeStatus) -> Result<(), QueueError> {
-        let idx = self
-            .outstanding
-            .iter()
-            .position(|c| c.cid == cid)
-            .ok_or(QueueError::UnknownCommand(cid))?;
-        self.cq.post(CompletionEntry {
-            cid,
-            status,
-            sq_head: self.sq.head(),
-        })?;
-        self.outstanding.remove(idx);
-        Ok(())
-    }
-
-    /// Host side: reaps the next completion.
-    pub fn reap(&mut self) -> Option<CompletionEntry> {
-        self.cq.reap()
-    }
-
-    /// Commands that were submitted but have neither been fetched nor
-    /// completed, plus those fetched but still outstanding: everything a power
-    /// failure would leave unfinished. This is the set the HAMS recovery
-    /// procedure re-issues.
-    #[must_use]
-    pub fn unfinished(&self) -> Vec<NvmeCommand> {
-        let mut all = self.outstanding.clone();
-        all.extend(self.sq.pending());
-        all
-    }
-
-    /// Returns `true` when no command is pending, outstanding or unreaped —
-    /// the "tail pointers refer to the same offset" condition of §IV-B.
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.sq.is_quiescent() && self.cq.is_quiescent() && self.outstanding.is_empty()
-    }
-}
 
 /// Shape of the NVMe submission path: how many I/O queue pairs the engine
 /// manages, how deep each ring is, and how completions coalesce into MSIs.
@@ -380,7 +25,9 @@ impl QueuePair {
 pub struct QueueConfig {
     /// Number of I/O submission/completion queue pairs.
     pub num_queues: u16,
-    /// Entry capacity of each submission and completion ring.
+    /// Entry capacity of each submission and completion ring. The device
+    /// fetches every command as it is submitted, so no ring ever fills and
+    /// the depth bounds nothing in the model.
     pub queue_depth: usize,
     /// MSI coalescing policy applied to completion interrupts.
     pub coalescing: MsiCoalescing,
@@ -441,153 +88,6 @@ impl Default for QueueConfig {
     }
 }
 
-/// A set of N submission/completion queue pairs — the multi-queue NVMe
-/// interface the HAMS engine stripes independent fills across.
-///
-/// Queue identifiers are dense (`0..num_queues`), and commands are globally
-/// identified by [`CommandId`] (queue, cid) pairs.
-///
-/// # Example
-///
-/// ```
-/// use hams_nvme::{NvmeCommand, NvmeStatus, PrpList, QueueSet};
-///
-/// let mut set = QueueSet::new(4, 64);
-/// let q = set.queue_for(7); // deterministic striping by key
-/// let id = set
-///     .submit_on(q, NvmeCommand::read(1, 0x80, 4096, PrpList::single(0)))
-///     .unwrap();
-/// let fetched = set.fetch_next(q).unwrap();
-/// assert_eq!(fetched.cid, id.cid);
-/// set.complete(id, NvmeStatus::Success).unwrap();
-/// assert_eq!(set.reap(q).unwrap().cid, id.cid);
-/// assert!(set.is_quiescent());
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QueueSet {
-    queues: Vec<QueuePair>,
-}
-
-impl QueueSet {
-    /// Creates `num_queues` pairs, each with `depth` entries per ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_queues` is zero (a queue-less NVMe engine cannot issue
-    /// commands) or `depth` is outside the NVMe ring bounds.
-    #[must_use]
-    pub fn new(num_queues: u16, depth: usize) -> Self {
-        assert!(num_queues > 0, "a QueueSet needs at least one queue pair");
-        QueueSet {
-            queues: (0..num_queues)
-                .map(|id| QueuePair::new(id, depth))
-                .collect(),
-        }
-    }
-
-    /// Builds the set described by a [`QueueConfig`].
-    #[must_use]
-    pub fn from_config(config: QueueConfig) -> Self {
-        Self::new(config.num_queues.max(1), config.queue_depth)
-    }
-
-    /// Number of queue pairs.
-    #[must_use]
-    pub fn num_queues(&self) -> u16 {
-        self.queues.len() as u16
-    }
-
-    /// The queue pair a striping key (MoS page number, stripe index, …) maps
-    /// to: keys are distributed round-robin across the set.
-    #[must_use]
-    pub fn queue_for(&self, key: u64) -> u16 {
-        (key % self.queues.len() as u64) as u16
-    }
-
-    /// Read access to one queue pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue` is out of range.
-    #[must_use]
-    pub fn queue(&self, queue: u16) -> &QueuePair {
-        &self.queues[queue as usize]
-    }
-
-    /// Iterates over the queue pairs in identifier order.
-    pub fn iter(&self) -> impl Iterator<Item = &QueuePair> {
-        self.queues.iter()
-    }
-
-    /// Host side: submits `cmd` on `queue` (rings its doorbell) and returns
-    /// the fully-qualified command identifier.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueError::SubmissionQueueFull`] when that ring is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue` is out of range.
-    pub fn submit_on(&mut self, queue: u16, cmd: NvmeCommand) -> Result<CommandId, QueueError> {
-        let cid = self.queues[queue as usize].submit(cmd)?;
-        Ok(CommandId { queue, cid })
-    }
-
-    /// Device side: fetches the next doorbell-visible command on `queue`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue` is out of range.
-    pub fn fetch_next(&mut self, queue: u16) -> Option<NvmeCommand> {
-        self.queues[queue as usize].fetch_next()
-    }
-
-    /// Device side: completes an outstanding command.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`QueueError`] from the owning queue pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the identifier's queue is out of range.
-    pub fn complete(&mut self, id: CommandId, status: NvmeStatus) -> Result<(), QueueError> {
-        self.queues[id.queue as usize].complete(id.cid, status)
-    }
-
-    /// Host side: reaps the next completion on `queue`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue` is out of range.
-    pub fn reap(&mut self, queue: u16) -> Option<CompletionEntry> {
-        self.queues[queue as usize].reap()
-    }
-
-    /// Total commands fetched but not completed, across all queues.
-    #[must_use]
-    pub fn total_outstanding(&self) -> usize {
-        self.queues.iter().map(QueuePair::outstanding).sum()
-    }
-
-    /// Everything a power failure would leave unfinished, tagged with the
-    /// queue it sits on, in (queue, submission) order.
-    #[must_use]
-    pub fn unfinished(&self) -> Vec<(u16, NvmeCommand)> {
-        self.queues
-            .iter()
-            .flat_map(|qp| qp.unfinished().into_iter().map(move |c| (qp.id, c)))
-            .collect()
-    }
-
-    /// Returns `true` when every queue pair is quiescent.
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.queues.iter().all(QueuePair::is_quiescent)
-    }
-}
-
 /// Partitions `lbas` logical blocks into at most `lanes` contiguous stripe
 /// ranges `(start_lba, lba_count)`, in address order. The first
 /// `lbas % lanes` stripes carry one extra block, so the split is as even as
@@ -634,191 +134,6 @@ pub fn stripe_ranges_into(lbas: u64, lanes: u64, out: &mut Vec<(u64, u64)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prp::PrpList;
-
-    fn cmd(lba: u64) -> NvmeCommand {
-        NvmeCommand::read(1, lba, 4096, PrpList::single(0x1000))
-    }
-
-    #[test]
-    fn submission_requires_doorbell() {
-        let mut sq = SubmissionQueue::new(8);
-        sq.push(cmd(1)).unwrap();
-        assert_eq!(sq.fetch(), None, "entry must be invisible before doorbell");
-        sq.ring_doorbell();
-        assert!(sq.fetch().is_some());
-        assert!(sq.fetch().is_none());
-    }
-
-    #[test]
-    fn submission_queue_fills_and_reports() {
-        let mut sq = SubmissionQueue::new(2);
-        sq.push(cmd(1)).unwrap();
-        sq.push(cmd(2)).unwrap();
-        assert!(sq.is_full());
-        assert_eq!(sq.push(cmd(3)), Err(QueueError::SubmissionQueueFull));
-        assert_eq!(sq.len(), 2);
-        assert_eq!(sq.pending().len(), 2);
-        assert!(!sq.is_quiescent());
-    }
-
-    #[test]
-    fn cids_are_unique_and_sequential() {
-        let mut sq = SubmissionQueue::new(16);
-        let a = sq.push(cmd(1)).unwrap();
-        let b = sq.push(cmd(2)).unwrap();
-        assert_ne!(a, b);
-        assert_eq!(b, a.wrapping_add(1));
-    }
-
-    #[test]
-    fn completion_queue_round_trip() {
-        let mut cq = CompletionQueue::new(2);
-        assert!(cq.is_quiescent());
-        cq.post(CompletionEntry {
-            cid: 7,
-            status: NvmeStatus::Success,
-            sq_head: 0,
-        })
-        .unwrap();
-        assert_eq!(cq.len(), 1);
-        let e = cq.reap().unwrap();
-        assert_eq!(e.cid, 7);
-        assert!(e.status.is_success());
-        assert!(cq.reap().is_none());
-    }
-
-    #[test]
-    fn completion_queue_full() {
-        let mut cq = CompletionQueue::new(2);
-        cq.post(CompletionEntry {
-            cid: 7,
-            status: NvmeStatus::Success,
-            sq_head: 0,
-        })
-        .unwrap();
-        cq.post(CompletionEntry {
-            cid: 0,
-            status: NvmeStatus::Success,
-            sq_head: 0,
-        })
-        .unwrap();
-        let err = cq
-            .post(CompletionEntry {
-                cid: 1,
-                status: NvmeStatus::Success,
-                sq_head: 0,
-            })
-            .unwrap_err();
-        assert_eq!(err, QueueError::CompletionQueueFull);
-    }
-
-    #[test]
-    fn queue_pair_full_lifecycle() {
-        let mut qp = QueuePair::new(0, 8);
-        assert!(qp.is_quiescent());
-        let cid = qp.submit(cmd(5)).unwrap();
-        assert!(!qp.is_quiescent());
-        let fetched = qp.fetch_next().unwrap();
-        assert_eq!(fetched.cid, cid);
-        assert_eq!(qp.outstanding(), 1);
-        qp.complete(cid, NvmeStatus::Success).unwrap();
-        assert_eq!(qp.outstanding(), 0);
-        let cqe = qp.reap().unwrap();
-        assert_eq!(cqe.cid, cid);
-        assert!(qp.is_quiescent());
-    }
-
-    #[test]
-    fn completing_unknown_cid_is_an_error() {
-        let mut qp = QueuePair::new(0, 4);
-        assert_eq!(
-            qp.complete(99, NvmeStatus::Success),
-            Err(QueueError::UnknownCommand(99))
-        );
-    }
-
-    #[test]
-    fn unfinished_reports_both_pending_and_outstanding() {
-        let mut qp = QueuePair::new(0, 8);
-        qp.submit(cmd(1)).unwrap();
-        qp.submit(cmd(2)).unwrap();
-        qp.submit(cmd(3)).unwrap();
-        let _ = qp.fetch_next().unwrap(); // one outstanding, two pending
-        let unfinished = qp.unfinished();
-        assert_eq!(unfinished.len(), 3);
-    }
-
-    #[test]
-    fn error_display_messages() {
-        assert_eq!(
-            QueueError::SubmissionQueueFull.to_string(),
-            "submission queue full"
-        );
-        assert!(QueueError::UnknownCommand(3).to_string().contains('3'));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid SQ capacity")]
-    fn zero_capacity_sq_panics() {
-        let _ = SubmissionQueue::new(0);
-    }
-
-    #[test]
-    fn queue_set_stripes_keys_round_robin() {
-        let set = QueueSet::new(4, 16);
-        assert_eq!(set.num_queues(), 4);
-        assert_eq!(set.queue_for(0), 0);
-        assert_eq!(set.queue_for(5), 1);
-        assert_eq!(set.queue_for(7), 3);
-        assert_eq!(set.iter().count(), 4);
-    }
-
-    #[test]
-    fn queue_set_lifecycle_across_queues() {
-        let mut set = QueueSet::new(2, 8);
-        let a = set.submit_on(0, cmd(1)).unwrap();
-        let b = set.submit_on(1, cmd(2)).unwrap();
-        // cids restart per queue; the CommandId disambiguates.
-        assert_eq!(a.cid, b.cid);
-        assert_ne!(a, b);
-        assert!(set.fetch_next(0).is_some());
-        assert!(set.fetch_next(1).is_some());
-        assert_eq!(set.total_outstanding(), 2);
-        set.complete(a, NvmeStatus::Success).unwrap();
-        set.complete(b, NvmeStatus::Success).unwrap();
-        assert!(set.reap(0).is_some());
-        assert!(set.reap(1).is_some());
-        assert!(set.is_quiescent());
-    }
-
-    #[test]
-    fn queue_set_unfinished_reports_per_queue() {
-        let mut set = QueueSet::new(2, 8);
-        set.submit_on(0, cmd(1)).unwrap();
-        set.submit_on(1, cmd(2)).unwrap();
-        let _ = set.fetch_next(1);
-        let unfinished = set.unfinished();
-        assert_eq!(unfinished.len(), 2);
-        assert_eq!(unfinished[0].0, 0);
-        assert_eq!(unfinished[1].0, 1);
-        assert!(!set.is_quiescent());
-    }
-
-    #[test]
-    fn queue_set_from_config_honours_shape() {
-        let set = QueueSet::from_config(QueueConfig::striped(3).with_depth(32));
-        assert_eq!(set.num_queues(), 3);
-        assert_eq!(set.queue(2).submission().capacity(), 32);
-        assert!(QueueConfig::single().is_single());
-        assert!(!QueueConfig::striped(3).is_single());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one queue pair")]
-    fn empty_queue_set_panics() {
-        let _ = QueueSet::new(0, 8);
-    }
 
     #[test]
     fn stripe_ranges_cover_the_span_exactly_once() {
@@ -836,5 +151,13 @@ mod tests {
             }
         }
         assert!(stripe_ranges(0, 4).is_empty());
+    }
+
+    #[test]
+    fn config_shapes() {
+        assert!(QueueConfig::single().is_single());
+        assert!(!QueueConfig::striped(3).is_single());
+        assert_eq!(QueueConfig::striped(3).with_depth(32).queue_depth, 32);
+        assert_eq!(QueueConfig::striped(0).num_queues, 1);
     }
 }

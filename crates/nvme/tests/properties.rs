@@ -1,9 +1,6 @@
-//! Property-based tests for the NVMe queue and PRP machinery, including the
-//! multi-queue [`QueueSet`] and the MSI coalescing model.
+//! Property-based tests for the PRP machinery and the MSI coalescing model.
 
-use hams_nvme::{
-    CommandId, MsiCoalescer, MsiCoalescing, NvmeCommand, NvmeStatus, PrpList, QueuePair, QueueSet,
-};
+use hams_nvme::{MsiCoalescer, MsiCoalescing, PrpList};
 use hams_sim::Nanos;
 use proptest::prelude::*;
 
@@ -35,126 +32,6 @@ proptest! {
             .map(|e| e.address().wrapping_sub(new_base))
             .collect();
         prop_assert_eq!(offsets, new_offsets);
-    }
-
-    /// Any interleaving of submit / fetch / complete keeps the queue-pair
-    /// invariants: completions only for fetched commands, and the pair is
-    /// quiescent exactly when everything submitted has been reaped.
-    #[test]
-    fn queue_pair_invariants_hold(ops in proptest::collection::vec(0u8..3, 1..200)) {
-        let mut qp = QueuePair::new(0, 256);
-        let mut submitted = 0usize;
-        let mut fetched: Vec<u16> = Vec::new();
-        let mut completed = 0usize;
-        let mut reaped = 0usize;
-        for op in ops {
-            match op {
-                0 => {
-                    if qp
-                        .submit(NvmeCommand::read(1, submitted as u64, 4096, PrpList::single(0)))
-                        .is_ok()
-                    {
-                        submitted += 1;
-                    }
-                }
-                1 => {
-                    if let Some(cmd) = qp.fetch_next() {
-                        fetched.push(cmd.cid);
-                    }
-                }
-                _ => {
-                    if let Some(cid) = fetched.pop() {
-                        prop_assert!(qp.complete(cid, NvmeStatus::Success).is_ok());
-                        completed += 1;
-                    } else {
-                        prop_assert!(qp.reap().is_none() || reaped < completed);
-                    }
-                    if qp.reap().is_some() {
-                        reaped += 1;
-                    }
-                }
-            }
-            prop_assert!(qp.outstanding() <= submitted);
-            prop_assert!(completed <= submitted);
-        }
-        // Drain everything and verify quiescence is reachable.
-        while let Some(cmd) = qp.fetch_next() {
-            fetched.push(cmd.cid);
-        }
-        for cid in fetched.drain(..) {
-            let _ = qp.complete(cid, NvmeStatus::Success);
-        }
-        while qp.reap().is_some() {}
-        prop_assert!(qp.is_quiescent());
-    }
-
-    /// Multi-queue invariants under arbitrary interleavings of submit /
-    /// fetch / complete across a [`QueueSet`]: no submission is ever lost
-    /// (everything submitted is pending, outstanding or completed),
-    /// completions never exceed submissions, and every tail doorbell is
-    /// monotonically non-decreasing (rings are deep enough that pointers
-    /// never wrap within one case).
-    #[test]
-    fn queue_set_never_loses_submissions(
-        ops in proptest::collection::vec((0u8..3, 0u64..4), 1..180),
-    ) {
-        let num_queues = 4u16;
-        let mut set = QueueSet::new(num_queues, 256);
-        let mut submitted = 0usize;
-        let mut completed = 0usize;
-        let mut fetched: Vec<CommandId> = Vec::new();
-        let mut last_doorbell = vec![0u16; num_queues as usize];
-        for (op, key) in ops {
-            let queue = set.queue_for(key);
-            match op {
-                0 => {
-                    if set
-                        .submit_on(queue, NvmeCommand::read(1, key, 4096, PrpList::single(0)))
-                        .is_ok()
-                    {
-                        submitted += 1;
-                    }
-                }
-                1 => {
-                    if let Some(cmd) = set.fetch_next(queue) {
-                        fetched.push(CommandId::new(queue, cmd.cid));
-                    }
-                }
-                _ => {
-                    if let Some(id) = fetched.pop() {
-                        prop_assert!(set.complete(id, NvmeStatus::Success).is_ok());
-                        prop_assert!(set.reap(id.queue).is_some());
-                        completed += 1;
-                    }
-                }
-            }
-            // Doorbell monotonicity per queue.
-            for q in 0..num_queues {
-                let bell = set.queue(q).submission().doorbell();
-                prop_assert!(
-                    bell >= last_doorbell[q as usize],
-                    "doorbell on queue {q} went backwards"
-                );
-                last_doorbell[q as usize] = bell;
-            }
-            // Conservation: pending + outstanding + completed == submitted.
-            let pending: usize = (0..num_queues)
-                .map(|q| set.queue(q).submission().len())
-                .sum();
-            prop_assert_eq!(pending + set.total_outstanding() + completed, submitted);
-            prop_assert!(completed <= submitted);
-        }
-        // Drain everything; the set must reach quiescence.
-        for q in 0..num_queues {
-            while let Some(cmd) = set.fetch_next(q) {
-                fetched.push(CommandId::new(q, cmd.cid));
-            }
-        }
-        for id in fetched {
-            let _ = set.complete(id, NvmeStatus::Success);
-            let _ = set.reap(id.queue);
-        }
-        prop_assert!(set.is_quiescent());
     }
 
     /// MSI coalescing invariants for arbitrary completion bursts and
@@ -198,27 +75,5 @@ proptest! {
         let min_interrupts =
             (completions.len() as u64).div_ceil(u64::from(threshold).min(completions.len() as u64));
         prop_assert!(stats.interrupts >= min_interrupts);
-    }
-
-    /// Unfinished commands reported for recovery are exactly those submitted
-    /// but not completed.
-    #[test]
-    fn unfinished_matches_submitted_minus_completed(total in 1usize..64, to_complete in 0usize..64) {
-        let mut qp = QueuePair::new(0, 128);
-        let mut cids = Vec::new();
-        for i in 0..total {
-            let cid = qp
-                .submit(NvmeCommand::write(1, i as u64, 4096, PrpList::single(0)))
-                .unwrap();
-            cids.push(cid);
-        }
-        for _ in 0..total {
-            let _ = qp.fetch_next();
-        }
-        let completing = to_complete.min(total);
-        for cid in cids.iter().take(completing) {
-            qp.complete(*cid, NvmeStatus::Success).unwrap();
-        }
-        prop_assert_eq!(qp.unfinished().len(), total - completing);
     }
 }

@@ -174,9 +174,12 @@ impl<T: Eq> CompletionSource<T> {
         }
     }
 
-    /// Schedules a completion to fire at `at`.
-    pub fn schedule(&mut self, at: Nanos, payload: T) {
-        self.events.schedule(at, payload);
+    /// Schedules a completion to fire at `at`. Returns the event's sequence
+    /// number, which no other event of this source ever carries (clearing
+    /// the source does not restart the numbering), so a consumer can tell
+    /// a popped event from a later one that reuses its payload.
+    pub fn schedule(&mut self, at: Nanos, payload: T) -> u64 {
+        self.events.schedule(at, payload)
     }
 
     /// Removes and returns every completion due at or before `now`, in
