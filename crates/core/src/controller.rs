@@ -64,10 +64,6 @@ impl MosAccessResult {
 /// Aggregate controller statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HamsStats {
-    /// Device and interface time spent on background (non-blocking) eviction
-    /// work in extend mode. Kept separate from `delay`, which only counts
-    /// time on the access critical path.
-    pub background_delay: LatencyVector,
     /// Total MoS accesses served.
     pub accesses: u64,
     /// NVDIMM cache hits.
@@ -845,57 +841,51 @@ impl HamsController {
 
     /// Moves a MoS page between the archive and NVDIMM over the configured
     /// interface. Returns `(finished_at, dma_time)`.
-    fn transfer_page(&mut self, start: Nanos, breakdown: &mut LatencyVector) -> Nanos {
+    fn transfer_page(&mut self, start: Nanos) -> (Nanos, Nanos) {
         let page_bytes = self.config.mos_page_size;
         if self.archive.topology().uses_cxl() {
             // CXL-attached backend: the page crosses the CXL link, then the
             // DDR4 channel into/out of the NVDIMM — the loose-attach shape
             // with the faster, flit-framed link in place of PCIe.
             let t = self.cxl.transfer(page_bytes, start);
-            breakdown.add(ComponentId::DMA, t.latency());
             let d = self.ddr.transfer(page_bytes, t.finished_at);
-            breakdown.add(ComponentId::DMA, d.latency());
-            return d.finished_at;
+            return (d.finished_at, t.latency() + d.latency());
         }
         match self.config.attach {
             AttachMode::Loose => {
                 let t = self.pcie.transfer(page_bytes, start);
-                breakdown.add(ComponentId::DMA, t.latency());
                 // The page also crosses the DDR4 channel into/out of NVDIMM.
                 let d = self.ddr.transfer(page_bytes, t.finished_at);
-                breakdown.add(ComponentId::DMA, d.latency());
-                d.finished_at
+                (d.finished_at, t.latency() + d.latency())
             }
             AttachMode::Tight => {
                 // The NVMe controller takes the bus via the lock register and
                 // DMAs directly against the NVDIMM over DDR4.
                 let _ = self.lock.acquire(BusMaster::NvmeController);
                 let d = self.ddr.transfer(page_bytes, start);
-                breakdown.add(ComponentId::DMA, d.latency());
                 let _ = self.lock.release(BusMaster::NvmeController);
-                d.finished_at
+                (d.finished_at, d.latency())
             }
         }
     }
 
-    /// Latency of submitting one NVMe command over the configured interface.
-    fn submit_command(&mut self, start: Nanos, breakdown: &mut LatencyVector) -> Nanos {
+    /// Submits one NVMe command over the configured interface. Returns
+    /// `(finished_at, dma_time)`.
+    fn submit_command(&mut self, start: Nanos) -> (Nanos, Nanos) {
         if self.archive.topology().uses_cxl() {
             // Doorbell and command fetch over CXL.io: cheaper than a PCIe
             // BAR write, dearer than the DDR4 register interface.
             let overhead = self.cxl.config().command_overhead;
-            breakdown.add(ComponentId::DMA, overhead);
-            return start + overhead;
+            return (start + overhead, overhead);
         }
         match self.config.attach {
             AttachMode::Loose => {
-                breakdown.add(ComponentId::DMA, self.config.pcie_command_overhead);
-                start + self.config.pcie_command_overhead
+                let overhead = self.config.pcie_command_overhead;
+                (start + overhead, overhead)
             }
             AttachMode::Tight => {
                 let t = self.reg_iface.send_command(&mut self.ddr, start);
-                breakdown.add(ComponentId::DMA, t.latency());
-                t.finished_at
+                (t.finished_at, t.latency())
             }
         }
     }
@@ -927,20 +917,19 @@ impl HamsController {
 
         // The command submission, data transfer and flash program block the
         // access only in persist mode; in extend mode they proceed in the
-        // background and are accounted separately.
+        // background, off the access's breakdown.
         let blocking = matches!(self.config.persist, PersistMode::Persist);
-        let mut eviction_breakdown = LatencyVector::new();
 
         // 2. Compose and submit the eviction command.
         let persist_start = match self.config.persist {
             PersistMode::Persist => clone_done.max(self.persist_gate),
             PersistMode::Extend => clone_done,
         };
-        let submitted = self.submit_command(persist_start, &mut eviction_breakdown);
+        let (submitted, submit_dma) = self.submit_command(persist_start);
 
         // 3. Data moves from the clone to the device, then the device programs
         //    it (FUA in persist mode forces it to the Z-NAND immediately).
-        let transferred = self.transfer_page(submitted, &mut eviction_breakdown);
+        let (transferred, transfer_dma) = self.transfer_page(submitted);
         let fua = blocking;
         let cmd = NvmeCommand::write(
             1,
@@ -953,12 +942,10 @@ impl HamsController {
             .archive
             .service(&cmd, transferred)
             .expect("eviction write within device capacity");
-        eviction_breakdown.add(ComponentId::SSD, completion.finished_at - transferred);
         let eviction_done = completion.finished_at;
         if blocking {
-            breakdown.merge(&eviction_breakdown);
-        } else {
-            self.stats.background_delay.merge(&eviction_breakdown);
+            breakdown.add(ComponentId::DMA, submit_dma + transfer_dma);
+            breakdown.add(ComponentId::SSD, eviction_done - transferred);
         }
 
         if self.trace.is_enabled() {
@@ -1069,7 +1056,8 @@ impl HamsController {
             // ([`NvmeEngine::issue_read_tracked`]) instead of being
             // re-derived, PRP list and all, a second time for tracking.
             self.stats.fill_bytes += page_bytes;
-            let submitted = self.submit_command(start, breakdown);
+            let (submitted, submit_dma) = self.submit_command(start);
+            breakdown.add(ComponentId::DMA, submit_dma);
             let cmd = NvmeCommand::read(
                 1,
                 self.slba_of(page),
@@ -1102,7 +1090,8 @@ impl HamsController {
                     .with_request(page),
                 );
             }
-            let transferred = self.transfer_page(completion.finished_at, breakdown);
+            let (transferred, transfer_dma) = self.transfer_page(completion.finished_at);
+            breakdown.add(ComponentId::DMA, transfer_dma);
             // Landing the page in the NVDIMM array.
             let array = self.nvdimm.write(page_bytes);
             breakdown.add(ComponentId::NVDIMM, array);
@@ -1134,7 +1123,9 @@ impl HamsController {
                 // Doorbell writes serialize over the command interface; each
                 // stripe's service starts as soon as its own doorbell lands.
                 let doorbell_at = submit_t;
-                submit_t = self.submit_command(submit_t, breakdown);
+                let (submitted, submit_dma) = self.submit_command(submit_t);
+                breakdown.add(ComponentId::DMA, submit_dma);
+                submit_t = submitted;
                 let cmd = NvmeCommand::read(
                     1,
                     slba,
@@ -1189,7 +1180,8 @@ impl HamsController {
             }
             let flash_ready = delivered.last().copied().unwrap_or(submit_t).max(submit_t);
             breakdown.add(ComponentId::SSD, flash_ready - submit_t);
-            let transferred = self.transfer_page(flash_ready, breakdown);
+            let (transferred, transfer_dma) = self.transfer_page(flash_ready);
+            breakdown.add(ComponentId::DMA, transfer_dma);
             let array = self.nvdimm.write(page_bytes);
             breakdown.add(ComponentId::NVDIMM, array);
             for &(queue, slba, length) in &segments {

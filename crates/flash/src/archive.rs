@@ -832,15 +832,13 @@ impl ArchiveSet {
 }
 
 /// Folds one more per-device completion into a command-level aggregate:
-/// the command finishes when its slowest segment does, latency components
-/// and sub-request counts add, and it is buffer-served only if every
-/// segment was.
-fn merge_completion(acc: Option<IoCompletion>, next: IoCompletion) -> IoCompletion {
+/// the command finishes when its slowest segment does, sub-request counts
+/// add, and it is buffer-served only if every segment was.
+pub(crate) fn merge_completion(acc: Option<IoCompletion>, next: IoCompletion) -> IoCompletion {
     match acc {
         None => next,
         Some(mut acc) => {
             acc.finished_at = acc.finished_at.max(next.finished_at);
-            acc.breakdown.merge(&next.breakdown);
             acc.sub_requests += next.sub_requests;
             acc.served_from_dram &= next.served_from_dram;
             acc

@@ -2,19 +2,20 @@
 //! DRAM serving NVMe commands.
 //!
 //! [`SsdDevice::service`] is the single entry point: given an NVMe command
-//! and the current simulated time it returns when the command finishes and a
-//! named latency breakdown. Presets in [`SsdConfig`] reproduce the three
-//! devices the paper characterises (Z-NAND ULL-Flash, an Intel-750-class
-//! NVMe SSD, a SATA SSD) plus the DRAM-less ULL-Flash used by advanced HAMS.
+//! and the current simulated time it returns when the command finishes,
+//! which is all the timing model above the device reads. Presets in
+//! [`SsdConfig`] reproduce the three devices the paper characterises
+//! (Z-NAND ULL-Flash, an Intel-750-class NVMe SSD, a SATA SSD) plus the
+//! DRAM-less ULL-Flash used by advanced HAMS.
 
 use hams_nvme::{NvmeCommand, NvmeOpcode};
-use hams_sim::{ComponentId, LatencyBreakdown, Nanos};
+use hams_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
 use crate::dram::{DramOutcome, InternalDram};
 use crate::fil::Fil;
 use crate::ftl::{Ftl, FtlError};
-use crate::geometry::FlashGeometry;
+use crate::geometry::{div_rem, FlashGeometry};
 use crate::timing::{FlashOp, NandTiming};
 
 /// NVMe logical-block size used throughout the model (bytes). The paper's
@@ -120,14 +121,14 @@ impl SsdConfig {
     }
 }
 
-/// Completion record returned by [`SsdDevice::service`].
+/// Completion record returned by [`SsdDevice::service`]: the completion
+/// instant plus how the command was split and served. It carries no
+/// latency breakdown; the controller charges the whole device time,
+/// `finished_at` minus the issue time, to its `ssd` component.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IoCompletion {
     /// Simulated time at which the command finished inside the device.
     pub finished_at: Nanos,
-    /// Named latency components (`hil`, `ftl`, `dram`, `flash_array`,
-    /// `flash_channel`, `flash_queue`).
-    pub breakdown: LatencyBreakdown,
     /// Number of flash-page sub-requests the command was split into.
     pub sub_requests: u32,
     /// Whether every sub-request was served from the internal DRAM.
@@ -327,21 +328,19 @@ impl SsdDevice {
     }
 
     fn pages_of(&self, cmd: &NvmeCommand) -> (u64, u64) {
-        let page = u64::from(self.config.geometry.page_size);
+        let page = self.config.geometry.page_size;
         let start_byte = cmd.slba * LBA_SIZE;
-        let first = start_byte / page;
+        let first = div_rem(start_byte, page).0;
         let last = if cmd.length == 0 {
             first
         } else {
-            (start_byte + cmd.length - 1) / page
+            div_rem(start_byte + cmd.length - 1, page).0
         };
         (first, last)
     }
 
     fn service_read(&mut self, cmd: &NvmeCommand, now: Nanos) -> Result<IoCompletion, SsdError> {
         let timing = self.config.timing;
-        let mut breakdown = LatencyBreakdown::new();
-        breakdown.add(ComponentId::HIL, timing.hil_overhead);
         let start = now + timing.hil_overhead;
         let (first, last) = self.pages_of(cmd);
         let mut finish = start;
@@ -352,7 +351,6 @@ impl SsdDevice {
         for lpn in first..=last {
             subs += 1;
             firmware_clock += timing.ftl_overhead;
-            breakdown.add(ComponentId::FTL, timing.ftl_overhead);
             let outcome = if self.has_internal_dram() {
                 self.dram.read(lpn)
             } else {
@@ -360,7 +358,6 @@ impl SsdDevice {
             };
             match outcome {
                 DramOutcome::Hit => {
-                    breakdown.add(ComponentId::DRAM, self.dram.access_latency());
                     finish = finish.max(firmware_clock + self.dram.access_latency());
                 }
                 _ => {
@@ -368,9 +365,9 @@ impl SsdDevice {
                     let done = match self.ftl.lookup(lpn) {
                         Some(ppn) => {
                             self.stats.page_reads += 1;
-                            let c = self.fil.schedule_page(ppn, FlashOp::Read, firmware_clock);
-                            breakdown.merge(&c.breakdown());
-                            c.finished_at
+                            self.fil
+                                .schedule_page(ppn, FlashOp::Read, firmware_clock)
+                                .finished_at
                         }
                         // Never-written page: served as zero-fill by firmware.
                         None => firmware_clock,
@@ -389,7 +386,6 @@ impl SsdDevice {
         self.stats.bytes_read += cmd.length;
         Ok(IoCompletion {
             finished_at: finish,
-            breakdown,
             sub_requests: subs,
             served_from_dram: all_dram && subs > 0,
         })
@@ -402,8 +398,6 @@ impl SsdDevice {
         fua: bool,
     ) -> Result<IoCompletion, SsdError> {
         let timing = self.config.timing;
-        let mut breakdown = LatencyBreakdown::new();
-        breakdown.add(ComponentId::HIL, timing.hil_overhead);
         let start = now + timing.hil_overhead;
         let (first, last) = self.pages_of(cmd);
         let mut finish = start;
@@ -415,7 +409,6 @@ impl SsdDevice {
         for lpn in first..=last {
             subs += 1;
             firmware_clock += timing.ftl_overhead;
-            breakdown.add(ComponentId::FTL, timing.ftl_overhead);
             if buffered {
                 match self.dram.write(lpn) {
                     DramOutcome::MissEvictDirty { evicted_lpn } => {
@@ -425,17 +418,15 @@ impl SsdDevice {
                     }
                     DramOutcome::Hit | DramOutcome::Miss => {}
                 }
-                breakdown.add(ComponentId::DRAM, self.dram.access_latency());
                 finish = finish.max(firmware_clock + self.dram.access_latency());
             } else {
                 all_dram = false;
                 let outcome = self.ftl.write(lpn)?;
                 self.stats.page_programs += 1;
-                let c = self
+                let mut done = self
                     .fil
-                    .schedule_page(outcome.ppn, FlashOp::Program, firmware_clock);
-                breakdown.merge(&c.breakdown());
-                let mut done = c.finished_at;
+                    .schedule_page(outcome.ppn, FlashOp::Program, firmware_clock)
+                    .finished_at;
                 // GC work triggered by this write delays it (foreground GC).
                 for (_, new_ppn) in &outcome.relocated {
                     self.stats.page_programs += 1;
@@ -455,15 +446,12 @@ impl SsdDevice {
         self.stats.bytes_written += cmd.length;
         Ok(IoCompletion {
             finished_at: finish,
-            breakdown,
             sub_requests: subs,
             served_from_dram: all_dram && subs > 0,
         })
     }
 
     fn service_flush(&mut self, now: Nanos) -> IoCompletion {
-        let mut breakdown = LatencyBreakdown::new();
-        breakdown.add(ComponentId::HIL, self.config.timing.hil_overhead);
         let start = now + self.config.timing.hil_overhead;
         let dirty = self.dram.flush_dirty();
         let mut finish = start;
@@ -472,13 +460,11 @@ impl SsdDevice {
                 self.stats.page_programs += 1;
                 let c = self.fil.schedule_page(outcome.ppn, FlashOp::Program, start);
                 finish = finish.max(c.finished_at);
-                breakdown.merge(&c.breakdown());
             }
         }
         self.stats.flush_commands += 1;
         IoCompletion {
             finished_at: finish,
-            breakdown,
             sub_requests: 0,
             served_from_dram: false,
         }

@@ -37,6 +37,7 @@ use hams_nvme::{NvmeCommand, PrpList};
 use hams_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
+use crate::archive::merge_completion;
 use crate::device::{IoCompletion, SsdDevice, LBA_SIZE};
 
 /// How a device fails and how it comes back.
@@ -678,16 +679,7 @@ impl FaultInjector {
             let read = NvmeCommand::read(cmd.nsid, slba, cmd.length, cmd.prp.clone());
             if let Ok(done) = devices[usize::from(peer)].service(&read, now) {
                 self.stats.reconstruction_reads += 1;
-                merged = Some(match merged {
-                    None => done,
-                    Some(mut acc) => {
-                        acc.finished_at = acc.finished_at.max(done.finished_at);
-                        acc.breakdown.merge(&done.breakdown);
-                        acc.sub_requests += done.sub_requests;
-                        acc.served_from_dram &= done.served_from_dram;
-                        acc
-                    }
-                });
+                merged = Some(merge_completion(merged, done));
             }
         }
         let mut done = merged.expect("an array of two or more devices has at least one survivor");

@@ -5,15 +5,27 @@
 //! each logical page maps to exactly one physical flash page, writes are
 //! out-of-place, and a greedy garbage collector reclaims the block with the
 //! fewest valid pages when the free-block pool runs low.
+//!
+//! # Mapping table
+//!
+//! Both directions of the mapping — logical → physical for lookups and
+//! physical → logical for GC relocation — are page tables indexed by page
+//! number, as a page-mapped FTL keeps them (DFTL, Gupta et al., ASPLOS
+//! 2009). Each is two-level: a top-level vector of 4096-entry leaves of
+//! `u32` page numbers, with `u32::MAX` marking an unmapped entry. A leaf is
+//! allocated on the first write into its range and the top level grows to
+//! the highest leaf touched, so memory follows the range a workload touches
+//! rather than the 800 GB device. A lookup is two dependent loads and no
+//! hashing, and the mapped pages walk out in ascending order. The `u32`
+//! entries need the geometry's page count to fit in `u32`, which
+//! [`Ftl::new`] asserts (the largest preset, ULL-Flash, has 201.3M).
 
 use std::collections::VecDeque;
-
-use hams_sim::FastHashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::geometry::FlashGeometry;
+use crate::geometry::{div_rem, FlashGeometry};
 
 /// Errors produced by FTL operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,6 +87,82 @@ pub struct WriteOutcome {
     pub erased_blocks: Vec<usize>,
 }
 
+/// Index bits of a [`PageTable`] leaf: 4096 entries, 16 KiB.
+const LEAF_BITS: u32 = 12;
+/// Entries per [`PageTable`] leaf.
+const LEAF_ENTRIES: usize = 1 << LEAF_BITS;
+/// A [`PageTable`] entry that maps nothing.
+const UNMAPPED: u32 = u32::MAX;
+
+/// A page-number-indexed table of page numbers: the two-level mapping
+/// table described in the module docs.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct PageTable {
+    /// Leaf `i` holds the entries of keys `i * 4096 ..< (i + 1) * 4096`;
+    /// `None` until the first insert into that range.
+    leaves: Vec<Option<Box<[u32]>>>,
+    /// Entries currently mapped.
+    len: u64,
+}
+
+impl PageTable {
+    fn split(key: u64) -> (usize, usize) {
+        (
+            (key >> LEAF_BITS) as usize,
+            key as usize & (LEAF_ENTRIES - 1),
+        )
+    }
+
+    fn get(&self, key: u64) -> Option<u64> {
+        let (leaf, slot) = Self::split(key);
+        let value = self.leaves.get(leaf)?.as_deref()?[slot];
+        (value != UNMAPPED).then_some(u64::from(value))
+    }
+
+    /// Maps `key` to `value`, replacing any previous entry.
+    fn insert(&mut self, key: u64, value: u64) {
+        debug_assert!(
+            value < u64::from(UNMAPPED),
+            "page {value} overflows the table"
+        );
+        let (leaf, slot) = Self::split(key);
+        if leaf >= self.leaves.len() {
+            self.leaves.resize_with(leaf + 1, || None);
+        }
+        let entries = self.leaves[leaf]
+            .get_or_insert_with(|| vec![UNMAPPED; LEAF_ENTRIES].into_boxed_slice());
+        if entries[slot] == UNMAPPED {
+            self.len += 1;
+        }
+        entries[slot] = value as u32;
+    }
+
+    /// Unmaps `key`, returning the value it mapped to.
+    fn remove(&mut self, key: u64) -> Option<u64> {
+        let (leaf, slot) = Self::split(key);
+        let entry = &mut self.leaves.get_mut(leaf)?.as_deref_mut()?[slot];
+        let value = std::mem::replace(entry, UNMAPPED);
+        if value == UNMAPPED {
+            return None;
+        }
+        self.len -= 1;
+        Some(u64::from(value))
+    }
+
+    /// Every mapped key, ascending.
+    fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.leaves.iter().enumerate().flat_map(|(leaf, entries)| {
+            entries.iter().flat_map(move |entries| {
+                entries
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &value)| value != UNMAPPED)
+                    .map(move |(slot, _)| ((leaf << LEAF_BITS) | slot) as u64)
+            })
+        })
+    }
+}
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct BlockInfo {
     /// Flat block index.
@@ -105,8 +193,10 @@ pub struct Ftl {
     /// Logical pages exported to the host: total pages minus the
     /// over-provisioned fraction, fixed at construction.
     exported_pages: u64,
-    map: FastHashMap<u64, u64>,
-    reverse: FastHashMap<u64, u64>,
+    /// Logical → physical page.
+    map: PageTable,
+    /// Physical → logical page, for GC relocation.
+    reverse: PageTable,
     blocks: Vec<BlockInfo>,
     /// Per-plane pools of fully-erased blocks.
     free_blocks: Vec<VecDeque<usize>>,
@@ -126,12 +216,18 @@ impl Ftl {
     ///
     /// # Panics
     ///
-    /// Panics if `over_provisioning` is outside `[0.0, 0.5]`.
+    /// Panics if `over_provisioning` is outside `[0.0, 0.5]`, or if the
+    /// geometry has more pages than the `u32` mapping entries can number.
     #[must_use]
     pub fn new(geometry: FlashGeometry, over_provisioning: f64) -> Self {
         assert!(
             (0.0..=0.5).contains(&over_provisioning),
             "over-provisioning fraction must be in [0, 0.5]"
+        );
+        assert!(
+            geometry.total_pages() <= u64::from(UNMAPPED),
+            "the mapping table numbers pages in u32, but the geometry has {} pages",
+            geometry.total_pages()
         );
         let total_blocks = geometry.total_blocks() as usize;
         let blocks = (0..total_blocks)
@@ -151,8 +247,8 @@ impl Ftl {
         Ftl {
             geometry,
             exported_pages: (geometry.total_pages() as f64 * (1.0 - over_provisioning)) as u64,
-            map: FastHashMap::default(),
-            reverse: FastHashMap::default(),
+            map: PageTable::default(),
+            reverse: PageTable::default(),
             blocks,
             free_blocks,
             free_count: total_blocks,
@@ -209,7 +305,7 @@ impl Ftl {
     /// Looks up the physical page currently mapped to `lpn`.
     #[must_use]
     pub fn lookup(&self, lpn: u64) -> Option<u64> {
-        self.map.get(&lpn).copied()
+        self.map.get(lpn)
     }
 
     /// Writes logical page `lpn` out-of-place, returning the new physical
@@ -232,16 +328,11 @@ impl Ftl {
         }
 
         // Invalidate the previous location, if any.
-        if let Some(old_ppn) = self.map.remove(&lpn) {
-            self.reverse.remove(&old_ppn);
-            let block = self.block_of(old_ppn);
-            self.blocks[block].valid = self.blocks[block].valid.saturating_sub(1);
-        }
+        self.trim(lpn);
 
-        let ppn = self.allocate_page(&mut outcome)?;
+        let (ppn, block) = self.allocate_page(&mut outcome)?;
         self.map.insert(lpn, ppn);
         self.reverse.insert(ppn, lpn);
-        let block = self.block_of(ppn);
         self.blocks[block].valid += 1;
         self.stats.host_writes += 1;
         self.stats.flash_writes += 1;
@@ -252,95 +343,84 @@ impl Ftl {
     /// Discards the mapping for `lpn` (TRIM). Returns `true` if a mapping
     /// existed.
     pub fn trim(&mut self, lpn: u64) -> bool {
-        if let Some(ppn) = self.map.remove(&lpn) {
-            self.reverse.remove(&ppn);
-            let block = self.block_of(ppn);
-            self.blocks[block].valid = self.blocks[block].valid.saturating_sub(1);
-            true
-        } else {
-            false
-        }
+        let Some(ppn) = self.map.remove(lpn) else {
+            return false;
+        };
+        self.reverse.remove(ppn);
+        let block = self.block_of(ppn);
+        self.blocks[block].valid = self.blocks[block].valid.saturating_sub(1);
+        true
     }
 
-    /// Every logical page with a live mapping, ascending. The rebuild
-    /// planner uses this to regenerate exactly the rows a failed device had
-    /// durably stored (sorted so the walk is deterministic whatever the hash
-    /// map's iteration order).
+    /// Every logical page with a live mapping, ascending: an in-order walk
+    /// of the mapping table. The rebuild planner uses this to regenerate
+    /// exactly the rows a failed device had durably stored.
     #[must_use]
     pub fn mapped_lpns(&self) -> Vec<u64> {
-        let mut lpns: Vec<u64> = self.map.keys().copied().collect();
-        lpns.sort_unstable();
-        lpns
+        self.map.keys().collect()
     }
 
     /// Fraction of exported pages currently mapped.
     #[must_use]
     pub fn occupancy(&self) -> f64 {
-        self.map.len() as f64 / self.exported_pages as f64
+        self.map.len as f64 / self.exported_pages as f64
     }
 
+    /// Number of planes: the stride between consecutive pages of one block.
+    fn planes(&self) -> u32 {
+        self.active_blocks.len() as u32
+    }
+
+    /// Plane owning flat block `block` (blocks are numbered plane-major).
+    fn plane_of_block(&self, block: usize) -> usize {
+        div_rem(block as u64, self.geometry.blocks_per_plane).0 as usize
+    }
+
+    /// Flat block index of physical page `ppn`, the inverse of
+    /// [`Self::ppn_of`]. The interleave [`FlashGeometry::decompose`] unpacks
+    /// makes a ppn `(block_in_plane * pages_per_block + page) * planes +
+    /// plane`, where `plane` is the flat plane index blocks are numbered by.
     fn block_of(&self, ppn: u64) -> usize {
-        let addr = self.geometry.decompose(ppn);
-        let planes_before = (u64::from(addr.channel)
-            + u64::from(self.geometry.channels)
-                * (u64::from(addr.package)
-                    + u64::from(self.geometry.packages_per_channel)
-                        * (u64::from(addr.die)
-                            + u64::from(self.geometry.dies_per_package) * u64::from(addr.plane))))
-            as usize;
-        // Flat block index: plane-major then block, consistent with ppn_of.
-        planes_before * self.geometry.blocks_per_plane as usize + addr.block as usize
+        let (rest, plane) = div_rem(ppn, self.planes());
+        let (block_in_plane, _) = div_rem(rest, self.geometry.pages_per_block);
+        (plane * u64::from(self.geometry.blocks_per_plane) + block_in_plane) as usize
     }
 
-    fn ppn_of(&self, block_index: usize, page_in_block: u32) -> u64 {
-        let bpp = self.geometry.blocks_per_plane as usize;
-        let plane_flat = (block_index / bpp) as u64;
-        let block_in_plane = (block_index % bpp) as u64;
-        // Invert the decompose() interleave: ppn = ((block*pages + page)*planes.. ) etc.
-        // decompose: channel = ppn % C; then package, die, plane, page, block.
-        let c = u64::from(self.geometry.channels);
-        let pk = u64::from(self.geometry.packages_per_channel);
-        let d = u64::from(self.geometry.dies_per_package);
-        let pl = u64::from(self.geometry.planes_per_die);
-        let ppb = u64::from(self.geometry.pages_per_block);
-        let channel = plane_flat % c;
-        let package = (plane_flat / c) % pk;
-        let die = (plane_flat / (c * pk)) % d;
-        let plane = (plane_flat / (c * pk * d)) % pl;
-        let rest = block_in_plane * ppb + u64::from(page_in_block);
-        (((rest * pl + plane) * d + die) * pk + package) * c + channel
+    /// Physical page `page_in_block` of flat block `block`.
+    fn ppn_of(&self, block: usize, page_in_block: u32) -> u64 {
+        let (plane, block_in_plane) = div_rem(block as u64, self.geometry.blocks_per_plane);
+        let rest =
+            block_in_plane * u64::from(self.geometry.pages_per_block) + u64::from(page_in_block);
+        rest * u64::from(self.planes()) + plane
     }
 
     /// Allocates the next physical page, striping consecutive allocations
     /// across planes so that back-to-back programs exploit channel- and
     /// die-level parallelism (the multi-channel/multi-way behaviour of
-    /// Fig. 4a).
-    fn allocate_page(&mut self, outcome: &mut WriteOutcome) -> Result<u64, FtlError> {
+    /// Fig. 4a). Returns the page and the flat block it lies in.
+    fn allocate_page(&mut self, outcome: &mut WriteOutcome) -> Result<(u64, usize), FtlError> {
         let planes = self.active_blocks.len();
         loop {
-            for offset in 0..planes {
-                let plane = (self.plane_cursor + offset) % planes;
-                if self.active_blocks[plane].is_none() {
-                    self.active_blocks[plane] = self.take_free_block(plane);
-                }
-                let Some(block_idx) = self.active_blocks[plane] else {
-                    continue;
+            let mut plane = self.plane_cursor;
+            for _ in 0..planes {
+                let next = if plane + 1 == planes { 0 } else { plane + 1 };
+                // Open a fresh block when the plane has none, or when its
+                // block filled up (retiring it).
+                let block = match self.active_blocks[plane] {
+                    Some(b) if self.blocks[b].write_ptr < self.geometry.pages_per_block => Some(b),
+                    _ => {
+                        let fresh = self.take_free_block(plane);
+                        self.active_blocks[plane] = fresh;
+                        fresh
+                    }
                 };
-                let write_ptr = self.blocks[block_idx].write_ptr;
-                if write_ptr >= self.geometry.pages_per_block {
-                    // Block filled up; retire it and try to open a fresh one.
-                    self.active_blocks[plane] = self.take_free_block(plane);
-                    let Some(fresh) = self.active_blocks[plane] else {
-                        continue;
-                    };
-                    let ptr = self.blocks[fresh].write_ptr;
-                    self.blocks[fresh].write_ptr += 1;
-                    self.plane_cursor = (plane + 1) % planes;
-                    return Ok(self.ppn_of(fresh, ptr));
+                if let Some(block) = block {
+                    let page = self.blocks[block].write_ptr;
+                    self.blocks[block].write_ptr += 1;
+                    self.plane_cursor = next;
+                    return Ok((self.ppn_of(block, page), block));
                 }
-                self.blocks[block_idx].write_ptr += 1;
-                self.plane_cursor = (plane + 1) % planes;
-                return Ok(self.ppn_of(block_idx, write_ptr));
+                plane = next;
             }
             // Every plane is out of erased blocks: reclaim and retry.
             let free_before = self.free_count;
@@ -354,12 +434,13 @@ impl Ftl {
     /// Greedy garbage collection: relocate the valid pages of the block with
     /// the fewest valid pages, then erase it.
     fn collect_garbage(&mut self, outcome: &mut WriteOutcome) -> Result<(), FtlError> {
+        let ppb = self.geometry.pages_per_block;
         let victim = self
             .blocks
             .iter()
             .filter(|b| {
-                b.write_ptr == self.geometry.pages_per_block // fully written
-                    && !self.active_blocks.contains(&Some(b.index))
+                b.write_ptr == ppb // fully written
+                    && self.active_blocks[self.plane_of_block(b.index)] != Some(b.index)
             })
             .min_by_key(|b| b.valid)
             .map(|b| b.index);
@@ -369,17 +450,15 @@ impl Ftl {
         self.stats.gc_runs += 1;
 
         // Relocate valid pages.
-        let ppb = self.geometry.pages_per_block;
         for page in 0..ppb {
             let ppn = self.ppn_of(victim, page);
-            if let Some(lpn) = self.reverse.remove(&ppn) {
-                self.map.remove(&lpn);
+            if let Some(lpn) = self.reverse.remove(ppn) {
+                self.map.remove(lpn);
                 self.blocks[victim].valid = self.blocks[victim].valid.saturating_sub(1);
-                let new_ppn = self.allocate_page(outcome)?;
+                let (new_ppn, new_block) = self.allocate_page(outcome)?;
                 self.map.insert(lpn, new_ppn);
                 self.reverse.insert(new_ppn, lpn);
-                let nb = self.block_of(new_ppn);
-                self.blocks[nb].valid += 1;
+                self.blocks[new_block].valid += 1;
                 self.stats.flash_writes += 1;
                 self.stats.gc_relocations += 1;
                 outcome.relocated.push((ppn, new_ppn));
@@ -391,7 +470,7 @@ impl Ftl {
         self.blocks[victim].write_ptr = 0;
         self.blocks[victim].erase_count += 1;
         self.stats.erases += 1;
-        let plane = victim / self.geometry.blocks_per_plane as usize;
+        let plane = self.plane_of_block(victim);
         self.free_blocks[plane].push_back(victim);
         self.free_count += 1;
         outcome.erased_blocks.push(victim);
@@ -444,19 +523,102 @@ mod tests {
         assert_eq!(ftl.lookup(1), None);
     }
 
+    /// The division formulas `block_of` and `ppn_of` replaced: decompose
+    /// the ppn, then flatten its plane coordinates.
+    fn block_of_by_division(g: &FlashGeometry, ppn: u64) -> usize {
+        let addr = crate::geometry::tests::decompose_by_division(g, ppn);
+        let planes_before = u64::from(addr.channel)
+            + u64::from(g.channels)
+                * (u64::from(addr.package)
+                    + u64::from(g.packages_per_channel)
+                        * (u64::from(addr.die)
+                            + u64::from(g.dies_per_package) * u64::from(addr.plane)));
+        (planes_before * u64::from(g.blocks_per_plane) + u64::from(addr.block)) as usize
+    }
+
+    fn ppn_of_by_division(g: &FlashGeometry, block: usize, page: u32) -> u64 {
+        let bpp = g.blocks_per_plane as usize;
+        let plane_flat = (block / bpp) as u64;
+        let block_in_plane = (block % bpp) as u64;
+        let (c, pk, d, pl) = (
+            u64::from(g.channels),
+            u64::from(g.packages_per_channel),
+            u64::from(g.dies_per_package),
+            u64::from(g.planes_per_die),
+        );
+        let channel = plane_flat % c;
+        let package = (plane_flat / c) % pk;
+        let die = (plane_flat / (c * pk)) % d;
+        let plane = (plane_flat / (c * pk * d)) % pl;
+        let rest = block_in_plane * u64::from(g.pages_per_block) + u64::from(page);
+        (((rest * pl + plane) * d + die) * pk + package) * c + channel
+    }
+
     #[test]
-    fn ppn_of_and_block_of_are_inverse() {
-        let ftl = tiny_ftl();
-        let g = *ftl.geometry();
-        for block in 0..g.total_blocks() as usize {
-            for page in [0, 1, g.pages_per_block - 1] {
-                let ppn = ftl.ppn_of(block, page);
-                assert!(ppn < g.total_pages(), "ppn {ppn} out of range");
-                assert_eq!(ftl.block_of(ppn), block);
-                let addr = g.decompose(ppn);
-                assert_eq!(addr.page, page);
+    fn block_of_and_ppn_of_match_the_division_formulas_and_invert() {
+        for g in crate::geometry::tests::addressing_cases() {
+            let ftl = Ftl::new(g, 0.07);
+            for ppn in crate::geometry::tests::sample_pages(&g) {
+                let block = ftl.block_of(ppn);
+                assert_eq!(block, block_of_by_division(&g, ppn), "{g:?} ppn {ppn}");
+                let page = g.decompose(ppn).page;
+                assert_eq!(ftl.ppn_of(block, page), ppn, "{g:?} ppn {ppn}");
+            }
+            let last_block = g.total_blocks() as usize - 1;
+            let step = (last_block / 1009).max(1);
+            for block in (0..=last_block).step_by(step).chain([last_block]) {
+                for page in [0, 1, g.pages_per_block / 2, g.pages_per_block - 1] {
+                    let ppn = ftl.ppn_of(block, page);
+                    assert_eq!(
+                        ppn,
+                        ppn_of_by_division(&g, block, page),
+                        "{g:?} block {block}"
+                    );
+                    assert!(ppn < g.total_pages(), "ppn {ppn} out of range");
+                    assert_eq!(ftl.block_of(ppn), block);
+                    assert_eq!(g.decompose(ppn).page, page);
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "u32")]
+    fn geometries_beyond_u32_pages_are_refused() {
+        let g = FlashGeometry {
+            blocks_per_plane: 1 << 20,
+            ..FlashGeometry::ull_flash()
+        };
+        let _ = Ftl::new(g, 0.07);
+    }
+
+    #[test]
+    fn mapped_lpns_walk_the_table_in_order() {
+        let mut ftl = tiny_ftl();
+        for lpn in [9, 2, 150, 0, 77] {
+            ftl.write(lpn).unwrap();
+        }
+        ftl.trim(77);
+        assert_eq!(ftl.mapped_lpns(), vec![0, 2, 9, 150]);
+        assert!((ftl.occupancy() - 4.0 / ftl.exported_pages() as f64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn page_table_allocates_leaves_on_first_write_only() {
+        let mut table = PageTable::default();
+        assert_eq!(table.get(5), None);
+        assert_eq!(table.remove(5), None);
+        table.insert(3 * LEAF_ENTRIES as u64 + 7, 11);
+        assert_eq!(table.leaves.len(), 4);
+        assert_eq!(table.leaves.iter().filter(|l| l.is_some()).count(), 1);
+        assert_eq!(table.get(3 * LEAF_ENTRIES as u64 + 7), Some(11));
+        assert_eq!(table.get(3 * LEAF_ENTRIES as u64 + 8), None);
+        assert_eq!(table.get(u64::from(u32::MAX) * 2), None);
+        table.insert(3 * LEAF_ENTRIES as u64 + 7, 12);
+        assert_eq!(table.len, 1, "replacing an entry keeps the count");
+        assert_eq!(table.remove(3 * LEAF_ENTRIES as u64 + 7), Some(12));
+        assert_eq!(table.len, 0);
+        assert_eq!(table.keys().count(), 0);
     }
 
     #[test]

@@ -127,37 +127,47 @@ impl FlashGeometry {
     /// Decomposes a physical page number into the hardware unit it lives on.
     /// Pages are interleaved across planes first (channel = ppn % channels,
     /// …), which is what gives sequential physical pages channel-level
-    /// parallelism.
+    /// parallelism. Power-of-two factors split by shift and mask, so the
+    /// ULL-Flash geometry divides only by its 768 pages per block.
+    #[inline]
     #[must_use]
     pub fn decompose(&self, ppn: u64) -> PhysicalPageAddr {
-        let channel = (ppn % u64::from(self.channels)) as u32;
-        let mut rest = ppn / u64::from(self.channels);
-        let package = (rest % u64::from(self.packages_per_channel)) as u32;
-        rest /= u64::from(self.packages_per_channel);
-        let die = (rest % u64::from(self.dies_per_package)) as u32;
-        rest /= u64::from(self.dies_per_package);
-        let plane = (rest % u64::from(self.planes_per_die)) as u32;
-        rest /= u64::from(self.planes_per_die);
-        let page = (rest % u64::from(self.pages_per_block)) as u32;
-        rest /= u64::from(self.pages_per_block);
-        let block = (rest % u64::from(self.blocks_per_plane)) as u32;
+        let (rest, channel) = div_rem(ppn, self.channels);
+        let (rest, package) = div_rem(rest, self.packages_per_channel);
+        let (rest, die) = div_rem(rest, self.dies_per_package);
+        let (rest, plane) = div_rem(rest, self.planes_per_die);
+        let (rest, page) = div_rem(rest, self.pages_per_block);
+        let (_, block) = div_rem(rest, self.blocks_per_plane);
         PhysicalPageAddr {
-            channel,
-            package,
-            die,
-            plane,
-            block,
-            page,
+            channel: channel as u32,
+            package: package as u32,
+            die: die as u32,
+            plane: plane as u32,
+            block: block as u32,
+            page: page as u32,
         }
     }
 
     /// Flat die index (0 ..< total_dies) of a decomposed address, used to pick
     /// the die resource in the FIL.
+    #[inline]
     #[must_use]
     pub fn die_index(&self, addr: &PhysicalPageAddr) -> usize {
         ((u64::from(addr.channel) * u64::from(self.packages_per_channel) + u64::from(addr.package))
             * u64::from(self.dies_per_package)
             + u64::from(addr.die)) as usize
+    }
+}
+
+/// `(x / d, x % d)`, by shift and mask when `d` is a power of two. Flash
+/// geometries are mostly powers of two, and a runtime `u64` division costs
+/// tens of cycles where a shift costs one.
+#[inline]
+pub(crate) fn div_rem(x: u64, d: u32) -> (u64, u64) {
+    if d.is_power_of_two() {
+        (x >> d.trailing_zeros(), x & u64::from(d - 1))
+    } else {
+        (x / u64::from(d), x % u64::from(d))
     }
 }
 
@@ -179,8 +189,99 @@ pub struct PhysicalPageAddr {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Every preset plus a geometry with odd channel, die, block and page
+    /// counts, so the division path of every factor but one is exercised.
+    pub(crate) fn addressing_cases() -> [FlashGeometry; 5] {
+        [
+            FlashGeometry::ull_flash(),
+            FlashGeometry::nvme_ssd(),
+            FlashGeometry::sata_ssd(),
+            FlashGeometry::tiny(),
+            FlashGeometry {
+                channels: 3,
+                packages_per_channel: 2,
+                dies_per_package: 5,
+                planes_per_die: 2,
+                blocks_per_plane: 7,
+                pages_per_block: 13,
+                page_size: 4096,
+            },
+        ]
+    }
+
+    /// The first and last page of `g` and about 4k pages in between, at an
+    /// odd stride so the sample visits every power-of-two residue.
+    pub(crate) fn sample_pages(g: &FlashGeometry) -> impl Iterator<Item = u64> {
+        let last = g.total_pages() - 1;
+        let step = (last / 4096) | 1;
+        (0..=last).step_by(step as usize).chain([last])
+    }
+
+    /// The division formula `decompose` replaced.
+    pub(crate) fn decompose_by_division(g: &FlashGeometry, ppn: u64) -> PhysicalPageAddr {
+        let channel = (ppn % u64::from(g.channels)) as u32;
+        let mut rest = ppn / u64::from(g.channels);
+        let package = (rest % u64::from(g.packages_per_channel)) as u32;
+        rest /= u64::from(g.packages_per_channel);
+        let die = (rest % u64::from(g.dies_per_package)) as u32;
+        rest /= u64::from(g.dies_per_package);
+        let plane = (rest % u64::from(g.planes_per_die)) as u32;
+        rest /= u64::from(g.planes_per_die);
+        let page = (rest % u64::from(g.pages_per_block)) as u32;
+        rest /= u64::from(g.pages_per_block);
+        let block = (rest % u64::from(g.blocks_per_plane)) as u32;
+        PhysicalPageAddr {
+            channel,
+            package,
+            die,
+            plane,
+            block,
+            page,
+        }
+    }
+
+    #[test]
+    fn decompose_and_die_index_match_the_division_formulas() {
+        for g in addressing_cases() {
+            for ppn in sample_pages(&g) {
+                let addr = g.decompose(ppn);
+                let reference = decompose_by_division(&g, ppn);
+                assert_eq!(addr, reference, "{g:?} ppn {ppn}");
+                let die = (u64::from(reference.channel) * u64::from(g.packages_per_channel)
+                    + u64::from(reference.package))
+                    * u64::from(g.dies_per_package)
+                    + u64::from(reference.die);
+                assert_eq!(g.die_index(&addr), die as usize, "{g:?} ppn {ppn}");
+                assert!(g.die_index(&addr) < g.total_dies() as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn div_rem_matches_division_for_every_small_divisor() {
+        for d in 1..=64u32 {
+            for x in [
+                0,
+                1,
+                63,
+                64,
+                767,
+                768,
+                1 << 20,
+                u64::from(u32::MAX),
+                u64::MAX,
+            ] {
+                assert_eq!(
+                    div_rem(x, d),
+                    (x / u64::from(d), x % u64::from(d)),
+                    "{x} / {d}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn ull_flash_capacity_is_800gb_class() {
