@@ -27,10 +27,10 @@
 //!
 //! `--quick` runs a reduced grid (`mmap`, `hams-TE`, `oracle` ×
 //! `rndRd`, `rndWr`, fewer accesses, one repetition) for CI smoke runs.
-//! `--scaling` runs the serving-path scaling sweep instead of the platform
-//! grid: `hams-TE` × `rndRd` through the serial path, the batched path, and
-//! the intra-cell parallel path at 1/2/4/8 cell threads, asserting along the
-//! way that every path produces byte-identical simulated metrics.
+//! `--scaling` times the serving paths instead of the platform grid:
+//! `hams-TE` × `rndRd` through the per-access serial path and the batched
+//! path, asserting along the way that both produce byte-identical simulated
+//! metrics.
 //! `--openloop` times the open-loop engine instead: each variant calibrates
 //! the platform's closed-loop service rate, offers a Poisson fraction of it
 //! through [`run_workload_open_loop`], and reports wall-clock per arrival
@@ -69,8 +69,8 @@ use hams_bench::{
     FIG25_VICTIM_FRACTION, FIG26_OFFERED_FRACTION, FIG26_WORKLOAD,
 };
 use hams_platforms::{
-    build_fault_platform, run_tenant_set_open_loop, run_workload, run_workload_cell_parallel,
-    run_workload_open_loop, run_workload_serial, run_workload_traced, OpenLoopConfig, PlatformKind,
+    build_fault_platform, run_tenant_set_open_loop, run_workload, run_workload_open_loop,
+    run_workload_serial, run_workload_traced, OpenLoopConfig, Platform, PlatformKind, RunMetrics,
     ScaleProfile,
 };
 use hams_telemetry::{chrome_trace_json, Layer, RunTelemetry};
@@ -267,20 +267,11 @@ fn measure(
 /// the emitted cells carries the path so the trajectory file keeps its
 /// fixed cell shape.
 const SCALING_VARIANTS: &[(&str, ServingPath)] = &[
-    ("hams-TE/serial", ServingPath::Serial),
-    ("hams-TE/batched", ServingPath::Batched),
-    ("hams-TE/cell@1", ServingPath::Cell(1)),
-    ("hams-TE/cell@2", ServingPath::Cell(2)),
-    ("hams-TE/cell@4", ServingPath::Cell(4)),
-    ("hams-TE/cell@8", ServingPath::Cell(8)),
+    ("hams-TE/serial", run_workload_serial),
+    ("hams-TE/batched", run_workload),
 ];
 
-#[derive(Clone, Copy)]
-enum ServingPath {
-    Serial,
-    Batched,
-    Cell(usize),
-}
+type ServingPath = fn(&mut dyn Platform, WorkloadSpec, &ScaleProfile) -> RunMetrics;
 
 /// The scaling sweep: one platform × workload corner (`hams-TE` × `rndRd`,
 /// the miss-heavy read corner the equivalence tiers lean on) replayed
@@ -297,13 +288,7 @@ fn measure_scaling(scale: &ScaleProfile, reps: usize) -> Vec<Cell> {
         for _ in 0..reps {
             let mut platform = kind.build(scale);
             let start = Instant::now();
-            let metrics = match path {
-                ServingPath::Serial => run_workload_serial(platform.as_mut(), spec, scale),
-                ServingPath::Batched => run_workload(platform.as_mut(), spec, scale),
-                ServingPath::Cell(workers) => {
-                    run_workload_cell_parallel(platform.as_mut(), spec, scale, workers)
-                }
-            };
+            let metrics = path(platform.as_mut(), spec, scale);
             let elapsed = start.elapsed().as_nanos();
             assert_eq!(metrics.accesses, scale.accesses as u64);
             match &reference {

@@ -58,7 +58,7 @@ pub struct HamsConfig {
     /// Layout of the pinned, MMU-invisible metadata region.
     pub pinned: PinnedRegionLayout,
     /// Shape of the NVMe submission path managed by the in-controller
-    /// engine: queue-pair count, per-ring depth and MSI coalescing.
+    /// engine: queue-pair count and MSI coalescing.
     /// [`QueueConfig::single`] reproduces the original single-queue engine
     /// byte for byte; multi-queue shapes stripe fills across pairs (extend
     /// mode only — persist mode keeps at most one command outstanding).
@@ -143,15 +143,15 @@ impl HamsConfig {
             ssd,
             pinned: PinnedRegionLayout::tiny_for_tests(),
             backend: BackendTopology::single(),
-            queues: QueueConfig::single().with_depth(64),
+            queues: QueueConfig::single(),
             shards: ShardConfig::single(),
             controller_overhead: Nanos::from_nanos(20),
             pcie_command_overhead: Nanos::from_nanos(600),
         }
     }
 
-    /// Changes the NVMe queue shape (builder style): queue count, ring depth
-    /// and MSI coalescing, as swept by the queue-count sensitivity figure.
+    /// Changes the NVMe queue shape (builder style): queue count and MSI
+    /// coalescing, as swept by the queue-count sensitivity figure.
     #[must_use]
     pub fn with_queues(mut self, queues: QueueConfig) -> Self {
         self.queues = queues;

@@ -8,9 +8,9 @@
 //! Fig. 18. The controller implements:
 //!
 //! * the direct-mapped NVDIMM cache with tag/valid/dirty/busy bits (Fig. 11),
-//!   sharded into independent banks ([`ShardedTagArray`]) — HAMS has no
-//!   OS-side ordering point, so probes route straight to the owning bank and
-//!   no global structure serializes concurrent batch workers,
+//!   partitioned into banks ([`ShardedTagArray`]) by pure routing: every
+//!   access probes its owning bank in arrival order, and the bank shape never
+//!   changes what an access observes,
 //! * fill and eviction via the in-controller NVMe engine with journal tags,
 //! * hazard avoidance through PRP-pool cloning, the busy bit and the wait
 //!   queue (Fig. 13–14),
@@ -32,14 +32,17 @@ use hams_interconnect::{
 };
 use hams_nvdimm::{Nvdimm, PinnedRegion};
 use hams_nvme::NvmeCommand;
-use hams_sim::{scoped_partition_map, ComponentId, LatencyVector, Nanos};
+use hams_sim::{ComponentId, LatencyVector, Nanos};
 use hams_telemetry::{Layer, Span, TelemetrySink, TraceSink};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{AttachMode, HamsConfig, PersistMode};
 use crate::engine::NvmeEngine;
 use crate::prp_pool::PrpPool;
-use crate::tag_array::{BankPlanner, ShardConfig, ShardedTagArray, TagProbe};
+use crate::tag_array::{ShardConfig, ShardedTagArray, TagProbe};
+
+/// Tag lookup: a tCL plus a few tBURSTs out of the NVDIMM (<20 ns).
+const TAG_READ: Nanos = Nanos::from_nanos(15);
 
 /// The result of one MoS access.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -94,50 +97,6 @@ impl HamsStats {
         } else {
             self.hits as f64 / self.accesses as f64
         }
-    }
-}
-
-/// Reusable scratch for [`HamsController::plan_batch`]: the per-bank routing
-/// tables and the planned classification of every access in a batch, indexed
-/// by original batch position. Owned by the caller so the serving hot path
-/// reuses the buffers batch after batch instead of allocating.
-#[derive(Debug, Default)]
-pub struct CellPlan {
-    /// Per original batch position, the planned classification.
-    planned: Vec<TagProbe>,
-    /// Per bank: `(original index, page, is_write)` in original batch order.
-    bank_inputs: Vec<Vec<(u32, u64, bool)>>,
-    /// Per bank: classifications parallel to `bank_inputs`.
-    bank_outputs: Vec<Vec<TagProbe>>,
-}
-
-impl CellPlan {
-    /// An empty plan; buffers grow on first use and are then reused.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The planned classification of the `k`-th access of the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range of the last planned batch.
-    #[must_use]
-    pub fn planned(&self, k: usize) -> TagProbe {
-        self.planned[k]
-    }
-
-    /// Number of accesses covered by the last planned batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.planned.len()
-    }
-
-    /// Whether no batch has been planned (or the last batch was empty).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.planned.is_empty()
     }
 }
 
@@ -400,11 +359,9 @@ impl HamsController {
         // Retire anything whose device service has completed.
         self.engine.retire_due_into(t, &mut self.retire_scratch);
 
-        // Tag lookup: a tCL plus a few tBURSTs out of the NVDIMM (<20 ns).
-        let tag_read = Nanos::from_nanos(15);
-        breakdown.add(ComponentId::NVDIMM, tag_read);
+        breakdown.add(ComponentId::NVDIMM, TAG_READ);
         let tag_read_at = t;
-        t += tag_read;
+        t += TAG_READ;
 
         // Wait-queue: if the target set has an in-flight fill or eviction,
         // the request parks until the busy bit clears (§V-B, Fig. 14).
@@ -466,7 +423,7 @@ impl HamsController {
         }
 
         if traced {
-            self.trace_access_spans("access", page, hit, now, t, tag_read_at, tag_read, waited);
+            self.trace_access_spans(page, hit, now, t, tag_read_at, waited);
         }
 
         (t, hit)
@@ -474,23 +431,22 @@ impl HamsController {
 
     /// Emits the controller-level spans of one access: the enclosing
     /// controller span, the tag-directory probe and any wait-queue stall.
-    /// Called only when tracing is on; every argument is a timestamp the
-    /// access already computed.
-    #[allow(clippy::too_many_arguments)]
+    /// Called only when tracing is on; every argument is a value the access
+    /// already computed. Cold and out of line, like [`Self::evict`], so the
+    /// untraced hit path through `access_into` stays small.
+    #[cold]
     fn trace_access_spans(
         &mut self,
-        name: &'static str,
         page: u64,
         hit: bool,
         started: Nanos,
         finished: Nanos,
         tag_read_at: Nanos,
-        tag_read: Nanos,
         waited: Option<(Nanos, Nanos)>,
     ) {
         let shard = self.tags.shard_of_page(page);
         self.trace.record(
-            Span::new(Layer::Controller, name, started, finished)
+            Span::new(Layer::Controller, "access", started, finished)
                 .with_shard(shard)
                 .with_request(page),
         );
@@ -499,7 +455,7 @@ impl HamsController {
                 Layer::TagArray,
                 if hit { "tag_hit" } else { "tag_miss" },
                 tag_read_at,
-                tag_read_at + tag_read,
+                tag_read_at + TAG_READ,
             )
             .with_shard(shard)
             .with_request(page),
@@ -520,168 +476,7 @@ impl HamsController {
         self.stats.delay.merge(breakdown);
     }
 
-    /// Plan phase of cell-parallel batch serving: classifies every access of
-    /// a batch against the directory, serving each bank's sub-batch on its
-    /// own scoped worker (`workers` as in
-    /// [`hams_sim::scoped_partition_map`]; `0` means the `HAMS_CELL_THREADS`
-    /// default). Classification is a pure function of the access sequence —
-    /// never of simulated time — so banks plan concurrently with no shared
-    /// state; see [`BankPlanner`] for the field discipline. The results land
-    /// in `plan`, indexed by original batch position, for the serial
-    /// [`Self::commit_planned_into`] replay.
-    pub fn plan_batch(&mut self, accesses: &[(u64, bool)], workers: usize, plan: &mut CellPlan) {
-        let banks = usize::from(self.tags.num_shards());
-        plan.bank_inputs.resize_with(banks, Vec::new);
-        plan.bank_outputs.resize_with(banks, Vec::new);
-        for input in &mut plan.bank_inputs {
-            input.clear();
-        }
-        for (i, &(addr, is_write)) in accesses.iter().enumerate() {
-            let page = self.page_of(addr);
-            let bank = usize::from(self.tags.shard_of_page(page));
-            plan.bank_inputs[bank].push((i as u32, page, is_write));
-        }
-
-        struct BankTask<'a> {
-            planner: BankPlanner<'a>,
-            input: &'a [(u32, u64, bool)],
-            output: &'a mut Vec<TagProbe>,
-        }
-        let mut tasks: Vec<BankTask> = self
-            .tags
-            .bank_planners()
-            .into_iter()
-            .zip(plan.bank_inputs.iter().zip(plan.bank_outputs.iter_mut()))
-            .map(|(planner, (input, output))| BankTask {
-                planner,
-                input,
-                output,
-            })
-            .collect();
-        scoped_partition_map(&mut tasks, workers, |_, task| {
-            task.output.clear();
-            for &(_, page, is_write) in task.input {
-                task.output.push(task.planner.plan_access(page, is_write));
-            }
-        });
-
-        // Scatter the per-bank results back to original batch order.
-        plan.planned.clear();
-        plan.planned.resize(accesses.len(), TagProbe::Hit);
-        for (input, output) in plan.bank_inputs.iter().zip(plan.bank_outputs.iter()) {
-            for (&(i, _, _), &probe) in input.iter().zip(output.iter()) {
-                plan.planned[i as usize] = probe;
-            }
-        }
-    }
-
-    /// Commit phase of cell-parallel batch serving: replays the timing of
-    /// one access whose classification `planned` was produced by
-    /// [`Self::plan_batch`]. Must be called for every access of the batch in
-    /// original batch order. Byte-identical to [`Self::access_into`]: the
-    /// probe, tag install and dirty marking already happened at plan time,
-    /// and every timing decision — retires, the wait queue, fills,
-    /// evictions, the persist gate — runs here, serially, exactly as the
-    /// serial path runs it. Returns `(finished_at, hit)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` lies beyond the MoS capacity.
-    pub fn commit_planned_into(
-        &mut self,
-        addr: u64,
-        is_write: bool,
-        size: u64,
-        planned: TagProbe,
-        now: Nanos,
-        breakdown: &mut LatencyVector,
-    ) -> (Nanos, bool) {
-        assert!(
-            addr < self.mos_capacity,
-            "MoS address {addr:#x} beyond capacity"
-        );
-        let page = self.page_of(addr);
-        let traced = self.trace.is_enabled();
-        let mut t = now + self.config.controller_overhead;
-        breakdown.add(ComponentId::HAMS, self.config.controller_overhead);
-
-        self.engine.retire_due_into(t, &mut self.retire_scratch);
-
-        let tag_read = Nanos::from_nanos(15);
-        breakdown.add(ComponentId::NVDIMM, tag_read);
-        let tag_read_at = t;
-        t += tag_read;
-
-        let mut waited: Option<(Nanos, Nanos)> = None;
-        if let Some(free_at) = self.tags.busy_until(page, t) {
-            self.stats.wait_stalls += 1;
-            breakdown.add(ComponentId::HAMS, free_at - t);
-            if traced {
-                waited = Some((t, free_at));
-            }
-            t = free_at;
-            self.engine.retire_due_into(t, &mut self.retire_scratch);
-        }
-
-        self.stats.accesses += 1;
-        let hit = matches!(planned, TagProbe::Hit);
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-
-        match planned {
-            TagProbe::Hit => {}
-            TagProbe::MissEmpty => {
-                t = self.commit_fill(page, is_write, t, breakdown);
-            }
-            TagProbe::MissClean { .. } => {
-                self.stats.clean_replacements += 1;
-                t = self.commit_fill(page, is_write, t, breakdown);
-            }
-            TagProbe::MissDirty { victim_page } => {
-                let (slot_free_at, eviction_done) = self.evict(victim_page, t, breakdown);
-                let fill_start = match self.config.persist {
-                    PersistMode::Persist => eviction_done,
-                    PersistMode::Extend => slot_free_at,
-                };
-                t = self.commit_fill(page, is_write, fill_start, breakdown);
-            }
-        }
-
-        let ddr_t = self.ddr.transfer(size, t);
-        let array = if is_write {
-            self.nvdimm.write(size)
-        } else {
-            self.nvdimm.read(size)
-        };
-        breakdown.add(ComponentId::NVDIMM, ddr_t.latency() + array);
-        t = ddr_t.finished_at + array;
-
-        // The dirty marking already happened at plan time.
-        if traced {
-            self.trace_access_spans("commit", page, hit, now, t, tag_read_at, tag_read, waited);
-        }
-
-        (t, hit)
-    }
-
-    /// The commit-phase fill: timing via [`Self::fill_inner`], then the busy
-    /// hand-off alone — the tag install happened at plan time.
-    fn commit_fill(
-        &mut self,
-        page: u64,
-        is_write: bool,
-        now: Nanos,
-        breakdown: &mut LatencyVector,
-    ) -> Nanos {
-        let data_ready = self.fill_inner(page, is_write, now, breakdown);
-        self.tags.force_busy(page, data_ready);
-        data_ready
-    }
-
-    /// Reconfigures the NVMe submission path (queue count, ring depth, MSI
+    /// Reconfigures the NVMe submission path (queue count and MSI
     /// coalescing). Meant to be called before traffic is served: the engine
     /// is rebuilt, so any in-flight journal state is discarded.
     /// [`hams_nvme::QueueConfig::single`] restores the original single-queue
@@ -893,6 +688,10 @@ impl HamsController {
     /// Evicts a dirty victim page. Returns `(slot_free_at, eviction_done)`:
     /// the cache slot becomes reusable once the clone is in the PRP pool;
     /// the data is durable on flash at `eviction_done`.
+    ///
+    /// Out of line on purpose: inlined into its only caller it would roughly
+    /// triple the code of `access_into`, whose hit path never evicts.
+    #[inline(never)]
     fn evict(
         &mut self,
         victim_page: u64,
@@ -1014,25 +813,6 @@ impl HamsController {
     /// the last stripe arrives. [`hams_nvme::QueueConfig::single`] takes the
     /// original single-command path, byte for byte.
     fn fill(
-        &mut self,
-        page: u64,
-        is_write: bool,
-        now: Nanos,
-        breakdown: &mut LatencyVector,
-    ) -> Nanos {
-        let data_ready = self.fill_inner(page, is_write, now, breakdown);
-        self.tags.fill(page);
-        self.tags.set_busy(page, data_ready);
-        data_ready
-    }
-
-    /// Everything a fill does *except* the directory update: command
-    /// submission, archive service, the page transfer into NVDIMM and the
-    /// persist gate. The serial [`Self::fill`] follows this with the tag
-    /// install plus a fresh busy window; the cell-parallel commit phase
-    /// follows it with [`ShardedTagArray::force_busy`] alone, because the
-    /// tag/valid/dirty transition already happened at plan time.
-    fn fill_inner(
         &mut self,
         page: u64,
         is_write: bool,
@@ -1204,6 +984,8 @@ impl HamsController {
         if matches!(self.config.persist, PersistMode::Persist) {
             self.persist_gate = self.persist_gate.max(data_ready);
         }
+        self.tags.fill(page);
+        self.tags.set_busy(page, data_ready);
         data_ready
     }
 

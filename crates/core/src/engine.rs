@@ -86,7 +86,7 @@ struct InFlight {
 /// use hams_core::NvmeEngine;
 /// use hams_sim::Nanos;
 ///
-/// let mut engine = NvmeEngine::new(64);
+/// let mut engine = NvmeEngine::new();
 /// let id = engine.issue_write(7, 0x1c0, 4096, 0xF000, false, Nanos::from_micros(5));
 /// assert_eq!(engine.journaled_incomplete(Nanos::ZERO).len(), 1);
 /// engine.retire_due(Nanos::from_micros(5));
@@ -112,10 +112,10 @@ pub struct NvmeEngine {
 }
 
 impl NvmeEngine {
-    /// Creates an engine with a single queue pair of the given depth.
+    /// Creates an engine with a single queue pair.
     #[must_use]
-    pub fn new(queue_depth: usize) -> Self {
-        Self::with_config(QueueConfig::single().with_depth(queue_depth))
+    pub fn new() -> Self {
+        Self::with_config(QueueConfig::single())
     }
 
     /// Creates an engine with the queue shape described by `config` and a
@@ -451,6 +451,12 @@ impl NvmeEngine {
     }
 }
 
+impl Default for NvmeEngine {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
@@ -461,7 +467,7 @@ mod tests {
 
     #[test]
     fn issue_and_retire_lifecycle() {
-        let mut e = NvmeEngine::new(16);
+        let mut e = NvmeEngine::new();
         assert!(e.is_quiescent());
         e.issue_read(3, 0, 4096, 0x1000, Nanos::from_micros(8));
         e.issue_write(5, 8, 4096, 0x2000, false, Nanos::from_micros(4));
@@ -481,7 +487,7 @@ mod tests {
 
     #[test]
     fn journal_scan_finds_only_incomplete_commands() {
-        let mut e = NvmeEngine::new(16);
+        let mut e = NvmeEngine::new();
         e.issue_write(1, 0, 4096, 0x1000, false, Nanos::from_micros(2));
         e.issue_write(2, 8, 4096, 0x2000, false, Nanos::from_micros(50));
         e.retire_due(Nanos::from_micros(10));
@@ -494,7 +500,7 @@ mod tests {
 
     #[test]
     fn mark_recovered_counts_and_clears() {
-        let mut e = NvmeEngine::new(16);
+        let mut e = NvmeEngine::new();
         let id = e.issue_write(9, 0, 4096, 0x1000, true, Nanos::from_micros(100));
         let pending = e.journaled_incomplete(Nanos::ZERO);
         assert_eq!(pending.len(), 1);
@@ -505,7 +511,7 @@ mod tests {
 
     #[test]
     fn stats_split_reads_and_writes() {
-        let mut e = NvmeEngine::new(16);
+        let mut e = NvmeEngine::new();
         e.issue_read(1, 0, 4096, 0, Nanos::ZERO);
         e.issue_write(2, 0, 4096, 0, false, Nanos::ZERO);
         assert_eq!(e.stats().reads_issued, 1);
@@ -514,7 +520,7 @@ mod tests {
 
     #[test]
     fn shallow_queue_still_accepts_back_to_back_commands() {
-        let mut e = NvmeEngine::new(2);
+        let mut e = NvmeEngine::new();
         // The device fetches each command as it is submitted, so the ring
         // depth bounds nothing: three commands fit a two-entry queue.
         for page in 0..3 {
@@ -525,7 +531,7 @@ mod tests {
 
     #[test]
     fn dropped_completions_are_never_drained_as_successes() {
-        let mut e = NvmeEngine::new(8);
+        let mut e = NvmeEngine::new();
         e.issue_write(1, 0, 4096, 0x1000, false, Nanos::from_micros(100));
         // Power fails at 50 µs: the in-flight completion dies with it, and
         // recovery re-issues the journaled command.
@@ -542,7 +548,7 @@ mod tests {
 
     #[test]
     fn multi_queue_engine_stripes_pages_across_pairs() {
-        let mut e = NvmeEngine::with_config(QueueConfig::striped(4).with_depth(16));
+        let mut e = NvmeEngine::with_config(QueueConfig::striped(4));
         assert_eq!(e.num_queues(), 4);
         let a = e.issue_read(0, 0, 4096, 0, Nanos::from_micros(1));
         let b = e.issue_read(1, 8, 4096, 0, Nanos::from_micros(2));
@@ -558,7 +564,7 @@ mod tests {
 
     #[test]
     fn explicit_queue_reads_land_where_directed() {
-        let mut e = NvmeEngine::with_config(QueueConfig::striped(2).with_depth(8));
+        let mut e = NvmeEngine::with_config(QueueConfig::striped(2));
         let id = e.issue_read_on(1, 0, 0, 4096, 0, Nanos::from_micros(1));
         assert_eq!(id.queue, 1);
         let pending = e.journaled_incomplete(Nanos::ZERO);
@@ -567,11 +573,8 @@ mod tests {
 
     #[test]
     fn journal_tags_record_the_owning_shard() {
-        let mut e = NvmeEngine::with_topology(
-            QueueConfig::single().with_depth(16),
-            ShardConfig::interleaved(4),
-            8,
-        );
+        let mut e =
+            NvmeEngine::with_topology(QueueConfig::single(), ShardConfig::interleaved(4), 8);
         // Pages 0, 1, 5 map to sets 0, 1, 5 of 8; interleaved over 4 banks
         // that is shards 0, 1, 1.
         e.issue_write(0, 0, 4096, 0, false, Nanos::from_secs(1));
@@ -589,7 +592,7 @@ mod tests {
 
     #[test]
     fn single_shard_topology_is_the_default() {
-        let e = NvmeEngine::new(8);
+        let e = NvmeEngine::new();
         assert_eq!(e.shard_config(), ShardConfig::single());
         assert_eq!(e.shard_for_page(12345), 0);
         assert_eq!(e.device_for_slba(98765), 0, "single backend is device 0");
@@ -598,13 +601,7 @@ mod tests {
     #[test]
     fn journal_tags_record_the_owning_device() {
         // 4 devices, 8-LBA (one 32 KB page) stripe units.
-        let mut e = NvmeEngine::with_backend(
-            QueueConfig::single().with_depth(16),
-            ShardConfig::single(),
-            8,
-            4,
-            8,
-        );
+        let mut e = NvmeEngine::with_backend(QueueConfig::single(), ShardConfig::single(), 8, 4, 8);
         // slba 0 → stripe 0 → device 0; slba 8 → stripe 1 → device 1;
         // slba 40 → stripe 5 → device 1.
         e.issue_write(0, 0, 4096, 0, false, Nanos::from_secs(1));
@@ -622,7 +619,7 @@ mod tests {
 
     #[test]
     fn issue_read_tracked_journals_the_composed_command_verbatim() {
-        let mut e = NvmeEngine::new(16);
+        let mut e = NvmeEngine::new();
         let cmd = NvmeCommand::read(1, 24, 4096, PrpList::for_transfer(0x3000, 4096, 4096));
         let id = e.issue_read_tracked(3, cmd.clone(), Nanos::from_micros(9));
         let pending = e.journaled_incomplete(Nanos::ZERO);
@@ -646,7 +643,7 @@ mod tests {
 
     #[test]
     fn multi_queue_journal_scan_orders_by_queue_then_cid() {
-        let mut e = NvmeEngine::with_config(QueueConfig::striped(2).with_depth(8));
+        let mut e = NvmeEngine::with_config(QueueConfig::striped(2));
         // Pages 1 and 3 both stripe onto queue 1; page 2 onto queue 0.
         e.issue_write(1, 0, 4096, 0, false, Nanos::from_secs(1));
         e.issue_write(2, 8, 4096, 0, false, Nanos::from_secs(1));

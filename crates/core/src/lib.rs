@@ -55,7 +55,7 @@ pub mod tag_array;
 
 pub use config::{AttachMode, HamsConfig, PersistMode};
 pub use controller::{
-    CellPlan, HamsController, HamsStats, MosAccessResult, PowerFailureEvent, RecoveryReport,
+    HamsController, HamsStats, MosAccessResult, PowerFailureEvent, RecoveryReport,
 };
 pub use engine::{EngineStats, NvmeEngine, TrackedCommand};
 pub use hams_flash::{
@@ -64,6 +64,5 @@ pub use hams_flash::{
 };
 pub use prp_pool::{CloneSlot, PrpPool};
 pub use tag_array::{
-    BankPlanner, MosTagArray, ShardConfig, ShardHashPolicy, ShardedTagArray, TagArrayStats,
-    TagEntry, TagProbe,
+    MosTagArray, ShardConfig, ShardHashPolicy, ShardedTagArray, TagArrayStats, TagEntry, TagProbe,
 };

@@ -10,9 +10,9 @@
 //! HAMS has no OS-side ordering point, so nothing forces the directory to be
 //! one monolithic array: [`ShardedTagArray`] partitions the sets into
 //! [`ShardConfig::count`] banks, each owning its own tags, busy bits and
-//! wait-queue state, so concurrent batch workers can probe different banks
-//! without serializing through a single structure. The partition is pure
-//! routing — a set's entry, its victim choice and its busy window are
+//! wait-queue state. The controller still serves every access in arrival
+//! order, so the bank shape is a layout, not a schedule. The partition is
+//! pure routing — a set's entry, its victim choice and its busy window are
 //! identical in every shard shape — which gives the *shard-invariance
 //! contract*: every observable (probe results, victims, wait times, counters)
 //! is byte-identical for any shard count and hash policy, and
@@ -476,42 +476,6 @@ impl ShardedTagArray {
         e.busy_until = e.busy_until.max(until);
     }
 
-    /// Overwrites the busy window on the set `page` maps to: busy until
-    /// exactly `until`, regardless of previous busy state.
-    ///
-    /// This is the commit-phase form of a fill's busy hand-off: serially,
-    /// [`Self::fill`] resets the entry (busy off, window zero) and
-    /// [`Self::set_busy`] then raises the fresh window, so the pair nets to
-    /// exactly this assignment. The plan/commit split performs the
-    /// tag/valid/dirty transition in [`BankPlanner::plan_access`] and the
-    /// busy transition here, without re-touching the planned fields.
-    pub fn force_busy(&mut self, page: u64, until: Nanos) {
-        let idx = self.index_of(page);
-        let e = self.entry_mut(idx);
-        e.busy = true;
-        e.busy_until = until;
-    }
-
-    /// Splits the directory into per-bank planning handles, one per shard,
-    /// for concurrent batch classification: each [`BankPlanner`] has
-    /// exclusive access to its bank's entries and counters, so a scoped
-    /// worker can plan one bank's sub-batch while other workers plan other
-    /// banks — there is no shared state between handles.
-    pub fn bank_planners(&mut self) -> Vec<BankPlanner<'_>> {
-        let num_sets = self.num_sets;
-        let config = self.config;
-        self.shards
-            .iter_mut()
-            .enumerate()
-            .map(|(bank, shard)| BankPlanner {
-                shard,
-                bank: bank as u16,
-                num_sets,
-                config,
-            })
-            .collect()
-    }
-
     /// Clears the busy bit on the set `page` maps to.
     pub fn clear_busy(&mut self, page: u64) {
         let idx = self.index_of(page);
@@ -536,78 +500,6 @@ impl ShardedTagArray {
             let e = self.entry(i);
             (e.valid && e.dirty).then(|| e.tag * self.num_sets as u64 + i as u64)
         })
-    }
-}
-
-/// Exclusive planning handle over one directory bank, produced by
-/// [`ShardedTagArray::bank_planners`].
-///
-/// The plan/commit split of cell-parallel batch serving rests on a field
-/// discipline: planning owns `{tag, valid, dirty}` plus the bank's hit/miss
-/// counters (all functions of the *access sequence*, never of simulated
-/// time), while the serial commit phase owns `{busy, busy_until}` and the
-/// busy-wait counter (all functions of simulated time). A planner therefore
-/// applies the classification and the tag-state transition of each access —
-/// exactly what [`ShardedTagArray::probe`], the tag half of
-/// [`ShardedTagArray::fill`] and [`ShardedTagArray::mark_dirty`] would do in
-/// the serial interleaving — and never reads or writes a busy field.
-///
-/// Accesses routed to one bank must be planned in their original batch
-/// order; accesses in other banks touch other sets by construction, so the
-/// per-bank order is the only order that matters.
-#[derive(Debug)]
-pub struct BankPlanner<'a> {
-    shard: &'a mut TagShard,
-    bank: u16,
-    num_sets: usize,
-    config: ShardConfig,
-}
-
-impl BankPlanner<'_> {
-    /// Classifies one access to `page` and applies its tag-state transition:
-    /// misses install the page (clean), and writes mark it dirty — the same
-    /// `{tag, valid, dirty}` end state the serial path reaches via
-    /// probe → fill → mark_dirty. Returns the classification the commit
-    /// phase replays timing from.
-    ///
-    /// `page` must be owned by this bank (debug-asserted).
-    pub fn plan_access(&mut self, page: u64, is_write: bool) -> TagProbe {
-        let set = (page % self.num_sets as u64) as usize;
-        let tag = page / self.num_sets as u64;
-        debug_assert_eq!(
-            self.config.shard_of_set(set, self.num_sets),
-            self.bank,
-            "page {page} planned on the wrong bank"
-        );
-        let (_, slot) = self.config.locate(set, self.num_sets);
-        let TagShard { entries, stats } = &mut *self.shard;
-        let e = &mut entries[slot];
-        let probe = if e.valid && e.tag == tag {
-            stats.hits += 1;
-            TagProbe::Hit
-        } else {
-            stats.misses += 1;
-            let probe = if !e.valid {
-                TagProbe::MissEmpty
-            } else {
-                let victim_page = e.tag * self.num_sets as u64 + set as u64;
-                if e.dirty {
-                    TagProbe::MissDirty { victim_page }
-                } else {
-                    TagProbe::MissClean { victim_page }
-                }
-            };
-            // The tag half of the fill; the commit phase's `force_busy`
-            // supplies the busy window once the fill's timing is known.
-            e.tag = tag;
-            e.valid = true;
-            e.dirty = false;
-            probe
-        };
-        if is_write {
-            e.dirty = true;
-        }
-        probe
     }
 }
 
@@ -848,87 +740,6 @@ mod tests {
         }
         assert_eq!(total, summed);
         assert_eq!(total.hits + total.misses, 16);
-    }
-
-    // ----- plan/commit split -----
-
-    #[test]
-    fn force_busy_equals_fill_then_set_busy_on_the_busy_fields() {
-        let mut serial = MosTagArray::new(4);
-        serial.fill(2);
-        serial.set_busy(2, Nanos::from_micros(9));
-        // A conflicting fill in flight: serially, fill resets the stale
-        // window and set_busy raises the fresh one.
-        let mut split = serial.clone();
-        serial.fill(6);
-        serial.set_busy(6, Nanos::from_micros(3));
-        // Split path: the tag transition happened at plan time; emulate it,
-        // then hand off the busy window with force_busy alone.
-        split.fill(6);
-        split.force_busy(6, Nanos::from_micros(3));
-        assert_eq!(serial.entry(2), split.entry(2));
-        assert_eq!(
-            split.busy_until(6, Nanos::ZERO),
-            Some(Nanos::from_micros(3)),
-            "force_busy must overwrite, not max, the stale window"
-        );
-    }
-
-    #[test]
-    fn bank_planners_split_every_bank_exactly_once() {
-        let mut t = ShardedTagArray::with_config(10, ShardConfig::interleaved(4));
-        let planners = t.bank_planners();
-        assert_eq!(planners.len(), 4);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Planning a stream bank by bank (in per-bank original order) gives
-        /// the same classifications, counters and final tag state as the
-        /// serial probe → fill → mark_dirty interleaving, for any shard
-        /// shape — the contract the cell-parallel commit phase replays
-        /// timing from.
-        #[test]
-        fn bank_planning_matches_the_serial_interleaving(
-            num_sets in 1usize..24,
-            count in 1u16..12,
-            policy_pick in 0u8..2,
-            ops in proptest::collection::vec((0u64..96, any::<bool>()), 1..160),
-        ) {
-            let (mut serial, mut planned) = build_pair(num_sets, count, policy_pick);
-            // Serial reference: the tag-state effects of an access stream.
-            let mut expected = Vec::with_capacity(ops.len());
-            for &(page, is_write) in &ops {
-                let probe = serial.probe(page);
-                if !matches!(probe, TagProbe::Hit) {
-                    serial.fill(page);
-                }
-                if is_write {
-                    serial.mark_dirty(page);
-                }
-                expected.push(probe);
-            }
-            // Planned: route to banks, keep per-bank original order, plan
-            // each bank independently, scatter back by original index.
-            let shard_count = usize::from(planned.num_shards());
-            let mut routed: Vec<Vec<(usize, u64, bool)>> = vec![Vec::new(); shard_count];
-            for (i, &(page, is_write)) in ops.iter().enumerate() {
-                routed[usize::from(planned.shard_of_page(page))].push((i, page, is_write));
-            }
-            let mut got = vec![TagProbe::Hit; ops.len()];
-            for (bank, planner) in planned.bank_planners().into_iter().enumerate() {
-                let mut planner = planner;
-                for &(i, page, is_write) in &routed[bank] {
-                    got[i] = planner.plan_access(page, is_write);
-                }
-            }
-            prop_assert_eq!(got, expected);
-            prop_assert_eq!(serial.stats(), planned.stats());
-            for i in 0..num_sets {
-                prop_assert_eq!(serial.entry(i), planned.entry(i));
-            }
-        }
     }
 
     // ----- shard-invariance proptests -----

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::msi::MsiCoalescing;
 
 /// Shape of the NVMe submission path: how many I/O queue pairs the engine
-/// manages, how deep each ring is, and how completions coalesce into MSIs.
+/// manages and how completions coalesce into MSIs.
 ///
 /// [`QueueConfig::single`] reproduces the original single-queue engine
 /// exactly (one pair, immediate interrupts); [`QueueConfig::striped`] is the
@@ -25,22 +25,17 @@ use crate::msi::MsiCoalescing;
 pub struct QueueConfig {
     /// Number of I/O submission/completion queue pairs.
     pub num_queues: u16,
-    /// Entry capacity of each submission and completion ring. The device
-    /// fetches every command as it is submitted, so no ring ever fills and
-    /// the depth bounds nothing in the model.
-    pub queue_depth: usize,
     /// MSI coalescing policy applied to completion interrupts.
     pub coalescing: MsiCoalescing,
 }
 
 impl QueueConfig {
-    /// The single-queue fallback: one pair, 1024 entries, no coalescing.
+    /// The single-queue fallback: one pair, no coalescing.
     /// Behaviourally identical to the engine before multi-queue existed.
     #[must_use]
     pub fn single() -> Self {
         QueueConfig {
             num_queues: 1,
-            queue_depth: 1024,
             coalescing: MsiCoalescing::immediate(),
         }
     }
@@ -52,20 +47,12 @@ impl QueueConfig {
         let n = num_queues.max(1);
         QueueConfig {
             num_queues: n,
-            queue_depth: 1024,
             coalescing: if n == 1 {
                 MsiCoalescing::immediate()
             } else {
                 MsiCoalescing::batched(u32::from(n), Nanos::from_micros(8))
             },
         }
-    }
-
-    /// Changes the per-ring depth (builder style).
-    #[must_use]
-    pub fn with_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
-        self
     }
 
     /// Changes the coalescing policy (builder style).
@@ -157,7 +144,6 @@ mod tests {
     fn config_shapes() {
         assert!(QueueConfig::single().is_single());
         assert!(!QueueConfig::striped(3).is_single());
-        assert_eq!(QueueConfig::striped(3).with_depth(32).queue_depth, 32);
         assert_eq!(QueueConfig::striped(0).num_queues, 1);
     }
 }

@@ -2,8 +2,7 @@
 //! wrapped behind the [`Platform`] trait.
 
 use hams_core::{
-    AttachMode, BackendTopology, CellPlan, FaultPlan, HamsConfig, HamsController, PersistMode,
-    ShardConfig,
+    AttachMode, BackendTopology, FaultPlan, HamsConfig, HamsController, PersistMode, ShardConfig,
 };
 use hams_energy::{EnergyAccount, PowerParams};
 use hams_nvdimm::{NvdimmConfig, PinnedRegionLayout};
@@ -54,15 +53,6 @@ pub struct HamsPlatform {
     name: String,
     controller: HamsController,
     power: PowerParams,
-    /// Cell-parallel serving: `Some(workers)` routes batches through the
-    /// plan/commit split ([`Self::serve_batch_cell`]) with that many scoped
-    /// workers (`0` = the `HAMS_CELL_THREADS` default); `None` keeps the
-    /// fully serial batch path.
-    cell_threads: Option<usize>,
-    /// Reused plan scratch for the cell path (empty while serial).
-    cell_plan: CellPlan,
-    /// Reused `(addr, is_write)` routing buffer for the cell path.
-    cell_accesses: Vec<(u64, bool)>,
 }
 
 impl HamsPlatform {
@@ -74,9 +64,6 @@ impl HamsPlatform {
             name,
             controller: HamsController::new(config),
             power: PowerParams::paper_default(),
-            cell_threads: None,
-            cell_plan: CellPlan::new(),
-            cell_accesses: Vec::new(),
         }
     }
 
@@ -243,62 +230,6 @@ impl HamsPlatform {
         &self.controller
     }
 
-    /// The cell-parallel batch path: plan, then commit.
-    ///
-    /// Accesses are time-chained — each issues when the previous one
-    /// finishes — so their *timing* is inherently serial. What is not serial
-    /// is classification: whether an access hits, and which victim it
-    /// replaces, depends only on the access sequence per directory bank. So
-    /// the batch is partitioned by owning bank and each bank's sub-batch is
-    /// classified concurrently on scoped threads
-    /// ([`HamsController::plan_batch`]), then the commit loop replays the
-    /// timing serially in original batch order from the planned
-    /// classifications ([`HamsController::commit_planned_into`]) —
-    /// byte-identical to the serial batch path at any worker count, with the
-    /// persist gate (inside the controller) remaining the only cross-bank
-    /// synchronization point.
-    fn serve_batch_cell(
-        &mut self,
-        batch: &[BatchRequest],
-        start: Nanos,
-        out: &mut BatchOutcome,
-        workers: usize,
-    ) {
-        out.outcomes.clear();
-        let capacity = self.controller.mos_capacity_bytes().max(1);
-        self.cell_accesses.clear();
-        self.cell_accesses.extend(
-            batch
-                .iter()
-                .map(|r| (r.access.addr % capacity, r.access.is_write)),
-        );
-        self.controller
-            .plan_batch(&self.cell_accesses, workers, &mut self.cell_plan);
-
-        let mut scratch = LatencyVector::new();
-        let mut t = start;
-        for (k, request) in batch.iter().enumerate() {
-            let issued_at = t + request.compute;
-            let (addr, is_write) = self.cell_accesses[k];
-            let (finished_at, _hit) = self.controller.commit_planned_into(
-                addr,
-                is_write,
-                request.access.size,
-                self.cell_plan.planned(k),
-                issued_at,
-                &mut scratch,
-            );
-            out.outcomes.push(AccessOutcome {
-                finished_at,
-                os_time: Nanos::ZERO,
-                ssd_time: Nanos::ZERO,
-                memory_time: finished_at - issued_at,
-            });
-            t = finished_at;
-        }
-        self.controller.merge_delay(&scratch);
-    }
-
     /// Mutable access to the wrapped controller (power-failure experiments).
     pub fn controller_mut(&mut self) -> &mut HamsController {
         &mut self.controller
@@ -334,10 +265,6 @@ impl Platform for HamsPlatform {
     /// pre-interned component id. Simulated timing is identical to the
     /// per-access path by the [`Platform::serve_batch`] contract.
     fn serve_batch_into(&mut self, batch: &[BatchRequest], start: Nanos, out: &mut BatchOutcome) {
-        if let Some(workers) = self.cell_threads {
-            self.serve_batch_cell(batch, start, out, workers);
-            return;
-        }
         out.outcomes.clear();
         let capacity = self.controller.mos_capacity_bytes().max(1);
         let mut scratch = LatencyVector::new();
@@ -379,15 +306,6 @@ impl Platform for HamsPlatform {
         true
     }
 
-    /// HAMS owns the banked tag directory, so every variant honours the
-    /// cell-parallel serving shape. Like the shard shape, the worker count
-    /// can never change metrics: classification is sequence-determined and
-    /// the commit replay is serial (`tests/cell_parallel_equivalence.rs`).
-    fn configure_cell_threads(&mut self, workers: usize) -> bool {
-        self.cell_threads = Some(workers);
-        true
-    }
-
     /// HAMS owns the in-controller archive, so every variant honours the
     /// backend topology. Re-shaping rebuilds the archive set cold;
     /// [`BackendTopology::single`] restores the original single-archive
@@ -413,7 +331,7 @@ impl Platform for HamsPlatform {
     }
 
     /// HAMS owns the instrumented controller, so every variant honours the
-    /// trace sink: controller access/commit, tag-array, NVMe submit, MSI
+    /// trace sink: controller access, tag-array, NVMe submit, MSI
     /// delivery and archive service spans all come from inside the spine.
     /// Observation-only — enabling the sink can never change metrics.
     fn configure_trace(&mut self, sink: TelemetrySink) -> bool {

@@ -172,25 +172,6 @@ pub trait Platform {
         false
     }
 
-    /// Opts the platform into cell-parallel batch serving: each serving
-    /// batch is partitioned by owning tag-directory bank and the per-bank
-    /// sub-batches are classified concurrently on `workers` scoped threads
-    /// (`0` means the `HAMS_CELL_THREADS` environment default), with the
-    /// timing replayed serially in batch order. Returns `true` if the
-    /// platform honours the configuration.
-    ///
-    /// Only platforms with a banked hardware tag directory (the four HAMS
-    /// variants) override this; every other system keeps this fallback and
-    /// returns `false`. Like [`Platform::configure_shards`], the worker
-    /// count is *never* allowed to change results: metrics stay
-    /// byte-identical to the serial path at any thread count
-    /// (`tests/cell_parallel_equivalence.rs` pins this), because
-    /// classification is a pure function of the access sequence and every
-    /// timing decision remains serial.
-    fn configure_cell_threads(&mut self, _workers: usize) -> bool {
-        false
-    }
-
     /// Opts the platform into a multi-device archive backend: one device, a
     /// RAID-0 fan-out over several ULL-Flash archives, or the CXL-attached
     /// variant. Returns `true` if the platform honours the configuration.

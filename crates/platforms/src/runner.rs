@@ -524,25 +524,6 @@ pub fn run_workload_serial_sharded(
     run_workload_serial(platform, spec, scale)
 }
 
-/// [`run_workload`] with the platform opted into cell-parallel batch serving
-/// on `cell_threads` scoped workers (`0` = the `HAMS_CELL_THREADS`
-/// environment default) before any access is served. The pinned contract is
-/// the strict one: the worker count is pure host-side parallelism — each
-/// batch is classified bank-by-bank concurrently and its timing replayed
-/// serially — so this must be byte-identical to [`run_workload`] *and*
-/// [`run_workload_serial`] with no cell configuration at all, for every
-/// platform and any worker count (`tests/cell_parallel_equivalence.rs`).
-/// Platforms without a banked tag directory ignore the configuration.
-pub fn run_workload_cell_parallel(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    cell_threads: usize,
-) -> RunMetrics {
-    platform.configure_cell_threads(cell_threads);
-    run_workload(platform, spec, scale)
-}
-
 /// [`run_workload`] with the platform's archive backend re-shaped into
 /// `topology` before any access is served. The pinned contract sits between
 /// the multi-queue and shard ones: [`hams_core::BackendTopology::single`]
@@ -833,7 +814,9 @@ mod tests {
     fn unknown_label_in_grid_panics_with_the_label() {
         let scale = quick_scale();
         let specs = [WorkloadSpec::by_name("rndRd").unwrap()];
-        let _ = run_grid_with(standard_registry(), &["hams-XX"], &specs, &scale);
+        // Two labels put the grid on worker threads (with two or more
+        // cores), so the label must survive the hop back to the caller.
+        let _ = run_grid_with(standard_registry(), &["mmap", "hams-XX"], &specs, &scale);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod time;
 pub use event::{CompletionSource, EventQueue, ScheduledEvent};
 pub use hash::{FastBuildHasher, FastHashMap, FastHashSet};
 pub use intern::ComponentId;
-pub use par::{cell_workers, parallel_map, scoped_partition_map};
+pub use par::parallel_map;
 pub use resource::{Grant, MultiResource, Resource};
 pub use stats::{
     Counter, Histogram, HistogramSummary, LatencyBreakdown, LatencyVector, RunningStats,

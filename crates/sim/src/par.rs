@@ -28,92 +28,30 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// Upper bound on worker threads, honouring the `HAMS_THREADS` environment
-/// variable (0 or unset = one worker per available core).
+/// variable (unset or `0` = one worker per available core).
+///
+/// # Panics
+///
+/// Panics if `HAMS_THREADS` is set but is not a non-negative integer, like
+/// the other `HAMS_*` knobs: a leg that mistyped its thread count would
+/// otherwise run on every core and report green without its intended shape.
 #[must_use]
 pub fn max_workers() -> usize {
-    let from_env = std::env::var("HAMS_THREADS")
+    let requested = std::env::var("HAMS_THREADS")
         .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0);
-    if from_env > 0 {
-        return from_env;
+        .map_or(0, |raw| parse_threads(&raw));
+    if requested > 0 {
+        return requested;
     }
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// Number of worker threads one simulation cell may use for intra-cell
-/// (per-bank) work, honouring the `HAMS_CELL_THREADS` environment variable.
-///
-/// Unset or `0` means **1**: intra-cell parallelism is opt-in, unlike the
-/// cross-cell grid where every core is fair game by default. A grid of
-/// cells already saturates the machine through [`parallel_map`]; cell
-/// threads multiply on top of grid threads, so the conservative default
-/// keeps `grid × cell` from oversubscribing unless the user asks for it.
-#[must_use]
-pub fn cell_workers() -> usize {
-    std::env::var("HAMS_CELL_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
-/// Runs `f` once per partition on a pool of scoped threads, giving each
-/// invocation exclusive mutable access to its partition, and returns the
-/// per-partition results in partition order.
-///
-/// This is the intra-cell sibling of [`parallel_map`]: where `parallel_map`
-/// spreads independent *cells* (whole simulations) across the machine, this
-/// spreads the independent *banks inside one cell* (disjoint `&mut`
-/// partitions of its state) across at most `workers` threads — `0` resolves
-/// to the [`cell_workers`] / `HAMS_CELL_THREADS` default. With one effective
-/// worker the map runs inline on the caller's thread, spawning nothing.
-///
-/// Partitions are assigned to workers in contiguous runs (no work stealing):
-/// results are deterministic for any pure-per-partition `f` regardless of
-/// scheduling, and panics in `f` propagate to the caller with their own
-/// payload.
-pub fn scoped_partition_map<T, R, F>(parts: &mut [T], workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = parts.len();
-    let workers = if workers == 0 {
-        cell_workers()
-    } else {
-        workers
-    }
-    .min(n);
-    if workers <= 1 {
-        return parts.iter_mut().enumerate().map(|(i, p)| f(i, p)).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, run)| {
-                let f = &f;
-                scope.spawn(move || {
-                    run.iter_mut()
-                        .enumerate()
-                        .map(|(j, p)| f(ci * chunk + j, p))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n);
-        for handle in handles {
-            match handle.join() {
-                Ok(results) => out.extend(results),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
+/// Parses a raw `HAMS_THREADS` value; `0` means one worker per core.
+fn parse_threads(raw: &str) -> usize {
+    raw.trim().parse::<usize>().unwrap_or_else(|_| {
+        panic!("HAMS_THREADS must be a non-negative integer (0 = one per core), got {raw:?}")
     })
 }
 
@@ -121,8 +59,9 @@ where
 /// order in the output.
 ///
 /// Equivalent to `items.iter().map(f).collect()` for any `f` that is a pure
-/// function of its argument (see the module docs on determinism). Panics in
-/// `f` propagate to the caller once all workers have stopped.
+/// function of its argument (see the module docs on determinism). A panic in
+/// `f` propagates to the caller with its own payload once all workers have
+/// stopped.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -137,31 +76,38 @@ where
 
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let out: Vec<Option<R>> = std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n || tx.send((i, f(&items[i]))).is_err() {
-                    break;
-                }
-            });
-        }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let tx = tx.clone();
+                let next = &next;
+                let f = &f;
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n || tx.send((i, f(&items[i]))).is_err() {
+                        break;
+                    }
+                })
+            })
+            .collect();
         drop(tx);
         let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
         for (i, r) in rx {
             out[i] = Some(r);
         }
-        out
-    });
-    // A hole is only possible when a worker panicked mid-item; the scope has
-    // already re-raised that panic (with the worker's own message) before
-    // this point, so the expect never fires.
-    out.into_iter()
-        .map(|slot| slot.expect("worker delivered every index"))
-        .collect()
+        // Joining by hand keeps a worker's panic payload: left to the scope,
+        // it would resurface as a generic "a scoped thread panicked".
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        // A hole is only possible when a worker panicked mid-item, and that
+        // panic was re-raised above, so the expect never fires.
+        out.into_iter()
+            .map(|slot| slot.expect("worker delivered every index"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -207,49 +153,17 @@ mod tests {
     }
 
     #[test]
-    fn partition_map_matches_serial_at_every_worker_count() {
-        let reference: Vec<u64> = (0..37u64).map(|i| i * i + 1).collect();
-        for workers in [1, 2, 3, 8, 64] {
-            let mut parts: Vec<u64> = (0..37).collect();
-            let out = scoped_partition_map(&mut parts, workers, |i, p| {
-                *p = p.wrapping_mul(*p);
-                *p + i as u64 - (i as u64 * i as u64) + (i as u64 * i as u64) - i as u64 + 1
-            });
-            assert_eq!(out, reference, "workers={workers}");
-            let squares: Vec<u64> = (0..37u64).map(|i| i * i).collect();
-            assert_eq!(parts, squares, "mutations must land, workers={workers}");
-        }
+    fn well_formed_thread_counts_parse() {
+        assert_eq!(parse_threads("0"), 0);
+        assert_eq!(parse_threads("8"), 8);
+        assert_eq!(parse_threads(" 3 "), 3);
     }
 
     #[test]
-    fn partition_map_empty_singleton_and_more_workers_than_parts() {
-        let mut empty: Vec<u32> = Vec::new();
-        assert!(scoped_partition_map(&mut empty, 8, |_, p| *p).is_empty());
-        let mut one = [41u32];
-        assert_eq!(scoped_partition_map(&mut one, 8, |_, p| *p + 1), vec![42]);
-    }
-
-    #[test]
-    fn partition_map_indices_are_partition_order() {
-        let mut parts = [0usize; 23];
-        let idx = scoped_partition_map(&mut parts, 4, |i, _| i);
-        assert_eq!(idx, (0..23).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "bank boom")]
-    fn partition_map_panics_propagate_with_their_own_message() {
-        let mut parts: Vec<u64> = (0..16).collect();
-        let _ = scoped_partition_map(&mut parts, 4, |_, p| {
-            assert!(*p != 11, "bank boom");
-            *p
-        });
-    }
-
-    #[test]
-    fn cell_workers_defaults_to_one() {
-        // The test environment does not set HAMS_CELL_THREADS for unit
-        // tests; either way the resolved count must be positive.
-        assert!(cell_workers() >= 1);
+    #[should_panic(
+        expected = "HAMS_THREADS must be a non-negative integer (0 = one per core), got \"eight\""
+    )]
+    fn malformed_thread_count_names_the_knob_and_the_value() {
+        let _ = parse_threads("eight");
     }
 }

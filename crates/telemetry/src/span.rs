@@ -11,7 +11,7 @@ pub enum Layer {
     Request,
     /// Open-loop admission: door blocking, queue wait, dispatch.
     Admission,
-    /// HAMS controller access (plan/commit or serial), component breakdown.
+    /// HAMS controller access and its component breakdown.
     Controller,
     /// Sharded tag directory probes: hit, miss, wait-stall.
     TagArray,

@@ -11,9 +11,11 @@
 //!    archive is byte-identical to the homogeneous constructor, and a
 //!    concat array's first slice is byte-identical to a single device.
 //! 2. **Faults are part of the seed.** The same `FaultPlan` replays
-//!    byte-identically across repeated runs *and* across cell-parallel
-//!    worker counts — fault polling happens on the serial commit path, so
-//!    thread fan-out can never move a failure or a rebuild row.
+//!    byte-identically across repeated runs, across the batched and
+//!    per-access serving paths, and across grid worker threads — faults
+//!    advance only on the simulated clock of the archive command stream,
+//!    which every path drives through the one per-access timing body, so
+//!    none can move a failure or a rebuild row.
 //! 3. **Degraded reads are reads.** While a device is out, reads of its
 //!    stripes reconstruct from the `N − 1` survivors and every page durable
 //!    before the failure is durable again once the rebuild completes. The
@@ -23,8 +25,8 @@
 //!    elevated against its healthy-twin baseline while degraded and
 //!    rebuilding, and back within tolerance of the twin once recovered.
 //!
-//! Set `HAMS_FAULTS=1` (the CI fault leg) to widen the determinism sweep to
-//! more worker counts and an open-loop replay of the fig26 schedule.
+//! Set `HAMS_FAULTS=1` (the CI fault leg) to add an open-loop replay of the
+//! fig26 schedule to the determinism checks.
 
 use hams::core::{AttachMode, PersistMode};
 use hams::flash::{
@@ -33,9 +35,9 @@ use hams::flash::{
 };
 use hams::nvme::{NvmeCommand, PrpList};
 use hams::platforms::{
-    build_fault_platform, fault_label, run_workload, run_workload_cell_parallel,
-    run_workload_open_loop, HamsPlatform, OpenLoopConfig, QueueConfig, ScaleProfile,
-    FAULT_SWEEP_DEVICES, RAID_SWEEP_PAGE_BYTES, RAID_SWEEP_QUEUES,
+    build_fault_platform, fault_label, run_grid_with, run_workload, run_workload_open_loop,
+    run_workload_serial, HamsPlatform, OpenLoopConfig, Platform, PlatformRegistry, QueueConfig,
+    RunMetrics, ScaleProfile, FAULT_SWEEP_DEVICES, RAID_SWEEP_PAGE_BYTES, RAID_SWEEP_QUEUES,
 };
 use hams::sim::Nanos;
 use hams::workloads::WorkloadSpec;
@@ -166,24 +168,22 @@ fn concat_sums_capacity_and_its_first_slice_matches_a_single_device() {
     assert!(concat.is_durable(per_device_lbas + 3));
 }
 
-/// One faulted closed-loop run at a given cell-worker count: run metrics,
-/// fault statistics, final array state and the full state-machine
-/// transition log.
+/// A closed-loop serving path: [`run_workload`] (batched) or
+/// [`run_workload_serial`] (per access).
+type ServingPath = fn(&mut dyn Platform, WorkloadSpec, &ScaleProfile) -> RunMetrics;
+
+/// One faulted closed-loop run through `serve`: run metrics, fault
+/// statistics, final array state and the full state-machine transition log.
 fn faulted_run(
     scale: &ScaleProfile,
     plan: &FaultPlan,
     end: Nanos,
-    workers: usize,
-) -> (
-    hams::platforms::RunMetrics,
-    FaultStats,
-    ArrayState,
-    Vec<(Nanos, ArrayState)>,
-) {
+    serve: ServingPath,
+) -> (RunMetrics, FaultStats, ArrayState, Vec<(Nanos, ArrayState)>) {
     let spec = WorkloadSpec::by_name("rndWr").unwrap();
     let mut platform = build_fault_platform(scale);
     platform.controller_mut().set_fault_plan(plan.clone());
-    let metrics = run_workload_cell_parallel(&mut platform, spec, scale, workers);
+    let metrics = serve(&mut platform, spec, scale);
     platform.controller_mut().advance_faults(end);
     let stats = *platform.controller().fault_stats().unwrap();
     let state = platform.controller().array_state();
@@ -215,9 +215,7 @@ fn fault_schedule_replays_byte_identically_across_runs_and_thread_counts() {
             ..RebuildConfig::default()
         });
     let end = healthy.total_time.scale(4.0);
-    let wide = std::env::var("HAMS_FAULTS").is_ok();
-    let worker_counts: &[usize] = if wide { &[1, 2, 4, 8] } else { &[1, 2, 4] };
-    let reference = faulted_run(&scale, &plan, end, 1);
+    let reference = faulted_run(&scale, &plan, end, run_workload_serial);
     assert_eq!(
         reference.1.faults_injected, 1,
         "the planned failure must actually fire"
@@ -241,15 +239,31 @@ fn fault_schedule_replays_byte_identically_across_runs_and_thread_counts() {
             ArrayState::Healthy
         ]
     );
-    for &workers in worker_counts {
-        let run = faulted_run(&scale, &plan, end, workers);
-        assert_eq!(
-            run, reference,
-            "faulted run at {workers} cell workers diverged from the serial reference"
-        );
-    }
+    assert_eq!(
+        faulted_run(&scale, &plan, end, run_workload),
+        reference,
+        "the batched faulted run diverged from the per-access reference"
+    );
     // And a straight re-run is a byte-identical replay.
-    assert_eq!(faulted_run(&scale, &plan, end, 1), reference);
+    assert_eq!(
+        faulted_run(&scale, &plan, end, run_workload_serial),
+        reference
+    );
+    // Copies served side by side on the parallel grid (`HAMS_THREADS`,
+    // ambient via the CI matrix) replay the same bytes too.
+    let labels = ["r5-a", "r5-b", "r5-c"];
+    let mut registry = PlatformRegistry::new();
+    for label in labels {
+        let plan = plan.clone();
+        registry.register(label, move |scale: &ScaleProfile| {
+            let mut platform = build_fault_platform(scale);
+            platform.configure_faults(&plan);
+            Box::new(platform)
+        });
+    }
+    for row in run_grid_with(&registry, &labels, &[spec], &scale) {
+        assert_eq!(row, reference.0, "a faulted grid row diverged");
+    }
 }
 
 #[test]

@@ -16,11 +16,14 @@
 //!    `Interleave` byte for byte,
 //! 3. the `hams-TE-s{n}` registry sweep entries produce identical rows on
 //!    the parallel grid, matching their own serial reference.
+//! 4. the axes compose: a random HAMS variant served batched over a random
+//!    shard shape matches the unsharded serial reference, and so does every
+//!    shard count served through the parallel grid.
 
 use hams::platforms::{
-    register_hams_shard_sweep, run_grid_with, run_workload, run_workload_cell_parallel,
-    run_workload_serial, run_workload_serial_sharded, run_workload_sharded, shard_sweep_label,
-    PlatformKind, PlatformRegistry, ScaleProfile, ShardConfig,
+    register_hams_shard_sweep, run_grid_with, run_workload, run_workload_serial,
+    run_workload_serial_sharded, run_workload_sharded, shard_sweep_label, PlatformKind,
+    PlatformRegistry, ScaleProfile, ShardConfig,
 };
 use hams::workloads::WorkloadSpec;
 use proptest::prelude::*;
@@ -110,14 +113,13 @@ fn hash_policy_is_metrics_neutral() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Randomized serving-shape generator: a random HAMS variant, shard
-    /// count *and* cell-thread count must all be byte-invisible at once.
-    /// Extends the deterministic suites above along the `HAMS_CELL_THREADS`
-    /// axis that `tests/cell_parallel_equivalence.rs` pins at fixed counts.
+    /// Randomized serving-shape generator: a random HAMS variant, served
+    /// batched over a random shard count and hash policy, must land on the
+    /// bytes of the unsharded per-access reference.
     #[test]
-    fn random_shard_and_cell_thread_shapes_are_byte_invisible(
+    fn random_shard_shapes_are_byte_invisible_on_every_hams_variant(
         shards in 1u16..9,
-        workers in 1usize..10,
+        blocked in any::<bool>(),
         variant in 0usize..4,
     ) {
         let scale = tiny();
@@ -128,27 +130,32 @@ proptest! {
             PlatformKind::HamsLE,
             PlatformKind::HamsLP,
         ][variant];
+        let shape = if blocked {
+            ShardConfig::blocked(shards)
+        } else {
+            ShardConfig::interleaved(shards)
+        };
         let mut serial = kind.build(&scale);
         let reference = run_workload_serial(serial.as_mut(), spec, &scale);
-        let mut parallel = kind.build(&scale);
-        parallel.configure_shards(ShardConfig::interleaved(shards));
-        let m = run_workload_cell_parallel(parallel.as_mut(), spec, &scale, workers);
+        let mut sharded = kind.build(&scale);
+        let m = run_workload_sharded(sharded.as_mut(), spec, &scale, shape);
         prop_assert_eq!(
             m,
             reference,
-            "{}: {shards} shards x {workers} cell threads diverged from serial",
-            kind.label()
+            "{}: {:?} diverged from the unsharded serial reference",
+            kind.label(),
+            shape
         );
     }
 }
 
 /// The cross-axis smoke: grid workers (`HAMS_THREADS`, ambient via the CI
-/// matrix), tag-array shards, and cell threads all commute — every
-/// combination lands on the bytes of the unsharded serial reference. The
-/// registry entries bake the (shards × cell threads) shape into their
-/// constructors so the parallel grid exercises all of them in one sweep.
+/// matrix) and tag-array shards commute — every combination lands on the
+/// bytes of the unsharded serial reference. The registry entries bake the
+/// shard count into their constructors so the parallel grid serves all of
+/// them in one sweep.
 #[test]
-fn threads_shards_and_cell_threads_commute() {
+fn grid_threads_and_shards_commute() {
     let scale = tiny();
     let spec = WorkloadSpec::by_name("update").unwrap();
     let mut reference = PlatformKind::HamsTE.build(&scale);
@@ -156,24 +163,21 @@ fn threads_shards_and_cell_threads_commute() {
 
     let mut registry = PlatformRegistry::new();
     let mut labels = Vec::new();
-    for shards in [1u16, 4] {
-        for cell_threads in [1usize, 4] {
-            let label = format!("hams-TE-s{shards}-c{cell_threads}");
-            registry.register(label.clone(), move |scale: &ScaleProfile| {
-                let mut platform = PlatformKind::HamsTE.build(scale);
-                platform.configure_shards(ShardConfig::interleaved(shards));
-                platform.configure_cell_threads(cell_threads);
-                platform
-            });
-            labels.push(label);
-        }
+    for shards in [1u16, 2, 4, 8] {
+        let label = format!("hams-TE-s{shards}");
+        registry.register(label.clone(), move |scale: &ScaleProfile| {
+            let mut platform = PlatformKind::HamsTE.build(scale);
+            platform.configure_shards(ShardConfig::interleaved(shards));
+            platform
+        });
+        labels.push(label);
     }
     let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
     let grid = run_grid_with(&registry, &label_refs, &[spec], &scale);
     for (row, label) in grid.iter().zip(&labels) {
         assert_eq!(
             row, &expected,
-            "{label}: the serving shape leaked into the metrics"
+            "{label}: the shard shape leaked into the metrics"
         );
     }
 }
