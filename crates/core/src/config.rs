@@ -51,8 +51,8 @@ pub struct HamsConfig {
     pub ssd: SsdConfig,
     /// Shape of the archive backend: one device, a RAID-0 fan-out, or the
     /// CXL-attached variant. [`BackendTopology::single`] reproduces the
-    /// original single-archive engine byte for byte
-    /// (`tests/backend_equivalence.rs`); multi-device shapes stripe the
+    /// single-archive engine, and a one-device RAID-0 matches it byte for
+    /// byte (`tests/shape_equivalence.rs`); multi-device shapes stripe the
     /// unified LBA space across devices and legitimately change timing.
     pub backend: BackendTopology,
     /// Layout of the pinned, MMU-invisible metadata region.

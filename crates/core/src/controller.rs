@@ -143,8 +143,8 @@ pub struct HamsController {
     nvdimm: Nvdimm,
     pinned: PinnedRegion,
     archive: ArchiveSet,
-    /// The archive set's exported capacity, fixed until the backend is
-    /// re-shaped: every access range-checks against it.
+    /// The archive set's exported capacity, fixed when the controller is
+    /// built: every access range-checks against it.
     mos_capacity: u64,
     ddr: Ddr4Channel,
     pcie: PcieLink,
@@ -476,62 +476,6 @@ impl HamsController {
         self.stats.delay.merge(breakdown);
     }
 
-    /// Reconfigures the NVMe submission path (queue count and MSI
-    /// coalescing). Meant to be called before traffic is served: the engine
-    /// is rebuilt, so any in-flight journal state is discarded.
-    /// [`hams_nvme::QueueConfig::single`] restores the original single-queue
-    /// behaviour exactly.
-    pub fn set_queue_config(&mut self, queues: hams_nvme::QueueConfig) {
-        self.config.queues = queues;
-        self.engine = self.rebuild_engine();
-    }
-
-    /// An engine for the current queue/shard/backend configuration.
-    fn rebuild_engine(&self) -> NvmeEngine {
-        NvmeEngine::with_backend(
-            self.config.queues,
-            self.config.shards,
-            self.tags.num_sets() as u64,
-            self.archive.num_devices(),
-            self.archive.stripe_lbas(),
-        )
-    }
-
-    /// Repartitions the MoS tag directory into the banks described by
-    /// `shards`. Meant to be called before traffic is served: the directory
-    /// and the engine are rebuilt cold, so cached pages and in-flight journal
-    /// state are discarded. By the shard-invariance contract the shape can
-    /// never change metrics — [`ShardConfig::single`] is the original
-    /// monolithic array, and every other shape is byte-identical to it
-    /// (`tests/shard_equivalence.rs` pins this for every platform).
-    pub fn set_shard_config(&mut self, shards: ShardConfig) {
-        self.config.shards = shards;
-        let num_sets = self.tags.num_sets();
-        self.tags = ShardedTagArray::with_config(num_sets, shards);
-        self.engine = self.rebuild_engine();
-    }
-
-    /// Re-shapes the archive backend into the set described by `topology`.
-    /// Meant to be called before traffic is served: the archive set, the
-    /// interconnect links and the engine are rebuilt cold, so flash state
-    /// and in-flight journal state are discarded.
-    /// [`BackendTopology::single`] restores the original single-archive
-    /// engine byte for byte (`tests/backend_equivalence.rs` pins this for
-    /// every platform); multi-device shapes legitimately change timing.
-    pub fn set_backend_topology(&mut self, topology: BackendTopology) {
-        self.config.backend = topology;
-        self.archive = ArchiveSet::new(self.config.ssd, topology, self.config.mos_page_size);
-        self.mos_capacity = self.archive.capacity_bytes();
-        // The interconnects are rebuilt too: a re-shaped backend changes
-        // which links the data path crosses, and a genuinely cold rebuild
-        // must not inherit the previous topology's FCFS reservations.
-        self.ddr = Ddr4Channel::new(Ddr4Config::ddr4_2666());
-        self.pcie = PcieLink::new(PcieConfig::gen3_x4());
-        self.cxl = CxlLink::new(CxlConfig::cxl_x4());
-        self.reg_iface = RegisterInterface::new(RegisterInterfaceConfig::ddr4_2666());
-        self.engine = self.rebuild_engine();
-    }
-
     /// Read access to the in-controller NVMe engine (queue shape, journal
     /// and MSI-coalescing counters).
     #[must_use]
@@ -544,9 +488,8 @@ impl HamsController {
     /// simulated clock of the serial archive command stream, so fault
     /// timing is deterministic for a given workload whatever the host
     /// thread count. Requires the parity backend
-    /// ([`BackendTopology::Raid5`]); install it *after* any
-    /// [`Self::set_backend_topology`] call, which rebuilds the archive
-    /// cold.
+    /// ([`BackendTopology::Raid5`]), fixed when the controller is built.
+    /// Arming the injector does not change the archive's shape.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.archive.set_fault_plan(plan);
     }
@@ -602,18 +545,6 @@ impl HamsController {
     /// timing, so metrics are byte-identical with any sink installed.
     pub fn set_trace_sink(&mut self, sink: TelemetrySink) {
         self.trace = sink;
-    }
-
-    /// Whether a recording sink is installed.
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_enabled()
-    }
-
-    /// The installed sink's recorder, when tracing is on.
-    #[must_use]
-    pub fn trace_recorder(&self) -> Option<&hams_telemetry::SpanRecorder> {
-        self.trace.recorder()
     }
 
     /// Moves the spans retained by the installed sink into `out`
@@ -1049,11 +980,11 @@ impl HamsController {
     ///
     /// # Panics
     ///
-    /// Panics if a journal tag's recorded bank no longer matches the live
-    /// directory routing, or its recorded device no longer matches the live
-    /// archive routing — the signature of a [`Self::set_shard_config`] /
-    /// [`Self::set_backend_topology`] repartition racing in-flight journal
-    /// state.
+    /// Panics if a journal tag's recorded bank does not match the
+    /// directory's routing of its page, or its recorded device does not
+    /// match the archive's routing of its stripe. The shapes are fixed when
+    /// the controller is built, so a mismatch means a corrupted journal tag;
+    /// the asserts guard journal-tag integrity.
     pub fn recover(&mut self, now: Nanos) -> RecoveryReport {
         let restore_done = now + self.nvdimm.power_restore();
         let pending = self.engine.journaled_incomplete(now);
@@ -1070,8 +1001,7 @@ impl HamsController {
                 tracked.device,
                 self.archive.device_of_slba(command.slba),
                 "journal tag for page {} recorded device {} but the archive \
-                 routes its stripe to device {} — backend topology changed \
-                 with commands in flight",
+                 routes its stripe to device {}",
                 tracked.mos_page,
                 tracked.device,
                 self.archive.device_of_slba(command.slba)
@@ -1088,8 +1018,7 @@ impl HamsController {
                 tracked.shard,
                 self.tags.shard_of_page(tracked.mos_page),
                 "journal tag for page {} recorded bank {} but the directory \
-                 routes it to bank {} — shard shape changed with commands in \
-                 flight",
+                 routes it to bank {}",
                 tracked.mos_page,
                 tracked.shard,
                 self.tags.shard_of_page(tracked.mos_page)
@@ -1372,28 +1301,6 @@ mod tests {
     }
 
     #[test]
-    fn set_shard_config_rebuilds_cold_and_matches_a_fresh_controller() {
-        use crate::tag_array::ShardConfig;
-        let base = HamsConfig::tiny_for_tests(AttachMode::Tight, PersistMode::Extend);
-        let mut reconfigured = HamsController::new(base);
-        reconfigured.set_shard_config(ShardConfig::interleaved(4));
-        assert_eq!(reconfigured.num_shards(), 4);
-        assert_eq!(reconfigured.shard_config(), ShardConfig::interleaved(4));
-        let mut fresh = HamsController::new(base.with_shards(ShardConfig::interleaved(4)));
-        let mut t_a = Nanos::ZERO;
-        let mut t_b = Nanos::ZERO;
-        for i in 0..128u64 {
-            let addr = i * 4096;
-            let a = reconfigured.access(addr, i % 2 == 0, 64, t_a);
-            let b = fresh.access(addr, i % 2 == 0, 64, t_b);
-            assert_eq!(a, b);
-            t_a = a.finished_at;
-            t_b = b.finished_at;
-        }
-        assert_eq!(reconfigured.stats(), fresh.stats());
-    }
-
-    #[test]
     fn shard_of_page_routes_through_the_directory() {
         use crate::tag_array::ShardConfig;
         let base = HamsConfig::tiny_for_tests(AttachMode::Loose, PersistMode::Extend)
@@ -1508,27 +1415,6 @@ mod tests {
             t_tight < t_cxl && t_cxl < t_loose,
             "miss-heavy sweep must order tight ({t_tight}) < cxl ({t_cxl}) < loose ({t_loose})"
         );
-    }
-
-    #[test]
-    fn set_backend_topology_rebuilds_cold_and_matches_a_fresh_controller() {
-        let base = HamsConfig::tiny_for_tests(AttachMode::Tight, PersistMode::Extend);
-        let topology = BackendTopology::raid0_striped(4, 4096);
-        let mut reconfigured = HamsController::new(base);
-        reconfigured.set_backend_topology(topology);
-        assert_eq!(reconfigured.num_devices(), 4);
-        let mut fresh = HamsController::new(base.with_backend(topology));
-        let mut t_a = Nanos::ZERO;
-        let mut t_b = Nanos::ZERO;
-        for i in 0..128u64 {
-            let addr = i * 4096;
-            let a = reconfigured.access(addr, i % 2 == 0, 64, t_a);
-            let b = fresh.access(addr, i % 2 == 0, 64, t_b);
-            assert_eq!(a, b);
-            t_a = a.finished_at;
-            t_b = b.finished_at;
-        }
-        assert_eq!(reconfigured.stats(), fresh.stats());
     }
 
     #[test]

@@ -41,15 +41,14 @@ pub struct TrackedCommand {
     pub mos_page: u64,
     /// Tag-directory bank owning the page's set, recorded at issue time.
     /// Recovery uses it to clear the stale busy window the dead operation
-    /// left in that bank, and to detect a directory repartition that raced
-    /// in-flight journal state (the recorded bank no longer matching the
-    /// live routing).
+    /// left in that bank, after checking it against the directory's routing
+    /// of the page (a journal-tag integrity check).
     pub shard: u16,
     /// Archive-set device owning the command's stripe, recorded at issue
     /// time. Power-failure recovery replays the command through the archive
-    /// set, which routes it back to this device; the recorded index guards
-    /// against a backend repartition racing in-flight journal state, exactly
-    /// as `shard` does for the directory.
+    /// set, which routes it back to this device; the recorded index is
+    /// checked against that routing, exactly as `shard` is for the
+    /// directory.
     pub device: u16,
     /// Simulated completion time assigned by the device model.
     pub completes_at: Nanos,

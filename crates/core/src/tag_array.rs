@@ -17,7 +17,7 @@
 //! contract*: every observable (probe results, victims, wait times, counters)
 //! is byte-identical for any shard count and hash policy, and
 //! [`ShardConfig::single`] reproduces the original single-array layout
-//! exactly. `tests/shard_equivalence.rs` and the proptests below pin it.
+//! exactly. `tests/shape_equivalence.rs` and the proptests below pin it.
 
 use hams_sim::Nanos;
 use serde::{Deserialize, Serialize};

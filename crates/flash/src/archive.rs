@@ -9,7 +9,7 @@
 //! [`BackendTopology`] selects the shape.
 //!
 //! Two contracts shape the design (both pinned by
-//! `tests/backend_equivalence.rs`):
+//! `tests/shape_equivalence.rs`):
 //!
 //! * **Single is the old engine, byte for byte.** [`BackendTopology::single`]
 //!   (and `Raid0 { devices: 1 }`) delegates every call straight to one

@@ -66,18 +66,6 @@ impl Fil {
         &self.timing
     }
 
-    /// Whether half-page channel striping is enabled.
-    #[must_use]
-    pub fn stripes_halves(&self) -> bool {
-        self.stripe_halves
-    }
-
-    /// Average channel utilisation over `[0, horizon]`.
-    #[must_use]
-    pub fn channel_utilization(&self, horizon: Nanos) -> f64 {
-        self.channels.utilization(horizon)
-    }
-
     /// Schedules a page-granularity read or program of physical page `ppn`
     /// issued at `now`.
     ///

@@ -1,22 +1,17 @@
-//! Host-side models: the CPU core, the MMU/TLB/page table, and the
-//! memory-mapped-file (mmap) software stack that the paper's baseline pays on
-//! every page fault.
+//! Host-side models: the CPU core and the memory-mapped-file (mmap)
+//! software stack that the paper's baseline pays on every page fault.
 //!
 //! # Example
 //!
 //! ```
-//! use hams_host::{CpuConfig, CpuModel, MmfCostModel, Mmu, TlbConfig, Translation};
+//! use hams_host::{CpuConfig, CpuModel, MmfCostModel};
 //! use hams_sim::Nanos;
 //!
 //! let mut cpu = CpuModel::new(CpuConfig::paper_default());
-//! let mut mmu = Mmu::new(TlbConfig::paper_default(), 4096);
 //! let mmf = MmfCostModel::linux_4_9();
 //!
 //! // A store to an unmapped page: the MMF baseline pays the software stack.
-//! let (outcome, _) = mmu.translate(0xdead_beef);
-//! assert_eq!(outcome, Translation::PageFault);
 //! cpu.stall(mmf.fault_total(4096));
-//! mmu.install(0xdead_beef);
 //! assert!(cpu.stall_time() > Nanos::from_micros(10));
 //! ```
 
@@ -25,8 +20,6 @@
 
 pub mod cpu;
 pub mod mmf;
-pub mod mmu;
 
 pub use cpu::{CpuConfig, CpuModel};
 pub use mmf::MmfCostModel;
-pub use mmu::{Mmu, MmuStats, TlbConfig, Translation};

@@ -55,13 +55,6 @@ impl QueueConfig {
         }
     }
 
-    /// Changes the coalescing policy (builder style).
-    #[must_use]
-    pub fn with_coalescing(mut self, coalescing: MsiCoalescing) -> Self {
-        self.coalescing = coalescing;
-        self
-    }
-
     /// Whether this is the single-queue fallback shape.
     #[must_use]
     pub fn is_single(&self) -> bool {

@@ -10,7 +10,7 @@
 use hams_energy::{EnergyAccount, PowerParams};
 use hams_flash::{SsdConfig, SsdDevice, LBA_SIZE};
 use hams_interconnect::{Ddr4Channel, Ddr4Config, PcieConfig, PcieLink};
-use hams_nvme::{NvmeCommand, PrpList, QueueConfig};
+use hams_nvme::{NvmeCommand, PrpList};
 use hams_sim::Nanos;
 use hams_workloads::Access;
 
@@ -39,7 +39,6 @@ pub struct FlatFlashPlatform {
     ddr: Ddr4Channel,
     power: PowerParams,
     dram_bytes_accessed: u64,
-    queues: QueueConfig,
 }
 
 impl FlatFlashPlatform {
@@ -67,7 +66,6 @@ impl FlatFlashPlatform {
             ddr: Ddr4Channel::new(Ddr4Config::ddr4_2133()),
             power: PowerParams::paper_default(),
             dram_bytes_accessed: 0,
-            queues: QueueConfig::single(),
         }
     }
 
@@ -82,45 +80,21 @@ impl FlatFlashPlatform {
     }
 
     /// One MMIO access of `size` bytes to the SSD: a small PCIe transaction
-    /// plus the device-internal lookup. With the default single-queue shape
-    /// there is no NVMe queueing or parallelism; a multi-queue opt-in splits
-    /// transfers spanning several flash pages into one command per queue, so
-    /// the device firmware walks them concurrently.
+    /// plus the device-internal lookup, with no NVMe queueing or
+    /// parallelism.
     fn mmio_access(&mut self, addr: u64, size: u64, is_write: bool, now: Nanos) -> Nanos {
         let length = size.max(64);
         let round_trip = self.pcie.transfer(length, now);
         let slba = addr / LBA_SIZE;
-        let lanes = u64::from(self.queues.num_queues)
-            .min(length.div_ceil(LBA_SIZE))
-            .max(1);
-        if lanes <= 1 {
-            let cmd = if is_write {
-                NvmeCommand::write(1, slba, length, PrpList::single(0))
-            } else {
-                NvmeCommand::read(1, slba, length, PrpList::single(0))
-            };
-            return self
-                .ssd
-                .service(&cmd, round_trip.finished_at)
-                .map(|c| c.finished_at)
-                .unwrap_or(round_trip.finished_at);
-        }
-        let mut finish = round_trip.finished_at;
-        for (lba_offset, count) in hams_nvme::stripe_ranges(length.div_ceil(LBA_SIZE), lanes) {
-            let sub_len = (count * LBA_SIZE).min(length - lba_offset * LBA_SIZE);
-            let cmd = if is_write {
-                NvmeCommand::write(1, slba + lba_offset, sub_len, PrpList::single(0))
-            } else {
-                NvmeCommand::read(1, slba + lba_offset, sub_len, PrpList::single(0))
-            };
-            let done = self
-                .ssd
-                .service(&cmd, round_trip.finished_at)
-                .map(|c| c.finished_at)
-                .unwrap_or(round_trip.finished_at);
-            finish = finish.max(done);
-        }
-        finish
+        let cmd = if is_write {
+            NvmeCommand::write(1, slba, length, PrpList::single(0))
+        } else {
+            NvmeCommand::read(1, slba, length, PrpList::single(0))
+        };
+        self.ssd
+            .service(&cmd, round_trip.finished_at)
+            .map(|c| c.finished_at)
+            .unwrap_or(round_trip.finished_at)
     }
 }
 
@@ -202,18 +176,6 @@ impl Platform for FlatFlashPlatform {
         }
     }
 
-    /// `flatflash-P` drives the SSD directly and can spread multi-page
-    /// transfers across NVMe queues; `flatflash-M` keeps the single-queue
-    /// fallback (its host DRAM cache owns the promotion path).
-    fn configure_queues(&mut self, queues: QueueConfig) -> bool {
-        if self.host_cache.is_none() {
-            self.queues = queues;
-            true
-        } else {
-            false
-        }
-    }
-
     fn device_energy(&self, elapsed: Nanos) -> EnergyAccount {
         let mut e = EnergyAccount::new();
         e.add_power("nvdimm", self.power.nvdimm_background_watts, elapsed);
@@ -256,7 +218,6 @@ pub struct OptanePlatform {
     media_reads: u64,
     media_writes: u64,
     dram_bytes_accessed: u64,
-    queues: QueueConfig,
 }
 
 impl OptanePlatform {
@@ -281,7 +242,6 @@ impl OptanePlatform {
             media_reads: 0,
             media_writes: 0,
             dram_bytes_accessed: 0,
-            queues: QueueConfig::single(),
         }
     }
 
@@ -295,20 +255,11 @@ impl OptanePlatform {
         }
     }
 
-    /// One media access. With a multi-queue shape, requests spanning several
-    /// 256 B internal blocks interleave across queues, so the media
-    /// streaming time covers only the longest per-queue block run; the
-    /// single-queue default streams every block back to back.
+    /// One media access: at least one 256 B internal block moves, streamed
+    /// back to back at the media bandwidth.
     fn media_access(&mut self, size: u64, is_write: bool, now: Nanos) -> Nanos {
         let moved = size.max(Self::INTERNAL_BLOCK);
-        let blocks = moved.div_ceil(Self::INTERNAL_BLOCK);
-        let lanes = u64::from(self.queues.num_queues).min(blocks).max(1);
-        let lane_bytes = if lanes <= 1 {
-            moved
-        } else {
-            blocks.div_ceil(lanes) * Self::INTERNAL_BLOCK
-        };
-        let stream = Nanos::from_nanos_f64(lane_bytes as f64 / Self::MEDIA_BANDWIDTH * 1e9);
+        let stream = Nanos::from_nanos_f64(moved as f64 / Self::MEDIA_BANDWIDTH * 1e9);
         let latency = if is_write {
             self.media_writes += 1;
             Self::WRITE_LATENCY
@@ -373,18 +324,6 @@ impl Platform for OptanePlatform {
                 t = outcome.finished_at;
                 out.outcomes.push(outcome);
             }
-        }
-    }
-
-    /// `optane-P` exposes the PMM's internal queueing, so multi-block
-    /// requests can interleave across queues; `optane-M` keeps the
-    /// single-queue fallback behind its DRAM cache.
-    fn configure_queues(&mut self, queues: QueueConfig) -> bool {
-        if self.dram_cache.is_none() {
-            self.queues = queues;
-            true
-        } else {
-            false
         }
     }
 
@@ -654,61 +593,6 @@ mod tests {
         // A 64 B request costs the same as a 256 B one: the internal block.
         assert_eq!(small, block);
         assert!(p.is_persistent());
-    }
-
-    #[test]
-    fn optane_p_multi_queue_interleaves_block_streams() {
-        let mut single = OptanePlatform::app_direct();
-        let mut striped = OptanePlatform::app_direct();
-        assert!(striped.configure_queues(QueueConfig::striped(4)));
-        let a = acc(0, false, 4096);
-        let t_s = single.access(&a, Nanos::ZERO).latency(Nanos::ZERO);
-        let t_m = striped.access(&a, Nanos::ZERO).latency(Nanos::ZERO);
-        assert!(
-            t_m < t_s,
-            "4-queue PMM access ({t_m}) should beat single queue ({t_s})"
-        );
-        // A single-block access cannot interleave and is unchanged.
-        let small = acc(8192, false, 64);
-        let t1 = Nanos::from_millis(1);
-        assert_eq!(
-            single.access(&small, t1).latency(t1),
-            striped.access(&small, t1).latency(t1)
-        );
-    }
-
-    #[test]
-    fn cached_variants_refuse_queue_configuration() {
-        let mut om = OptanePlatform::memory_mode(1 << 20);
-        assert!(!om.configure_queues(QueueConfig::striped(4)));
-        let mut fm = FlatFlashPlatform::memory_cached(1 << 20);
-        assert!(!fm.configure_queues(QueueConfig::striped(4)));
-        let mut fp = FlatFlashPlatform::persistent();
-        assert!(fp.configure_queues(QueueConfig::striped(4)));
-    }
-
-    #[test]
-    fn flatflash_p_multi_queue_splits_multi_page_transfers() {
-        let mut single = FlatFlashPlatform::persistent();
-        let mut striped = FlatFlashPlatform::persistent();
-        assert!(striped.configure_queues(QueueConfig::striped(4)));
-        // Populate the span so reads touch programmed pages.
-        let mut t_s = Nanos::ZERO;
-        let mut t_m = Nanos::ZERO;
-        for i in 0..8u64 {
-            let w = acc(i * 4096, true, 4096);
-            t_s = single.access(&w, t_s).finished_at;
-            t_m = striped.access(&w, t_m).finished_at;
-        }
-        // A 16 KB transfer spans four flash pages: the striped platform walks
-        // them with four concurrent commands.
-        let big = acc(0, false, 16 * 1024);
-        let s = single.access(&big, t_s).latency(t_s);
-        let m = striped.access(&big, t_m).latency(t_m);
-        assert!(
-            m < s,
-            "striped multi-page MMIO ({m}) should beat the single command ({s})"
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! wrapped behind the [`Platform`] trait.
 
 use hams_core::{
-    AttachMode, BackendTopology, FaultPlan, HamsConfig, HamsController, PersistMode, ShardConfig,
+    AttachMode, BackendTopology, HamsConfig, HamsController, PersistMode, ShardConfig,
 };
 use hams_energy::{EnergyAccount, PowerParams};
 use hams_nvdimm::{NvdimmConfig, PinnedRegionLayout};
@@ -290,46 +290,6 @@ impl Platform for HamsPlatform {
         self.controller.merge_delay(&scratch);
     }
 
-    /// HAMS owns its NVMe engine, so every variant honours the queue shape.
-    /// Note that persist mode still serializes commands (one outstanding),
-    /// so striped fills only speed up the extend-mode variants.
-    fn configure_queues(&mut self, queues: QueueConfig) -> bool {
-        self.controller.set_queue_config(queues);
-        true
-    }
-
-    /// HAMS owns the MoS tag directory, so every variant honours the shard
-    /// shape. Repartitioning rebuilds the directory cold; by the
-    /// shard-invariance contract it can never change metrics.
-    fn configure_shards(&mut self, shards: ShardConfig) -> bool {
-        self.controller.set_shard_config(shards);
-        true
-    }
-
-    /// HAMS owns the in-controller archive, so every variant honours the
-    /// backend topology. Re-shaping rebuilds the archive set cold;
-    /// [`BackendTopology::single`] restores the original single-archive
-    /// engine byte for byte, multi-device shapes trade the extra archives'
-    /// capacity for device-level parallelism.
-    fn configure_backend(&mut self, topology: BackendTopology) -> bool {
-        self.controller.set_backend_topology(topology);
-        true
-    }
-
-    /// HAMS owns the fault-injectable archive, so every variant honours a
-    /// fault plan — provided the parity backend is configured first
-    /// ([`Self::configure_backend`] with [`BackendTopology::Raid5`]), since
-    /// re-shaping rebuilds the archive cold and a non-parity array cannot
-    /// reconstruct a lost device.
-    fn configure_faults(&mut self, plan: &FaultPlan) -> bool {
-        self.controller.set_fault_plan(plan.clone());
-        true
-    }
-
-    fn advance_faults(&mut self, now: Nanos) {
-        self.controller.advance_faults(now);
-    }
-
     /// HAMS owns the instrumented controller, so every variant honours the
     /// trace sink: controller access, tag-array, NVMe submit, MSI
     /// delivery and archive service spans all come from inside the spine.
@@ -548,23 +508,19 @@ mod tests {
     }
 
     #[test]
-    fn configure_queues_is_honoured_and_speeds_up_cold_reads() {
-        let single = HamsPlatform::scaled_with(
-            AttachMode::Tight,
-            PersistMode::Extend,
-            4 << 20,
-            32 * 1024,
-            QueueConfig::single(),
-        );
-        let mut striped = HamsPlatform::scaled_with(
-            AttachMode::Tight,
-            PersistMode::Extend,
-            4 << 20,
-            32 * 1024,
-            QueueConfig::single(),
-        );
-        assert!(striped.configure_queues(QueueConfig::striped(4)));
-        let mut single = single;
+    fn queue_shape_is_honoured_and_speeds_up_cold_reads() {
+        let build = |queues| {
+            HamsPlatform::scaled_with(
+                AttachMode::Tight,
+                PersistMode::Extend,
+                4 << 20,
+                32 * 1024,
+                queues,
+            )
+        };
+        let mut single = build(QueueConfig::single());
+        let mut striped = build(QueueConfig::striped(4));
+        assert_eq!(striped.controller().engine().num_queues(), 4);
         let mut t_s = Nanos::ZERO;
         let mut t_m = Nanos::ZERO;
         for i in 0..128u64 {
@@ -584,11 +540,16 @@ mod tests {
     }
 
     #[test]
-    fn configure_shards_is_honoured_and_metrics_neutral() {
-        let build = || HamsPlatform::scaled(AttachMode::Tight, PersistMode::Extend, 4 << 20);
-        let mut single = build();
-        let mut sharded = build();
-        assert!(sharded.configure_shards(ShardConfig::interleaved(8)));
+    fn shard_shape_is_honoured_and_metrics_neutral() {
+        let mut single = HamsPlatform::scaled(AttachMode::Tight, PersistMode::Extend, 4 << 20);
+        let mut sharded = HamsPlatform::scaled_with_shards(
+            AttachMode::Tight,
+            PersistMode::Extend,
+            4 << 20,
+            SCALED_MOS_PAGE_BYTES,
+            QueueConfig::striped(SCALED_QUEUE_PAIRS),
+            ShardConfig::interleaved(8),
+        );
         assert_eq!(sharded.controller().num_shards(), 8);
         let mut t_s = Nanos::ZERO;
         let mut t_m = Nanos::ZERO;
@@ -605,9 +566,9 @@ mod tests {
     }
 
     #[test]
-    fn configure_backend_is_honoured_and_raid_speeds_up_cold_reads() {
+    fn raid_backend_is_honoured_and_speeds_up_cold_reads() {
         use hams_flash::LBA_SIZE;
-        let build = || {
+        let build = |backend| {
             HamsPlatform::scaled_full(
                 AttachMode::Tight,
                 PersistMode::Extend,
@@ -615,12 +576,11 @@ mod tests {
                 32 * 1024,
                 QueueConfig::striped(8),
                 ShardConfig::single(),
-                BackendTopology::single(),
+                backend,
             )
         };
-        let mut single = build();
-        let mut raid = build();
-        assert!(raid.configure_backend(BackendTopology::raid0_striped(4, LBA_SIZE)));
+        let mut single = build(BackendTopology::single());
+        let mut raid = build(BackendTopology::raid0_striped(4, LBA_SIZE));
         assert_eq!(raid.controller().num_devices(), 4);
         let mut t_s = Nanos::ZERO;
         let mut t_r = Nanos::ZERO;
@@ -638,25 +598,6 @@ mod tests {
             t_r < t_s,
             "4-device RAID-0 ({t_r}) must finish the miss stream before one device ({t_s})"
         );
-    }
-
-    #[test]
-    fn single_backend_configuration_is_metrics_neutral() {
-        let build = || HamsPlatform::scaled(AttachMode::Loose, PersistMode::Extend, 4 << 20);
-        let mut plain = build();
-        let mut configured = build();
-        assert!(configured.configure_backend(BackendTopology::single()));
-        let mut t_a = Nanos::ZERO;
-        let mut t_b = Nanos::ZERO;
-        for i in 0..256u64 {
-            let a = acc(i * 13 % 400 * 4096, i % 3 == 0);
-            let x = plain.access(&a, t_a);
-            let y = configured.access(&a, t_b);
-            assert_eq!(x, y, "BackendTopology::single() must be a no-op");
-            t_a = x.finished_at;
-            t_b = y.finished_at;
-        }
-        assert_eq!(plain.memory_delay(), configured.memory_delay());
     }
 
     #[test]

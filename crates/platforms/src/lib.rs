@@ -63,10 +63,9 @@ pub use registry::{
     RAID_SWEEP_PAGE_BYTES, RAID_SWEEP_QUEUES,
 };
 pub use runner::{
-    run_grid, run_grid_serial, run_grid_with, run_matrix, run_workload, run_workload_backend,
-    run_workload_batched, run_workload_mq, run_workload_serial, run_workload_serial_backend,
-    run_workload_serial_mq, run_workload_serial_sharded, run_workload_sharded, run_workload_traced,
-    PlatformKind, RunMetrics, ScaleProfile, ACCESSES_PER_SQL_OP, DEFAULT_BATCH_SIZE,
+    run_grid, run_grid_serial, run_grid_with, run_matrix, run_workload, run_workload_batched,
+    run_workload_serial, run_workload_traced, PlatformKind, RunMetrics, ScaleProfile,
+    ACCESSES_PER_SQL_OP, DEFAULT_BATCH_SIZE,
 };
 pub use summary::{
     feature_table, headline_claims, paper_config, FeatureRow, HeadlineClaims, PaperConfig,

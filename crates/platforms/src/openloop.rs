@@ -389,11 +389,15 @@ struct AdmissionQueue {
 }
 
 impl AdmissionQueue {
-    fn new(depth: usize, policy: AdmissionPolicy, tenant_count: usize) -> Self {
+    /// A queue admitting up to `depth` requests. It never holds more than
+    /// the run's `expected` requests, so that bounds the up-front
+    /// reservation: an unbounded `depth` (`usize::MAX`) allocates nothing
+    /// extra.
+    fn new(depth: usize, policy: AdmissionPolicy, tenant_count: usize, expected: usize) -> Self {
         AdmissionQueue {
             depth: depth.max(1),
             policy,
-            queue: VecDeque::with_capacity(depth.max(1)),
+            queue: VecDeque::with_capacity(depth.min(expected).max(1)),
             door: None,
             arrivals: vec![0; tenant_count],
             dropped: vec![0; tenant_count],
@@ -530,7 +534,12 @@ where
     let mut last_finish = Nanos::ZERO;
 
     let mut source = source.peekable();
-    let mut queue = AdmissionQueue::new(config.queue_depth, config.policy, setup.tenant_count);
+    let mut queue = AdmissionQueue::new(
+        config.queue_depth,
+        config.policy,
+        setup.tenant_count,
+        setup.expected,
+    );
 
     let cap = batch_size.min(setup.expected.max(1));
     let mut batch: Vec<BatchRequest> = Vec::with_capacity(cap);
@@ -1061,15 +1070,24 @@ mod tests {
         let scale = tiny_scale();
         let base = OpenLoopConfig::poisson(50_000_000.0).with_queue_depth(4);
         let mut shallow = PlatformKind::Mmap.build(&scale);
-        let mut deep = PlatformKind::Mmap.build(&scale);
         let s = run_workload_open_loop(shallow.as_mut(), spec(), &scale, &base);
-        let d = run_workload_open_loop(deep.as_mut(), spec(), &scale, &base.with_queue_depth(4096));
-        assert!(
-            d.dropped <= s.dropped,
-            "deepening the queue added drops ({} -> {})",
-            s.dropped,
-            d.dropped
-        );
+        // `usize::MAX` is an unbounded queue: it must admit every arrival
+        // without reserving `depth` slots up front.
+        for depth in [4096, usize::MAX] {
+            let mut deep = PlatformKind::Mmap.build(&scale);
+            let config = base.with_queue_depth(depth);
+            let d = run_workload_open_loop(deep.as_mut(), spec(), &scale, &config);
+            assert!(
+                d.dropped <= s.dropped,
+                "deepening the queue to {depth} added drops ({} -> {})",
+                s.dropped,
+                d.dropped
+            );
+            if depth == usize::MAX {
+                assert_eq!(d.served, scale.accesses as u64);
+                assert_eq!(d.dropped, 0);
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! `optane-P/-M`, the four HAMS variants and the `oracle` — implements this
 //! trait, so the runner and every figure harness are platform-agnostic.
 
-use hams_core::{BackendTopology, FaultPlan, ShardConfig};
 use hams_energy::EnergyAccount;
-use hams_nvme::QueueConfig;
 use hams_sim::{LatencyVector, Nanos};
 use hams_telemetry::{Span, TelemetrySink};
 use hams_workloads::Access;
@@ -140,77 +138,6 @@ pub trait Platform {
             out.outcomes.push(outcome);
         }
     }
-
-    /// Opts the platform into a multi-queue NVMe submission model: queue
-    /// count, ring depth and MSI coalescing. Returns `true` if the platform
-    /// honours the configuration.
-    ///
-    /// Hardware-automated platforms with an NVMe path (the HAMS variants,
-    /// `flatflash-P`, `optane-P`) override this; software-mediated and
-    /// queue-less platforms (`mmap`, `oracle`, the host-cached variants)
-    /// keep this single-queue fallback and return `false`. Call before
-    /// serving traffic — reconfiguring mid-run discards in-flight queue
-    /// state. [`QueueConfig::single`] restores the original behaviour
-    /// exactly, which is what the PR 1 byte-identical contract pins.
-    fn configure_queues(&mut self, _queues: QueueConfig) -> bool {
-        false
-    }
-
-    /// Opts the platform into a sharded MoS tag directory: bank count and
-    /// set→shard hash policy. Returns `true` if the platform honours the
-    /// configuration.
-    ///
-    /// Only platforms with a hardware tag cache (the four HAMS variants)
-    /// override this; every other system keeps this fallback and returns
-    /// `false`. Call before serving traffic — repartitioning rebuilds the
-    /// directory cold. Unlike [`Platform::configure_queues`], the shard
-    /// shape is *never* allowed to change results: the shard-invariance
-    /// contract (`tests/shard_equivalence.rs`) pins metrics byte-identical
-    /// for any `ShardConfig`, with [`ShardConfig::single`] the original
-    /// monolithic array.
-    fn configure_shards(&mut self, _shards: ShardConfig) -> bool {
-        false
-    }
-
-    /// Opts the platform into a multi-device archive backend: one device, a
-    /// RAID-0 fan-out over several ULL-Flash archives, or the CXL-attached
-    /// variant. Returns `true` if the platform honours the configuration.
-    ///
-    /// Only platforms that own an in-controller archive (the four HAMS
-    /// variants) override this; every other system keeps this fallback and
-    /// returns `false`. Call before serving traffic — re-shaping rebuilds
-    /// the archive set cold. [`BackendTopology::single`] restores the
-    /// original single-archive engine byte for byte
-    /// (`tests/backend_equivalence.rs` pins this for every platform);
-    /// unlike [`Platform::configure_shards`], multi-device shapes
-    /// legitimately change timing — that is the point of the fan-out.
-    fn configure_backend(&mut self, _topology: BackendTopology) -> bool {
-        false
-    }
-
-    /// Installs a device-fault plan on the platform's archive backend:
-    /// named devices fail at planned simulated instants, the array serves
-    /// degraded (parity reconstruction) and rebuilds under load. Returns
-    /// `true` if the platform honours the plan.
-    ///
-    /// Only the HAMS variants own a fault-injectable archive and override
-    /// this; every other system keeps this fallback and returns `false`.
-    /// Requires the parity backend — call [`Platform::configure_backend`]
-    /// with [`BackendTopology::Raid5`] first (re-shaping rebuilds the
-    /// archive cold and drops any installed plan). A platform with a plan
-    /// but zero due faults stays metrics-byte-identical to its healthy twin
-    /// (`tests/fault_equivalence.rs` pins this), and fault timing advances
-    /// only on the simulated clock of the serial archive command stream, so
-    /// the same plan is deterministic across runs and thread counts.
-    fn configure_faults(&mut self, _plan: &FaultPlan) -> bool {
-        false
-    }
-
-    /// Advances the platform's fault state machine to simulated instant
-    /// `now` without serving traffic — how a harness lets a pending rebuild
-    /// finish after the last foreground access. No-op for platforms without
-    /// a fault-injectable archive.
-    fn advance_faults(&mut self, _now: Nanos) {}
 
     /// Opts the platform into simulated-time span tracing: installs a
     /// telemetry sink on the platform's internal serving spine. Returns

@@ -336,9 +336,9 @@ pub fn fault_label() -> String {
 /// durable pages to copy onto the spare. With zero injected faults this
 /// array is metrics-byte-identical to its RAID-0 twin
 /// (`tests/fault_equivalence.rs` pins it); install a
-/// [`hams_core::FaultPlan`] via `Platform::configure_faults` (or the
-/// concrete controller) to fail a device mid-run and measure degraded
-/// serving and rebuild-under-load — `fig26_latency_under_rebuild` and
+/// [`hams_core::FaultPlan`] through the concrete controller
+/// (`controller_mut().set_fault_plan`) to fail a device mid-run and measure
+/// degraded serving and rebuild-under-load — `fig26_latency_under_rebuild` and
 /// `throughput --faults` both drive this entry. Exposed concretely so
 /// harnesses can read the fault state machine and per-device stats.
 #[must_use]
@@ -355,7 +355,7 @@ pub fn build_fault_platform(scale: &ScaleProfile) -> HamsPlatform {
 
 /// Registers one `hams-TE-d{n}` entry per device count plus the
 /// `hams-TE-cxl` variant. `d1` pins a one-device RAID-0, which is the exact
-/// single-archive engine (`tests/backend_equivalence.rs`), so the sweep's
+/// single-archive engine (`tests/shape_equivalence.rs`), so the sweep's
 /// baseline is today's hams-TE at the sweep's page/queue shape. Together
 /// with [`run_grid_with`](crate::run_grid_with), this is what `hams-bench`'s
 /// `fig_device_scaling` (`figures -- fig23`) sweeps: RAID-0 throughput

@@ -460,103 +460,6 @@ pub(crate) fn drain_platform_spans(platform: &mut dyn Platform, telemetry: &mut 
     }
 }
 
-/// [`run_workload`] with the platform opted into a multi-queue NVMe shape
-/// before any access is served. The pinned contract for multi-queue serving:
-/// this batched path must be byte-identical to
-/// [`run_workload_serial_mq`] with the same `queues`, at every batch size
-/// and `HAMS_THREADS` setting. Platforms without an NVMe queue model ignore
-/// the configuration and keep their single-queue behaviour, in which case
-/// both paths also still match the PR 1 single-queue reference
-/// ([`run_workload_serial`]).
-pub fn run_workload_mq(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    queues: hams_nvme::QueueConfig,
-) -> RunMetrics {
-    platform.configure_queues(queues);
-    run_workload(platform, spec, scale)
-}
-
-/// The multi-queue serial reference: a single-threaded per-access loop over
-/// a platform opted into `queues`. Because striped fills and MSI coalescing
-/// legitimately change simulated latencies, multi-queue serving is *not*
-/// expected to match [`run_workload_serial`]; it is pinned against this
-/// loop instead (see `tests/multiqueue_equivalence.rs`).
-pub fn run_workload_serial_mq(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    queues: hams_nvme::QueueConfig,
-) -> RunMetrics {
-    platform.configure_queues(queues);
-    run_workload_serial(platform, spec, scale)
-}
-
-/// [`run_workload`] with the platform's MoS tag directory repartitioned into
-/// `shards` banks before any access is served. The pinned contract is
-/// stricter than the multi-queue one: the shard shape is pure routing, so
-/// this must be byte-identical to [`run_workload`] *and*
-/// [`run_workload_serial`] with no shard configuration at all, for every
-/// platform, shard count and hash policy (`tests/shard_equivalence.rs`).
-/// Platforms without a hardware tag cache ignore the configuration.
-pub fn run_workload_sharded(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    shards: hams_core::ShardConfig,
-) -> RunMetrics {
-    platform.configure_shards(shards);
-    run_workload(platform, spec, scale)
-}
-
-/// The sharded serial reference: a single-threaded per-access loop over a
-/// platform repartitioned into `shards` banks. Exists for symmetry with
-/// [`run_workload_serial_mq`]; by the shard-invariance contract it must
-/// match the unsharded [`run_workload_serial`] byte for byte.
-pub fn run_workload_serial_sharded(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    shards: hams_core::ShardConfig,
-) -> RunMetrics {
-    platform.configure_shards(shards);
-    run_workload_serial(platform, spec, scale)
-}
-
-/// [`run_workload`] with the platform's archive backend re-shaped into
-/// `topology` before any access is served. The pinned contract sits between
-/// the multi-queue and shard ones: [`hams_core::BackendTopology::single`]
-/// (and a one-device RAID-0) must be byte-identical to [`run_workload`] and
-/// [`run_workload_serial`] with no backend configuration at all, for every
-/// platform (`tests/backend_equivalence.rs`) — while multi-device shapes
-/// legitimately change timing and are pinned against their own serial
-/// reference ([`run_workload_serial_backend`]). Platforms without an
-/// in-controller archive ignore the configuration.
-pub fn run_workload_backend(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    topology: hams_core::BackendTopology,
-) -> RunMetrics {
-    platform.configure_backend(topology);
-    run_workload(platform, spec, scale)
-}
-
-/// The backend serial reference: a single-threaded per-access loop over a
-/// platform re-shaped into `topology`. Exists for symmetry with
-/// [`run_workload_serial_mq`]; [`run_workload_backend`] must match it byte
-/// for byte at every batch size and thread count.
-pub fn run_workload_serial_backend(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    topology: hams_core::BackendTopology,
-) -> RunMetrics {
-    platform.configure_backend(topology);
-    run_workload_serial(platform, spec, scale)
-}
-
 /// The per-access reference path: one [`Platform::access`] call per trace
 /// entry, no batching. [`run_workload`] must match this byte-for-byte.
 pub fn run_workload_serial(

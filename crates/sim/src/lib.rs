@@ -7,8 +7,8 @@
 //! crate provides the primitives those models are built from:
 //!
 //! * [`Nanos`] — the simulation time unit (nanoseconds, saturating arithmetic),
-//! * [`SimClock`] — a monotonically advancing clock,
-//! * [`EventQueue`] — an ordered future-event list for out-of-order completion,
+//! * [`CompletionSource`] — a time-ordered completion list for out-of-order
+//!   completion,
 //! * [`Resource`] / [`MultiResource`] — FCFS busy-until schedulers that model
 //!   contention on buses, channels and dies,
 //! * [`stats`] — counters, running statistics, histograms and named latency
@@ -18,17 +18,15 @@
 //! # Example
 //!
 //! ```
-//! use hams_sim::{Nanos, Resource, SimClock};
+//! use hams_sim::{Nanos, Resource};
 //!
-//! let mut clock = SimClock::new();
 //! let mut channel = Resource::new("ddr4-ch0");
 //! // Two back-to-back 64-byte bursts contend for the same channel.
-//! let first = channel.acquire(clock.now(), Nanos::from_nanos(5));
-//! let second = channel.acquire(clock.now(), Nanos::from_nanos(5));
+//! let first = channel.acquire(Nanos::ZERO, Nanos::from_nanos(5));
+//! let second = channel.acquire(Nanos::ZERO, Nanos::from_nanos(5));
 //! assert_eq!(first.end, Nanos::from_nanos(5));
 //! assert_eq!(second.start, Nanos::from_nanos(5));
-//! clock.advance_to(second.end);
-//! assert_eq!(clock.now(), Nanos::from_nanos(10));
+//! assert_eq!(second.end, Nanos::from_nanos(10));
 //! ```
 
 #![warn(missing_docs)]
@@ -43,7 +41,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{CompletionSource, EventQueue, ScheduledEvent};
+pub use event::{CompletionSource, ScheduledEvent};
 pub use hash::{FastBuildHasher, FastHashMap, FastHashSet};
 pub use intern::ComponentId;
 pub use par::parallel_map;
@@ -51,4 +49,4 @@ pub use resource::{Grant, MultiResource, Resource};
 pub use stats::{
     Counter, Histogram, HistogramSummary, LatencyBreakdown, LatencyVector, RunningStats,
 };
-pub use time::{Nanos, SimClock};
+pub use time::Nanos;

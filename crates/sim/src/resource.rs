@@ -234,19 +234,6 @@ impl MultiResource {
         self.units.iter().map(Resource::busy_time).sum()
     }
 
-    /// Average utilisation across the pool over `[0, horizon]`.
-    #[must_use]
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        if self.units.is_empty() {
-            return 0.0;
-        }
-        self.units
-            .iter()
-            .map(|u| u.utilization(horizon))
-            .sum::<f64>()
-            / self.units.len() as f64
-    }
-
     /// Resets every unit in the pool.
     pub fn reset(&mut self) {
         for u in &mut self.units {

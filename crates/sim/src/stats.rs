@@ -114,11 +114,6 @@ impl RunningStats {
         self.max = Some(self.max.map_or(x, |m| m.max(x)));
     }
 
-    /// Adds a time sample expressed in nanoseconds.
-    pub fn push_nanos(&mut self, t: Nanos) {
-        self.push(t.as_nanos() as f64);
-    }
-
     /// Number of samples observed.
     #[must_use]
     pub fn count(&self) -> u64 {

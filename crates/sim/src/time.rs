@@ -1,4 +1,4 @@
-//! Simulation time: the [`Nanos`] duration/instant type and the [`SimClock`].
+//! Simulation time: the [`Nanos`] duration/instant type.
 //!
 //! All component models in the HAMS reproduction express latency in integer
 //! nanoseconds. The paper's device parameters span five orders of magnitude
@@ -223,61 +223,6 @@ impl fmt::Display for Nanos {
     }
 }
 
-/// A monotonically advancing simulation clock.
-///
-/// The clock never moves backwards: [`SimClock::advance_to`] with a time in
-/// the past is a no-op. Component models advance the clock to the completion
-/// time of the transaction they just finished.
-///
-/// # Example
-///
-/// ```
-/// use hams_sim::{Nanos, SimClock};
-///
-/// let mut clock = SimClock::new();
-/// clock.advance_by(Nanos::from_micros(3));
-/// clock.advance_to(Nanos::from_nanos(10)); // in the past: ignored
-/// assert_eq!(clock.now(), Nanos::from_micros(3));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SimClock {
-    now: Nanos,
-}
-
-impl SimClock {
-    /// Creates a clock at time zero.
-    #[must_use]
-    pub fn new() -> Self {
-        SimClock { now: Nanos::ZERO }
-    }
-
-    /// Current simulation time.
-    #[must_use]
-    pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    /// Advances the clock to `t` if `t` is later than the current time.
-    /// Returns the (possibly unchanged) current time.
-    pub fn advance_to(&mut self, t: Nanos) -> Nanos {
-        if t > self.now {
-            self.now = t;
-        }
-        self.now
-    }
-
-    /// Advances the clock by a duration and returns the new time.
-    pub fn advance_by(&mut self, d: Nanos) -> Nanos {
-        self.now += d;
-        self.now
-    }
-
-    /// Resets the clock to time zero.
-    pub fn reset(&mut self) {
-        self.now = Nanos::ZERO;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,18 +281,5 @@ mod tests {
         let b = Nanos::from_nanos(9);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let mut c = SimClock::new();
-        assert_eq!(c.now(), Nanos::ZERO);
-        c.advance_to(Nanos::from_nanos(100));
-        c.advance_to(Nanos::from_nanos(50));
-        assert_eq!(c.now(), Nanos::from_nanos(100));
-        c.advance_by(Nanos::from_nanos(10));
-        assert_eq!(c.now(), Nanos::from_nanos(110));
-        c.reset();
-        assert_eq!(c.now(), Nanos::ZERO);
     }
 }

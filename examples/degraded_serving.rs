@@ -54,10 +54,7 @@ fn main() {
         });
 
     let mut platform = build_fault_platform(&scale);
-    assert!(
-        platform.configure_faults(&plan),
-        "the parity array accepts fault plans"
-    );
+    platform.controller_mut().set_fault_plan(plan);
     println!(
         "{} serving {} open-loop at {:.0}/s with a planned device failure\n",
         fault_label(),
@@ -73,7 +70,9 @@ fn main() {
     );
     // Drive simulated time past the end of the stream so the trailing
     // rebuild rows drain and the array returns to healthy.
-    platform.advance_faults(metrics.last_finish.max(span).scale(2.0));
+    platform
+        .controller_mut()
+        .advance_faults(metrics.last_finish.max(span).scale(2.0));
 
     let [p50, p99, p999] = metrics.sojourn_p50_p99_p999();
     let us = |p: Option<Nanos>| p.map_or(0.0, |n| n.as_micros_f64());

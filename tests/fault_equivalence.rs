@@ -257,7 +257,7 @@ fn fault_schedule_replays_byte_identically_across_runs_and_thread_counts() {
         let plan = plan.clone();
         registry.register(label, move |scale: &ScaleProfile| {
             let mut platform = build_fault_platform(scale);
-            platform.configure_faults(&plan);
+            platform.controller_mut().set_fault_plan(plan.clone());
             Box::new(platform)
         });
     }
