@@ -1604,9 +1604,9 @@ fn sorted_percentile_us(sorted: &[Nanos], p: f64) -> f64 {
 }
 
 /// The fault schedule fig26 and `throughput --faults` share, plus the
-/// expected simulated span it was derived from: device 0 fail-stops at
-/// [`FIG26_FAIL_FRACTION`] of the span, its spare arrives at
-/// [`FIG26_SPARE_FRACTION`], and the rebuild is paced at one row per
+/// expected simulated span it was derived from: device 0 fail-stops at 30%
+/// of the span (`FIG26_FAIL_FRACTION`), its spare arrives at 40%
+/// (`FIG26_SPARE_FRACTION`), and the rebuild is paced at one row per
 /// 1/10,000th of the span so it finishes with a recovered tail left to
 /// measure at any scale.
 #[must_use]

@@ -33,7 +33,7 @@ use hams_interconnect::{
 use hams_nvdimm::{Nvdimm, PinnedRegion};
 use hams_nvme::NvmeCommand;
 use hams_sim::{ComponentId, LatencyVector, Nanos};
-use hams_telemetry::{Layer, Span, TelemetrySink, TraceSink};
+use hams_telemetry::{Layer, Span, TelemetrySink};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{AttachMode, HamsConfig, PersistMode};
@@ -547,12 +547,12 @@ impl HamsController {
         self.trace = sink;
     }
 
-    /// Moves the spans retained by the installed sink into `out`
-    /// (appending), including any pending rebuild-row spans. No-op with the
-    /// default [`TelemetrySink::Noop`].
-    pub fn take_trace_spans(&mut self, out: &mut Vec<Span>) {
+    /// Hands back the installed sink, with any pending rebuild-row spans
+    /// flushed into it, and leaves tracing off. The default sink comes back
+    /// as [`TelemetrySink::Noop`].
+    pub fn take_trace_sink(&mut self) -> TelemetrySink {
         self.flush_rebuild_trace();
-        self.trace.drain_into(out);
+        std::mem::take(&mut self.trace)
     }
 
     /// First LBA of a MoS page.

@@ -1,4 +1,5 @@
-//! Fault injection and degraded-mode serving for the [`ArchiveSet`].
+//! Fault injection and degraded-mode serving for the
+//! [`ArchiveSet`](crate::ArchiveSet).
 //!
 //! HAMS's headline claim is crash-consistent persistent memory over commodity
 //! SSDs; this module extends the reproduction past the happy path and

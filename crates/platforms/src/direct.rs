@@ -15,7 +15,7 @@ use hams_sim::Nanos;
 use hams_workloads::Access;
 
 use crate::cache::{CacheOutcome, LruPageCache};
-use crate::platform::{AccessOutcome, BatchOutcome, BatchRequest, Platform};
+use crate::platform::{AccessOutcome, Platform};
 
 const OS_PAGE: u64 = 4096;
 
@@ -142,40 +142,6 @@ impl Platform for FlatFlashPlatform {
         }
     }
 
-    /// Direct-attach batch path for `flatflash-P`: the host-cache branch is
-    /// resolved once per batch and every access goes straight to the MMIO
-    /// loop with the caller's reused outcome buffer. `flatflash-M` keeps the
-    /// per-access fallback — its host DRAM cache makes every access
-    /// branch-dependent anyway.
-    fn serve_batch_into(&mut self, batch: &[BatchRequest], start: Nanos, out: &mut BatchOutcome) {
-        out.outcomes.clear();
-        let mut t = start;
-        if self.host_cache.is_none() {
-            for request in batch {
-                let issued_at = t + request.compute;
-                let served = self.mmio_access(
-                    request.access.addr,
-                    request.access.size,
-                    request.access.is_write,
-                    issued_at,
-                );
-                out.outcomes.push(AccessOutcome {
-                    finished_at: served,
-                    os_time: Nanos::ZERO,
-                    ssd_time: served - issued_at,
-                    memory_time: Nanos::ZERO,
-                });
-                t = served;
-            }
-        } else {
-            for request in batch {
-                let outcome = self.access(&request.access, t + request.compute);
-                t = outcome.finished_at;
-                out.outcomes.push(outcome);
-            }
-        }
-    }
-
     fn device_energy(&self, elapsed: Nanos) -> EnergyAccount {
         let mut e = EnergyAccount::new();
         e.add_power("nvdimm", self.power.nvdimm_background_watts, elapsed);
@@ -295,35 +261,6 @@ impl Platform for OptanePlatform {
             os_time: Nanos::ZERO,
             ssd_time: Nanos::ZERO,
             memory_time: finished - now,
-        }
-    }
-
-    /// Direct-attach batch path for `optane-P`: the DRAM-cache branch is
-    /// resolved once per batch and every access streams through the media
-    /// model into the caller's reused outcome buffer. `optane-M` keeps the
-    /// per-access fallback.
-    fn serve_batch_into(&mut self, batch: &[BatchRequest], start: Nanos, out: &mut BatchOutcome) {
-        out.outcomes.clear();
-        let mut t = start;
-        if self.dram_cache.is_none() {
-            for request in batch {
-                let issued_at = t + request.compute;
-                let finished =
-                    self.media_access(request.access.size, request.access.is_write, issued_at);
-                out.outcomes.push(AccessOutcome {
-                    finished_at: finished,
-                    os_time: Nanos::ZERO,
-                    ssd_time: Nanos::ZERO,
-                    memory_time: finished - issued_at,
-                });
-                t = finished;
-            }
-        } else {
-            for request in batch {
-                let outcome = self.access(&request.access, t + request.compute);
-                t = outcome.finished_at;
-                out.outcomes.push(outcome);
-            }
         }
     }
 
@@ -496,33 +433,6 @@ impl Platform for OraclePlatform {
             ssd_time: Nanos::ZERO,
             memory_time: served - now,
         }
-    }
-
-    /// Batch path: the energy byte counter is accumulated once per batch and
-    /// the caller's outcome buffer is reused; each access still takes its
-    /// own DDR4 grant so contention timing is identical to the per-access
-    /// path.
-    fn serve_batch_into(&mut self, batch: &[BatchRequest], start: Nanos, out: &mut BatchOutcome) {
-        out.outcomes.clear();
-        let mut t = start;
-        let mut bytes = 0u64;
-        for request in batch {
-            let issued_at = t + request.compute;
-            bytes += request.access.size;
-            let served = self
-                .ddr
-                .transfer(request.access.size, issued_at)
-                .finished_at
-                + Nanos::from_nanos(30);
-            out.outcomes.push(AccessOutcome {
-                finished_at: served,
-                os_time: Nanos::ZERO,
-                ssd_time: Nanos::ZERO,
-                memory_time: served - issued_at,
-            });
-            t = served;
-        }
-        self.bytes_accessed += bytes;
     }
 
     fn device_energy(&self, elapsed: Nanos) -> EnergyAccount {

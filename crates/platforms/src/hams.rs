@@ -8,7 +8,7 @@ use hams_energy::{EnergyAccount, PowerParams};
 use hams_nvdimm::{NvdimmConfig, PinnedRegionLayout};
 use hams_nvme::QueueConfig;
 use hams_sim::{LatencyVector, Nanos};
-use hams_telemetry::{Span, TelemetrySink};
+use hams_telemetry::TelemetrySink;
 use hams_workloads::Access;
 
 use crate::platform::{AccessOutcome, BatchOutcome, BatchRequest, Platform};
@@ -263,7 +263,7 @@ impl Platform for HamsPlatform {
     /// Nothing on the per-access path touches the heap: the scratch
     /// [`LatencyVector`] is a fixed slot array the controller adds into by
     /// pre-interned component id. Simulated timing is identical to the
-    /// per-access path by the [`Platform::serve_batch`] contract.
+    /// per-access path by the [`Platform::serve_batch_into`] contract.
     fn serve_batch_into(&mut self, batch: &[BatchRequest], start: Nanos, out: &mut BatchOutcome) {
         out.outcomes.clear();
         let capacity = self.controller.mos_capacity_bytes().max(1);
@@ -294,13 +294,12 @@ impl Platform for HamsPlatform {
     /// trace sink: controller access, tag-array, NVMe submit, MSI
     /// delivery and archive service spans all come from inside the spine.
     /// Observation-only — enabling the sink can never change metrics.
-    fn configure_trace(&mut self, sink: TelemetrySink) -> bool {
+    fn configure_trace(&mut self, sink: TelemetrySink) {
         self.controller.set_trace_sink(sink);
-        true
     }
 
-    fn take_trace_spans(&mut self, out: &mut Vec<Span>) {
-        self.controller.take_trace_spans(out);
+    fn take_trace_sink(&mut self) -> TelemetrySink {
+        self.controller.take_trace_sink()
     }
 
     fn telemetry_gauges(&self, out: &mut Vec<(&'static str, f64)>) {
@@ -459,7 +458,8 @@ mod tests {
         }
 
         let mut batched = HamsPlatform::scaled(AttachMode::Loose, PersistMode::Persist, 4 << 20);
-        let result = batched.serve_batch(&batch, start);
+        let mut result = BatchOutcome::with_capacity(batch.len());
+        batched.serve_batch_into(&batch, start, &mut result);
 
         assert_eq!(result.outcomes, expected);
         assert_eq!(batched.memory_delay(), reference.memory_delay());
@@ -502,7 +502,8 @@ mod tests {
         }
 
         let mut batched = build();
-        let result = batched.serve_batch(&batch, start);
+        let mut result = BatchOutcome::with_capacity(batch.len());
+        batched.serve_batch_into(&batch, start, &mut result);
         assert_eq!(result.outcomes, expected);
         assert_eq!(batched.memory_delay(), reference.memory_delay());
     }

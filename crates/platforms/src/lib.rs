@@ -9,7 +9,7 @@
 //!
 //! * [`PlatformRegistry`] — named, boxed platform constructors; the eleven
 //!   paper systems are pre-registered and harnesses can add their own,
-//! * [`Platform::serve_batch`] — the batched serving path; hardware-automated
+//! * [`Platform::serve_batch_into`] — the batched serving path; the HAMS
 //!   platforms override it to amortize per-access host-side setup while
 //!   producing metrics byte-identical to the per-access loop,
 //! * [`run_workload`] / [`run_matrix`] / [`run_grid`] — single-cell, one
@@ -37,6 +37,7 @@ pub mod cache;
 pub mod direct;
 pub mod hams;
 pub mod mmap;
+mod observe;
 pub mod openloop;
 pub mod platform;
 pub mod registry;

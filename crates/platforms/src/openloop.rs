@@ -8,51 +8,42 @@
 //! automation is supposed to beat the software stacks, is invisible. The
 //! open-loop driver here decouples the two: an
 //! [`ArrivalGenerator`](hams_workloads::ArrivalGenerator) schedules when
-//! requests *arrive*, an [`AdmissionQueue`] of configurable depth holds them
-//! at the platform boundary (dropping or back-pressuring when full), and the
-//! platform serves FIFO batches through the same
+//! requests *arrive*, a bounded admission queue of configurable depth holds
+//! them at the platform boundary (dropping or back-pressuring when full),
+//! and the platform serves FIFO batches through the same
 //! [`Platform::serve_batch_into`] hot path as closed-loop replay. Each served
 //! request records arrival → enqueue → dispatch → finish timestamps, and the
 //! sojourn time (finish − arrival) feeds a [`Histogram`] for p50/p99/p999
 //! reporting.
 //!
-//! Multi-tenant serving ([`run_tenant_set_open_loop`]) feeds the *same*
-//! engine a [`TenantSet`]'s merged, time-ordered request stream
-//! ([`TenantSource`](hams_workloads::TenantSource)): N independent clients,
-//! each with its own workload, arrival process and QoS weight, share one
-//! admission queue and one platform — the harness for noisy-neighbour
+//! Every run is a [`TenantSet`] served through one engine. Its merged,
+//! time-ordered request stream ([`TenantSource`]) feeds one admission queue
+//! and one platform: N independent clients, each with its own workload,
+//! arrival process and QoS weight — the harness for noisy-neighbour
 //! interference studies (`fig25`). The tenant id is threaded through
-//! [`OpenLoopRecord`] and every request is additionally accounted to its
-//! tenant's own sojourn histogram and arrival/served/dropped counters.
+//! [`OpenLoopRecord`], and every request is also accounted to its tenant's
+//! own sojourn histogram and arrival/served/dropped counters.
+//! [`run_workload_open_loop`] is the one-tenant set of its workload and
+//! arrival process.
 //!
-//! The engine is pinned to the rest of the test tower by two degenerate
-//! contracts (`tests/openloop_equivalence.rs`,
-//! `tests/tenant_equivalence.rs`):
-//!
-//! * at arrival-rate → ∞ ([`ArrivalProcess::Saturate`]) with a depth-1
-//!   blocking queue and batch size 1, every dispatch instant equals the
-//!   previous finish — exactly the closed-loop serial schedule — so
-//!   [`run_workload_open_loop`] must produce [`RunMetrics`] byte-identical
-//!   to [`crate::run_workload_serial`];
-//! * a single-tenant [`TenantSet`] must produce [`OpenLoopMetrics`]
-//!   byte-identical to [`run_workload_open_loop`] (tenant 0 seeds from the
-//!   base seed, the merge of one stream is the stream), and per-tenant
-//!   counters must always sum exactly to the merged totals.
+//! At arrival-rate → ∞ ([`ArrivalProcess::Saturate`]) with a depth-1
+//! blocking queue and batch size 1, every dispatch instant equals the
+//! previous finish — exactly the closed-loop serial schedule — so
+//! [`run_workload_open_loop`] must produce [`RunMetrics`] byte-identical to
+//! [`crate::run_workload_serial`] (`tests/openloop_equivalence.rs`). Per-tenant
+//! counters always sum exactly to the merged totals
+//! (`tests/tenant_equivalence.rs`).
 
 use hams_sim::{Histogram, Nanos};
-use hams_telemetry::{Layer, RunTelemetry, Span, TelemetrySink, TraceSink};
-use hams_workloads::{
-    Access, ArrivalGenerator, ArrivalProcess, TenantSet, TenantSource, TraceGenerator, WorkloadSpec,
-};
+use hams_telemetry::RunTelemetry;
+use hams_workloads::{Access, ArrivalProcess, TenantSet, TenantSource, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::iter::Peekable;
 
+use crate::observe::{Observer, Tracer};
 use crate::platform::{BatchOutcome, BatchRequest, Platform};
-use crate::runner::{
-    drain_platform_spans, sample_platform_gauges, MetricsFold, RunMetrics, ScaleProfile,
-    DEFAULT_BATCH_SIZE,
-};
+use crate::runner::{MetricsFold, RunMetrics, ScaleProfile, DEFAULT_BATCH_SIZE};
 
 /// What the admission queue does with an arrival that finds it full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -452,21 +443,6 @@ impl AdmissionQueue {
     }
 }
 
-/// Everything the engine core needs beyond the platform and the stream.
-struct CoreSetup<'a> {
-    /// Number of tenants feeding the stream (1 for single-tenant runs).
-    tenant_count: usize,
-    /// Unscaled spec used for the merged run's labels.
-    spec: WorkloadSpec,
-    /// Scaled spec used for the merged run's byte accounting.
-    scaled: WorkloadSpec,
-    /// Total requests the stream will offer (capacity hint).
-    expected: usize,
-    /// Mean offered rate reported in the metrics.
-    offered_rate_per_sec: f64,
-    config: &'a OpenLoopConfig,
-}
-
 /// Per-tenant accumulators the serving loop maintains.
 struct TenantAccum {
     served: u64,
@@ -474,74 +450,117 @@ struct TenantAccum {
     sojourn: Histogram,
 }
 
-/// What the core hands back: merged metrics plus the per-tenant ledgers.
-struct CoreOut {
-    metrics: OpenLoopMetrics,
-    tenants: Vec<TenantAccum>,
-    arrivals: Vec<u64>,
-    dropped: Vec<u64>,
-    first_arrivals: Vec<Option<Nanos>>,
+/// Runs one workload through the open-loop engine on one platform: a
+/// one-tenant [`TenantSet`] of `spec` arriving by `config.arrivals`.
+///
+/// Request *i* of the trace arrives at instant *i* of the arrival schedule,
+/// so open-loop and closed-loop runs of the same [`ScaleProfile`] serve
+/// exactly the same accesses in the same FIFO order — only the dispatch
+/// instants differ.
+///
+/// # Panics
+///
+/// Panics when the platform violates the batch contract (wrong outcome
+/// count) or the config fails [`ArrivalProcess::validate`].
+pub fn run_workload_open_loop(
+    platform: &mut dyn Platform,
+    spec: WorkloadSpec,
+    scale: &ScaleProfile,
+    config: &OpenLoopConfig,
+) -> OpenLoopMetrics {
+    let set = TenantSet::single(spec.name, spec, config.arrivals);
+    run_open_loop(platform, &set, scale, config, ()).merged
 }
 
-/// The open-loop serving loop, generic over any time-ordered
-/// `(tenant, access, arrival)` stream. Single- and multi-tenant runs are
-/// the *same* engine: the single-tenant entry point wraps its zipped
-/// trace × arrival stream with tenant id 0, which is also exactly what a
-/// one-tenant [`TenantSource`] yields — the degenerate equivalence the
-/// tenant tier pins.
-fn run_open_loop_core<I>(
+/// [`run_workload_open_loop`] with telemetry collection: per-request
+/// sojourn and admission-wait spans, a recording sink on the platform for
+/// the controller-side layers, and per-batch registry samples (admission
+/// queue depth, served/dropped counters, platform gauges). Observation only
+/// — the returned metrics are byte-identical to the untraced run.
+pub fn run_workload_open_loop_traced(
     platform: &mut dyn Platform,
-    source: I,
-    setup: CoreSetup<'_>,
-    mut telemetry: Option<&mut RunTelemetry>,
-) -> CoreOut
-where
-    I: Iterator<Item = (usize, Access, Nanos)>,
-{
-    let config = setup.config;
+    spec: WorkloadSpec,
+    scale: &ScaleProfile,
+    config: &OpenLoopConfig,
+    telemetry: &mut RunTelemetry,
+) -> OpenLoopMetrics {
+    let set = TenantSet::single(spec.name, spec, config.arrivals);
+    run_open_loop(platform, &set, scale, config, Tracer::new(telemetry)).merged
+}
+
+/// Runs a [`TenantSet`] through the open-loop engine on one platform: the
+/// tenants' seeded arrival streams are merged into one time-ordered source
+/// (ties broken by tenant index) feeding one bounded admission queue and
+/// FIFO batch dispatch.
+///
+/// `config.arrivals` is ignored — each tenant's own [`ArrivalProcess`]
+/// drives its stream; the queue, batch and histogram knobs apply to the
+/// shared platform boundary. Per-tenant counters always sum exactly to the
+/// merged totals (`tests/tenant_equivalence.rs`).
+///
+/// # Panics
+///
+/// Panics when the set fails [`TenantSet::validate`] or the platform
+/// violates the batch contract.
+pub fn run_tenant_set_open_loop(
+    platform: &mut dyn Platform,
+    set: &TenantSet,
+    scale: &ScaleProfile,
+    config: &OpenLoopConfig,
+) -> MultiTenantMetrics {
+    run_open_loop(platform, set, scale, config, ())
+}
+
+/// [`run_tenant_set_open_loop`] with telemetry collection — the
+/// multi-tenant analogue of [`run_workload_open_loop_traced`]. Spans carry
+/// the issuing tenant's index and the registry gains one
+/// `tenant{i}_dropped` counter per tenant. Observation only.
+pub fn run_tenant_set_open_loop_traced(
+    platform: &mut dyn Platform,
+    set: &TenantSet,
+    scale: &ScaleProfile,
+    config: &OpenLoopConfig,
+    telemetry: &mut RunTelemetry,
+) -> MultiTenantMetrics {
+    run_open_loop(platform, set, scale, config, Tracer::new(telemetry))
+}
+
+/// The open-loop engine behind all four entry points: the set's merged
+/// `(tenant, access, arrival)` stream through the admission queue and FIFO
+/// batch dispatch.
+fn run_open_loop<O: Observer>(
+    platform: &mut dyn Platform,
+    set: &TenantSet,
+    scale: &ScaleProfile,
+    config: &OpenLoopConfig,
+    mut observer: O,
+) -> MultiTenantMetrics {
+    let scaled: Vec<WorkloadSpec> = set
+        .tenants
+        .iter()
+        .map(|t| scale.scale_spec(t.spec))
+        .collect();
+    let mut source = TenantSource::new(set, &scaled, scale.seed, scale.accesses).peekable();
+    let expected = set.total_accesses(scale.accesses);
     let batch_size = config.batch_size.max(1);
-    // Telemetry is observation only: everything behind these Options records
-    // already-computed instants and never feeds back into the schedule, so
-    // traced and untraced runs stay byte-identical
-    // (`tests/telemetry_equivalence.rs`).
-    if let Some(t) = telemetry.as_deref_mut() {
-        platform.configure_trace(TelemetrySink::recording(t.recorder.capacity()));
-    }
-    let drop_series: Vec<String> = if telemetry.is_some() {
-        (0..setup.tenant_count)
-            .map(|t| format!("tenant{t}_dropped"))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mut gauge_scratch: Vec<(&'static str, f64)> = Vec::new();
+    observer.start(platform);
     let mut fold = MetricsFold::new();
     let buckets = config.sojourn_buckets.max(1);
     let mut sojourn = Histogram::new(config.sojourn_bucket, buckets);
-    let mut tenants: Vec<TenantAccum> = (0..setup.tenant_count)
+    let mut tenants: Vec<TenantAccum> = (0..set.len())
         .map(|_| TenantAccum {
             served: 0,
             last_finish: Nanos::ZERO,
             sojourn: Histogram::new(config.sojourn_bucket, buckets),
         })
         .collect();
-    let mut records = Vec::with_capacity(if config.keep_records {
-        setup.expected
-    } else {
-        0
-    });
+    let mut records = Vec::with_capacity(if config.keep_records { expected } else { 0 });
     let mut served = 0u64;
     let mut last_finish = Nanos::ZERO;
 
-    let mut source = source.peekable();
-    let mut queue = AdmissionQueue::new(
-        config.queue_depth,
-        config.policy,
-        setup.tenant_count,
-        setup.expected,
-    );
+    let mut queue = AdmissionQueue::new(config.queue_depth, config.policy, set.len(), expected);
 
-    let cap = batch_size.min(setup.expected.max(1));
+    let cap = batch_size.min(expected.max(1));
     let mut batch: Vec<BatchRequest> = Vec::with_capacity(cap);
     let mut meta: Vec<(usize, Nanos, Nanos)> = Vec::with_capacity(cap);
     let mut out = BatchOutcome::with_capacity(cap);
@@ -607,7 +626,7 @@ where
         for ((request, outcome), &(tenant, arrival, enqueued)) in
             batch.iter().zip(&out.outcomes).zip(&meta)
         {
-            fold.fold_from(ready, request.compute, outcome);
+            fold.fold(ready, request.compute, outcome);
             let record = OpenLoopRecord {
                 tenant,
                 arrival,
@@ -622,46 +641,20 @@ where
             acc.served += 1;
             acc.last_finish = acc.last_finish.max(record.finished);
             acc.sojourn.record(record.sojourn());
-            if let Some(t) = telemetry.as_deref_mut() {
-                let page = request.access.addr / 4096;
-                let tenant_tag = tenant as u16;
-                t.recorder.record(
-                    Span::new(Layer::Request, "sojourn", arrival, record.finished)
-                        .with_tenant(tenant_tag)
-                        .with_request(page),
-                );
-                if enqueued > arrival {
-                    t.recorder.record(
-                        Span::new(Layer::Admission, "door_block", arrival, enqueued)
-                            .with_tenant(tenant_tag)
-                            .with_request(page),
-                    );
-                }
-                t.recorder.record(
-                    Span::new(Layer::Admission, "queue_wait", enqueued, record.started)
-                        .with_tenant(tenant_tag)
-                        .with_request(page),
-                );
-            }
+            observer.request(request, &record);
             if config.keep_records {
                 records.push(record);
             }
             ready = outcome.finished_at;
         }
         server_free = out.finished_at(start);
-        if let Some(t) = telemetry.as_deref_mut() {
-            t.registry.gauge(
-                "admission_queue_depth",
-                server_free,
-                queue.queue.len() as f64,
-            );
-            t.registry
-                .counter("requests_served", server_free, served as f64);
-            for (name, count) in drop_series.iter().zip(&queue.dropped) {
-                t.registry.counter(name, server_free, *count as f64);
-            }
-            sample_platform_gauges(platform, server_free, &mut gauge_scratch, &mut t.registry);
-        }
+        observer.dispatch(
+            platform,
+            server_free,
+            queue.queue.len(),
+            served,
+            &queue.dropped,
+        );
     }
 
     let AdmissionQueue {
@@ -679,185 +672,36 @@ where
         .copied()
         .min()
         .unwrap_or(Nanos::ZERO);
-    if let Some(t) = telemetry {
-        drain_platform_spans(platform, t);
-    }
-    let run = fold.finish(platform, setup.spec, setup.scaled);
-    CoreOut {
-        metrics: OpenLoopMetrics {
-            run,
-            offered_rate_per_sec: setup.offered_rate_per_sec,
-            arrivals: arrivals_total,
-            served,
-            dropped: dropped_total,
-            first_arrival: first_arrival_merged,
-            last_finish,
-            sojourn,
-            records,
-        },
-        tenants,
-        arrivals,
-        dropped,
-        first_arrivals: first_arrival,
-    }
-}
-
-/// Runs one workload through the open-loop engine on one platform.
-///
-/// The trace and arrival streams are zipped (request *i* of the trace
-/// arrives at instant *i* of the arrival schedule), so open-loop and
-/// closed-loop runs of the same [`ScaleProfile`] serve exactly the same
-/// accesses in the same FIFO order — only the dispatch instants differ.
-///
-/// # Panics
-///
-/// Panics when the platform violates the batch contract (wrong outcome
-/// count) or the config fails
-/// [`ArrivalProcess::validate`](hams_workloads::ArrivalProcess::validate).
-pub fn run_workload_open_loop(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    config: &OpenLoopConfig,
-) -> OpenLoopMetrics {
-    run_workload_open_loop_inner(platform, spec, scale, config, None)
-}
-
-/// [`run_workload_open_loop`] with telemetry collection: per-request
-/// [`Layer::Request`] sojourn and [`Layer::Admission`] wait spans, a
-/// recording sink on the platform for the controller-side layers, and
-/// per-batch registry samples (admission queue depth, served/dropped
-/// counters, platform gauges). Observation only — the returned metrics are
-/// byte-identical to the untraced run.
-pub fn run_workload_open_loop_traced(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    config: &OpenLoopConfig,
-    telemetry: &mut RunTelemetry,
-) -> OpenLoopMetrics {
-    run_workload_open_loop_inner(platform, spec, scale, config, Some(telemetry))
-}
-
-fn run_workload_open_loop_inner(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    config: &OpenLoopConfig,
-    telemetry: Option<&mut RunTelemetry>,
-) -> OpenLoopMetrics {
-    let scaled = scale.scale_spec(spec);
-    let trace = TraceGenerator::new(scaled, scale.seed, scale.accesses);
-    let arrivals = ArrivalGenerator::new(config.arrivals, scale.seed, scale.accesses);
-    let source = trace.zip(arrivals).map(|(access, t)| (0usize, access, t));
-    run_open_loop_core(
-        platform,
-        source,
-        CoreSetup {
-            tenant_count: 1,
-            spec,
-            scaled,
-            expected: scale.accesses,
-            offered_rate_per_sec: config.arrivals.mean_rate_per_sec(),
-            config,
-        },
-        telemetry,
-    )
-    .metrics
-}
-
-/// Runs a [`TenantSet`] through the open-loop engine on one platform: the
-/// tenants' seeded arrival streams are merged into one time-ordered source
-/// (ties broken by tenant index) feeding the same bounded admission queue
-/// and FIFO batch dispatch as [`run_workload_open_loop`].
-///
-/// `config.arrivals` is ignored — each tenant's own [`ArrivalProcess`]
-/// drives its stream; the queue, batch and histogram knobs apply to the
-/// shared platform boundary.
-///
-/// Pinned contracts: a single-tenant set produces [`OpenLoopMetrics`]
-/// byte-identical to [`run_workload_open_loop`] with the same workload,
-/// process and scale, and per-tenant counters always sum exactly to the
-/// merged totals (`tests/tenant_equivalence.rs`).
-///
-/// # Panics
-///
-/// Panics when the set fails [`TenantSet::validate`] or the platform
-/// violates the batch contract.
-pub fn run_tenant_set_open_loop(
-    platform: &mut dyn Platform,
-    set: &TenantSet,
-    scale: &ScaleProfile,
-    config: &OpenLoopConfig,
-) -> MultiTenantMetrics {
-    run_tenant_set_open_loop_inner(platform, set, scale, config, None)
-}
-
-/// [`run_tenant_set_open_loop`] with telemetry collection — the
-/// multi-tenant analogue of [`run_workload_open_loop_traced`]. Spans carry
-/// the issuing tenant's index and the registry gains one
-/// `tenant{i}_dropped` counter per tenant. Observation only.
-pub fn run_tenant_set_open_loop_traced(
-    platform: &mut dyn Platform,
-    set: &TenantSet,
-    scale: &ScaleProfile,
-    config: &OpenLoopConfig,
-    telemetry: &mut RunTelemetry,
-) -> MultiTenantMetrics {
-    run_tenant_set_open_loop_inner(platform, set, scale, config, Some(telemetry))
-}
-
-fn run_tenant_set_open_loop_inner(
-    platform: &mut dyn Platform,
-    set: &TenantSet,
-    scale: &ScaleProfile,
-    config: &OpenLoopConfig,
-    telemetry: Option<&mut RunTelemetry>,
-) -> MultiTenantMetrics {
-    set.validate();
-    let scaled: Vec<WorkloadSpec> = set
-        .tenants
-        .iter()
-        .map(|t| scale.scale_spec(t.spec))
-        .collect();
-    let source = TenantSource::new(set, &scaled, scale.seed, scale.accesses);
-    let out = run_open_loop_core(
-        platform,
-        source,
-        CoreSetup {
-            tenant_count: set.len(),
-            spec: set.tenants[0].spec,
-            scaled: scaled[0],
-            expected: set.total_accesses(scale.accesses),
-            offered_rate_per_sec: set.offered_rate_per_sec(),
-            config,
-        },
-        telemetry,
-    );
-    let CoreOut {
-        mut metrics,
-        tenants: accums,
-        arrivals,
-        dropped,
-        first_arrivals,
-    } = out;
+    observer.finish(platform);
+    let mut run = fold.finish(platform, set.tenants[0].spec, scaled[0]);
     if set.len() > 1 {
-        // The core labelled and byte-accounted the merged run with tenant
-        // 0's spec (which is exact for the degenerate single-tenant pin);
-        // for a mixed set, re-derive both from what was actually served.
-        metrics.run.workload = set.workload_label();
-        let secs = metrics.run.total_time.as_secs_f64().max(1e-12);
-        let bytes: u64 = accums
+        // The fold labelled and byte-accounted the run with tenant 0's spec,
+        // which is exact for one tenant; for a mixed set, re-derive both
+        // from what was actually served.
+        run.workload = set.workload_label();
+        let secs = run.total_time.as_secs_f64().max(1e-12);
+        let bytes: u64 = tenants
             .iter()
             .zip(&scaled)
             .map(|(acc, s)| acc.served * s.access_bytes)
             .sum();
-        metrics.run.pages_per_sec = bytes as f64 / 4096.0 / secs;
+        run.pages_per_sec = bytes as f64 / 4096.0 / secs;
     }
+    let merged = OpenLoopMetrics {
+        run,
+        offered_rate_per_sec: set.offered_rate_per_sec(),
+        arrivals: arrivals_total,
+        served,
+        dropped: dropped_total,
+        first_arrival: first_arrival_merged,
+        last_finish,
+        sojourn,
+        records,
+    };
     let tenants = set
         .tenants
         .iter()
-        .zip(accums)
+        .zip(tenants)
         .enumerate()
         .map(|(i, (t, acc))| TenantMetrics {
             tenant: i,
@@ -867,21 +711,19 @@ fn run_tenant_set_open_loop_inner(
             arrivals: arrivals[i],
             served: acc.served,
             dropped: dropped[i],
-            first_arrival: first_arrivals[i].unwrap_or(Nanos::ZERO),
+            first_arrival: first_arrival[i].unwrap_or(Nanos::ZERO),
             last_finish: acc.last_finish,
             sojourn: acc.sojourn,
         })
         .collect();
-    MultiTenantMetrics {
-        merged: metrics,
-        tenants,
-    }
+    MultiTenantMetrics { merged, tenants }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::{run_workload_serial, PlatformKind};
+    use hams_telemetry::Layer;
     use hams_workloads::TenantSpec;
 
     fn tiny_scale() -> ScaleProfile {

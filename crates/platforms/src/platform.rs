@@ -7,7 +7,7 @@
 
 use hams_energy::EnergyAccount;
 use hams_sim::{LatencyVector, Nanos};
-use hams_telemetry::{Span, TelemetrySink};
+use hams_telemetry::TelemetrySink;
 use hams_workloads::Access;
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +42,7 @@ impl AccessOutcome {
 ///
 /// The runner owns the CPU model, so platforms never see instruction counts —
 /// they receive the already-priced compute gap and only have to respect it
-/// when scheduling the access (see [`Platform::serve_batch`]).
+/// when scheduling the access (see [`Platform::serve_batch_into`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchRequest {
     /// The memory access to serve.
@@ -96,39 +96,23 @@ pub trait Platform {
     /// Serves one memory access issued at `now`.
     fn access(&mut self, access: &Access, now: Nanos) -> AccessOutcome;
 
-    /// Serves a batch of accesses, the first one issuing at
-    /// `start + batch[0].compute` and each subsequent access at the previous
-    /// access's completion plus its own compute gap.
+    /// Serves a batch of accesses into a caller-owned outcome buffer, the
+    /// first one issuing at `start + batch[0].compute` and each subsequent
+    /// access at the previous access's completion plus its own compute gap.
+    /// The runners reuse one buffer across every batch of a replay.
     ///
-    /// The contract is strict: `serve_batch` must produce exactly the
-    /// outcomes the equivalent [`Platform::access`] loop would, so runner
-    /// metrics are byte-identical on either path. What platforms may change
-    /// is *how fast the host computes them*: overrides amortize per-call
-    /// setup (configuration lookups, queue-pair doorbell bookkeeping, PRP
-    /// construction, DDR4/PCIe grant scaffolding) across the whole batch
-    /// instead of re-establishing it per access. Software-mediated platforms
-    /// (`mmap`) keep this per-access fallback, mirroring how their real
-    /// counterparts cannot batch page faults either.
-    ///
-    /// This convenience form allocates a fresh [`BatchOutcome`] per call;
-    /// the serving loop itself goes through [`Platform::serve_batch_into`],
-    /// which reuses a caller-owned buffer across batches. Platforms
-    /// override `serve_batch_into`, and both forms stay in sync.
-    fn serve_batch(&mut self, batch: &[BatchRequest], start: Nanos) -> BatchOutcome {
-        let mut result = BatchOutcome::with_capacity(batch.len());
-        self.serve_batch_into(batch, start, &mut result);
-        result
-    }
-
-    /// [`Platform::serve_batch`] writing into a caller-owned outcome buffer —
-    /// the allocation-free form the runner's serving loop uses, so one
-    /// buffer is reused across every batch of a workload replay.
+    /// The contract is strict: the outcomes must be exactly those the
+    /// equivalent [`Platform::access`] loop would produce, so runner metrics
+    /// are byte-identical on either path. What a platform may change is
+    /// *how fast the host computes them*: `HamsPlatform` overrides this to
+    /// establish per-call setup (the capacity lookup, the delay scratch)
+    /// once per batch instead of once per access. Every other platform
+    /// keeps this per-access default.
     ///
     /// The scratch-reuse contract for implementors: clear `out.outcomes`
     /// first, then push exactly one [`AccessOutcome`] per request in request
-    /// order (never inherit entries from the previous batch), and produce
-    /// byte-identical outcomes to the [`Platform::access`] loop. Do not
-    /// shrink the buffer — its retained capacity is the point.
+    /// order (never inherit entries from the previous batch). Do not shrink
+    /// the buffer — its retained capacity is the point.
     fn serve_batch_into(&mut self, batch: &[BatchRequest], start: Nanos, out: &mut BatchOutcome) {
         out.outcomes.clear();
         let mut t = start;
@@ -140,24 +124,24 @@ pub trait Platform {
     }
 
     /// Opts the platform into simulated-time span tracing: installs a
-    /// telemetry sink on the platform's internal serving spine. Returns
-    /// `true` if the platform emits its own spans (controller, tag-array,
-    /// NVMe, MSI, archive layers).
+    /// telemetry sink on the platform's internal serving spine.
     ///
-    /// Only the HAMS variants carry an instrumentable controller and
-    /// override this; every other system keeps this fallback and returns
-    /// `false` — their request-level spans still come from the traced
-    /// runners, which trace *every* platform. Tracing is observation-only:
-    /// spans record already-computed simulated timestamps, so metrics are
-    /// byte-identical with tracing on or off
+    /// Only the HAMS variants carry an instrumentable controller (controller,
+    /// tag-array, NVMe, MSI and archive spans) and override this; every
+    /// other system ignores the sink. Their request-level spans still come
+    /// from the traced runners, which trace *every* platform. Tracing is
+    /// observation-only: spans record already-computed simulated
+    /// timestamps, so metrics are byte-identical with tracing on or off
     /// (`tests/telemetry_equivalence.rs` pins this on all eleven platforms).
-    fn configure_trace(&mut self, _sink: TelemetrySink) -> bool {
-        false
-    }
+    fn configure_trace(&mut self, _sink: TelemetrySink) {}
 
-    /// Moves any spans the platform's internal sink retained into `out`
-    /// (appending). No-op for platforms without an internal sink.
-    fn take_trace_spans(&mut self, _out: &mut Vec<Span>) {}
+    /// Hands back the sink [`Platform::configure_trace`] installed, with
+    /// every span it retained and its eviction counters, and leaves tracing
+    /// off. Platforms that ignore the sink return
+    /// [`TelemetrySink::disabled`].
+    fn take_trace_sink(&mut self) -> TelemetrySink {
+        TelemetrySink::disabled()
+    }
 
     /// Samples the platform's telemetry gauges (in-flight NVMe commands, MSI
     /// burst sizes, internal-DRAM evictions, journal writes, ...) as
@@ -251,7 +235,8 @@ mod tests {
         }
 
         let mut batched = Ramp { served: 0 };
-        let result = batched.serve_batch(&batch, start);
+        let mut result = BatchOutcome::with_capacity(batch.len());
+        batched.serve_batch_into(&batch, start, &mut result);
         assert_eq!(result.outcomes, expected);
         assert_eq!(result.finished_at(start), t);
     }
@@ -259,7 +244,8 @@ mod tests {
     #[test]
     fn empty_batch_finishes_at_start() {
         let mut p = Ramp { served: 0 };
-        let result = p.serve_batch(&[], Nanos::from_micros(3));
+        let mut result = BatchOutcome::with_capacity(0);
+        p.serve_batch_into(&[], Nanos::from_micros(3), &mut result);
         assert!(result.outcomes.is_empty());
         assert_eq!(
             result.finished_at(Nanos::from_micros(3)),

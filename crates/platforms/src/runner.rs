@@ -4,11 +4,12 @@
 use hams_energy::{EnergyAccount, PowerParams};
 use hams_host::{CpuConfig, CpuModel};
 use hams_sim::{parallel_map, ComponentId, LatencyBreakdown, Nanos};
-use hams_telemetry::{Layer, RunTelemetry, Span, TelemetrySink, TraceSink};
+use hams_telemetry::RunTelemetry;
 use hams_workloads::{TraceGenerator, WorkloadClass, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
-use crate::platform::{BatchOutcome, BatchRequest, Platform};
+use crate::observe::{Observer, Tracer};
+use crate::platform::{AccessOutcome, BatchOutcome, BatchRequest, Platform};
 use crate::registry::{standard_registry, PlatformRegistry};
 
 /// Number of MoS accesses that constitute one SQLite "operation" when
@@ -203,8 +204,7 @@ impl PlatformKind {
 
     /// Builds the platform with caches sized by `scale`.
     ///
-    /// Construction is delegated to the shared
-    /// [`standard_registry`](crate::registry::standard_registry); the
+    /// Construction is delegated to the shared [`standard_registry`]; the
     /// registry — not this enum — is the extension point for new systems.
     #[must_use]
     pub fn build(&self, scale: &ScaleProfile) -> Box<dyn Platform> {
@@ -214,7 +214,7 @@ impl PlatformKind {
     }
 }
 
-/// Number of accesses handed to [`Platform::serve_batch`] per call by
+/// Number of accesses handed to [`Platform::serve_batch_into`] per call by
 /// [`run_workload`]. Large enough to amortize per-batch setup, small enough
 /// that the request buffer stays cache-resident.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
@@ -239,25 +239,12 @@ impl MetricsFold {
     }
 
     /// Accounts one served access: the compute phase that preceded it and
-    /// the stall its outcome caused. `outcome` must come from an access
-    /// issued at `self.now + compute`.
-    fn fold(&mut self, compute: Nanos, outcome: &crate::platform::AccessOutcome) {
-        let ready = self.now;
-        self.fold_from(ready, compute, outcome);
-    }
-
-    /// [`MetricsFold::fold`] with an explicit core-ready instant. The
-    /// closed-loop paths always resume at `self.now` (the previous access's
-    /// finish); the open-loop driver resumes each request at its dispatch
-    /// instant, which can sit past `now` while the server idles waiting for
-    /// an arrival. `outcome` must come from an access issued at
-    /// `ready + compute`.
-    pub(crate) fn fold_from(
-        &mut self,
-        ready: Nanos,
-        compute: Nanos,
-        outcome: &crate::platform::AccessOutcome,
-    ) {
+    /// the stall its outcome caused. The core was ready at `ready`: the
+    /// closed loops resume at `self.now` (the previous access's finish), the
+    /// open loop at each request's dispatch instant, which can sit past
+    /// `now` while the server idles waiting for an arrival. `outcome` must
+    /// come from an access issued at `ready + compute`.
+    pub(crate) fn fold(&mut self, ready: Nanos, compute: Nanos, outcome: &AccessOutcome) {
         self.accesses += 1;
         self.exec.add(ComponentId::APP, compute);
         let issued_at = ready + compute;
@@ -314,7 +301,7 @@ impl MetricsFold {
 
 /// Runs one workload on one platform and gathers metrics.
 ///
-/// The trace is served through [`Platform::serve_batch`] in chunks of
+/// The trace is served through [`Platform::serve_batch_into`] in chunks of
 /// [`DEFAULT_BATCH_SIZE`], which produces metrics byte-identical to the
 /// per-access reference path ([`run_workload_serial`]) while letting
 /// hardware-automated platforms amortize per-access setup.
@@ -333,7 +320,45 @@ pub fn run_workload_batched(
     scale: &ScaleProfile,
     batch_size: usize,
 ) -> RunMetrics {
+    run_closed_loop(platform, spec, scale, batch_size, ())
+}
+
+/// [`run_workload`] with telemetry collection.
+///
+/// Installs a recording sink on the platform (HAMS platforms emit
+/// controller / tag-array / NVMe / MSI / archive spans; platforms without a
+/// hardware controller ignore the sink), emits a request-layer span per
+/// served access, and samples the platform's telemetry gauges into
+/// `telemetry.registry` once per dispatched batch. Tracing is observation
+/// only: the returned metrics are byte-identical to [`run_workload`]
+/// (`tests/telemetry_equivalence.rs` pins this on every platform).
+pub fn run_workload_traced(
+    platform: &mut dyn Platform,
+    spec: WorkloadSpec,
+    scale: &ScaleProfile,
+    telemetry: &mut RunTelemetry,
+) -> RunMetrics {
+    run_closed_loop(
+        platform,
+        spec,
+        scale,
+        DEFAULT_BATCH_SIZE,
+        Tracer::new(telemetry),
+    )
+}
+
+/// The closed loop behind [`run_workload_batched`] and
+/// [`run_workload_traced`]: each batch issues when the previous one
+/// finishes.
+fn run_closed_loop<O: Observer>(
+    platform: &mut dyn Platform,
+    spec: WorkloadSpec,
+    scale: &ScaleProfile,
+    batch_size: usize,
+    mut observer: O,
+) -> RunMetrics {
     let batch_size = batch_size.max(1);
+    observer.start(platform);
     let scaled = scale.scale_spec(spec);
     let mut fold = MetricsFold::new();
     let mut trace = TraceGenerator::new(scaled, scale.seed, scale.accesses);
@@ -366,98 +391,14 @@ pub fn run_workload_batched(
             batch.len()
         );
         for (request, outcome) in batch.iter().zip(&result.outcomes) {
-            fold.fold(request.compute, outcome);
+            observer.access(fold.now, request, outcome);
+            fold.fold(fold.now, request.compute, outcome);
         }
+        observer.batch(platform, fold.now, fold.accesses);
     }
 
+    observer.finish(platform);
     fold.finish(platform, spec, scaled)
-}
-
-/// [`run_workload`] with telemetry collection.
-///
-/// Installs a recording sink on the platform (HAMS platforms emit
-/// controller / tag-array / NVMe / MSI / archive spans; platforms without a
-/// hardware controller ignore the sink), emits a [`Layer::Request`] span per
-/// served access, and samples the platform's telemetry gauges into
-/// `telemetry.registry` once per dispatched batch. Tracing is observation
-/// only: the returned metrics are byte-identical to [`run_workload`]
-/// (`tests/telemetry_equivalence.rs` pins this on every platform).
-pub fn run_workload_traced(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    telemetry: &mut RunTelemetry,
-) -> RunMetrics {
-    platform.configure_trace(TelemetrySink::recording(telemetry.recorder.capacity()));
-    let batch_size = DEFAULT_BATCH_SIZE;
-    let scaled = scale.scale_spec(spec);
-    let mut fold = MetricsFold::new();
-    let mut trace = TraceGenerator::new(scaled, scale.seed, scale.accesses);
-    let mut batch: Vec<BatchRequest> = Vec::with_capacity(batch_size.min(scale.accesses));
-    let mut result = BatchOutcome::with_capacity(batch_size.min(scale.accesses));
-    let mut gauges: Vec<(&'static str, f64)> = Vec::new();
-
-    loop {
-        batch.clear();
-        while batch.len() < batch_size {
-            let Some(access) = trace.next() else { break };
-            let compute = fold.cpu.retire(access.compute_instructions + 1);
-            batch.push(BatchRequest { access, compute });
-        }
-        if batch.is_empty() {
-            break;
-        }
-        platform.serve_batch_into(&batch, fold.now, &mut result);
-        assert_eq!(
-            result.outcomes.len(),
-            batch.len(),
-            "{} returned {} outcomes for a batch of {}",
-            platform.name(),
-            result.outcomes.len(),
-            batch.len()
-        );
-        for (request, outcome) in batch.iter().zip(&result.outcomes) {
-            let issued_at = fold.now + request.compute;
-            telemetry.recorder.record(
-                Span::new(Layer::Request, "access", issued_at, outcome.finished_at)
-                    .with_request(request.access.addr / 4096),
-            );
-            fold.fold(request.compute, outcome);
-        }
-        telemetry
-            .registry
-            .counter("accesses_served", fold.now, fold.accesses as f64);
-        sample_platform_gauges(platform, fold.now, &mut gauges, &mut telemetry.registry);
-    }
-
-    drain_platform_spans(platform, telemetry);
-    fold.finish(platform, spec, scaled)
-}
-
-/// Samples every gauge a platform exposes via
-/// [`Platform::telemetry_gauges`] into `registry` at simulated instant `at`,
-/// reusing `scratch` so the sampling path allocates nothing after warm-up.
-pub(crate) fn sample_platform_gauges(
-    platform: &dyn Platform,
-    at: Nanos,
-    scratch: &mut Vec<(&'static str, f64)>,
-    registry: &mut hams_telemetry::MetricsRegistry,
-) {
-    scratch.clear();
-    platform.telemetry_gauges(scratch);
-    for (name, value) in scratch.drain(..) {
-        registry.gauge(name, at, value);
-    }
-}
-
-/// Moves the spans the platform's own sink collected (controller, tag array,
-/// NVMe, MSI, archive) into the run-level recorder.
-pub(crate) fn drain_platform_spans(platform: &mut dyn Platform, telemetry: &mut RunTelemetry) {
-    let mut drained: Vec<Span> = Vec::new();
-    platform.take_trace_spans(&mut drained);
-    for span in drained {
-        telemetry.recorder.record(span);
-    }
 }
 
 /// The per-access reference path: one [`Platform::access`] call per trace
@@ -473,7 +414,7 @@ pub fn run_workload_serial(
     for access in TraceGenerator::new(scaled, scale.seed, scale.accesses) {
         let compute = fold.cpu.retire(access.compute_instructions + 1);
         let outcome = platform.access(&access, fold.now + compute);
-        fold.fold(compute, &outcome);
+        fold.fold(fold.now, compute, &outcome);
     }
 
     fold.finish(platform, spec, scaled)
@@ -550,6 +491,7 @@ pub fn run_grid_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hams_telemetry::Layer;
 
     fn quick_scale() -> ScaleProfile {
         ScaleProfile {

@@ -354,8 +354,17 @@ impl Histogram {
     /// samples — the shared definition behind [`Histogram::percentile`] and
     /// [`Histogram::percentiles`].
     fn rank_of(p: f64, count: u64) -> u64 {
-        let p = p.clamp(0.0, 100.0);
-        ((p / 100.0) * count as f64).ceil().max(1.0) as u64
+        let exact = p.clamp(0.0, 100.0) / 100.0 * count as f64;
+        // `99.9 / 100.0` is 0.9990000000000001, so a product that should be
+        // an integer can land just above it; snap it back before the
+        // ceiling, or p99.9 of 1000 samples would resolve to rank 1000.
+        let nearest = exact.round();
+        let rank = if (exact - nearest).abs() <= nearest * 1e-9 {
+            nearest
+        } else {
+            exact.ceil()
+        };
+        rank.max(1.0) as u64
     }
 
     /// The standard tail summary — count, mean, p50/p99/p99.9 and max — in
@@ -860,6 +869,19 @@ mod tests {
         assert_eq!(h.percentile(0.0), Some(Nanos::from_nanos(20)));
         // Out-of-range p clamps to 100.
         assert_eq!(h.percentile(250.0), h.percentile(100.0));
+
+        // 1000 samples in 1ns buckets: sample k (1-based) lands in bucket
+        // k - 1, whose upper edge is k ns. 0.999 * 1000 is exactly 999, so
+        // p99.9 is the 999th sample, not the maximum.
+        let mut h = Histogram::new(Nanos::from_nanos(1), 1_000);
+        for i in 0..1_000u64 {
+            h.record(Nanos::from_nanos(i));
+        }
+        let p999 = Some(Nanos::from_nanos(999));
+        assert_eq!(h.percentile(99.9), p999);
+        assert_eq!(h.percentiles(&[99.9]), vec![p999]);
+        assert_eq!(h.summary().map(|s| s.p999), p999);
+        assert_eq!(h.percentile(100.0), Some(Nanos::from_nanos(1_000)));
     }
 
     #[test]

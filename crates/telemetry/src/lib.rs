@@ -8,11 +8,10 @@
 //! 1. **Span tracing** — [`Span`] describes one interval of a request's
 //!    lifecycle (admission wait, controller access, tag probe, NVMe submit,
 //!    MSI delivery, archive service, ...), tagged with the tenant, tag shard,
-//!    queue pair and archive device it touched. [`TraceSink`] is the
-//!    collection trait; [`NoopSink`] is the zero-cost default and
-//!    [`SpanRecorder`] a bounded ring buffer. [`TelemetrySink`] is the
-//!    concrete enum the serving spine threads through (a single branch on the
-//!    hot path when disabled — no allocation, no virtual dispatch).
+//!    queue pair and archive device it touched. [`SpanRecorder`] is a bounded
+//!    ring buffer of spans, and [`TelemetrySink`] the enum the serving spine
+//!    threads through: disabled by default, a single branch on the hot path
+//!    when off (no allocation, no virtual dispatch), a recorder when on.
 //! 2. **Metrics registry** — [`MetricsRegistry`] samples named counters and
 //!    gauges into time-bucketed series during a run (admission queue depth,
 //!    in-flight NVMe commands, MSI burst sizes, internal-DRAM evictions,
@@ -32,7 +31,7 @@ mod span;
 
 pub use export::chrome_trace_json;
 pub use registry::{MetricKind, MetricSeries, MetricsRegistry, SeriesBucket};
-pub use sink::{NoopSink, SpanRecorder, TelemetrySink, TraceSink};
+pub use sink::{SpanRecorder, TelemetrySink};
 pub use span::{component_spans, Layer, Span};
 
 use hams_sim::Nanos;
@@ -48,8 +47,8 @@ pub const DEFAULT_BUCKET_WIDTH: Nanos = Nanos::from_micros(100);
 /// when tracing is requested; exporters consume it afterwards.
 #[derive(Debug, Clone)]
 pub struct RunTelemetry {
-    /// Ring buffer of recorded spans (runner-level request spans plus the
-    /// spans drained from the platform's own sink at the end of the run).
+    /// Ring buffer of recorded spans: runner-level request spans, then the
+    /// platform's own sink absorbed at the end of the run.
     pub recorder: SpanRecorder,
     /// Time-bucketed counter/gauge series sampled during the run.
     pub registry: MetricsRegistry,

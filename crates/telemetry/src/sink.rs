@@ -4,34 +4,6 @@ use std::collections::VecDeque;
 
 use crate::span::Span;
 
-/// A consumer of emitted spans.
-///
-/// The serving spine calls [`TraceSink::is_enabled`] before building a span
-/// so the disabled path costs one branch and never allocates; `record` is
-/// only reached with a fully-built span.
-pub trait TraceSink {
-    /// Whether the sink wants spans at all. Emitters skip span construction
-    /// entirely when this is `false`.
-    fn is_enabled(&self) -> bool;
-    /// Accepts one span. Must not panic: telemetry observes the run, it
-    /// never aborts it.
-    fn record(&mut self, span: Span);
-}
-
-/// The zero-cost default sink: reports disabled, drops everything.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn record(&mut self, _span: Span) {}
-}
-
 /// A bounded ring buffer of spans. When full it drops the *oldest* span and
 /// counts the loss, so a long run keeps its most recent window rather than
 /// aborting or growing without bound.
@@ -95,10 +67,15 @@ impl SpanRecorder {
         self.ring.iter()
     }
 
-    /// Moves every retained span into `out` (appending) and empties the ring.
-    /// Eviction counters are kept so a drained recorder still reports losses.
-    pub fn drain_into(&mut self, out: &mut Vec<Span>) {
-        out.extend(self.ring.drain(..));
+    /// Records every span `other` retained, oldest first, and carries over
+    /// the spans `other` itself evicted, so [`SpanRecorder::recorded`] and
+    /// [`SpanRecorder::dropped`] count every span either ring ever saw.
+    pub fn absorb(&mut self, other: SpanRecorder) {
+        for span in other.ring {
+            self.record(span);
+        }
+        self.recorded += other.dropped;
+        self.dropped += other.dropped;
     }
 
     /// Forgets all retained spans and resets the counters.
@@ -107,15 +84,17 @@ impl SpanRecorder {
         self.recorded = 0;
         self.dropped = 0;
     }
-}
 
-impl TraceSink for SpanRecorder {
+    /// Always `true`: a recorder wants every span.
     #[inline]
-    fn is_enabled(&self) -> bool {
+    #[must_use]
+    pub fn is_enabled(&self) -> bool {
         true
     }
 
-    fn record(&mut self, span: Span) {
+    /// Accepts one span, evicting the oldest when the ring is full. Never
+    /// panics: telemetry observes the run, it never aborts it.
+    pub fn record(&mut self, span: Span) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -127,10 +106,9 @@ impl TraceSink for SpanRecorder {
 
 /// The concrete sink the serving spine owns.
 ///
-/// An enum rather than a `dyn TraceSink` so the controller stays `Clone`-free
-/// of object-safety concerns and the disabled check compiles to a tag test.
-/// The [`TraceSink`] trait remains the extension point for custom sinks at
-/// the API boundary; inside the spine this enum is the storage.
+/// An enum rather than a trait object, so the disabled check compiles to a
+/// tag test: the serving spine calls [`TelemetrySink::is_enabled`] before
+/// building a span, and the disabled path never allocates.
 #[derive(Debug, Clone, Default)]
 pub enum TelemetrySink {
     /// Tracing off: the allocation-free default.
@@ -162,22 +140,17 @@ impl TelemetrySink {
         }
     }
 
-    /// Moves retained spans into `out` (appending). No-op when disabled.
-    pub fn drain_into(&mut self, out: &mut Vec<Span>) {
-        if let TelemetrySink::Recorder(r) = self {
-            r.drain_into(out);
-        }
-    }
-}
-
-impl TraceSink for TelemetrySink {
+    /// Whether spans are wanted at all. Emitters skip span construction
+    /// entirely when this is `false`.
     #[inline]
-    fn is_enabled(&self) -> bool {
+    #[must_use]
+    pub fn is_enabled(&self) -> bool {
         matches!(self, TelemetrySink::Recorder(_))
     }
 
+    /// Accepts one span; dropped when disabled.
     #[inline]
-    fn record(&mut self, span: Span) {
+    pub fn record(&mut self, span: Span) {
         if let TelemetrySink::Recorder(r) = self {
             r.record(span);
         }
@@ -200,13 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn noop_sink_reports_disabled() {
-        let mut s = NoopSink;
-        assert!(!s.is_enabled());
-        s.record(span(1));
-    }
-
-    #[test]
     fn recorder_evicts_oldest_when_full() {
         let mut r = SpanRecorder::new(2);
         r.record(span(1));
@@ -220,15 +186,19 @@ mod tests {
     }
 
     #[test]
-    fn drain_moves_spans_and_keeps_counters() {
-        let mut r = SpanRecorder::new(4);
-        r.record(span(1));
-        r.record(span(2));
-        let mut out = Vec::new();
-        r.drain_into(&mut out);
-        assert_eq!(out.len(), 2);
-        assert!(r.is_empty());
-        assert_eq!(r.recorded(), 2);
+    fn absorb_appends_spans_and_carries_counters() {
+        let mut run = SpanRecorder::new(3);
+        run.record(span(1));
+        let mut platform = SpanRecorder::new(2);
+        for n in 2..=5 {
+            platform.record(span(n));
+        }
+        run.absorb(platform);
+        let starts: Vec<u64> = run.spans().map(|s| s.start.as_nanos()).collect();
+        assert_eq!(starts, vec![1, 4, 5]);
+        assert_eq!(run.recorded(), 5);
+        assert_eq!(run.dropped(), 2);
+        assert_eq!(run.len() as u64 + run.dropped(), run.recorded());
     }
 
     #[test]
@@ -244,9 +214,6 @@ mod tests {
         assert!(sink.is_enabled());
         sink.record(span(5));
         assert_eq!(sink.recorder().unwrap().len(), 1);
-        let mut out = Vec::new();
-        sink.drain_into(&mut out);
-        assert_eq!(out.len(), 1);
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! `hams-platforms` consumes exactly like a single-tenant stream.
 //!
 //! Determinism contract: tenant *i* draws its trace and arrival streams from
-//! [`tenant_seed`]`(base, i)`, and tenant 0's seed **is** the base seed, so a
-//! single-tenant set produces byte-for-byte the stream a plain open-loop run
-//! would (the degenerate pin in `tests/tenant_equivalence.rs`). Merging is a
-//! stable earliest-arrival scan with ties broken by tenant index, so the
-//! merged order is a pure function of the seeds.
+//! [`tenant_seed`]`(base, i)`, and tenant 0's seed **is** the base seed, so
+//! the source of a single-tenant set is exactly its workload's trace zipped
+//! with its arrival schedule. The open-loop engine relies on this: a
+//! single-tenant run is the one-tenant set. Merging is a stable
+//! earliest-arrival scan with ties broken by tenant index, so the merged
+//! order is a pure function of the seeds.
 
 use serde::{Deserialize, Serialize};
 use std::iter::{Peekable, Zip};
@@ -114,8 +115,9 @@ impl TenantSet {
         set
     }
 
-    /// The degenerate single-tenant set, which must behave byte-identically
-    /// to a plain open-loop run of the same workload and arrival process.
+    /// The one-tenant set: its source is exactly the workload's trace zipped
+    /// with the arrival schedule, which is how single-tenant open-loop runs
+    /// are served.
     #[must_use]
     pub fn single(name: impl Into<String>, spec: WorkloadSpec, arrivals: ArrivalProcess) -> Self {
         TenantSet::new(vec![TenantSpec::new(name, spec, arrivals)])

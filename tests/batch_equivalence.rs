@@ -1,11 +1,11 @@
 //! The batched serving path and the parallel grid must be *semantically
-//! invisible*: for every platform, `serve_batch` (and the batched runner
+//! invisible*: for every platform, `serve_batch_into` (and the batched runner
 //! built on it) produces metrics byte-identical to the per-access reference
 //! loop, and the parallel grid matches a serial sweep cell for cell.
 
 use hams::platforms::{
     run_grid, run_grid_serial, run_workload, run_workload_batched, run_workload_serial,
-    BatchRequest, PlatformKind, ScaleProfile,
+    BatchOutcome, BatchRequest, PlatformKind, ScaleProfile,
 };
 use hams::sim::Nanos;
 use hams::workloads::{TraceGenerator, WorkloadSpec};
@@ -61,11 +61,12 @@ fn serve_batch_outcomes_equal_the_access_loop_for_every_platform() {
         }
 
         let mut batched = kind.build(&scale);
-        let result = batched.serve_batch(&batch, start);
+        let mut result = BatchOutcome::with_capacity(batch.len());
+        batched.serve_batch_into(&batch, start, &mut result);
         assert_eq!(
             result.outcomes,
             expected,
-            "{}: serve_batch outcomes diverged from the access loop",
+            "{}: serve_batch_into outcomes diverged from the access loop",
             kind.label()
         );
         assert_eq!(result.finished_at(start), t);

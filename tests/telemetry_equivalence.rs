@@ -17,7 +17,7 @@ use hams::platforms::{
     run_workload_open_loop, run_workload_open_loop_traced, run_workload_traced, OpenLoopConfig,
     PlatformKind, ScaleProfile,
 };
-use hams::telemetry::{Layer, RunTelemetry};
+use hams::telemetry::{Layer, RunTelemetry, DEFAULT_BUCKET_WIDTH};
 use hams::workloads::{ArrivalProcess, TenantSet, TenantSpec, WorkloadSpec};
 
 fn tiny() -> ScaleProfile {
@@ -141,6 +141,21 @@ fn traced_runs_cover_the_hardware_layers_on_hams_platforms() {
                 layer.name()
             );
         }
+
+        // A ring too small for the run still counts every span, the ones
+        // the platform's own ring evicted included.
+        assert_eq!(telemetry.recorder.dropped(), 0, "{}", kind.label());
+        let mut platform = kind.build(&scale);
+        let mut small = RunTelemetry::with_capacity(scale.accesses, DEFAULT_BUCKET_WIDTH);
+        run_workload_traced(platform.as_mut(), spec, &scale, &mut small);
+        let small = &small.recorder;
+        assert_eq!(small.len() as u64 + small.dropped(), small.recorded());
+        assert_eq!(
+            small.recorded(),
+            telemetry.recorder.recorded(),
+            "{}: a bounded ring lost count of the platform's evicted spans",
+            kind.label()
+        );
     }
 }
 
