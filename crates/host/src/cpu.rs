@@ -63,6 +63,10 @@ pub struct CpuModel {
     instructions: u64,
     compute_time: Nanos,
     stall_time: Nanos,
+    /// The last instruction count [`CpuModel::retire`] priced and its
+    /// [`CpuModel::compute_time_for`]: a workload retires the same count
+    /// before every access, so it is priced once.
+    priced: (u64, Nanos),
 }
 
 impl CpuModel {
@@ -74,6 +78,7 @@ impl CpuModel {
             instructions: 0,
             compute_time: Nanos::ZERO,
             stall_time: Nanos::ZERO,
+            priced: (0, Nanos::ZERO),
         }
     }
 
@@ -96,7 +101,10 @@ impl CpuModel {
     /// Retires `instructions` instructions, accumulating their compute time.
     /// Returns the time spent.
     pub fn retire(&mut self, instructions: u64) -> Nanos {
-        let t = self.compute_time_for(instructions);
+        if self.priced.0 != instructions {
+            self.priced = (instructions, self.compute_time_for(instructions));
+        }
+        let t = self.priced.1;
         self.instructions += instructions;
         self.compute_time += t;
         t
@@ -154,6 +162,33 @@ impl CpuModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Pricing a count once per run of equal counts changes nothing: each
+        /// retire returns `compute_time_for` of its count, and the totals are
+        /// the plain sums.
+        #[test]
+        fn retire_prices_every_count_like_compute_time_for(
+            runs in proptest::collection::vec((0u64..6, 1usize..5), 1..40),
+            fast in any::<bool>(),
+        ) {
+            let config = if fast { CpuConfig::i7_4790k() } else { CpuConfig::paper_default() };
+            let mut cpu = CpuModel::new(config);
+            let mut instructions = 0u64;
+            let mut compute_time = Nanos::ZERO;
+            for (count, repeats) in runs {
+                for _ in 0..repeats {
+                    let t = cpu.retire(count);
+                    prop_assert_eq!(t, cpu.compute_time_for(count));
+                    instructions += count;
+                    compute_time += t;
+                }
+            }
+            prop_assert_eq!(cpu.instructions(), instructions);
+            prop_assert_eq!(cpu.compute_time(), compute_time);
+        }
+    }
 
     #[test]
     fn compute_time_matches_frequency_and_ipc() {

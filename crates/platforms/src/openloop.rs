@@ -39,7 +39,6 @@ use hams_telemetry::RunTelemetry;
 use hams_workloads::{Access, ArrivalProcess, TenantSet, TenantSource, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::iter::Peekable;
 
 use crate::observe::{Observer, Tracer};
 use crate::platform::{BatchOutcome, BatchRequest, Platform};
@@ -403,14 +402,11 @@ impl AdmissionQueue {
     /// must therefore invoke this at every instant a slot *actually* frees
     /// (in particular at batch dispatch, when `pop_front` empties slots),
     /// not only when the server goes idle.
-    fn admit_until<I>(&mut self, source: &mut Peekable<I>, t: Nanos)
-    where
-        I: Iterator<Item = (usize, Access, Nanos)>,
-    {
+    fn admit_until(&mut self, source: &mut TenantSource, t: Nanos) {
         loop {
             let (item, from_door) = if let Some(blocked) = self.door.take() {
                 (blocked, true)
-            } else if source.peek().is_some_and(|&(_, _, arrival)| arrival <= t) {
+            } else if source.peek_arrival().is_some_and(|arrival| arrival <= t) {
                 let item = source.next().expect("peeked");
                 let (tenant, _, arrival) = item;
                 self.arrivals[tenant] += 1;
@@ -540,7 +536,7 @@ fn run_open_loop<O: Observer>(
         .iter()
         .map(|t| scale.scale_spec(t.spec))
         .collect();
-    let mut source = TenantSource::new(set, &scaled, scale.seed, scale.accesses).peekable();
+    let mut source = TenantSource::new(set, &scaled, scale.seed, scale.accesses);
     let expected = set.total_accesses(scale.accesses);
     let batch_size = config.batch_size.max(1);
     observer.start(platform);
@@ -577,7 +573,7 @@ fn run_open_loop<O: Observer>(
                 queue.door.is_none(),
                 "a blocked client implies a full queue"
             );
-            let Some(&(_, _, next_arrival)) = source.peek() else {
+            let Some(next_arrival) = source.peek_arrival() else {
                 break;
             };
             queue.admit_until(&mut source, server_free.max(next_arrival));

@@ -87,12 +87,39 @@ impl WorkloadSpec {
     /// epsilon above 1.0 (rounded table data) is rescaled so the ratios sum
     /// to exactly 1.0; anything larger is a construction error.
     ///
+    /// The access size and, for [`AccessPattern::Hotspot`], both fractions
+    /// are checked too: the trace generator divides the dataset by the
+    /// access size and confines hot accesses to the first `hot_fraction` of
+    /// it.
+    ///
     /// # Panics
     ///
-    /// Panics when either ratio is non-finite or negative, or when the sum
-    /// exceeds 1.0 beyond floating-point noise.
+    /// Panics when either ratio is non-finite or negative, when the sum
+    /// exceeds 1.0 beyond floating-point noise, when `access_bytes` is zero,
+    /// or when a hotspot fraction is non-finite or outside `[0, 1]`.
     #[must_use]
     pub fn validated(mut self) -> Self {
+        assert!(
+            self.access_bytes > 0,
+            "workload {}: access_bytes must be non-zero",
+            self.name
+        );
+        if let AccessPattern::Hotspot {
+            hot_fraction,
+            hot_access_fraction,
+        } = self.pattern
+        {
+            for (what, f) in [
+                ("hot_fraction", hot_fraction),
+                ("hot_access_fraction", hot_access_fraction),
+            ] {
+                assert!(
+                    f.is_finite() && (0.0..=1.0).contains(&f),
+                    "workload {}: {what} {f} must be finite and within [0, 1]",
+                    self.name
+                );
+            }
+        }
         assert!(
             self.load_ratio.is_finite() && self.load_ratio >= 0.0,
             "workload {}: load_ratio {} must be finite and non-negative",
@@ -326,6 +353,28 @@ pub struct TraceGenerator {
     rng: rand::rngs::StdRng,
     remaining: usize,
     next_sequential: u64,
+    /// Access-sized slots in the dataset.
+    slots: u64,
+    /// The spec's pattern with its per-access constants resolved.
+    pattern: SlotPattern,
+    /// Probability that an access is a store.
+    write_fraction: f64,
+    /// Compute instructions preceding every access.
+    compute_per_access: u64,
+}
+
+/// How [`TraceGenerator`] picks a slot, with the spec's constants resolved
+/// once so an access pays only for its random draws.
+#[derive(Debug, Clone, Copy)]
+enum SlotPattern {
+    Sequential,
+    Random,
+    Hotspot {
+        /// Slots in the hot region at the start of the dataset.
+        hot_slots: u64,
+        /// Probability that an access falls in the hot region.
+        hot_access_fraction: f64,
+    },
 }
 
 impl TraceGenerator {
@@ -333,16 +382,32 @@ impl TraceGenerator {
     ///
     /// # Panics
     ///
-    /// Panics when the spec fails [`WorkloadSpec::validated`] (ratio
-    /// accounting broken at construction).
+    /// Panics when the spec fails [`WorkloadSpec::validated`].
     #[must_use]
     pub fn new(spec: WorkloadSpec, seed: u64, count: usize) -> Self {
         let spec = spec.validated();
+        let span = spec.dataset_bytes.max(spec.access_bytes);
+        let slots = (span / spec.access_bytes).max(1);
+        let pattern = match spec.pattern {
+            AccessPattern::Sequential => SlotPattern::Sequential,
+            AccessPattern::Random => SlotPattern::Random,
+            AccessPattern::Hotspot {
+                hot_fraction,
+                hot_access_fraction,
+            } => SlotPattern::Hotspot {
+                hot_slots: ((slots as f64 * hot_fraction).ceil() as u64).max(1),
+                hot_access_fraction: hot_access_fraction.clamp(0.0, 1.0),
+            },
+        };
         TraceGenerator {
             spec,
             rng: derived_rng(seed, spec.name),
             remaining: count,
             next_sequential: 0,
+            slots,
+            pattern,
+            write_fraction: spec.write_fraction().clamp(0.0, 1.0),
+            compute_per_access: spec.compute_per_access(),
         }
     }
 
@@ -352,25 +417,22 @@ impl TraceGenerator {
         &self.spec
     }
 
-    fn next_addr(&mut self) -> u64 {
-        let span = self.spec.dataset_bytes.max(self.spec.access_bytes);
-        let slots = (span / self.spec.access_bytes).max(1);
-        match self.spec.pattern {
-            AccessPattern::Sequential => {
-                let slot = self.next_sequential % slots;
+    fn next_slot(&mut self) -> u64 {
+        match self.pattern {
+            SlotPattern::Sequential => {
+                let slot = self.next_sequential % self.slots;
                 self.next_sequential += 1;
-                slot * self.spec.access_bytes
+                slot
             }
-            AccessPattern::Random => self.rng.gen_range(0..slots) * self.spec.access_bytes,
-            AccessPattern::Hotspot {
-                hot_fraction,
+            SlotPattern::Random => self.rng.gen_range(0..self.slots),
+            SlotPattern::Hotspot {
+                hot_slots,
                 hot_access_fraction,
             } => {
-                let hot_slots = ((slots as f64 * hot_fraction).ceil() as u64).max(1);
-                if self.rng.gen_bool(hot_access_fraction.clamp(0.0, 1.0)) {
-                    self.rng.gen_range(0..hot_slots) * self.spec.access_bytes
+                if self.rng.gen_bool(hot_access_fraction) {
+                    self.rng.gen_range(0..hot_slots)
                 } else {
-                    self.rng.gen_range(0..slots) * self.spec.access_bytes
+                    self.rng.gen_range(0..self.slots)
                 }
             }
         }
@@ -380,20 +442,19 @@ impl TraceGenerator {
 impl Iterator for TraceGenerator {
     type Item = Access;
 
+    #[inline]
     fn next(&mut self) -> Option<Access> {
         if self.remaining == 0 {
             return None;
         }
         self.remaining -= 1;
-        let addr = self.next_addr();
-        let is_write = self
-            .rng
-            .gen_bool(self.spec.write_fraction().clamp(0.0, 1.0));
+        let addr = self.next_slot() * self.spec.access_bytes;
+        let is_write = self.rng.gen_bool(self.write_fraction);
         Some(Access {
             addr,
             size: self.spec.access_bytes,
             is_write,
-            compute_instructions: self.spec.compute_per_access(),
+            compute_instructions: self.compute_per_access,
         })
     }
 
@@ -407,6 +468,92 @@ impl ExactSizeIterator for TraceGenerator {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-access formulas [`TraceGenerator`] replaced, which re-derived
+    /// every spec constant on every access. Kept as its reference.
+    struct ReferenceTrace {
+        spec: WorkloadSpec,
+        rng: rand::rngs::StdRng,
+        remaining: usize,
+        next_sequential: u64,
+    }
+
+    impl ReferenceTrace {
+        fn new(spec: WorkloadSpec, seed: u64, count: usize) -> Self {
+            let spec = spec.validated();
+            ReferenceTrace {
+                spec,
+                rng: derived_rng(seed, spec.name),
+                remaining: count,
+                next_sequential: 0,
+            }
+        }
+
+        fn next_addr(&mut self) -> u64 {
+            let span = self.spec.dataset_bytes.max(self.spec.access_bytes);
+            let slots = (span / self.spec.access_bytes).max(1);
+            match self.spec.pattern {
+                AccessPattern::Sequential => {
+                    let slot = self.next_sequential % slots;
+                    self.next_sequential += 1;
+                    slot * self.spec.access_bytes
+                }
+                AccessPattern::Random => self.rng.gen_range(0..slots) * self.spec.access_bytes,
+                AccessPattern::Hotspot {
+                    hot_fraction,
+                    hot_access_fraction,
+                } => {
+                    let hot_slots = ((slots as f64 * hot_fraction).ceil() as u64).max(1);
+                    if self.rng.gen_bool(hot_access_fraction.clamp(0.0, 1.0)) {
+                        self.rng.gen_range(0..hot_slots) * self.spec.access_bytes
+                    } else {
+                        self.rng.gen_range(0..slots) * self.spec.access_bytes
+                    }
+                }
+            }
+        }
+    }
+
+    impl Iterator for ReferenceTrace {
+        type Item = Access;
+
+        fn next(&mut self) -> Option<Access> {
+            if self.remaining == 0 {
+                return None;
+            }
+            self.remaining -= 1;
+            let addr = self.next_addr();
+            let is_write = self
+                .rng
+                .gen_bool(self.spec.write_fraction().clamp(0.0, 1.0));
+            Some(Access {
+                addr,
+                size: self.spec.access_bytes,
+                is_write,
+                compute_instructions: self.spec.compute_per_access(),
+            })
+        }
+    }
+
+    #[test]
+    fn generator_equals_the_per_access_reference_on_every_table3_spec() {
+        // 64 KiB holds fewer slots than the 4 KiB microbenchmarks draw, so
+        // the sequential scans wrap; 1 GiB keeps every slot count large.
+        for spec in WorkloadSpec::table3() {
+            for dataset in [64 << 10, 1 << 30] {
+                let spec = spec.with_dataset_bytes(dataset);
+                for seed in [42, 20211] {
+                    let fast: Vec<Access> = TraceGenerator::new(spec, seed, 3000).collect();
+                    let reference: Vec<Access> = ReferenceTrace::new(spec, seed, 3000).collect();
+                    assert_eq!(
+                        fast, reference,
+                        "{} over {dataset} B at seed {seed}",
+                        spec.name
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn table3_lists_all_twelve_workloads() {
@@ -522,6 +669,46 @@ mod tests {
         let mut spec = WorkloadSpec::by_name("rndRd").unwrap();
         spec.store_ratio = -0.1;
         let _ = spec.validated();
+    }
+
+    #[test]
+    #[should_panic(expected = "access_bytes must be non-zero")]
+    fn validated_rejects_zero_access_size() {
+        let mut spec = WorkloadSpec::by_name("rndRd").unwrap();
+        spec.access_bytes = 0;
+        let _ = spec.validated();
+    }
+
+    #[test]
+    #[should_panic(expected = "hot_fraction 1.5 must be finite and within [0, 1]")]
+    fn validated_rejects_a_hot_region_larger_than_the_dataset() {
+        // Before the check, 1.5 put ~30% of the accesses past the dataset.
+        let mut spec = WorkloadSpec::by_name("rndSel")
+            .unwrap()
+            .with_dataset_bytes(1 << 20);
+        spec.pattern = AccessPattern::Hotspot {
+            hot_fraction: 1.5,
+            hot_access_fraction: 0.85,
+        };
+        let _ = TraceGenerator::new(spec, 42, 10_000);
+    }
+
+    #[test]
+    fn validated_rejects_non_finite_and_negative_hotspot_fractions() {
+        for (hot_fraction, hot_access_fraction) in [
+            (f64::NAN, 0.85),
+            (0.2, f64::INFINITY),
+            (-0.1, 0.85),
+            (0.2, 1.01),
+        ] {
+            let mut spec = WorkloadSpec::by_name("update").unwrap();
+            spec.pattern = AccessPattern::Hotspot {
+                hot_fraction,
+                hot_access_fraction,
+            };
+            let rejected = std::panic::catch_unwind(|| spec.validated()).is_err();
+            assert!(rejected, "({hot_fraction}, {hot_access_fraction}) accepted");
+        }
     }
 
     #[test]

@@ -16,9 +16,14 @@
 //! single-tenant run is the one-tenant set. Merging is a stable
 //! earliest-arrival scan with ties broken by tenant index, so the merged
 //! order is a pure function of the seeds.
+//!
+//! The merge looks only at arrival instants. Each tenant holds its next
+//! arrival instant and its two generators; a request's access is generated
+//! when the request is taken. The trace and the schedule draw from
+//! independent seeded streams, so generating the access late changes
+//! nothing in the merged stream.
 
 use serde::{Deserialize, Serialize};
-use std::iter::{Peekable, Zip};
 
 use hams_sim::Nanos;
 
@@ -182,8 +187,15 @@ impl TenantSet {
     }
 }
 
-/// One per-tenant request stream: the zipped trace × arrival iterator.
-type TenantStream = Peekable<Zip<TraceGenerator, ArrivalGenerator>>;
+/// One tenant's request stream: its generators and the arrival instant of
+/// its next request.
+#[derive(Debug)]
+struct TenantStream {
+    trace: TraceGenerator,
+    arrivals: ArrivalGenerator,
+    /// `None` once the tenant has offered every request.
+    next_arrival: Option<Nanos>,
+}
 
 /// The merged, time-ordered request source of a [`TenantSet`]: yields
 /// `(tenant, access, arrival)` tuples in non-decreasing arrival order, with
@@ -193,6 +205,8 @@ type TenantStream = Peekable<Zip<TraceGenerator, ArrivalGenerator>>;
 #[derive(Debug)]
 pub struct TenantSource {
     streams: Vec<TenantStream>,
+    /// The tenant whose request arrives next, and its arrival instant.
+    head: Option<(usize, Nanos)>,
 }
 
 impl TenantSource {
@@ -226,12 +240,40 @@ impl TenantSource {
             .map(|(i, (t, &spec))| {
                 let count = t.accesses_or(default_accesses);
                 let seed = tenant_seed(base_seed, i);
-                TraceGenerator::new(spec, seed, count)
-                    .zip(ArrivalGenerator::new(t.arrivals, seed, count))
-                    .peekable()
+                let mut arrivals = ArrivalGenerator::new(t.arrivals, seed, count);
+                TenantStream {
+                    trace: TraceGenerator::new(spec, seed, count),
+                    next_arrival: arrivals.next(),
+                    arrivals,
+                }
             })
             .collect();
-        TenantSource { streams }
+        let mut source = TenantSource {
+            streams,
+            head: None,
+        };
+        source.head = source.earliest();
+        source
+    }
+
+    /// The arrival instant of the next request, without taking it.
+    #[must_use]
+    pub fn peek_arrival(&self) -> Option<Nanos> {
+        self.head.map(|(_, arrival)| arrival)
+    }
+
+    /// Earliest-arrival scan; strict `<` keeps the lowest tenant index on
+    /// ties, so the merge order is deterministic.
+    fn earliest(&self) -> Option<(usize, Nanos)> {
+        let mut best: Option<(usize, Nanos)> = None;
+        for (i, stream) in self.streams.iter().enumerate() {
+            if let Some(arrival) = stream.next_arrival {
+                if best.is_none_or(|(_, t)| arrival < t) {
+                    best = Some((i, arrival));
+                }
+            }
+        }
+        best
     }
 }
 
@@ -239,30 +281,22 @@ impl Iterator for TenantSource {
     type Item = (usize, Access, Nanos);
 
     fn next(&mut self) -> Option<Self::Item> {
-        // Earliest-arrival scan; strict `<` keeps the lowest tenant index on
-        // ties, so the merge order is deterministic.
-        let mut best: Option<(usize, Nanos)> = None;
-        for (i, stream) in self.streams.iter_mut().enumerate() {
-            if let Some(&(_, arrival)) = stream.peek() {
-                if best.is_none_or(|(_, t)| arrival < t) {
-                    best = Some((i, arrival));
-                }
-            }
-        }
-        let (i, _) = best?;
-        let (access, arrival) = self.streams[i].next().expect("peeked");
+        let (i, arrival) = self.head?;
+        let stream = &mut self.streams[i];
+        let access = stream
+            .trace
+            .next()
+            .expect("a trace is as long as its arrival schedule");
+        stream.next_arrival = stream.arrivals.next();
+        self.head = self.earliest();
         Some((i, access, arrival))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let mut lower = 0usize;
-        let mut upper = Some(0usize);
-        for s in &self.streams {
-            let (lo, hi) = s.size_hint();
-            lower += lo;
-            upper = upper.zip(hi).map(|(a, b)| a + b);
-        }
-        (lower, upper)
+        // A request's access is generated when it is taken, so each trace's
+        // remaining length is its tenant's remaining request count.
+        let remaining = self.streams.iter().map(|s| s.trace.len()).sum();
+        (remaining, Some(remaining))
     }
 }
 
@@ -318,6 +352,98 @@ mod tests {
         // The saturating tenant's arrivals are all at t = 0, tie-broken by
         // index: tenant 2 owns the head of the merged stream.
         assert!(merged[..400].iter().all(|&(t, _, a)| t == 2 && a.is_zero()));
+    }
+
+    /// The merge [`TenantSource`] replaced: each tenant's trace zipped with
+    /// its arrival schedule, a request generated ahead into a peek buffer,
+    /// and an earliest-arrival scan over the buffered heads. Kept as its
+    /// reference.
+    fn reference_merge(
+        set: &TenantSet,
+        scaled: &[WorkloadSpec],
+        base_seed: u64,
+        default_accesses: usize,
+    ) -> Vec<(usize, Access, Nanos)> {
+        let mut streams: Vec<_> = set
+            .tenants
+            .iter()
+            .zip(scaled)
+            .enumerate()
+            .map(|(i, (t, &spec))| {
+                let count = t.accesses_or(default_accesses);
+                let seed = tenant_seed(base_seed, i);
+                TraceGenerator::new(spec, seed, count)
+                    .zip(ArrivalGenerator::new(t.arrivals, seed, count))
+                    .peekable()
+            })
+            .collect();
+        let mut merged = Vec::new();
+        loop {
+            let mut best: Option<(usize, Nanos)> = None;
+            for (i, stream) in streams.iter_mut().enumerate() {
+                if let Some(&(_, arrival)) = stream.peek() {
+                    if best.is_none_or(|(_, t)| arrival < t) {
+                        best = Some((i, arrival));
+                    }
+                }
+            }
+            let Some((i, _)) = best else {
+                return merged;
+            };
+            let (access, arrival) = streams[i].next().expect("peeked");
+            merged.push((i, access, arrival));
+        }
+    }
+
+    #[test]
+    fn merge_equals_the_peek_buffer_reference() {
+        let bursty = ArrivalProcess::Bursty {
+            base_rate_per_sec: 2e5,
+            burst_multiplier: 8.0,
+            mean_burst: Nanos::from_micros(20),
+            mean_calm: Nanos::from_micros(200),
+        };
+        let diurnal = ArrivalProcess::Diurnal {
+            trough_rate_per_sec: 1e5,
+            peak_rate_per_sec: 1e6,
+            period: Nanos::from_micros(500),
+        };
+        let set = TenantSet::new(vec![
+            TenantSpec::new("sat-a", spec("seqRd"), ArrivalProcess::Saturate).with_accesses(40),
+            TenantSpec::new("poisson", spec("rndRd"), poisson(5e5)),
+            TenantSpec::new("sat-b", spec("update"), ArrivalProcess::Saturate).with_accesses(25),
+            TenantSpec::new("bursty", spec("rndSel"), bursty).with_accesses(700),
+            TenantSpec::new("diurnal", spec("BFS"), diurnal).with_accesses(90),
+            TenantSpec::new("idle", spec("KMN"), poisson(1e6)).with_accesses(0),
+        ]);
+        let scaled: Vec<WorkloadSpec> = set
+            .tenants
+            .iter()
+            .map(|t| t.spec.with_dataset_bytes(1 << 24))
+            .collect();
+        for seed in [42, 20211] {
+            let mut source = TenantSource::new(&set, &scaled, seed, 400);
+            let mut merged = Vec::new();
+            loop {
+                let remaining = source.size_hint();
+                let head = source.peek_arrival();
+                let Some(item) = source.next() else {
+                    assert_eq!((head, remaining), (None, (0, Some(0))));
+                    break;
+                };
+                assert_eq!(head, Some(item.2), "the head query names the next arrival");
+                assert!(remaining.0 > 0 && remaining.1 == Some(remaining.0));
+                merged.push(item);
+            }
+            let reference = reference_merge(&set, &scaled, seed, 400);
+            assert_eq!(merged.len(), 40 + 400 + 25 + 700 + 90);
+            // The two saturating tenants tie at t = 0: the lower index first.
+            assert!(merged[..40].iter().all(|&(t, _, a)| t == 0 && a.is_zero()));
+            assert!(merged[40..65]
+                .iter()
+                .all(|&(t, _, a)| t == 2 && a.is_zero()));
+            assert_eq!(merged, reference, "seed {seed}");
+        }
     }
 
     #[test]
