@@ -1,11 +1,11 @@
 //! Figure and table regeneration for the HAMS reproduction.
 //!
 //! Each `figNN_*` function reproduces one figure of the paper's evaluation and
-//! returns its data points as plain rows; the `figures` binary prints them and
-//! the Criterion benches exercise them. Absolute values differ from the paper
-//! (the substrate is a transaction-level simulator, not the authors' gem5 +
-//! FPGA testbed); the relative ordering and approximate factors are what the
-//! reproduction targets (see EXPERIMENTS.md).
+//! returns its data points as plain rows; the `figures` binary prints them.
+//! Absolute values differ from the paper (the substrate is a
+//! transaction-level simulator, not the authors' gem5 + FPGA testbed); the
+//! relative ordering and approximate factors are what the reproduction
+//! targets (see EXPERIMENTS.md).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,17 +30,6 @@ use hams_telemetry::{Layer, RunTelemetry};
 use hams_workloads::{
     ArrivalProcess, FioJob, FioPattern, TenantSet, TenantSpec, WorkloadClass, WorkloadSpec,
 };
-
-/// Scale used by the Criterion benches (small enough to keep `cargo bench`
-/// under a few minutes).
-#[must_use]
-pub fn bench_scale() -> ScaleProfile {
-    ScaleProfile {
-        capacity_divisor: 2048,
-        accesses: 3_000,
-        seed: 42,
-    }
-}
 
 /// Scale used by the `figures` binary (larger, better statistics).
 #[must_use]
@@ -1603,9 +1592,9 @@ fn sorted_percentile_us(sorted: &[Nanos], p: f64) -> f64 {
     sorted[idx.min(last)].as_micros_f64()
 }
 
-/// The fault schedule fig26 and `throughput --faults` share, plus the
-/// expected simulated span it was derived from: device 0 fail-stops at 30%
-/// of the span (`FIG26_FAIL_FRACTION`), its spare arrives at 40%
+/// The fault schedule of fig26, plus the expected simulated span it was
+/// derived from: device 0 fail-stops at 30% of the span
+/// (`FIG26_FAIL_FRACTION`), its spare arrives at 40%
 /// (`FIG26_SPARE_FRACTION`), and the rebuild is paced at one row per
 /// 1/10,000th of the span so it finishes with a recovered tail left to
 /// measure at any scale.
@@ -1719,8 +1708,7 @@ pub fn fig26_phase<'a>(rows: &'a [Fig26Row], phase: &str) -> Option<&'a Fig26Row
     rows.iter().find(|r| r.phase == phase)
 }
 
-/// Prints any row type list under a header (used by the `figures` binary and
-/// the benches so each bench also regenerates its figure's series).
+/// Prints any row type list under a header (used by the `figures` binary).
 pub fn print_rows<T: fmt::Display>(header: &str, rows: &[T]) {
     println!("=== {header} ===");
     for r in rows {

@@ -338,9 +338,9 @@ pub fn fault_label() -> String {
 /// (`tests/fault_equivalence.rs` pins it); install a
 /// [`hams_core::FaultPlan`] through the concrete controller
 /// (`controller_mut().set_fault_plan`) to fail a device mid-run and measure
-/// degraded serving and rebuild-under-load — `fig26_latency_under_rebuild` and
-/// `throughput --faults` both drive this entry. Exposed concretely so
-/// harnesses can read the fault state machine and per-device stats.
+/// degraded serving and rebuild-under-load — `fig26_latency_under_rebuild`
+/// drives this entry. Exposed concretely so harnesses can read the fault
+/// state machine and per-device stats.
 #[must_use]
 pub fn build_fault_platform(scale: &ScaleProfile) -> HamsPlatform {
     HamsPlatform::scaled_with_backend(

@@ -73,17 +73,6 @@ pub struct ScaleProfile {
 }
 
 impl ScaleProfile {
-    /// The profile used by the figure benches: 1/256 capacities,
-    /// 60 000 accesses.
-    #[must_use]
-    pub fn bench_default() -> Self {
-        ScaleProfile {
-            capacity_divisor: 256,
-            accesses: 60_000,
-            seed: 42,
-        }
-    }
-
     /// A very small profile for unit and integration tests.
     #[must_use]
     pub fn test_tiny() -> Self {
@@ -590,7 +579,11 @@ mod tests {
 
     #[test]
     fn scale_profile_preserves_ratios() {
-        let scale = ScaleProfile::bench_default();
+        let scale = ScaleProfile {
+            capacity_divisor: 256,
+            accesses: 60_000,
+            seed: 42,
+        };
         let spec = WorkloadSpec::by_name("seqRd").unwrap();
         let scaled = scale.scale_spec(spec);
         let full_ratio = spec.dataset_bytes as f64 / (8.0 * 1024.0 * 1024.0 * 1024.0);

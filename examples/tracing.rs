@@ -2,7 +2,7 @@
 //! span tracer and metrics registry to an open-loop hams-TE run, then walk
 //! what they captured — per-layer span counts, one request's journey through
 //! the spine, a metric series, and the first lines of the Chrome-trace
-//! export that `throughput --trace` writes to disk.
+//! export that `figures timeline` writes to disk.
 //!
 //! Run with: `cargo run --release --example tracing`
 
@@ -98,7 +98,7 @@ fn main() {
 
     // The Chrome-trace export: load the full file in Perfetto
     // (ui.perfetto.dev) or chrome://tracing. `cargo run -p hams-bench --bin
-    // throughput -- --quick --trace` writes it plus the series CSV/JSON.
+    // figures -- timeline` writes it plus the series CSV/JSON.
     let trace = chrome_trace_json(&[("hams-TE rndRd".to_owned(), spans)]);
     println!("\n--- chrome trace export ({} bytes) ---", trace.len());
     for line in trace.lines().take(6) {
