@@ -15,6 +15,13 @@ start with `sim_` fails when the median ratio over the pairs is worse than
 the metric's bound. The simulated metrics are not gated here: a model
 change moves them on purpose.
 
+Every perfbench run prints one `simulated fingerprint <hex>` line. Both
+sides run on this machine with one libm, so every run of a side must print
+the same fingerprint: a side that prints two is nondeterministic, and the
+gate stops with exit status 2. The gate then reports whether the head's
+fingerprint is the base's (`same`) or not (`moved`); that line is a
+report, not a verdict, since a declared model change moves it on purpose.
+
 Two probes time `figures fig6` (the mmap path) and `figures fig26` (the
 fault path), which no benchmark workload runs, with HAMS_THREADS=1. A
 side's value in a pair is runs per second of its fastest of PROBE_RUNS
@@ -47,6 +54,7 @@ SEED = 42
 PROBES = ("fig6", "fig26")
 PROBE_RUNS = 3
 RATE_METRIC = "host_accesses_per_s"
+FINGERPRINT = "simulated fingerprint "
 
 
 class RunError(Exception):
@@ -70,6 +78,36 @@ def verdict(pairs, better, bound):
     raise ValueError(f"unknown direction {better!r}")
 
 
+def fingerprint_of(stdout):
+    """The value of the one `simulated fingerprint <hex>` line in a
+    perfbench run's output."""
+    found = [line[len(FINGERPRINT):].strip() for line in stdout.splitlines()
+             if line.startswith(FINGERPRINT)]
+    if len(found) != 1:
+        raise RunError(f"expected one '{FINGERPRINT.strip()}' line, found {len(found)}")
+    try:
+        int(found[0], 16)
+    except ValueError:
+        raise RunError(f"malformed simulated fingerprint {found[0]!r}") from None
+    return found[0]
+
+
+def side_fingerprint(side, fingerprints):
+    """The one fingerprint every run of `side` printed. Simulated results
+    are deterministic, so two distinct values are an error."""
+    distinct = sorted(set(fingerprints))
+    if len(distinct) != 1:
+        raise RunError(f"{side} printed {len(distinct)} distinct simulated fingerprints "
+                       f"({', '.join(distinct)}): its simulated results are nondeterministic")
+    return distinct[0]
+
+
+def fingerprint_report(workload, base, head):
+    """The report-only line saying whether the simulated results moved."""
+    return (f"{workload:<16} simulated fingerprint base {base} head {head}: "
+            f"{'same' if base == head else 'moved'}")
+
+
 def use_head_benchmark(base):
     """Makes the base checkout run this checkout's benchmark."""
     if os.path.realpath(base) == os.path.realpath(HEAD):
@@ -86,7 +124,8 @@ def side_env(side, **extra):
 
 
 def run_perfbench(side, workload):
-    """Metric values of one `perfbench/run.py` run of `workload` on `side`."""
+    """The simulated fingerprint and the metric values of one
+    `perfbench/run.py` run of `workload` on `side`."""
     argv = [sys.executable, os.path.join(side, "perfbench", "run.py"), "--workload", workload,
             "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
     run = subprocess.run(argv, cwd=side, env=side_env(side), capture_output=True, text=True)
@@ -96,7 +135,11 @@ def run_perfbench(side, workload):
     result = json.loads(lines[-1])
     if result["correct"] is not True:
         raise RunError(f"{side}: {workload} reported correct={result['correct']}\n{run.stdout}")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    try:
+        fingerprint = fingerprint_of(run.stdout)
+    except RunError as e:
+        raise RunError(f"{side}: {workload}: {e}") from None
+    return fingerprint, {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
 def build_figures(side):
@@ -158,9 +201,13 @@ def main():
     try:
         use_head_benchmark(base)
         for workload in (w["name"] for w in bench["workloads"]):
-            pairs = paired(base, lambda side: run_perfbench(side, workload))
+            runs = paired(base, lambda side: run_perfbench(side, workload))
+            print(fingerprint_report(workload,
+                                     side_fingerprint("base", [b for (b, _), _ in runs]),
+                                     side_fingerprint("head", [h for _, (h, _) in runs])),
+                  flush=True)
             for m in gated:
-                values = [(b[m["name"]], h[m["name"]]) for b, h in pairs]
+                values = [(b[m["name"]], h[m["name"]]) for (_, b), (_, h) in runs]
                 if not judge(workload, m["name"], values, m["better"], m["bound"]):
                     failed.append(f"{workload} {m['name']}")
         for side in (base, HEAD):

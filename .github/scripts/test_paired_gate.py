@@ -1,11 +1,12 @@
-"""Tests for the host-time gate's verdict.
+"""Tests for the host-time gate's verdict and its fingerprint checks.
 
     python3 -m unittest discover -s .github/scripts -p 'test_*.py'
 """
 
 import unittest
 
-from paired_gate import verdict
+from paired_gate import (RunError, fingerprint_of, fingerprint_report, side_fingerprint,
+                         verdict)
 
 
 class VerdictTest(unittest.TestCase):
@@ -56,6 +57,51 @@ class VerdictTest(unittest.TestCase):
             verdict([(-1.0, 5.0)], "higher", 0.24)
         with self.assertRaises(ValueError):
             verdict([(1.0, 1.0)], "sideways", 0.24)
+
+
+RUN_OUTPUT = """manifest: {"workload": "hit-update"}
+hit-update: 1 sessions
+simulated fingerprint 185a4b0e4a20edda
+{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}
+"""
+
+
+class FingerprintTest(unittest.TestCase):
+    def test_the_one_fingerprint_line_is_parsed(self):
+        self.assertEqual(fingerprint_of(RUN_OUTPUT), "185a4b0e4a20edda")
+
+    def test_a_run_without_exactly_one_fingerprint_line_is_an_error(self):
+        missing = RUN_OUTPUT.replace("simulated fingerprint 185a4b0e4a20edda\n", "")
+        with self.assertRaises(RunError):
+            fingerprint_of(missing)
+        twice = RUN_OUTPUT + "simulated fingerprint 185a4b0e4a20edda\n"
+        with self.assertRaises(RunError):
+            fingerprint_of(twice)
+        # Only a line that starts with the prefix counts.
+        quoted = RUN_OUTPUT.replace("simulated fingerprint", "no simulated fingerprint")
+        with self.assertRaises(RunError):
+            fingerprint_of(quoted)
+
+    def test_a_malformed_fingerprint_is_an_error(self):
+        with self.assertRaises(RunError):
+            fingerprint_of(RUN_OUTPUT.replace("185a4b0e4a20edda", "not-hex"))
+        with self.assertRaises(RunError):
+            fingerprint_of(RUN_OUTPUT.replace("185a4b0e4a20edda", ""))
+
+    def test_every_run_of_a_side_must_agree(self):
+        self.assertEqual(side_fingerprint("base", ["a1", "a1", "a1"]), "a1")
+        with self.assertRaises(RunError) as caught:
+            side_fingerprint("head", ["a1", "b2", "a1"])
+        self.assertIn("nondeterministic", str(caught.exception))
+        self.assertIn("head", str(caught.exception))
+        with self.assertRaises(RunError):
+            side_fingerprint("base", [])
+
+    def test_the_report_says_whether_the_fingerprint_moved(self):
+        self.assertTrue(fingerprint_report("hit-update", "a1", "a1").endswith(
+            "base a1 head a1: same"))
+        self.assertTrue(fingerprint_report("hit-update", "a1", "b2").endswith(
+            "base a1 head b2: moved"))
 
 
 if __name__ == "__main__":

@@ -803,7 +803,7 @@ pub fn fig21_queue_sensitivity(
 pub struct ShardSensitivityRow {
     /// Workload name.
     pub workload: String,
-    /// Number of independent tag-directory banks.
+    /// Number of tag-directory bank labels.
     pub shards: u16,
     /// Mean end-to-end access latency in microseconds.
     pub mean_latency_us: f64,
@@ -826,11 +826,10 @@ impl fmt::Display for ShardSensitivityRow {
 
 /// Shard-count sensitivity of hams-TE: the `hams-TE-s{n}` registry entries
 /// swept over `shard_counts` on one workload through the parallel grid.
-/// Unlike the queue sweep, the simulated timing is pinned *flat*: the shard
-/// shape is pure routing, so every count must report byte-identical metrics
-/// (multi-shard throughput is therefore trivially ≥ single-shard — the win
-/// is host-side, banks probe without a global ordering point). The function
-/// asserts the invariance so a bench run doubles as a contract check.
+/// Unlike the queue sweep, the simulated timing is pinned *flat*: a bank is
+/// only a label on journal tags and spans, so every count must report
+/// byte-identical metrics. The function asserts the invariance so a bench
+/// run doubles as a contract check.
 ///
 /// # Panics
 ///

@@ -43,7 +43,10 @@ pub struct HamsConfig {
     /// Persistence mode.
     pub persist: PersistMode,
     /// MoS page size: the granularity of the NVDIMM cache and of data
-    /// movement between NVDIMM and ULL-Flash. Table II uses 128 KB.
+    /// movement between NVDIMM and ULL-Flash. Table II uses 128 KB. It must
+    /// be a power-of-two multiple of 4 KB, since the controller decodes a
+    /// page number from the address bits; [`crate::HamsController::new`]
+    /// refuses any other size.
     pub mos_page_size: u64,
     /// NVDIMM module used as the inclusive cache.
     pub nvdimm: NvdimmConfig,
@@ -63,10 +66,11 @@ pub struct HamsConfig {
     /// byte for byte; multi-queue shapes stripe fills across pairs (extend
     /// mode only — persist mode keeps at most one command outstanding).
     pub queues: QueueConfig,
-    /// Shape of the MoS tag directory: how many independent banks the sets
-    /// are partitioned into and the set→shard hash. Pure routing — by the
-    /// shard-invariance contract any shape produces byte-identical metrics,
-    /// and [`ShardConfig::single`] is the original monolithic array.
+    /// Bank labels of the MoS tag directory: how many banks the sets are
+    /// named into and the set→bank hash. The directory is one flat array
+    /// whatever the shape; the label only appears on journal tags and trace
+    /// spans, so by the shard-invariance contract any shape produces
+    /// byte-identical metrics. [`ShardConfig::single`] labels every set 0.
     pub shards: ShardConfig,
     /// Fixed latency of the HAMS cache-logic pipeline per request (tag
     /// compare, command composition).
@@ -158,7 +162,7 @@ impl HamsConfig {
         self
     }
 
-    /// Changes the tag-directory shard shape (builder style), as swept by
+    /// Changes the tag-directory bank labels (builder style), as swept by
     /// the `hams-TE-s{n}` registry entries. Any shape is metrics-neutral by
     /// the shard-invariance contract.
     #[must_use]
@@ -170,8 +174,7 @@ impl HamsConfig {
     /// Changes the archive backend topology (builder style): one device, a
     /// RAID-0 fan-out or the CXL-attached variant, as swept by the
     /// `hams-TE-d{n}` registry entries. A stripe unit of `0` resolves to the
-    /// MoS page size, aligning device ownership with the page's tag-array
-    /// bank.
+    /// MoS page size, so each MoS page lives wholly on one device.
     #[must_use]
     pub fn with_backend(mut self, backend: BackendTopology) -> Self {
         self.backend = backend;
@@ -182,16 +185,22 @@ impl HamsConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is zero or not a multiple of 4 KB.
+    /// Panics if `size` is not a power-of-two multiple of 4 KB.
     #[must_use]
     pub fn with_mos_page_size(mut self, size: u64) -> Self {
-        assert!(
-            size > 0 && size.is_multiple_of(4096),
-            "MoS page size must be a positive multiple of 4 KB"
-        );
+        assert_mos_page_size(size);
         self.mos_page_size = size;
         self
     }
+}
+
+/// Refuses a MoS page size that is not a power-of-two multiple of 4 KB: the
+/// controller takes a page number from the address bits, not by division.
+pub(crate) fn assert_mos_page_size(size: u64) {
+    assert!(
+        size >= 4096 && size.is_power_of_two(),
+        "MoS page size must be a power-of-two multiple of 4 KB, got {size}"
+    );
 }
 
 #[cfg(test)]
@@ -253,14 +262,22 @@ mod tests {
 
     #[test]
     fn page_size_builder_validates() {
-        let c = HamsConfig::loose(PersistMode::Extend).with_mos_page_size(4096);
-        assert_eq!(c.mos_page_size, 4096);
+        for shift in 12..=20 {
+            let c = HamsConfig::loose(PersistMode::Extend).with_mos_page_size(1 << shift);
+            assert_eq!(c.mos_page_size, 1 << shift);
+        }
     }
 
     #[test]
     #[should_panic(expected = "multiple of 4 KB")]
     fn odd_page_size_panics() {
         let _ = HamsConfig::loose(PersistMode::Extend).with_mos_page_size(1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two multiple of 4 KB, got 12288")]
+    fn non_power_of_two_page_size_panics() {
+        let _ = HamsConfig::loose(PersistMode::Extend).with_mos_page_size(12 * 1024);
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! splits across NVDIMM, the DMA interface and the SSD — the decomposition of
 //! Fig. 18. The controller implements:
 //!
-//! * the direct-mapped NVDIMM cache with tag/valid/dirty/busy bits (Fig. 11),
-//!   partitioned into banks ([`ShardedTagArray`]) by pure routing: every
-//!   access probes its owning bank in arrival order, and the bank shape never
-//!   changes what an access observes,
+//! * the direct-mapped NVDIMM cache with tag/valid/dirty/busy bits (Fig. 11)
+//!   in one flat directory ([`ShardedTagArray`]): each access decodes its
+//!   address once, a shift for the page and one division for the set and
+//!   tag, and every directory call of the access uses that set. The bank
+//!   label of a set is only stamped on journal tags and spans,
 //! * fill and eviction via the in-controller NVMe engine with journal tags,
 //! * hazard avoidance through PRP-pool cloning, the busy bit and the wait
 //!   queue (Fig. 13–14),
@@ -36,10 +37,10 @@ use hams_sim::{ComponentId, LatencyVector, Nanos};
 use hams_telemetry::{Layer, Span, TelemetrySink};
 use serde::{Deserialize, Serialize};
 
-use crate::config::{AttachMode, HamsConfig, PersistMode};
+use crate::config::{assert_mos_page_size, AttachMode, HamsConfig, PersistMode};
 use crate::engine::NvmeEngine;
 use crate::prp_pool::PrpPool;
-use crate::tag_array::{ShardConfig, ShardedTagArray, TagProbe};
+use crate::tag_array::{SetRef, ShardConfig, ShardedTagArray, TagProbe};
 
 /// Tag lookup: a tCL plus a few tBURSTs out of the NVDIMM (<20 ns).
 const TAG_READ: Nanos = Nanos::from_nanos(15);
@@ -83,6 +84,11 @@ pub struct HamsStats {
     pub fill_bytes: u64,
     /// Bytes moved from NVDIMM to ULL-Flash (evictions).
     pub eviction_bytes: u64,
+    /// Dirty evictions that found every PRP-pool clone slot still held by
+    /// an in-flight eviction. The model parks the new clone over slot 0
+    /// without waiting for it to free, so this counts the clones that may
+    /// overwrite data an earlier eviction is still reading.
+    pub prp_pool_full: u64,
     /// Accumulated memory-delay components across all accesses
     /// (`nvdimm`, `dma`, `ssd`, `hams`) — the series of Fig. 18.
     pub delay: LatencyVector,
@@ -146,6 +152,9 @@ pub struct HamsController {
     /// The archive set's exported capacity, fixed when the controller is
     /// built: every access range-checks against it.
     mos_capacity: u64,
+    /// log2 of the MoS page size, fixed when the controller is built: a
+    /// byte address's page number is one shift.
+    page_shift: u32,
     ddr: Ddr4Channel,
     pcie: PcieLink,
     cxl: CxlLink,
@@ -181,10 +190,12 @@ impl HamsController {
     ///
     /// # Panics
     ///
-    /// Panics if the NVDIMM is too small to host the pinned region plus at
-    /// least one MoS page.
+    /// Panics if the MoS page size is not a power-of-two multiple of 4 KB,
+    /// or if the NVDIMM is too small to host the pinned region plus at least
+    /// one MoS page.
     #[must_use]
     pub fn new(config: HamsConfig) -> Self {
+        assert_mos_page_size(config.mos_page_size);
         let nvdimm = Nvdimm::new(config.nvdimm);
         let pinned = PinnedRegion::at_top_of(nvdimm.capacity_bytes(), config.pinned);
         let num_sets = (pinned.cacheable_bytes() / config.mos_page_size) as usize;
@@ -201,6 +212,7 @@ impl HamsController {
         HamsController {
             tags: ShardedTagArray::with_config(num_sets, config.shards),
             mos_capacity: archive.capacity_bytes(),
+            page_shift: config.mos_page_size.trailing_zeros(),
             archive,
             ddr: Ddr4Channel::new(Ddr4Config::ddr4_2666()),
             pcie: PcieLink::new(PcieConfig::gen3_x4()),
@@ -248,7 +260,7 @@ impl HamsController {
         self.tags.num_sets()
     }
 
-    /// Number of independent tag-directory banks.
+    /// Number of tag-directory bank labels.
     #[must_use]
     pub fn num_shards(&self) -> u16 {
         self.tags.num_shards()
@@ -260,7 +272,7 @@ impl HamsController {
         self.tags.shard_config()
     }
 
-    /// The tag-directory bank owning the set that MoS page `page` maps to.
+    /// The tag-directory bank labelling the set that MoS page `page` maps to.
     #[must_use]
     pub fn shard_of_page(&self, page: u64) -> u16 {
         self.tags.shard_of_page(page)
@@ -269,7 +281,7 @@ impl HamsController {
     /// The MoS page number containing a byte address.
     #[must_use]
     pub fn page_of(&self, addr: u64) -> u64 {
-        addr / self.config.mos_page_size
+        addr >> self.page_shift
     }
 
     /// Read access to the primary SSD model — the whole backend under
@@ -300,7 +312,7 @@ impl HamsController {
 
     /// The archive-set device owning MoS page `page`'s first stripe. With
     /// the default MoS-page stripe granularity the whole page lives there,
-    /// mirroring how its directory state lives in one tag-array bank.
+    /// as its directory state lives in one set.
     #[must_use]
     pub fn device_of_page(&self, page: u64) -> u16 {
         self.archive.device_of_slba(self.slba_of(page))
@@ -352,6 +364,8 @@ impl HamsController {
             "MoS address {addr:#x} beyond capacity"
         );
         let page = self.page_of(addr);
+        // The one set/tag division of the access.
+        let at = self.tags.locate(page);
         let traced = self.trace.is_enabled();
         let mut t = now + self.config.controller_overhead;
         breakdown.add(ComponentId::HAMS, self.config.controller_overhead);
@@ -366,7 +380,7 @@ impl HamsController {
         // Wait-queue: if the target set has an in-flight fill or eviction,
         // the request parks until the busy bit clears (§V-B, Fig. 14).
         let mut waited: Option<(Nanos, Nanos)> = None;
-        if let Some(free_at) = self.tags.busy_until(page, t) {
+        if let Some(free_at) = self.tags.busy_until_at(at, t) {
             self.stats.wait_stalls += 1;
             breakdown.add(ComponentId::HAMS, free_at - t);
             if traced {
@@ -376,7 +390,7 @@ impl HamsController {
             self.engine.retire_due_into(t, &mut self.retire_scratch);
         }
 
-        let probe = self.tags.probe(page);
+        let probe = self.tags.probe_at(at);
         self.stats.accesses += 1;
         let hit = matches!(probe, TagProbe::Hit);
         if hit {
@@ -388,11 +402,11 @@ impl HamsController {
         match probe {
             TagProbe::Hit => {}
             TagProbe::MissEmpty => {
-                t = self.fill(page, is_write, t, breakdown);
+                t = self.fill(page, at, is_write, t, breakdown);
             }
             TagProbe::MissClean { .. } => {
                 self.stats.clean_replacements += 1;
-                t = self.fill(page, is_write, t, breakdown);
+                t = self.fill(page, at, is_write, t, breakdown);
             }
             TagProbe::MissDirty { victim_page } => {
                 let (slot_free_at, eviction_done) = self.evict(victim_page, t, breakdown);
@@ -404,7 +418,7 @@ impl HamsController {
                     // data is safe in the PRP-pool clone.
                     PersistMode::Extend => slot_free_at,
                 };
-                t = self.fill(page, is_write, fill_start, breakdown);
+                t = self.fill(page, at, is_write, fill_start, breakdown);
             }
         }
 
@@ -419,7 +433,7 @@ impl HamsController {
         t = ddr_t.finished_at + array;
 
         if is_write {
-            self.tags.mark_dirty(page);
+            self.tags.mark_dirty_at(at);
         }
 
         if traced {
@@ -560,11 +574,6 @@ impl HamsController {
         page * self.config.mos_page_size / LBA_SIZE
     }
 
-    /// NVDIMM byte address of the cache set holding `page`.
-    fn nvdimm_addr_of(&self, page: u64) -> u64 {
-        self.tags.index_of(page) as u64 * self.config.mos_page_size
-    }
-
     /// Moves a MoS page between the archive and NVDIMM over the configured
     /// interface. Returns `(finished_at, dma_time)`.
     fn transfer_page(&mut self, start: Nanos) -> (Nanos, Nanos) {
@@ -696,14 +705,15 @@ impl HamsController {
         }
 
         // 4. Track the command for journal-tag recovery, park the clone.
+        //    A full pool parks it over slot 0 without waiting (counted).
         let slot = self
             .prp_pool
             .allocate(victim_page, eviction_done, now)
-            .unwrap_or(0);
-        let nvdimm_clone_addr = self.pinned.prp_slot_address(
-            slot as u64 % self.pinned.layout().prp_pool_slots(page_bytes).max(1),
-            page_bytes,
-        );
+            .unwrap_or_else(|| {
+                self.stats.prp_pool_full += 1;
+                0
+            });
+        let nvdimm_clone_addr = self.pinned.prp_slot_address(slot as u64, page_bytes);
         let _ = self.engine.issue_write(
             victim_page,
             self.slba_of(victim_page),
@@ -732,9 +742,9 @@ impl HamsController {
         }
     }
 
-    /// Fills `page` into its NVDIMM set. A write to a page that has never
-    /// reached flash skips the fetch (write-allocate without fetch). Returns
-    /// the time the data is available in NVDIMM.
+    /// Fills `page`, resolved to `at`, into its NVDIMM set. A write to a
+    /// page that has never reached flash skips the fetch (write-allocate
+    /// without fetch). Returns the time the data is available in NVDIMM.
     ///
     /// With a multi-queue [`hams_nvme::QueueConfig`], the fill is striped
     /// into one read command per queue pair: the device services the stripes
@@ -746,11 +756,14 @@ impl HamsController {
     fn fill(
         &mut self,
         page: u64,
+        at: SetRef,
         is_write: bool,
         now: Nanos,
         breakdown: &mut LatencyVector,
     ) -> Nanos {
         let page_bytes = self.config.mos_page_size;
+        // NVDIMM byte address of the cache set the page fills.
+        let base_addr = at.set as u64 * page_bytes;
         let start = match self.config.persist {
             PersistMode::Persist => now.max(self.persist_gate),
             PersistMode::Extend => now,
@@ -773,7 +786,7 @@ impl HamsController {
                 1,
                 self.slba_of(page),
                 page_bytes,
-                hams_nvme::PrpList::for_transfer(self.nvdimm_addr_of(page), page_bytes, 4096),
+                hams_nvme::PrpList::for_transfer(base_addr, page_bytes, 4096),
             );
             let completion = self
                 .archive
@@ -814,7 +827,6 @@ impl HamsController {
             self.stats.fill_bytes += page_bytes;
             let stripes = self.fill_stripes(page_bytes);
             let base_slba = self.slba_of(page);
-            let base_addr = self.nvdimm_addr_of(page);
             // One stripe command per queue pair over the page's LBA range.
             // The stripe bookkeeping runs in controller-owned scratch buffers
             // (one fill per miss makes this the hottest allocation site); the
@@ -915,8 +927,8 @@ impl HamsController {
         if matches!(self.config.persist, PersistMode::Persist) {
             self.persist_gate = self.persist_gate.max(data_ready);
         }
-        self.tags.fill(page);
-        self.tags.set_busy(page, data_ready);
+        self.tags.fill_at(at);
+        self.tags.set_busy_at(at, data_ready);
         data_ready
     }
 
@@ -968,9 +980,9 @@ impl HamsController {
     /// Runs the power-restoration procedure of §V-C: restore the NVDIMM, scan
     /// the pinned SQ region for journal-tagged commands, re-create a queue
     /// pair for them and re-issue them to ULL-Flash. Each journal tag
-    /// carries the directory bank its page's set lives in
+    /// carries the directory bank labelling its page's set
     /// ([`crate::TrackedCommand::shard`]); the replay clears the stale busy
-    /// bit the dead operation left in that bank, so post-recovery accesses
+    /// bit the dead operation left on that set, so post-recovery accesses
     /// do not park behind a wait window that no completion will ever close.
     ///
     /// In a multi-device backend, each re-issued command routes through the
@@ -981,7 +993,7 @@ impl HamsController {
     /// # Panics
     ///
     /// Panics if a journal tag's recorded bank does not match the
-    /// directory's routing of its page, or its recorded device does not
+    /// directory's labelling of its page, or its recorded device does not
     /// match the archive's routing of its stripe. The shapes are fixed when
     /// the controller is built, so a mismatch means a corrupted journal tag;
     /// the asserts guard journal-tag integrity.
@@ -1012,8 +1024,8 @@ impl HamsController {
                 .expect("re-issued command must fit the device");
             completed_at = completed_at.max(completion.finished_at);
             // The in-flight operation died with the power; drop the busy
-            // window it left in the owning bank, after checking the journal's
-            // recorded bank against the live routing.
+            // window it left on the set, after checking the journal's
+            // recorded bank against the directory's labelling.
             assert_eq!(
                 tracked.shard,
                 self.tags.shard_of_page(tracked.mos_page),
@@ -1443,6 +1455,65 @@ mod tests {
             t = r.finished_at;
         }
         assert!(h.stats().hit_rate() > 0.99);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two multiple of 4 KB, got 12288")]
+    fn non_power_of_two_page_size_is_refused_when_the_controller_is_built() {
+        // Set through the public field, past the builder's check.
+        let config = HamsConfig {
+            mos_page_size: 12 * 1024,
+            ..HamsConfig::tiny_for_tests(AttachMode::Loose, PersistMode::Extend)
+        };
+        let _ = HamsController::new(config);
+    }
+
+    #[test]
+    fn page_of_is_a_shift_by_the_page_size() {
+        for page_size in [4096u64, 8192, 128 * 1024, 1024 * 1024] {
+            let h = HamsController::new(
+                HamsConfig::tiny_for_tests(AttachMode::Loose, PersistMode::Extend)
+                    .with_mos_page_size(page_size),
+            );
+            for addr in [0, 1, page_size - 1, page_size, 3 * page_size + 17, 1 << 30] {
+                assert_eq!(h.page_of(addr), addr / page_size);
+            }
+        }
+    }
+
+    /// Writes `sets + 64` fresh pages back to back: the last 64 each evict a
+    /// dirty page, and none waits for a fetch, so evictions are issued
+    /// faster than the archive completes them.
+    fn fresh_write_sweep(h: &mut HamsController) {
+        let page = h.config().mos_page_size;
+        let mut t = Nanos::ZERO;
+        for i in 0..h.cache_sets() as u64 + 64 {
+            t = h.access(i * page, true, 64, t).finished_at;
+        }
+    }
+
+    #[test]
+    fn a_full_prp_pool_is_counted() {
+        // 1 MiB pages: the 1 MiB pool holds one clone, so a second eviction
+        // in flight finds it full.
+        let mut one_slot = HamsController::new(
+            HamsConfig::tiny_for_tests(AttachMode::Tight, PersistMode::Extend)
+                .with_mos_page_size(1024 * 1024),
+        );
+        fresh_write_sweep(&mut one_slot);
+        let stats = one_slot.stats();
+        assert_eq!(stats.evictions, 64);
+        assert!(
+            stats.prp_pool_full > 0 && stats.prp_pool_full <= stats.evictions,
+            "{} full-pool evictions out of {}",
+            stats.prp_pool_full,
+            stats.evictions
+        );
+        // 4 KiB pages: 256 slots hold all 64 clones of the same sweep.
+        let mut default = controller(AttachMode::Tight, PersistMode::Extend);
+        fresh_write_sweep(&mut default);
+        assert_eq!(default.stats().evictions, 64);
+        assert_eq!(default.stats().prp_pool_full, 0);
     }
 
     impl HamsController {

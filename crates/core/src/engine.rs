@@ -39,10 +39,10 @@ pub struct TrackedCommand {
     pub command: NvmeCommand,
     /// MoS page the command fills or evicts.
     pub mos_page: u64,
-    /// Tag-directory bank owning the page's set, recorded at issue time.
-    /// Recovery uses it to clear the stale busy window the dead operation
-    /// left in that bank, after checking it against the directory's routing
-    /// of the page (a journal-tag integrity check).
+    /// Tag-directory bank labelling the page's set, recorded at issue time.
+    /// Recovery checks it against the directory's labelling of the page (a
+    /// journal-tag integrity check) before it clears the stale busy window
+    /// the dead operation left on that set.
     pub shard: u16,
     /// Archive-set device owning the command's stripe, recorded at issue
     /// time. Power-failure recovery replays the command through the archive
@@ -125,10 +125,10 @@ impl NvmeEngine {
     }
 
     /// Creates an engine with the queue shape described by `config` inside a
-    /// controller whose tag directory has `cache_sets` sets partitioned by
-    /// `shards` — the topology the engine stamps onto every journal tag so
-    /// recovery can route each replay to the owning bank. The archive
-    /// backend is a single device.
+    /// controller whose tag directory has `cache_sets` sets labelled by
+    /// `shards`: the engine stamps each journal tag with its page's bank,
+    /// which recovery checks against the directory. The archive backend is
+    /// a single device.
     #[must_use]
     pub fn with_topology(config: QueueConfig, shards: ShardConfig, cache_sets: u64) -> Self {
         Self::with_backend(config, shards, cache_sets, 1, 1)
@@ -205,7 +205,7 @@ impl NvmeEngine {
         self.shards
     }
 
-    /// The tag-directory bank owning `mos_page`'s set.
+    /// The tag-directory bank labelling `mos_page`'s set.
     #[must_use]
     pub fn shard_for_page(&self, mos_page: u64) -> u16 {
         self.shards.shard_of_set(

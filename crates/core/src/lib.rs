@@ -16,11 +16,13 @@
 //!
 //! * [`ShardedTagArray`] — the direct-mapped tag directory with
 //!   valid/dirty/busy bits kept alongside ECC in the NVDIMM cache lines
-//!   (Fig. 11), partitioned into independent banks by a [`ShardConfig`]
-//!   (shard-invariant by contract; `MosTagArray` is the single-bank alias),
+//!   (Fig. 11): one flat array of sets, whose bank labels a [`ShardConfig`]
+//!   names (shard-invariant by contract; `MosTagArray` is the single-bank
+//!   alias),
 //! * [`NvmeEngine`] — the in-controller NVMe queue engine with journal tags
-//!   (Fig. 15), stamped with each command's `(shard, device)` so recovery
-//!   replays into the owning directory bank and archive device,
+//!   (Fig. 15), stamped with each command's `(shard, device)`, which
+//!   recovery checks against the directory's bank label and the archive
+//!   device it replays to,
 //! * [`BackendTopology`] / [`ArchiveSet`] (re-exported from `hams_flash`) —
 //!   the multi-device archive backend: one device, RAID-0 fan-out, or the
 //!   CXL-attached variant,

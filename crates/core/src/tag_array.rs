@@ -1,5 +1,5 @@
 //! The MoS tag-array: a direct-mapped cache directory kept alongside ECC in
-//! each NVDIMM cache line (Fig. 11), sharded into independent banks.
+//! each NVDIMM cache line (Fig. 11).
 //!
 //! Each entry carries the tag plus three state bits the paper calls out:
 //! *valid*, *dirty*, and the *busy* bit used for hazard avoidance (§IV-B,
@@ -7,17 +7,16 @@
 //! in-flight operation completes, which is how the transaction-level
 //! simulation realises the wait queue.
 //!
-//! HAMS has no OS-side ordering point, so nothing forces the directory to be
-//! one monolithic array: [`ShardedTagArray`] partitions the sets into
-//! [`ShardConfig::count`] banks, each owning its own tags, busy bits and
-//! wait-queue state. The controller still serves every access in arrival
-//! order, so the bank shape is a layout, not a schedule. The partition is
-//! pure routing — a set's entry, its victim choice and its busy window are
-//! identical in every shard shape — which gives the *shard-invariance
-//! contract*: every observable (probe results, victims, wait times, counters)
-//! is byte-identical for any shard count and hash policy, and
-//! [`ShardConfig::single`] reproduces the original single-array layout
-//! exactly. `tests/shape_equivalence.rs` and the proptests below pin it.
+//! [`ShardedTagArray`] keeps every set's entry in one flat array indexed by
+//! the set, as the controller decodes a MoS address once: the index bits
+//! pick the set and the upper bits are the tag. A [`ShardConfig`] names the
+//! bank each set belongs to, and that bank label is stamped on journal tags
+//! and trace spans; it never changes where an entry lives. This gives the
+//! *shard-invariance contract*: every observable (probe results, victims,
+//! wait times, counters) is byte-identical for any shard count and hash
+//! policy. `tests/shape_equivalence.rs` pins it end to end, and the proptest
+//! below checks the flat array against a banked reference that keeps each
+//! bank's entries and counters apart.
 
 use hams_sim::Nanos;
 use serde::{Deserialize, Serialize};
@@ -68,7 +67,7 @@ pub enum TagProbe {
     },
 }
 
-/// Counters maintained by the tag array (per shard, summed on demand).
+/// Counters maintained by the tag array.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TagArrayStats {
     /// Probe hits.
@@ -90,41 +89,35 @@ impl TagArrayStats {
             self.hits as f64 / total as f64
         }
     }
-
-    fn absorb(&mut self, other: &TagArrayStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.busy_waits += other.busy_waits;
-    }
 }
 
-/// How a global set index is assigned to a shard.
+/// How a global set index is assigned to a bank label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ShardHashPolicy {
-    /// Round-robin: set `i` lives in shard `i % count`, slot `i / count`.
-    /// Adjacent sets land in different banks, so sequential sweeps spread.
+    /// Round-robin: set `i` belongs to bank `i % count`. Adjacent sets get
+    /// different banks, so sequential sweeps spread.
     Interleave,
     /// Contiguous blocks: the set range is cut into `count` equal-size runs.
-    /// Adjacent sets share a bank, so spatially local traffic stays local.
+    /// Adjacent sets share a bank.
     Block,
 }
 
-/// Shape of the tag-array sharding: bank count plus the set→shard hash.
+/// The tag directory's bank labels: bank count plus the set→bank hash.
 ///
-/// The shard shape is *routing only*: by the shard-invariance contract every
-/// observable of the tag array — and therefore every metric of a HAMS run —
-/// is byte-identical for any `ShardConfig`. [`ShardConfig::single`] is the
-/// exact pre-sharding single array.
+/// The label names the bank a set belongs to on journal tags and trace
+/// spans. By the shard-invariance contract every observable of the tag
+/// array — and therefore every metric of a HAMS run — is byte-identical for
+/// any `ShardConfig`. [`ShardConfig::single`] labels every set bank 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ShardConfig {
-    /// Number of independent banks (at least 1).
+    /// Number of banks (at least 1).
     pub count: u16,
     /// Set→shard assignment policy.
     pub policy: ShardHashPolicy,
 }
 
 impl ShardConfig {
-    /// One bank: the original monolithic tag array, byte for byte.
+    /// One bank: every set is labelled bank 0.
     #[must_use]
     pub fn single() -> Self {
         ShardConfig {
@@ -143,7 +136,7 @@ impl ShardConfig {
         }
     }
 
-    /// `count` banks owning contiguous set ranges.
+    /// `count` banks labelling contiguous set ranges.
     #[must_use]
     pub fn blocked(count: u16) -> Self {
         ShardConfig {
@@ -155,7 +148,7 @@ impl ShardConfig {
     /// Shard shape requested through the `HAMS_SHARDS` environment variable,
     /// if set (the CI matrix lever — analogous to `HAMS_THREADS` for the
     /// grid). By the shard-invariance contract the override can never change
-    /// results, only the internal bank layout.
+    /// results, only the bank labels on journal tags and spans.
     ///
     /// # Panics
     ///
@@ -178,7 +171,7 @@ impl ShardConfig {
         Some(ShardConfig::interleaved(count))
     }
 
-    /// The shard owning global set index `set` out of `num_sets`.
+    /// The bank labelling global set index `set` out of `num_sets`.
     #[must_use]
     pub fn shard_of_set(&self, set: usize, num_sets: usize) -> u16 {
         let count = usize::from(self.count.max(1));
@@ -188,32 +181,6 @@ impl ShardConfig {
         };
         shard.min(count - 1) as u16
     }
-
-    /// `(shard, slot)` of global set index `set` out of `num_sets`.
-    fn locate(&self, set: usize, num_sets: usize) -> (usize, usize) {
-        let count = usize::from(self.count.max(1));
-        match self.policy {
-            ShardHashPolicy::Interleave => (set % count, set / count),
-            ShardHashPolicy::Block => {
-                let block = num_sets.div_ceil(count).max(1);
-                ((set / block).min(count - 1), set % block)
-            }
-        }
-    }
-
-    /// Number of sets bank `shard` owns out of `num_sets`.
-    fn shard_len(&self, shard: usize, num_sets: usize) -> usize {
-        let count = usize::from(self.count.max(1));
-        match self.policy {
-            // ceil((num_sets - shard) / count): shard <= count - 1, so the
-            // numerator never underflows, and shards past the last set get 0.
-            ShardHashPolicy::Interleave => (num_sets + count - 1 - shard) / count,
-            ShardHashPolicy::Block => {
-                let block = num_sets.div_ceil(count).max(1);
-                num_sets.saturating_sub(shard * block).min(block)
-            }
-        }
-    }
 }
 
 impl Default for ShardConfig {
@@ -222,16 +189,18 @@ impl Default for ShardConfig {
     }
 }
 
-/// One independent bank of the sharded directory: its own entries, busy bits
-/// and wait-queue state, plus its own counters — no state is shared between
-/// banks, so there is no global ordering point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct TagShard {
-    entries: Vec<TagEntry>,
-    stats: TagArrayStats,
+/// A MoS page resolved against the directory once: the set it maps to and
+/// the tag it carries there. One access resolves its page once and passes
+/// the result to every directory call it makes, so the set and tag come
+/// from a single division (Fig. 11's index and tag bits).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SetRef {
+    pub(crate) set: usize,
+    pub(crate) tag: u64,
 }
 
-/// Direct-mapped MoS tag array, sharded into independent banks.
+/// Direct-mapped MoS tag array: one entry per set in one flat array, with
+/// each set's bank named by a [`ShardConfig`].
 ///
 /// # Example
 ///
@@ -242,15 +211,17 @@ struct TagShard {
 /// assert_eq!(tags.probe(7), TagProbe::MissEmpty);
 /// tags.fill(7);
 /// assert_eq!(tags.probe(7), TagProbe::Hit);
-/// // Page 11 maps to the same set (11 % 4 == 7 % 4) and evicts page 7 —
-/// // exactly as in the single-shard array.
+/// // Page 11 maps to the same set (11 % 4 == 7 % 4) and evicts page 7,
+/// // whatever the bank count.
 /// assert_eq!(tags.probe(11), TagProbe::MissClean { victim_page: 7 });
+/// assert_eq!(tags.shard_of_page(11), 1);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardedTagArray {
-    num_sets: usize,
     config: ShardConfig,
-    shards: Vec<TagShard>,
+    /// One entry per set, indexed by the global set index.
+    entries: Vec<TagEntry>,
+    stats: TagArrayStats,
 }
 
 /// The pre-sharding name of the directory; kept as an alias so existing code
@@ -259,8 +230,7 @@ pub struct ShardedTagArray {
 pub type MosTagArray = ShardedTagArray;
 
 impl ShardedTagArray {
-    /// Creates a single-shard tag array with `num_sets` direct-mapped sets —
-    /// the original monolithic layout.
+    /// Creates a single-bank tag array with `num_sets` direct-mapped sets.
     ///
     /// # Panics
     ///
@@ -270,8 +240,7 @@ impl ShardedTagArray {
         Self::with_config(num_sets, ShardConfig::single())
     }
 
-    /// Creates a tag array with `num_sets` sets partitioned into the banks
-    /// described by `config`.
+    /// Creates a tag array with `num_sets` sets whose banks `config` names.
     ///
     /// # Panics
     ///
@@ -279,30 +248,23 @@ impl ShardedTagArray {
     #[must_use]
     pub fn with_config(num_sets: usize, config: ShardConfig) -> Self {
         assert!(num_sets > 0, "tag array needs at least one set");
-        let count = usize::from(config.count.max(1));
-        let shards = (0..count)
-            .map(|s| TagShard {
-                entries: vec![TagEntry::EMPTY; config.shard_len(s, num_sets)],
-                stats: TagArrayStats::default(),
-            })
-            .collect();
         ShardedTagArray {
-            num_sets,
             config,
-            shards,
+            entries: vec![TagEntry::EMPTY; num_sets],
+            stats: TagArrayStats::default(),
         }
     }
 
-    /// Number of sets (NVDIMM cache lines) across all shards.
+    /// Number of sets (NVDIMM cache lines).
     #[must_use]
     pub fn num_sets(&self) -> usize {
-        self.num_sets
+        self.entries.len()
     }
 
-    /// Number of independent banks.
+    /// Number of banks the sets are labelled with.
     #[must_use]
     pub fn num_shards(&self) -> u16 {
-        self.shards.len() as u16
+        self.config.count.max(1)
     }
 
     /// The shard shape in force.
@@ -311,91 +273,75 @@ impl ShardedTagArray {
         self.config
     }
 
-    /// Probe/miss counters summed across every shard. The sum is invariant
-    /// under the shard shape: each operation touches exactly one set and is
-    /// counted in exactly one bank.
+    /// Probe, miss and busy-wait counters.
     #[must_use]
     pub fn stats(&self) -> TagArrayStats {
-        let mut total = TagArrayStats::default();
-        for shard in &self.shards {
-            total.absorb(&shard.stats);
-        }
-        total
+        self.stats
     }
 
-    /// Counters of one bank (observability for the shard sweep; panics if
-    /// `shard` is out of range).
-    #[must_use]
-    pub fn shard_stats(&self, shard: u16) -> &TagArrayStats {
-        &self.shards[usize::from(shard)].stats
-    }
-
-    /// Number of sets bank `shard` owns.
-    #[must_use]
-    pub fn shard_sets(&self, shard: u16) -> usize {
-        self.shards[usize::from(shard)].entries.len()
-    }
-
-    /// Set index of a MoS page number (global, shard-independent).
+    /// Set index of a MoS page number.
     #[must_use]
     pub fn index_of(&self, page: u64) -> usize {
-        (page % self.num_sets as u64) as usize
+        self.locate(page).set
     }
 
     /// Tag of a MoS page number.
     #[must_use]
     pub fn tag_of(&self, page: u64) -> u64 {
-        page / self.num_sets as u64
+        self.locate(page).tag
     }
 
-    /// The shard owning the set that `page` maps to.
+    /// The set and tag of `page`. The remainder and the quotient share their
+    /// operands, so the compiler emits one division for both.
+    #[inline]
+    pub(crate) fn locate(&self, page: u64) -> SetRef {
+        let num_sets = self.entries.len() as u64;
+        SetRef {
+            set: (page % num_sets) as usize,
+            tag: page / num_sets,
+        }
+    }
+
+    /// The bank labelling the set that `page` maps to.
     #[must_use]
     pub fn shard_of_page(&self, page: u64) -> u16 {
-        self.config.shard_of_set(self.index_of(page), self.num_sets)
-    }
-
-    fn slot(&self, index: usize) -> (usize, usize) {
-        self.config.locate(index, self.num_sets)
-    }
-
-    fn entry_mut(&mut self, index: usize) -> &mut TagEntry {
-        let (shard, slot) = self.slot(index);
-        &mut self.shards[shard].entries[slot]
+        self.config
+            .shard_of_set(self.index_of(page), self.entries.len())
     }
 
     /// MoS page number stored in a set, if valid.
     #[must_use]
     pub fn resident_page(&self, index: usize) -> Option<u64> {
-        let e = *self.entry(index);
-        e.valid.then(|| e.tag * self.num_sets as u64 + index as u64)
+        let e = self.entries[index];
+        e.valid
+            .then(|| e.tag * self.entries.len() as u64 + index as u64)
     }
 
     /// Read access to a set's entry (global set index).
     #[must_use]
     pub fn entry(&self, index: usize) -> &TagEntry {
-        let (shard, slot) = self.slot(index);
-        &self.shards[shard].entries[slot]
+        &self.entries[index]
     }
 
-    /// Probes for `page`, updating the owning shard's hit/miss statistics.
+    /// Probes for `page`, updating the hit/miss statistics.
     pub fn probe(&mut self, page: u64) -> TagProbe {
-        let idx = self.index_of(page);
-        let tag = self.tag_of(page);
-        let num_sets = self.num_sets as u64;
-        // One bank lookup serves the entry and the counters — this is the
-        // hottest path of every simulated access.
-        let (s, slot) = self.slot(idx);
-        let shard = &mut self.shards[s];
-        let e = shard.entries[slot];
-        if e.valid && e.tag == tag {
-            shard.stats.hits += 1;
+        self.probe_at(self.locate(page))
+    }
+
+    /// [`Self::probe`] on a resolved page: the hottest path of every
+    /// simulated access.
+    #[inline]
+    pub(crate) fn probe_at(&mut self, at: SetRef) -> TagProbe {
+        let e = self.entries[at.set];
+        if e.valid && e.tag == at.tag {
+            self.stats.hits += 1;
             TagProbe::Hit
         } else {
-            shard.stats.misses += 1;
+            self.stats.misses += 1;
             if !e.valid {
                 TagProbe::MissEmpty
             } else {
-                let victim_page = e.tag * num_sets + idx as u64;
+                let victim_page = e.tag * self.entries.len() as u64 + at.set as u64;
                 if e.dirty {
                     TagProbe::MissDirty { victim_page }
                 } else {
@@ -406,37 +352,41 @@ impl ShardedTagArray {
     }
 
     /// Checks whether the set that `page` maps to is busy at `now`; if so,
-    /// returns when it becomes free and records a wait in the owning shard.
+    /// returns when it becomes free and counts a wait.
     pub fn busy_until(&mut self, page: u64, now: Nanos) -> Option<Nanos> {
-        let idx = self.index_of(page);
-        let (s, slot) = self.slot(idx);
-        let shard = &mut self.shards[s];
-        let e = &mut shard.entries[slot];
+        self.busy_until_at(self.locate(page), now)
+    }
+
+    /// [`Self::busy_until`] on a resolved page.
+    #[inline]
+    pub(crate) fn busy_until_at(&mut self, at: SetRef, now: Nanos) -> Option<Nanos> {
+        let e = &mut self.entries[at.set];
         if e.busy && e.busy_until > now {
-            let until = e.busy_until;
-            shard.stats.busy_waits += 1;
-            Some(until)
+            self.stats.busy_waits += 1;
+            Some(e.busy_until)
         } else {
-            if e.busy {
-                // The in-flight operation has completed by `now`.
-                e.busy = false;
-            }
+            // An in-flight operation that has completed by `now` clears.
+            e.busy = false;
             None
         }
     }
 
     /// Installs `page` in its set (clean, not busy). Returns the set index.
     pub fn fill(&mut self, page: u64) -> usize {
-        let idx = self.index_of(page);
-        let tag = self.tag_of(page);
-        *self.entry_mut(idx) = TagEntry {
-            tag,
+        self.fill_at(self.locate(page))
+    }
+
+    /// [`Self::fill`] on a resolved page.
+    #[inline]
+    pub(crate) fn fill_at(&mut self, at: SetRef) -> usize {
+        self.entries[at.set] = TagEntry {
+            tag: at.tag,
             valid: true,
             dirty: false,
             busy: false,
             busy_until: Nanos::ZERO,
         };
-        idx
+        at.set
     }
 
     /// Marks the cached copy of `page` dirty.
@@ -446,11 +396,15 @@ impl ShardedTagArray {
     /// Panics if `page` is not currently cached — marking a non-resident page
     /// dirty indicates a controller sequencing bug.
     pub fn mark_dirty(&mut self, page: u64) {
-        let idx = self.index_of(page);
-        let tag = self.tag_of(page);
-        let e = self.entry_mut(idx);
+        self.mark_dirty_at(self.locate(page));
+    }
+
+    /// [`Self::mark_dirty`] on a resolved page.
+    #[inline]
+    pub(crate) fn mark_dirty_at(&mut self, at: SetRef) {
+        let e = &mut self.entries[at.set];
         assert!(
-            e.valid && e.tag == tag,
+            e.valid && e.tag == at.tag,
             "mark_dirty on a page that is not cached"
         );
         e.dirty = true;
@@ -459,10 +413,9 @@ impl ShardedTagArray {
     /// Marks the cached copy of `page` clean (its eviction write-back has
     /// durably completed).
     pub fn mark_clean(&mut self, page: u64) {
-        let idx = self.index_of(page);
-        let tag = self.tag_of(page);
-        let e = self.entry_mut(idx);
-        if e.valid && e.tag == tag {
+        let at = self.locate(page);
+        let e = &mut self.entries[at.set];
+        if e.valid && e.tag == at.tag {
             e.dirty = false;
         }
     }
@@ -470,36 +423,42 @@ impl ShardedTagArray {
     /// Sets the busy bit on the set `page` maps to, recording the completion
     /// time of the in-flight operation.
     pub fn set_busy(&mut self, page: u64, until: Nanos) {
-        let idx = self.index_of(page);
-        let e = self.entry_mut(idx);
+        self.set_busy_at(self.locate(page), until);
+    }
+
+    /// [`Self::set_busy`] on a resolved page.
+    #[inline]
+    pub(crate) fn set_busy_at(&mut self, at: SetRef, until: Nanos) {
+        let e = &mut self.entries[at.set];
         e.busy = true;
         e.busy_until = e.busy_until.max(until);
     }
 
     /// Clears the busy bit on the set `page` maps to.
     pub fn clear_busy(&mut self, page: u64) {
-        let idx = self.index_of(page);
-        self.entry_mut(idx).busy = false;
+        let set = self.index_of(page);
+        self.entries[set].busy = false;
     }
 
     /// Invalidates the set `page` maps to (regardless of which page it held).
     pub fn invalidate(&mut self, page: u64) {
-        let idx = self.index_of(page);
-        *self.entry_mut(idx) = TagEntry::EMPTY;
+        let set = self.index_of(page);
+        self.entries[set] = TagEntry::EMPTY;
     }
 
-    /// Iterates over all valid (resident) MoS page numbers, in global set
-    /// order — identical for every shard shape.
+    /// Iterates over all valid (resident) MoS page numbers, in set order.
     pub fn resident_pages(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.num_sets).filter_map(|i| self.resident_page(i))
+        (0..self.entries.len()).filter_map(|i| self.resident_page(i))
     }
 
-    /// Iterates over all valid *dirty* MoS page numbers, in global set order.
+    /// Iterates over all valid *dirty* MoS page numbers, in set order.
     pub fn dirty_pages(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.num_sets).filter_map(|i| {
-            let e = self.entry(i);
-            (e.valid && e.dirty).then(|| e.tag * self.num_sets as u64 + i as u64)
-        })
+        let num_sets = self.entries.len() as u64;
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.valid && e.dirty)
+            .map(move |(i, e)| e.tag * num_sets + i as u64)
     }
 }
 
@@ -676,24 +635,33 @@ mod tests {
         let _ = MosTagArray::new(0);
     }
 
-    // ----- shard-shape plumbing -----
+    #[test]
+    fn locate_splits_a_page_into_set_and_tag() {
+        for num_sets in [1usize, 3, 4, 10, 3966] {
+            let t = MosTagArray::new(num_sets);
+            let n = num_sets as u64;
+            for page in [0u64, 1, 7, 11, n - 1, n, n + 1, 12_345, u64::MAX] {
+                let at = t.locate(page);
+                assert_eq!((at.set as u64, at.tag), (page % n, page / n));
+                assert_eq!((t.index_of(page), t.tag_of(page)), (at.set, at.tag));
+            }
+        }
+    }
+
+    // ----- bank labels -----
 
     #[test]
     fn single_shard_config_is_the_default() {
         let t = MosTagArray::new(8);
         assert_eq!(t.num_shards(), 1);
         assert_eq!(t.shard_config(), ShardConfig::single());
-        assert_eq!(t.shard_sets(0), 8);
+        assert_eq!(t.shard_of_page(7), 0);
     }
 
     #[test]
     fn interleave_partitions_sets_round_robin() {
         let t = ShardedTagArray::with_config(10, ShardConfig::interleaved(4));
         assert_eq!(t.num_shards(), 4);
-        // Sets 0..10 interleave: shard sizes 3, 3, 2, 2.
-        let sizes: Vec<usize> = (0u16..4).map(|s| t.shard_sets(s)).collect();
-        assert_eq!(sizes, vec![3, 3, 2, 2]);
-        assert_eq!(sizes.iter().sum::<usize>(), t.num_sets());
         assert_eq!(t.shard_of_page(0), 0);
         assert_eq!(t.shard_of_page(1), 1);
         assert_eq!(t.shard_of_page(5), 1);
@@ -703,9 +671,7 @@ mod tests {
     #[test]
     fn block_partitions_sets_contiguously() {
         let t = ShardedTagArray::with_config(10, ShardConfig::blocked(4));
-        // Blocks of ceil(10/4) = 3: sizes 3, 3, 3, 1.
-        let sizes: Vec<usize> = (0u16..4).map(|s| t.shard_sets(s)).collect();
-        assert_eq!(sizes, vec![3, 3, 3, 1]);
+        // Blocks of ceil(10/4) = 3 sets.
         assert_eq!(t.shard_of_page(0), 0);
         assert_eq!(t.shard_of_page(2), 0);
         assert_eq!(t.shard_of_page(3), 1);
@@ -713,11 +679,11 @@ mod tests {
     }
 
     #[test]
-    fn more_shards_than_sets_leaves_trailing_banks_empty() {
+    fn more_shards_than_sets_labels_only_the_leading_banks() {
         let t = ShardedTagArray::with_config(3, ShardConfig::interleaved(8));
         assert_eq!(t.num_shards(), 8);
-        let total: usize = (0u16..8).map(|s| t.shard_sets(s)).sum();
-        assert_eq!(total, 3);
+        let banks: Vec<u16> = (0..6u64).map(|page| t.shard_of_page(page)).collect();
+        assert_eq!(banks, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
@@ -726,140 +692,309 @@ mod tests {
         assert_eq!(ShardConfig::blocked(0).count, 1);
     }
 
-    #[test]
-    fn per_shard_stats_sum_to_the_aggregate() {
-        let mut t = ShardedTagArray::with_config(8, ShardConfig::interleaved(3));
-        for page in 0..16u64 {
-            t.probe(page);
-            t.fill(page);
-        }
-        let total = t.stats();
-        let mut summed = TagArrayStats::default();
-        for s in 0..t.num_shards() {
-            summed.absorb(t.shard_stats(s));
-        }
-        assert_eq!(total, summed);
-        assert_eq!(total.hits + total.misses, 16);
-    }
-
-    // ----- shard-invariance proptests -----
+    // ----- oracle: the banked directory the flat array replaced -----
     //
-    // The pinned contract: for ANY op stream, ANY shard count and ANY hash
-    // policy, the sharded array is observably identical to the single-shard
-    // reference — same probe results (hit/miss/evict classification and
-    // victims, i.e. the counters feeding evictions and write-backs), same
-    // wait-queue answers in the same order within every set, same counters,
-    // same final entries. Sets that alias across shards (consecutive sets in
-    // different banks under Interleave) get no special casing by
-    // construction: the op stream below constantly crosses bank boundaries.
+    // `BankedReference` is the directory as it was when each bank owned its
+    // own entries and counters: a set lives in bank `locate(set).0` at slot
+    // `locate(set).1`, and the aggregate counters are the sum over banks.
+    // The flat array must answer every operation exactly as it does, for any
+    // bank count and hash policy — the shard-invariance contract, checked
+    // against an independent layout rather than against itself.
 
     use proptest::prelude::*;
 
-    fn build_pair(num_sets: usize, count: u16, policy_pick: u8) -> (MosTagArray, ShardedTagArray) {
-        let policy = if policy_pick.is_multiple_of(2) {
-            ShardConfig::interleaved(count)
-        } else {
-            ShardConfig::blocked(count)
-        };
-        (
-            MosTagArray::new(num_sets),
-            ShardedTagArray::with_config(num_sets, policy),
-        )
+    #[derive(Debug, Clone)]
+    struct TagShard {
+        entries: Vec<TagEntry>,
+        stats: TagArrayStats,
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+    #[derive(Debug, Clone)]
+    struct BankedReference {
+        num_sets: usize,
+        config: ShardConfig,
+        shards: Vec<TagShard>,
+    }
 
-        /// Hit/miss/evict classification (and thus every counter a controller
-        /// derives from it) is invariant under the shard shape for arbitrary
-        /// access streams.
-        #[test]
-        fn probe_and_fill_streams_are_shard_invariant(
-            num_sets in 1usize..24,
-            count in 1u16..12,
-            policy_pick in 0u8..2,
-            ops in proptest::collection::vec((0u8..4, 0u64..96), 1..160),
-        ) {
-            let (mut single, mut sharded) = build_pair(num_sets, count, policy_pick);
-            for (kind, page) in &ops {
-                match kind % 4 {
-                    0 => prop_assert_eq!(single.probe(*page), sharded.probe(*page)),
-                    1 => prop_assert_eq!(single.fill(*page), sharded.fill(*page)),
-                    2 => {
-                        // mark_dirty is only legal on resident pages; use the
-                        // reference to decide (both must agree on residency).
-                        let resident =
-                            single.resident_page(single.index_of(*page)) == Some(*page);
-                        prop_assert_eq!(
-                            resident,
-                            sharded.resident_page(sharded.index_of(*page)) == Some(*page)
-                        );
-                        if resident {
-                            single.mark_dirty(*page);
-                            sharded.mark_dirty(*page);
-                        }
-                    }
-                    _ => {
-                        single.mark_clean(*page);
-                        sharded.mark_clean(*page);
-                    }
-                }
-            }
-            prop_assert_eq!(single.stats(), sharded.stats());
-            let resident_a: Vec<u64> = single.resident_pages().collect();
-            let resident_b: Vec<u64> = sharded.resident_pages().collect();
-            prop_assert_eq!(resident_a, resident_b);
-            let dirty_a: Vec<u64> = single.dirty_pages().collect();
-            let dirty_b: Vec<u64> = sharded.dirty_pages().collect();
-            prop_assert_eq!(dirty_a, dirty_b);
-            for i in 0..num_sets {
-                prop_assert_eq!(single.entry(i), sharded.entry(i));
+    impl BankedReference {
+        fn with_config(num_sets: usize, config: ShardConfig) -> Self {
+            let count = usize::from(config.count.max(1));
+            let shards = (0..count)
+                .map(|s| TagShard {
+                    entries: vec![TagEntry::EMPTY; Self::shard_len(config, s, num_sets)],
+                    stats: TagArrayStats::default(),
+                })
+                .collect();
+            BankedReference {
+                num_sets,
+                config,
+                shards,
             }
         }
 
-        /// No wait-queue entry is lost or reordered within a set when sets
-        /// alias across shards: the exact sequence of `busy_until` answers
-        /// (the wait queue of Fig. 14) and the busy-wait counters match the
-        /// single-shard reference for arbitrary interleavings of busy
-        /// set/clear/query/invalidate on aliased pages.
-        #[test]
-        fn wait_queue_order_within_a_set_is_shard_invariant(
-            num_sets in 1usize..12,
-            count in 1u16..12,
-            policy_pick in 0u8..2,
-            ops in proptest::collection::vec((0u8..4, 0u64..24, 0u64..40), 1..160),
-        ) {
-            let (mut single, mut sharded) = build_pair(num_sets, count, policy_pick);
-            for (kind, slot, t) in &ops {
-                // Aliased addressing: pages 0..24 cover every set several
-                // times over for num_sets < 12, so ops constantly collide on
-                // sets owned by different banks.
-                let page = *slot;
-                let now = Nanos::from_nanos(*t * 100);
-                match kind % 4 {
-                    0 => {
-                        single.set_busy(page, now);
-                        sharded.set_busy(page, now);
-                    }
-                    1 => prop_assert_eq!(
-                        single.busy_until(page, now),
-                        sharded.busy_until(page, now),
-                        "wait answer diverged for page {} at {}", page, now
-                    ),
-                    2 => {
-                        single.clear_busy(page);
-                        sharded.clear_busy(page);
-                    }
-                    _ => {
-                        single.invalidate(page);
-                        sharded.invalidate(page);
+        /// `(shard, slot)` of global set index `set` out of `num_sets`.
+        fn locate(config: ShardConfig, set: usize, num_sets: usize) -> (usize, usize) {
+            let count = usize::from(config.count.max(1));
+            match config.policy {
+                ShardHashPolicy::Interleave => (set % count, set / count),
+                ShardHashPolicy::Block => {
+                    let block = num_sets.div_ceil(count).max(1);
+                    ((set / block).min(count - 1), set % block)
+                }
+            }
+        }
+
+        /// Number of sets bank `shard` owns out of `num_sets`.
+        fn shard_len(config: ShardConfig, shard: usize, num_sets: usize) -> usize {
+            let count = usize::from(config.count.max(1));
+            match config.policy {
+                ShardHashPolicy::Interleave => (num_sets + count - 1 - shard) / count,
+                ShardHashPolicy::Block => {
+                    let block = num_sets.div_ceil(count).max(1);
+                    num_sets.saturating_sub(shard * block).min(block)
+                }
+            }
+        }
+
+        fn stats(&self) -> TagArrayStats {
+            let mut total = TagArrayStats::default();
+            for shard in &self.shards {
+                total.hits += shard.stats.hits;
+                total.misses += shard.stats.misses;
+                total.busy_waits += shard.stats.busy_waits;
+            }
+            total
+        }
+
+        fn index_of(&self, page: u64) -> usize {
+            (page % self.num_sets as u64) as usize
+        }
+
+        fn tag_of(&self, page: u64) -> u64 {
+            page / self.num_sets as u64
+        }
+
+        fn shard_of_page(&self, page: u64) -> u16 {
+            Self::locate(self.config, self.index_of(page), self.num_sets).0 as u16
+        }
+
+        fn slot(&self, index: usize) -> (usize, usize) {
+            Self::locate(self.config, index, self.num_sets)
+        }
+
+        fn entry(&self, index: usize) -> &TagEntry {
+            let (shard, slot) = self.slot(index);
+            &self.shards[shard].entries[slot]
+        }
+
+        fn entry_mut(&mut self, index: usize) -> &mut TagEntry {
+            let (shard, slot) = self.slot(index);
+            &mut self.shards[shard].entries[slot]
+        }
+
+        fn resident_page(&self, index: usize) -> Option<u64> {
+            let e = *self.entry(index);
+            e.valid.then(|| e.tag * self.num_sets as u64 + index as u64)
+        }
+
+        fn probe(&mut self, page: u64) -> TagProbe {
+            let idx = self.index_of(page);
+            let tag = self.tag_of(page);
+            let num_sets = self.num_sets as u64;
+            let (s, slot) = self.slot(idx);
+            let shard = &mut self.shards[s];
+            let e = shard.entries[slot];
+            if e.valid && e.tag == tag {
+                shard.stats.hits += 1;
+                TagProbe::Hit
+            } else {
+                shard.stats.misses += 1;
+                if !e.valid {
+                    TagProbe::MissEmpty
+                } else {
+                    let victim_page = e.tag * num_sets + idx as u64;
+                    if e.dirty {
+                        TagProbe::MissDirty { victim_page }
+                    } else {
+                        TagProbe::MissClean { victim_page }
                     }
                 }
             }
-            prop_assert_eq!(single.stats().busy_waits, sharded.stats().busy_waits);
-            for i in 0..num_sets {
-                prop_assert_eq!(single.entry(i), sharded.entry(i));
+        }
+
+        fn busy_until(&mut self, page: u64, now: Nanos) -> Option<Nanos> {
+            let idx = self.index_of(page);
+            let (s, slot) = self.slot(idx);
+            let shard = &mut self.shards[s];
+            let e = &mut shard.entries[slot];
+            if e.busy && e.busy_until > now {
+                let until = e.busy_until;
+                shard.stats.busy_waits += 1;
+                Some(until)
+            } else {
+                if e.busy {
+                    e.busy = false;
+                }
+                None
             }
+        }
+
+        fn fill(&mut self, page: u64) -> usize {
+            let idx = self.index_of(page);
+            let tag = self.tag_of(page);
+            *self.entry_mut(idx) = TagEntry {
+                tag,
+                valid: true,
+                dirty: false,
+                busy: false,
+                busy_until: Nanos::ZERO,
+            };
+            idx
+        }
+
+        fn mark_dirty(&mut self, page: u64) {
+            let idx = self.index_of(page);
+            let tag = self.tag_of(page);
+            let e = self.entry_mut(idx);
+            assert!(
+                e.valid && e.tag == tag,
+                "mark_dirty on a page that is not cached"
+            );
+            e.dirty = true;
+        }
+
+        fn mark_clean(&mut self, page: u64) {
+            let idx = self.index_of(page);
+            let tag = self.tag_of(page);
+            let e = self.entry_mut(idx);
+            if e.valid && e.tag == tag {
+                e.dirty = false;
+            }
+        }
+
+        fn set_busy(&mut self, page: u64, until: Nanos) {
+            let idx = self.index_of(page);
+            let e = self.entry_mut(idx);
+            e.busy = true;
+            e.busy_until = e.busy_until.max(until);
+        }
+
+        fn clear_busy(&mut self, page: u64) {
+            let idx = self.index_of(page);
+            self.entry_mut(idx).busy = false;
+        }
+
+        fn invalidate(&mut self, page: u64) {
+            let idx = self.index_of(page);
+            *self.entry_mut(idx) = TagEntry::EMPTY;
+        }
+
+        fn resident_pages(&self) -> impl Iterator<Item = u64> + '_ {
+            (0..self.num_sets).filter_map(|i| self.resident_page(i))
+        }
+
+        fn dirty_pages(&self) -> impl Iterator<Item = u64> + '_ {
+            (0..self.num_sets).filter_map(|i| {
+                let e = self.entry(i);
+                (e.valid && e.dirty).then(|| e.tag * self.num_sets as u64 + i as u64)
+            })
+        }
+    }
+
+    #[test]
+    fn banked_reference_partitions_every_set_into_exactly_one_slot() {
+        for (num_sets, config) in [
+            (10, ShardConfig::interleaved(4)),
+            (10, ShardConfig::blocked(4)),
+            (3, ShardConfig::interleaved(8)),
+        ] {
+            let banked = BankedReference::with_config(num_sets, config);
+            let sizes: usize = banked.shards.iter().map(|s| s.entries.len()).sum();
+            assert_eq!(sizes, num_sets, "{config:?}");
+            let mut slots: Vec<(usize, usize)> = (0..num_sets).map(|i| banked.slot(i)).collect();
+            slots.sort_unstable();
+            slots.dedup();
+            assert_eq!(slots.len(), num_sets, "{config:?}: two sets share a slot");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// For any bank count, hash policy and stream of directory
+        /// operations on aliased pages, the flat array gives the banked
+        /// reference's answer to every call — probe classification and
+        /// victims, fill slots, wait-queue answers in order — and ends with
+        /// the same counters, entries, resident and dirty pages and bank
+        /// labels.
+        #[test]
+        fn flat_directory_matches_the_banked_reference(
+            num_sets in 1usize..24,
+            count in 1u16..13,
+            policy_pick in 0u8..2,
+            ops in proptest::collection::vec((0u8..8, 0u64..96, 0u64..40), 1..200),
+        ) {
+            let config = if policy_pick == 0 {
+                ShardConfig::interleaved(count)
+            } else {
+                ShardConfig::blocked(count)
+            };
+            let mut flat = ShardedTagArray::with_config(num_sets, config);
+            let mut banked = BankedReference::with_config(num_sets, config);
+            prop_assert_eq!(usize::from(flat.num_shards()), banked.shards.len());
+            for &(kind, page, t) in &ops {
+                // Pages 0..96 alias every set at least four times over, so
+                // the stream constantly crosses bank boundaries.
+                let now = Nanos::from_nanos(t * 100);
+                match kind {
+                    0 => prop_assert_eq!(flat.probe(page), banked.probe(page)),
+                    1 => prop_assert_eq!(flat.fill(page), banked.fill(page)),
+                    2 => {
+                        // mark_dirty is only legal on resident pages.
+                        let resident = banked.resident_page(banked.index_of(page)) == Some(page);
+                        prop_assert_eq!(
+                            resident,
+                            flat.resident_page(flat.index_of(page)) == Some(page)
+                        );
+                        if resident {
+                            flat.mark_dirty(page);
+                            banked.mark_dirty(page);
+                        }
+                    }
+                    3 => {
+                        flat.mark_clean(page);
+                        banked.mark_clean(page);
+                    }
+                    4 => {
+                        flat.set_busy(page, now);
+                        banked.set_busy(page, now);
+                    }
+                    5 => prop_assert_eq!(
+                        flat.busy_until(page, now),
+                        banked.busy_until(page, now),
+                        "wait answer diverged for page {} at {}", page, now
+                    ),
+                    6 => {
+                        flat.clear_busy(page);
+                        banked.clear_busy(page);
+                    }
+                    _ => {
+                        flat.invalidate(page);
+                        banked.invalidate(page);
+                    }
+                }
+                prop_assert_eq!(flat.shard_of_page(page), banked.shard_of_page(page));
+            }
+            prop_assert_eq!(flat.stats(), banked.stats());
+            for i in 0..num_sets {
+                prop_assert_eq!(flat.entry(i), banked.entry(i));
+            }
+            let resident_a: Vec<u64> = flat.resident_pages().collect();
+            let resident_b: Vec<u64> = banked.resident_pages().collect();
+            prop_assert_eq!(resident_a, resident_b);
+            let dirty_a: Vec<u64> = flat.dirty_pages().collect();
+            let dirty_b: Vec<u64> = banked.dirty_pages().collect();
+            prop_assert_eq!(dirty_a, dirty_b);
         }
     }
 }

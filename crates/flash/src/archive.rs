@@ -29,7 +29,7 @@
 //!
 //! Stripe granularity is configurable. At MoS-page granularity a page's
 //! fills and evictions land wholly on its owning device — mirroring how the
-//! page's directory state lives in one tag-array bank — while LBA
+//! page's directory state lives in one tag-array set — while LBA
 //! granularity fans a multi-queue striped fill out across devices for
 //! intra-fill parallelism (the `hams-TE-d{n}` sweep entries do this).
 
@@ -47,7 +47,7 @@ use crate::fault::{ArrayState, FaultInjector, FaultKind, FaultPlan, FaultStats, 
 ///
 /// `stripe_bytes` of `0` means "resolve to the controller's MoS page size"
 /// (see [`BackendTopology::resolved`]), which aligns device ownership with
-/// the tag directory: one page, one bank, one device.
+/// the tag directory: one page, one set, one device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BackendTopology {
     /// One ULL-Flash archive — the paper's configuration and the pre-topology

@@ -236,14 +236,25 @@ impl HamsPlatform {
     }
 }
 
+/// `addr % capacity`, without the division for an address already in range,
+/// which every generated address is. The capacity is the archive's, above
+/// 2^32 unscaled, so the division would be a full 64-bit one per access.
+#[inline]
+fn wrap_address(addr: u64, capacity: u64) -> u64 {
+    if addr < capacity {
+        addr
+    } else {
+        addr % capacity.max(1)
+    }
+}
+
 impl Platform for HamsPlatform {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn access(&mut self, access: &Access, now: Nanos) -> AccessOutcome {
-        let capacity = self.controller.mos_capacity_bytes();
-        let addr = access.addr % capacity.max(1);
+        let addr = wrap_address(access.addr, self.controller.mos_capacity_bytes());
         let result = self
             .controller
             .access(addr, access.is_write, access.size, now);
@@ -266,12 +277,12 @@ impl Platform for HamsPlatform {
     /// per-access path by the [`Platform::serve_batch_into`] contract.
     fn serve_batch_into(&mut self, batch: &[BatchRequest], start: Nanos, out: &mut BatchOutcome) {
         out.outcomes.clear();
-        let capacity = self.controller.mos_capacity_bytes().max(1);
+        let capacity = self.controller.mos_capacity_bytes();
         let mut scratch = LatencyVector::new();
         let mut t = start;
         for request in batch {
             let issued_at = t + request.compute;
-            let addr = request.access.addr % capacity;
+            let addr = wrap_address(request.access.addr, capacity);
             let (finished_at, _hit) = self.controller.access_into(
                 addr,
                 request.access.is_write,

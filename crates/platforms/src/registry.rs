@@ -236,16 +236,16 @@ pub fn shard_sweep_label(num_shards: u16) -> String {
 /// Registers one `hams-TE-s{n}` entry per shard count, mirroring the
 /// `hams-TE-q{n}` queue sweep: tightly-integrated, extend-mode HAMS with the
 /// standard scaled ([`SCALED_MOS_PAGE_BYTES`]) MoS pages and the tag
-/// directory partitioned into `n` interleaved banks. `s1` entries pin
-/// [`ShardConfig::single`], so the sweep's baseline is the exact monolithic
-/// array. Unlike the queue sweep, every entry must produce byte-identical
+/// directory's sets labelled with `n` interleaved banks. `s1` entries pin
+/// [`ShardConfig::single`], so the sweep's baseline is the one-bank
+/// directory. Unlike the queue sweep, every entry must produce byte-identical
 /// metrics — the shard-invariance contract — which is what the shard golden
 /// snapshot and `hams-bench`'s `fig_shard_sensitivity` enforce on the grid.
 pub fn register_hams_shard_sweep(registry: &mut PlatformRegistry, shard_counts: &[u16]) {
     for &n in shard_counts {
         registry.register(shard_sweep_label(n), move |scale: &ScaleProfile| {
             // interleaved(1) IS ShardConfig::single(), so the s1 baseline is
-            // the exact monolithic array with no special casing.
+            // the one-bank directory with no special casing.
             Box::new(HamsPlatform::scaled_with_shards(
                 AttachMode::Tight,
                 PersistMode::Extend,

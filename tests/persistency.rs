@@ -2,8 +2,9 @@
 //! acknowledged writes survive power failures in every HAMS configuration —
 //! including every shard shape of the MoS tag directory and every
 //! multi-device archive backend — and recovery re-issues exactly the
-//! journal-tagged commands, replaying each into the bank that owns its
-//! page's set and the archive device that owns its stripe.
+//! journal-tagged commands, checking each against the bank labelling its
+//! page's set and replaying it into the archive device that owns its
+//! stripe.
 
 use hams::core::{
     AttachMode, BackendTopology, HamsConfig, HamsController, PersistMode, ShardConfig,
@@ -58,10 +59,10 @@ fn every_mode_survives_a_power_failure_mid_eviction_storm() {
 
 #[test]
 fn every_mode_survives_a_power_failure_with_a_sharded_tag_array() {
-    // The same eviction storm as above, but with the directory partitioned
-    // into banks — and pinned byte-identical to the single-bank run: the
-    // power-failure event, the recovery report and the controller stats may
-    // not shift under the shard shape.
+    // The same eviction storm as above, but with the directory's sets
+    // labelled with several banks — and pinned byte-identical to the
+    // single-bank run: the power-failure event, the recovery report and the
+    // controller stats may not shift under the shard shape.
     for (attach, persist) in all_modes() {
         for shards in [ShardConfig::interleaved(4), ShardConfig::blocked(3)] {
             let mut single = controller(attach, persist);

@@ -12,8 +12,8 @@
 //!
 //! 1. **Queues** legitimately change timing: striped fills overlap on the
 //!    device, so more queue pairs strictly beat one on random reads.
-//! 2. **Shards** are pure routing: every bank count and hash policy is
-//!    byte-identical to the unsharded array.
+//! 2. **Shards** only label the directory's sets: every bank count and
+//!    hash policy is byte-identical to the one-bank directory.
 //! 3. **Backends** partition work without changing it: a one-device RAID-0
 //!    is the single archive byte for byte, per-device traffic of a wider
 //!    array sums to the single-device totals, and the CXL attach routes
