@@ -61,8 +61,7 @@ pub use controller::{
 };
 pub use engine::{EngineStats, NvmeEngine, TrackedCommand};
 pub use hams_flash::{
-    ArchiveSet, ArrayState, BackendTopology, FaultEvent, FaultKind, FaultPlan, FaultStats,
-    RebuildConfig,
+    ArchiveSet, ArrayState, BackendTopology, FaultEvent, FaultPlan, FaultStats, RebuildConfig,
 };
 pub use prp_pool::{CloneSlot, PrpPool};
 pub use tag_array::{

@@ -41,7 +41,7 @@ use crate::device::{
     IoCompletion, PowerLossReport, SsdConfig, SsdDevice, SsdError, SsdStats, LBA_SIZE,
 };
 use crate::dram::DramStats;
-use crate::fault::{ArrayState, FaultInjector, FaultKind, FaultPlan, FaultStats, RebuildSpan};
+use crate::fault::{ArrayState, FaultInjector, FaultPlan, FaultStats, RebuildSpan};
 
 /// Shape of the archive backend behind the HAMS controller.
 ///
@@ -91,17 +91,6 @@ pub enum BackendTopology {
         /// Stripe unit in bytes (multiple of 4 KB); `0` resolves to the MoS
         /// page size.
         stripe_bytes: u64,
-    },
-    /// Capacity-summing concatenation (JBOD): device `d` owns the `d`-th
-    /// contiguous slice of the exported space, so routing is by range and
-    /// the exported capacity is the *sum* of the devices' — the only
-    /// topology that trades parallelism for capacity. Internally the range
-    /// map is a degenerate stripe map whose unit is one whole device, which
-    /// is why the routing, splitting and accounting paths are shared with
-    /// RAID-0 verbatim.
-    Concat {
-        /// Number of archives in the set (at least 1).
-        devices: u16,
     },
 }
 
@@ -160,33 +149,22 @@ impl BackendTopology {
         }
     }
 
-    /// Capacity-summing concatenation over `devices` archives.
-    #[must_use]
-    pub fn concat(devices: u16) -> Self {
-        BackendTopology::Concat {
-            devices: devices.max(1),
-        }
-    }
-
     /// Number of devices in the set.
     #[must_use]
     pub fn device_count(&self) -> u16 {
         match self {
             BackendTopology::Single => 1,
             BackendTopology::Raid0 { devices, .. }
-            | BackendTopology::CxlAttached { devices, .. }
-            | BackendTopology::Concat { devices } => (*devices).max(1),
+            | BackendTopology::CxlAttached { devices, .. } => (*devices).max(1),
             BackendTopology::Raid5 { devices, .. } => (*devices).max(2),
         }
     }
 
-    /// The configured stripe unit (`0` = resolve to the MoS page size;
-    /// `Concat`'s unit is derived from the per-device capacity at build
-    /// time, so it reports `0` here).
+    /// The configured stripe unit (`0` = resolve to the MoS page size).
     #[must_use]
     pub fn stripe_bytes(&self) -> u64 {
         match self {
-            BackendTopology::Single | BackendTopology::Concat { .. } => 0,
+            BackendTopology::Single => 0,
             BackendTopology::Raid0 { stripe_bytes, .. }
             | BackendTopology::CxlAttached { stripe_bytes, .. }
             | BackendTopology::Raid5 { stripe_bytes, .. } => *stripe_bytes,
@@ -233,7 +211,6 @@ impl BackendTopology {
                 devices,
                 stripe_bytes: resolve(stripe_bytes),
             },
-            BackendTopology::Concat { devices } => BackendTopology::Concat { devices },
         }
     }
 
@@ -315,55 +292,9 @@ impl ArchiveSet {
     /// one would split flash pages across devices.
     #[must_use]
     pub fn new(config: SsdConfig, topology: BackendTopology, mos_page_size: u64) -> Self {
-        let count = usize::from(topology.device_count());
-        Self::new_heterogeneous(vec![config; count], topology, mos_page_size)
-    }
-
-    /// Builds a mixed-generation set: one [`SsdConfig`] per device (timing,
-    /// internal DRAM, supercap and firmware knobs may differ), behind the
-    /// same unified address space. A uniform config vector builds the exact
-    /// array [`Self::new`] builds — pinned byte-for-byte by
-    /// `tests/fault_equivalence.rs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` does not match the topology's device count, if
-    /// the devices disagree on geometry or exported capacity (identity
-    /// local addressing and the range map both need one uniform page space),
-    /// or if the resolved stripe unit is not a positive multiple of the
-    /// 4 KB LBA size.
-    #[must_use]
-    pub fn new_heterogeneous(
-        configs: Vec<SsdConfig>,
-        topology: BackendTopology,
-        mos_page_size: u64,
-    ) -> Self {
         let topology = topology.resolved(mos_page_size.max(LBA_SIZE));
-        let count = usize::from(topology.device_count());
-        assert_eq!(
-            configs.len(),
-            count,
-            "heterogeneous archive set needs one config per device"
-        );
-        let devices: Vec<SsdDevice> = configs.into_iter().map(SsdDevice::new).collect();
-        for device in &devices[1..] {
-            assert_eq!(
-                device.config().geometry,
-                devices[0].config().geometry,
-                "archive-set devices must share one flash geometry"
-            );
-            assert_eq!(
-                device.capacity_bytes(),
-                devices[0].capacity_bytes(),
-                "archive-set devices must export one capacity"
-            );
-        }
         let stripe_bytes = match topology {
             BackendTopology::Single => mos_page_size.max(LBA_SIZE),
-            // The range map is a degenerate stripe map whose unit is one
-            // whole device: `(slba / unit) % N` *is* range routing when the
-            // unit is the per-device capacity.
-            BackendTopology::Concat { .. } => devices[0].capacity_bytes(),
             t => t.stripe_bytes(),
         };
         assert!(
@@ -374,7 +305,9 @@ impl ArchiveSet {
         ArchiveSet {
             topology,
             stripe_lbas: stripe_bytes / LBA_SIZE,
-            devices,
+            devices: (0..topology.device_count())
+                .map(|_| SsdDevice::new(config))
+                .collect(),
             fault: None,
         }
     }
@@ -409,20 +342,14 @@ impl ArchiveSet {
         self.devices[0].config()
     }
 
-    /// Exported capacity of the unified address space. Striped topologies
-    /// export the capacity of one archive — RAID-0/5 trade the extra
-    /// devices' capacity for parallelism (or parity) at a fixed address
-    /// space, which is what keeps a multi-device run's command stream
-    /// identical to the single-device one and lets per-device stats sum to
-    /// the single-device totals. `Concat` is the exception: it sums.
+    /// Exported capacity of the unified address space: the capacity of one
+    /// archive. RAID-0/5 trade the extra devices' capacity for parallelism
+    /// (or parity) at a fixed address space, which is what keeps a
+    /// multi-device run's command stream identical to the single-device one
+    /// and lets per-device stats sum to the single-device totals.
     #[must_use]
     pub fn capacity_bytes(&self) -> u64 {
-        match self.topology {
-            BackendTopology::Concat { .. } => {
-                self.devices.iter().map(SsdDevice::capacity_bytes).sum()
-            }
-            _ => self.devices[0].capacity_bytes(),
-        }
+        self.devices[0].capacity_bytes()
     }
 
     /// Device `index` of the set.
@@ -555,11 +482,22 @@ impl ArchiveSet {
         }
         if cmd.length == 0 {
             let device = usize::from(self.device_of_slba(cmd.slba));
-            let mut local = cmd.clone();
-            local.slba = self.local_slba(device, cmd.slba);
-            return serve(&mut self.devices[device], &local, now);
+            return serve(&mut self.devices[device], cmd, now);
         }
+        self.serve_by_stripe(cmd, |set, segment| {
+            let device = usize::from(set.device_of_slba(segment.slba));
+            serve(&mut set.devices[device], &segment, now)
+        })
+    }
 
+    /// Splits a non-empty command at stripe boundaries, serves each segment
+    /// through `serve_segment` and merges the completions. Devices address
+    /// their LBAs by identity, so each segment keeps its global `slba`.
+    fn serve_by_stripe(
+        &mut self,
+        cmd: &NvmeCommand,
+        mut serve_segment: impl FnMut(&mut Self, NvmeCommand) -> Result<IoCompletion, SsdError>,
+    ) -> Result<IoCompletion, SsdError> {
         let stripe_bytes = self.stripe_lbas * LBA_SIZE;
         let start = cmd.slba * LBA_SIZE;
         let end = start + cmd.length;
@@ -568,11 +506,10 @@ impl ArchiveSet {
         while offset < end {
             let stripe_end = (offset / stripe_bytes + 1) * stripe_bytes;
             let segment_end = end.min(stripe_end);
-            let device = usize::from(self.device_of_slba(offset / LBA_SIZE));
             let mut segment = cmd.clone();
-            segment.slba = self.local_slba(device, offset / LBA_SIZE);
+            segment.slba = offset / LBA_SIZE;
             segment.length = segment_end - offset;
-            let completion = serve(&mut self.devices[device], &segment, now)?;
+            let completion = serve_segment(self, segment)?;
             merged = Some(merge_completion(merged, completion));
             offset = segment_end;
         }
@@ -584,8 +521,7 @@ impl ArchiveSet {
     /// catching up paced rebuild rows), then routes — degraded reads of the
     /// down device reconstruct from the survivors, degraded writes are
     /// absorbed by parity, everything else serves exactly as the healthy
-    /// path would. Only parity (`Raid5`) topologies reach here, so the
-    /// identity local addressing of the striped paths applies throughout.
+    /// path would. Only parity (`Raid5`) topologies reach here.
     fn service_faulted(
         &mut self,
         cmd: &NvmeCommand,
@@ -615,22 +551,9 @@ impl ArchiveSet {
         if cmd.length == 0 {
             return self.serve_segment_faulted(cmd.clone(), now, fua);
         }
-        let stripe_bytes = self.stripe_lbas * LBA_SIZE;
-        let start = cmd.slba * LBA_SIZE;
-        let end = start + cmd.length;
-        let mut merged: Option<IoCompletion> = None;
-        let mut offset = start;
-        while offset < end {
-            let stripe_end = (offset / stripe_bytes + 1) * stripe_bytes;
-            let segment_end = end.min(stripe_end);
-            let mut segment = cmd.clone();
-            segment.slba = offset / LBA_SIZE;
-            segment.length = segment_end - offset;
-            let completion = self.serve_segment_faulted(segment, now, fua)?;
-            merged = Some(merge_completion(merged, completion));
-            offset = segment_end;
-        }
-        Ok(merged.expect("non-empty command produced at least one segment"))
+        self.serve_by_stripe(cmd, |set, segment| {
+            set.serve_segment_faulted(segment, now, fua)
+        })
     }
 
     fn serve_segment_faulted(
@@ -639,12 +562,7 @@ impl ArchiveSet {
         now: Nanos,
         fua: bool,
     ) -> Result<IoCompletion, SsdError> {
-        let count = self.devices.len() as u64;
-        let device = if count <= 1 {
-            0u16
-        } else {
-            ((segment.slba / self.stripe_lbas) % count) as u16
-        };
+        let device = self.device_of_slba(segment.slba);
         let injector = self.fault.as_mut().expect("faulted path has an injector");
         match segment.opcode {
             NvmeOpcode::Read if injector.read_is_degraded(device, segment.slba) => {
@@ -664,28 +582,6 @@ impl ArchiveSet {
         }
     }
 
-    /// Translates a global LBA to device `device`'s local LBA: identity for
-    /// every striped topology, base-subtracted for the range-routed
-    /// `Concat`.
-    fn local_slba(&self, device: usize, slba: u64) -> u64 {
-        match self.topology {
-            BackendTopology::Concat { .. } => slba - device as u64 * self.stripe_lbas,
-            _ => slba,
-        }
-    }
-
-    /// Translates a global flash page number to device `device`'s local
-    /// page number (the `Concat` analogue of [`Self::local_slba`]).
-    fn local_lpn(&self, device: usize, lpn: u64) -> u64 {
-        match self.topology {
-            BackendTopology::Concat { .. } => {
-                let page = u64::from(self.devices[0].config().geometry.page_size);
-                lpn - device as u64 * (self.stripe_lbas * LBA_SIZE / page)
-            }
-            _ => lpn,
-        }
-    }
-
     fn broadcast_flush(&mut self, cmd: &NvmeCommand, now: Nanos) -> Result<IoCompletion, SsdError> {
         let mut merged: Option<IoCompletion> = None;
         for device in &mut self.devices {
@@ -696,11 +592,10 @@ impl ArchiveSet {
     }
 
     /// Whether logical flash page `lpn` is durably stored on the device
-    /// owning its stripe (identity local addressing for striped topologies;
-    /// `Concat` translates to the owning device's local page space). While
-    /// the owning device is out, durability falls back to parity coverage:
-    /// the retained pre-failure mapping plus whichever absorbed writes the
-    /// row's parity buddy holds.
+    /// owning its stripe (every device addresses its pages by identity).
+    /// While the owning device is out, durability falls back to parity
+    /// coverage: the retained pre-failure mapping plus whichever absorbed
+    /// writes the row's parity buddy holds.
     #[must_use]
     pub fn is_durable(&self, lpn: u64) -> bool {
         let page = u64::from(self.config().geometry.page_size);
@@ -714,16 +609,17 @@ impl ArchiveSet {
                     || self.devices[usize::from(absorber)].is_durable(lpn);
             }
         }
-        self.devices[device].is_durable(self.local_lpn(device, lpn))
+        self.devices[device].is_durable(lpn)
     }
 
     /// Injects a power failure at `now` into every device and merges the
-    /// reports: pages concatenate in (device, page) order, the flush time is
+    /// reports: the page lists merge in ascending order, the flush time is
     /// the slowest device's. A single-device set delegates, byte for byte.
     /// With a fault plan installed the injector's clock advances first, and
-    /// a fail-stopped device that has no replacement yet is skipped — a dead
-    /// controller flushes nothing (a transiently absent device still flushes
-    /// autonomously from its own supercap).
+    /// while the array is degraded the failed device is skipped — a dead
+    /// controller flushes nothing. Once its replacement is online
+    /// (rebuilding) it power-fails like every other device, so the writes it
+    /// buffered are reported as flushed or lost.
     pub fn power_fail(&mut self, now: Nanos) -> PowerLossReport {
         if let Some(injector) = self.fault.as_mut() {
             injector.poll(now, &mut self.devices);
@@ -731,36 +627,19 @@ impl ArchiveSet {
         if self.devices.len() == 1 {
             return self.devices[0].power_fail(now);
         }
-        let dead = self.fault.as_ref().and_then(|injector| {
-            match (injector.down_device(), injector.down_kind()) {
-                (Some(device), Some(FaultKind::FailStop { .. })) => Some(device),
-                _ => None,
-            }
-        });
-        let concat = matches!(self.topology, BackendTopology::Concat { .. });
-        let page = u64::from(self.devices[0].config().geometry.page_size);
-        let lpns_per_device = self.stripe_lbas * LBA_SIZE / page;
+        let injector = self.fault.as_ref();
         let mut merged = PowerLossReport {
             flushed_pages: Vec::new(),
             lost_pages: Vec::new(),
             flush_time: Nanos::ZERO,
         };
         for (index, device) in self.devices.iter_mut().enumerate() {
-            if dead == Some(index as u16) {
+            if injector.is_some_and(|injector| injector.flush_skips(index as u16)) {
                 continue;
             }
             let report = device.power_fail(now);
-            let base = if concat {
-                index as u64 * lpns_per_device
-            } else {
-                0
-            };
-            merged
-                .flushed_pages
-                .extend(report.flushed_pages.iter().map(|lpn| lpn + base));
-            merged
-                .lost_pages
-                .extend(report.lost_pages.iter().map(|lpn| lpn + base));
+            merged.flushed_pages.extend(report.flushed_pages);
+            merged.lost_pages.extend(report.lost_pages);
             merged.flush_time = merged.flush_time.max(report.flush_time);
         }
         merged.flushed_pages.sort_unstable();
@@ -1059,101 +938,6 @@ mod tests {
         assert!(raid5.fault_stats().is_none());
     }
 
-    #[test]
-    fn uniform_heterogeneous_set_matches_the_homogeneous_one() {
-        let config = SsdConfig::tiny_for_tests();
-        let topology = BackendTopology::raid0_striped(3, LBA_SIZE);
-        let mut homogeneous = ArchiveSet::new(config, topology, 4096);
-        let mut uniform = ArchiveSet::new_heterogeneous(vec![config; 3], topology, 4096);
-        let mut now = Nanos::ZERO;
-        for i in 0..48u64 {
-            let cmd = if i % 2 == 0 {
-                write_cmd(i % 24, 4096).with_fua(i % 4 == 0)
-            } else {
-                read_cmd(i % 24, 4096)
-            };
-            let a = homogeneous.service(&cmd, now).unwrap();
-            let b = uniform.service(&cmd, now).unwrap();
-            assert_eq!(a, b, "uniform heterogeneous set diverged at command {i}");
-            now = a.finished_at;
-        }
-        assert_eq!(homogeneous.stats(), uniform.stats());
-        assert_eq!(homogeneous.device_stats(), uniform.device_stats());
-    }
-
-    #[test]
-    fn heterogeneous_timing_differences_show_up_per_device() {
-        let fast = SsdConfig::tiny_for_tests();
-        let mut slow = SsdConfig::tiny_for_tests();
-        slow.timing = crate::timing::NandTiming::vnand_tlc();
-        slow.dram_capacity_bytes = 0;
-        let mut set = ArchiveSet::new_heterogeneous(
-            vec![fast, slow],
-            BackendTopology::raid0_striped(2, LBA_SIZE),
-            4096,
-        );
-        let on_fast = set
-            .service(&write_cmd(0, 4096).with_fua(true), Nanos::ZERO)
-            .unwrap();
-        let on_slow = set
-            .service(&write_cmd(1, 4096).with_fua(true), Nanos::ZERO)
-            .unwrap();
-        assert!(
-            on_slow.finished_at > on_fast.finished_at,
-            "the conventional-NAND device must be slower than the Z-NAND one"
-        );
-    }
-
-    #[test]
-    fn concat_sums_capacity_and_routes_by_range() {
-        let config = SsdConfig::tiny_for_tests();
-        let single = ArchiveSet::single(config);
-        let mut set = ArchiveSet::new(config, BackendTopology::concat(2), 4096);
-        assert_eq!(set.capacity_bytes(), 2 * single.capacity_bytes());
-        let per_device_lbas = single.capacity_bytes() / LBA_SIZE;
-        assert_eq!(set.stripe_lbas(), per_device_lbas);
-        // First slice routes to device 0, second to device 1.
-        assert_eq!(set.device_of_slba(0), 0);
-        assert_eq!(set.device_of_slba(per_device_lbas - 1), 0);
-        assert_eq!(set.device_of_slba(per_device_lbas), 1);
-        set.service(&write_cmd(1, 4096).with_fua(true), Nanos::ZERO)
-            .unwrap();
-        set.service(
-            &write_cmd(per_device_lbas + 1, 4096).with_fua(true),
-            Nanos::ZERO,
-        )
-        .unwrap();
-        assert_eq!(set.device(0).stats().write_commands, 1);
-        assert_eq!(set.device(1).stats().write_commands, 1);
-        // Device 1 served its command in its local address space.
-        assert!(set.device(1).is_durable(1));
-        // And globally, both pages read back as durable through translation.
-        let page_lbas = 1; // 4 KB pages, 4 KB LBAs
-        assert!(set.is_durable(1 / page_lbas));
-        assert!(set.is_durable(per_device_lbas + 1));
-    }
-
-    #[test]
-    fn concat_command_stream_in_first_slice_matches_single_device() {
-        let config = SsdConfig::tiny_for_tests();
-        let mut single = ArchiveSet::single(config);
-        let mut concat = ArchiveSet::new(config, BackendTopology::concat(2), 4096);
-        let mut now = Nanos::ZERO;
-        for i in 0..48u64 {
-            let cmd = if i % 3 == 0 {
-                write_cmd(i % 16, 4096).with_fua(i % 6 == 0)
-            } else {
-                read_cmd(i % 16, 4096)
-            };
-            let a = single.service(&cmd, now).unwrap();
-            let b = concat.service(&cmd, now).unwrap();
-            assert_eq!(a, b, "concat's first slice diverged from the single device");
-            now = a.finished_at;
-        }
-        assert_eq!(single.stats(), concat.stats());
-        assert_eq!(concat.device(1).stats().total_commands(), 0);
-    }
-
     fn raid5_set() -> ArchiveSet {
         let mut config = SsdConfig::tiny_for_tests();
         config.supercap_backed = true;
@@ -1218,29 +1002,6 @@ mod tests {
         assert_eq!(spans.len() as u64, stats.rebuild_rows_done);
         assert!(spans.iter().all(|s| s.device == 1 && s.end > s.start));
         assert!(set.fault().unwrap().recovered_at().unwrap() >= spare_at);
-    }
-
-    #[test]
-    fn transient_fault_resyncs_only_rows_written_while_away() {
-        let mut set = raid5_set();
-        for slba in 0..16u64 {
-            set.service(&write_cmd(slba, 4096).with_fua(true), Nanos::ZERO)
-                .unwrap();
-        }
-        let plan =
-            FaultPlan::new().with_transient(2, Nanos::from_micros(100), Nanos::from_micros(400));
-        set.set_fault_plan(plan);
-        // One degraded write to the absent device dirties exactly one row.
-        set.service(&write_cmd(2, 4096).with_fua(true), Nanos::from_micros(200))
-            .unwrap();
-        set.advance_faults(Nanos::from_millis(10));
-        assert_eq!(set.array_state(), ArrayState::Healthy);
-        let stats = *set.fault_stats().unwrap();
-        assert_eq!(
-            stats.rebuild_rows_total, 1,
-            "transient resync covers dirty rows only"
-        );
-        assert_eq!(stats.repairs_completed, 1);
     }
 
     #[test]

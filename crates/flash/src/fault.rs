@@ -3,13 +3,13 @@
 //!
 //! HAMS's headline claim is crash-consistent persistent memory over commodity
 //! SSDs; this module extends the reproduction past the happy path and
-//! whole-array power loss to *device* failure. A [`FaultPlan`] names a device
-//! and a simulated instant; the [`FaultInjector`] fails that device at that
-//! instant (fail-stop with a spare arriving later, or transient with the same
-//! device returning) and walks the array through the degraded state machine
+//! whole-array power loss to *device* failure. A [`FaultPlan`] names a device,
+//! a simulated instant and a spare's arrival; the [`FaultInjector`]
+//! fail-stops that device at that instant, losing its contents, and walks the
+//! array through the degraded state machine
 //!
 //! ```text
-//! Healthy ──fault──▶ Degraded ──spare/repair──▶ Rebuilding ──last row──▶ Healthy
+//! Healthy ──fault──▶ Degraded ──spare──▶ Rebuilding ──last row──▶ Healthy
 //! ```
 //!
 //! Degraded reads of the lost device are *reconstructed*: the parity rotation
@@ -41,36 +41,17 @@ use serde::{Deserialize, Serialize};
 use crate::archive::merge_completion;
 use crate::device::{IoCompletion, SsdDevice, LBA_SIZE};
 
-/// How a device fails and how it comes back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultKind {
-    /// The device fail-stops and its contents are lost; a spare arrives at
-    /// `spare_at` and rebuild regenerates every mapped stripe row from
-    /// parity.
-    FailStop {
-        /// Simulated instant the replacement device comes online and rebuild
-        /// starts (must not precede the fault instant).
-        spare_at: Nanos,
-    },
-    /// The device drops out transiently (link flap, firmware reset) and
-    /// returns with its contents intact at `repaired_at`; only the rows
-    /// written while it was away are resynced.
-    Transient {
-        /// Simulated instant the device returns (must not precede the fault
-        /// instant).
-        repaired_at: Nanos,
-    },
-}
-
-/// One injected fault: `device` fails at simulated instant `at`.
+/// One injected fault: `device` fail-stops at simulated instant `at`,
+/// losing its contents, and a spare arrives at `spare_at`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultEvent {
     /// Index of the device to fail.
     pub device: u16,
     /// Simulated instant of the failure.
     pub at: Nanos,
-    /// Fail-stop or transient, and when recovery begins.
-    pub kind: FaultKind,
+    /// Simulated instant the replacement device comes online and rebuild
+    /// starts (must not precede the fault instant).
+    pub spare_at: Nanos,
 }
 
 /// Pacing and cost knobs for reconstruction and rebuild.
@@ -125,24 +106,7 @@ impl FaultPlan {
         self.events.push(FaultEvent {
             device,
             at,
-            kind: FaultKind::FailStop { spare_at },
-        });
-        self
-    }
-
-    /// Adds a transient fault: `device` drops out at `at` and returns with
-    /// its contents at `repaired_at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repaired_at < at`.
-    #[must_use]
-    pub fn with_transient(mut self, device: u16, at: Nanos, repaired_at: Nanos) -> Self {
-        assert!(repaired_at >= at, "repair cannot precede the fault");
-        self.events.push(FaultEvent {
-            device,
-            at,
-            kind: FaultKind::Transient { repaired_at },
+            spare_at,
         });
         self
     }
@@ -326,7 +290,7 @@ impl Raid5Layout {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct ActiveFault {
     device: u16,
-    kind: FaultKind,
+    spare_at: Nanos,
     /// Rows written while the device was out (degraded writes absorbed by
     /// parity) — always part of the rebuild set.
     dirty_rows: Vec<u64>,
@@ -382,16 +346,11 @@ impl FaultInjector {
                 event.at >= last,
                 "fault events must be sorted and non-overlapping"
             );
-            last = match event.kind {
-                FaultKind::FailStop { spare_at } => {
-                    assert!(spare_at >= event.at, "spare cannot arrive before the fault");
-                    spare_at
-                }
-                FaultKind::Transient { repaired_at } => {
-                    assert!(repaired_at >= event.at, "repair cannot precede the fault");
-                    repaired_at
-                }
-            };
+            assert!(
+                event.spare_at >= event.at,
+                "spare cannot arrive before the fault"
+            );
+            last = event.spare_at;
         }
         assert!(
             plan.rebuild.row_interval > Nanos::ZERO,
@@ -457,12 +416,6 @@ impl FaultInjector {
         self.active.as_ref().map(|a| a.device)
     }
 
-    /// How the currently-out device failed, if one is out.
-    #[must_use]
-    pub fn down_kind(&self) -> Option<FaultKind> {
-        self.active.as_ref().map(|a| a.kind)
-    }
-
     /// When the most recent rebuild completed (the array returned to
     /// `Healthy`), if any has.
     #[must_use]
@@ -512,8 +465,9 @@ impl FaultInjector {
         matches!((&self.state, &self.active), (ArrayState::Degraded, Some(active)) if active.device == device)
     }
 
-    /// Whether `device` must be skipped by a flush broadcast (a device with
-    /// no controller cannot flush).
+    /// Whether `device` must be skipped by a flush broadcast or a power
+    /// failure: the failed device while the array is degraded, when no
+    /// controller is online to flush it.
     #[must_use]
     pub fn flush_skips(&self, device: u16) -> bool {
         matches!((&self.state, &self.active), (ArrayState::Degraded, Some(active)) if active.device == device)
@@ -540,7 +494,7 @@ impl FaultInjector {
                     }
                     self.active = Some(ActiveFault {
                         device: event.device,
-                        kind: event.kind,
+                        spare_at: event.spare_at,
                         dirty_rows: Vec::new(),
                         rebuild_rows: Vec::new(),
                         rebuilt: 0,
@@ -555,23 +509,17 @@ impl FaultInjector {
                         .active
                         .as_mut()
                         .expect("degraded array has an active fault");
-                    let rebuild_at = match active.kind {
-                        FaultKind::FailStop { spare_at } => spare_at,
-                        FaultKind::Transient { repaired_at } => repaired_at,
-                    };
+                    let rebuild_at = active.spare_at;
                     if rebuild_at > now {
                         return;
                     }
                     // The rebuild set: every row the lost device had mapped
-                    // (fail-stop only — a transient device kept its
-                    // contents) plus every row written while it was out.
+                    // plus every row written while it was out.
                     let mut rows = active.dirty_rows.clone();
-                    if let FaultKind::FailStop { .. } = active.kind {
-                        let device = &devices[usize::from(active.device)];
-                        let page = u64::from(device.config().geometry.page_size);
-                        for lpn in device.durable_lpns() {
-                            rows.push(self.layout.row_of_slba(lpn * page / LBA_SIZE));
-                        }
+                    let device = &devices[usize::from(active.device)];
+                    let page = u64::from(device.config().geometry.page_size);
+                    for lpn in device.durable_lpns() {
+                        rows.push(self.layout.row_of_slba(lpn * page / LBA_SIZE));
                     }
                     rows.sort_unstable();
                     rows.dedup();

@@ -18,10 +18,9 @@
 //! * the assembled NVMe-command-serving device ([`device`]),
 //! * the multi-device topology layer: N archives behind one
 //!   capacity-unified address space — striped RAID-0 style, rotating-parity
-//!   RAID-5 style, capacity-summing concatenation, or attached over CXL
-//!   ([`archive`]),
-//! * fault injection and degraded-mode serving: fail-stop / transient
-//!   device faults, parity reconstruction and paced rebuild ([`fault`]).
+//!   RAID-5 style, or attached over CXL ([`archive`]),
+//! * fault injection and degraded-mode serving: fail-stop device faults
+//!   with a spare, parity reconstruction and paced rebuild ([`fault`]).
 //!
 //! # Example
 //!
@@ -54,8 +53,8 @@ pub use device::{
 };
 pub use dram::{DramOutcome, DramStats, InternalDram};
 pub use fault::{
-    ArrayState, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultStats, Raid5Layout,
-    RebuildConfig, RebuildSpan,
+    ArrayState, FaultEvent, FaultInjector, FaultPlan, FaultStats, Raid5Layout, RebuildConfig,
+    RebuildSpan,
 };
 pub use fil::{Fil, FilCompletion};
 pub use ftl::{Ftl, FtlError, FtlStats, WriteOutcome};

@@ -8,25 +8,14 @@
 //! seeded streams of arrival instants that the platform-boundary admission
 //! queue (in `hams-platforms`) consumes.
 //!
-//! Three stochastic processes cover the paper's serving story plus the two
-//! shapes production traffic actually takes:
-//!
-//! * [`ArrivalProcess::Poisson`] — memoryless arrivals at a constant rate,
-//!   the canonical open-loop load model.
-//! * [`ArrivalProcess::Bursty`] — a two-state Markov-modulated Poisson
-//!   process (MMPP-2): a base rate with exponentially-dwelling bursts at a
-//!   multiple of it.
-//! * [`ArrivalProcess::Diurnal`] — a non-homogeneous Poisson process whose
-//!   rate ramps between a trough and a peak on a triangle wave, sampled by
-//!   thinning.
-//!
-//! [`ArrivalProcess::Saturate`] is the degenerate limit (arrival rate → ∞):
+//! [`ArrivalProcess::Poisson`] — memoryless arrivals at a constant rate — is
+//! the canonical open-loop load model.
+//! [`ArrivalProcess::Saturate`] is its degenerate limit (arrival rate → ∞):
 //! every request arrives at t = 0. Combined with a depth-1 blocking queue it
 //! reproduces the closed-loop serial contract byte for byte, which is how the
 //! open-loop engine is pinned against the rest of the test tower.
 
 use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use hams_sim::rng::{derived_rng, exponential_nanos};
@@ -41,30 +30,6 @@ pub enum ArrivalProcess {
         /// Mean arrival rate in requests per second.
         rate_per_sec: f64,
     },
-    /// Two-state Markov-modulated Poisson process: `base_rate_per_sec` in the
-    /// calm state, `base_rate_per_sec * burst_multiplier` inside bursts, with
-    /// exponentially distributed dwell times in each state.
-    Bursty {
-        /// Calm-state arrival rate in requests per second.
-        base_rate_per_sec: f64,
-        /// Burst-state rate as a multiple of the base rate (≥ 1).
-        burst_multiplier: f64,
-        /// Mean dwell time in the burst state.
-        mean_burst: Nanos,
-        /// Mean dwell time in the calm state.
-        mean_calm: Nanos,
-    },
-    /// Non-homogeneous Poisson arrivals whose instantaneous rate follows a
-    /// triangle wave from `trough_rate_per_sec` up to `peak_rate_per_sec`
-    /// and back over each `period` (a compressed day), sampled by thinning.
-    Diurnal {
-        /// Rate at the bottom of the ramp, requests per second.
-        trough_rate_per_sec: f64,
-        /// Rate at the top of the ramp, requests per second.
-        peak_rate_per_sec: f64,
-        /// Length of one trough→peak→trough cycle.
-        period: Nanos,
-    },
     /// The rate → ∞ limit: every request arrives at t = 0. Degenerates the
     /// open-loop driver to closed-loop serving order.
     Saturate,
@@ -77,23 +42,6 @@ impl ArrivalProcess {
     pub fn mean_rate_per_sec(&self) -> f64 {
         match *self {
             ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec,
-            ArrivalProcess::Bursty {
-                base_rate_per_sec,
-                burst_multiplier,
-                mean_burst,
-                mean_calm,
-            } => {
-                let calm = mean_calm.as_nanos() as f64;
-                let burst = mean_burst.as_nanos() as f64;
-                let weighted =
-                    base_rate_per_sec * calm + base_rate_per_sec * burst_multiplier * burst;
-                weighted / (calm + burst)
-            }
-            ArrivalProcess::Diurnal {
-                trough_rate_per_sec,
-                peak_rate_per_sec,
-                ..
-            } => (trough_rate_per_sec + peak_rate_per_sec) / 2.0,
             ArrivalProcess::Saturate => f64::INFINITY,
         }
     }
@@ -102,63 +50,19 @@ impl ArrivalProcess {
     ///
     /// # Panics
     ///
-    /// Panics on non-finite or non-positive rates, a burst multiplier below
-    /// 1, a zero dwell time, a zero period, or a peak below the trough.
+    /// Panics on a non-finite or non-positive Poisson rate.
     pub fn validate(&self) {
-        let finite_positive = |what: &str, r: f64| {
+        if let ArrivalProcess::Poisson { rate_per_sec } = *self {
             assert!(
-                r.is_finite() && r > 0.0,
-                "arrival process: {what} ({r}) must be finite and positive"
+                rate_per_sec.is_finite() && rate_per_sec > 0.0,
+                "arrival process: rate_per_sec ({rate_per_sec}) must be finite and positive"
             );
-        };
-        match *self {
-            ArrivalProcess::Poisson { rate_per_sec } => {
-                finite_positive("rate_per_sec", rate_per_sec);
-            }
-            ArrivalProcess::Bursty {
-                base_rate_per_sec,
-                burst_multiplier,
-                mean_burst,
-                mean_calm,
-            } => {
-                finite_positive("base_rate_per_sec", base_rate_per_sec);
-                assert!(
-                    burst_multiplier.is_finite() && burst_multiplier >= 1.0,
-                    "arrival process: burst_multiplier ({burst_multiplier}) must be >= 1"
-                );
-                assert!(
-                    !mean_burst.is_zero() && !mean_calm.is_zero(),
-                    "arrival process: burst/calm dwell times must be non-zero"
-                );
-            }
-            ArrivalProcess::Diurnal {
-                trough_rate_per_sec,
-                peak_rate_per_sec,
-                period,
-            } => {
-                finite_positive("trough_rate_per_sec", trough_rate_per_sec);
-                finite_positive("peak_rate_per_sec", peak_rate_per_sec);
-                assert!(
-                    peak_rate_per_sec >= trough_rate_per_sec,
-                    "arrival process: peak rate ({peak_rate_per_sec}) below trough \
-                     ({trough_rate_per_sec})"
-                );
-                assert!(
-                    !period.is_zero(),
-                    "arrival process: diurnal period must be non-zero"
-                );
-            }
-            ArrivalProcess::Saturate => {}
         }
     }
 }
 
 /// Nanoseconds per second, as a float, for rate → mean-gap conversion.
 const NANOS_PER_SEC: f64 = 1e9;
-
-fn mean_gap_nanos(rate_per_sec: f64) -> f64 {
-    NANOS_PER_SEC / rate_per_sec
-}
 
 /// Deterministic generator of `count` non-decreasing arrival instants for one
 /// [`ArrivalProcess`], seeded like every other stochastic stream in the
@@ -182,10 +86,6 @@ pub struct ArrivalGenerator {
     rng: StdRng,
     now: Nanos,
     remaining: usize,
-    /// MMPP state: currently inside a burst?
-    in_burst: bool,
-    /// MMPP state: the instant the current dwell ends.
-    state_end: Nanos,
 }
 
 impl ArrivalGenerator {
@@ -197,20 +97,11 @@ impl ArrivalGenerator {
     #[must_use]
     pub fn new(process: ArrivalProcess, seed: u64, count: usize) -> Self {
         process.validate();
-        let mut rng = derived_rng(seed, "open-loop-arrivals");
-        let state_end = if let ArrivalProcess::Bursty { mean_calm, .. } = process {
-            // Start in the calm state with a freshly sampled dwell.
-            Nanos::from_nanos(exponential_nanos(&mut rng, mean_calm.as_nanos() as f64))
-        } else {
-            Nanos::ZERO
-        };
         ArrivalGenerator {
             process,
-            rng,
+            rng: derived_rng(seed, "open-loop-arrivals"),
             now: Nanos::ZERO,
             remaining: count,
-            in_burst: false,
-            state_end,
         }
     }
 
@@ -224,62 +115,9 @@ impl ArrivalGenerator {
         match self.process {
             ArrivalProcess::Saturate => Nanos::ZERO,
             ArrivalProcess::Poisson { rate_per_sec } => {
-                let gap = exponential_nanos(&mut self.rng, mean_gap_nanos(rate_per_sec));
+                let gap = exponential_nanos(&mut self.rng, NANOS_PER_SEC / rate_per_sec);
                 self.now = self.now.saturating_add(Nanos::from_nanos(gap));
                 self.now
-            }
-            ArrivalProcess::Bursty {
-                base_rate_per_sec,
-                burst_multiplier,
-                mean_burst,
-                mean_calm,
-            } => {
-                // Exact MMPP sampling: a gap drawn at the current state's
-                // rate counts only if it lands before the state boundary;
-                // otherwise advance to the boundary, toggle state and — by
-                // the exponential's memorylessness — resample from scratch.
-                loop {
-                    let rate = if self.in_burst {
-                        base_rate_per_sec * burst_multiplier
-                    } else {
-                        base_rate_per_sec
-                    };
-                    let gap = exponential_nanos(&mut self.rng, mean_gap_nanos(rate));
-                    let candidate = self.now.saturating_add(Nanos::from_nanos(gap));
-                    if candidate <= self.state_end {
-                        self.now = candidate;
-                        return self.now;
-                    }
-                    self.now = self.state_end;
-                    self.in_burst = !self.in_burst;
-                    let dwell = if self.in_burst { mean_burst } else { mean_calm };
-                    let dwell = exponential_nanos(&mut self.rng, dwell.as_nanos() as f64);
-                    self.state_end = self.now.saturating_add(Nanos::from_nanos(dwell));
-                }
-            }
-            ArrivalProcess::Diurnal {
-                trough_rate_per_sec,
-                peak_rate_per_sec,
-                period,
-            } => {
-                // Thinning (Lewis–Shedler): sample at the peak rate, accept
-                // each candidate with probability rate(t) / peak.
-                loop {
-                    let gap = exponential_nanos(&mut self.rng, mean_gap_nanos(peak_rate_per_sec));
-                    self.now = self.now.saturating_add(Nanos::from_nanos(gap));
-                    let phase =
-                        (self.now.as_nanos() % period.as_nanos()) as f64 / period.as_nanos() as f64;
-                    // Triangle wave: trough at phase 0 and 1, peak at 0.5.
-                    let ramp = 1.0 - (2.0 * phase - 1.0).abs();
-                    let rate =
-                        trough_rate_per_sec + (peak_rate_per_sec - trough_rate_per_sec) * ramp;
-                    if self
-                        .rng
-                        .gen_bool((rate / peak_rate_per_sec).clamp(0.0, 1.0))
-                    {
-                        return self.now;
-                    }
-                }
             }
         }
     }
@@ -328,17 +166,6 @@ mod tests {
     fn arrivals_are_non_decreasing_for_every_process() {
         let processes = [
             ArrivalProcess::Poisson { rate_per_sec: 1e6 },
-            ArrivalProcess::Bursty {
-                base_rate_per_sec: 2e5,
-                burst_multiplier: 8.0,
-                mean_burst: Nanos::from_micros(50),
-                mean_calm: Nanos::from_micros(200),
-            },
-            ArrivalProcess::Diurnal {
-                trough_rate_per_sec: 1e5,
-                peak_rate_per_sec: 1e6,
-                period: Nanos::from_millis(1),
-            },
             ArrivalProcess::Saturate,
         ];
         for p in processes {
@@ -363,56 +190,39 @@ mod tests {
         );
     }
 
+    /// Pins the Poisson stream to the formula it samples rather than to the
+    /// generator's own code: arrival `k` is the saturating sum of the first
+    /// `k` exponential gaps of mean `1e9 / rate` ns, drawn in order from the
+    /// seed's `open-loop-arrivals` stream. A draw made for anything else
+    /// shifts every later arrival.
+    #[test]
+    fn poisson_stream_equals_the_exponential_gap_reference() {
+        for seed in [42, 20211] {
+            for rate in [3e4, 3e5] {
+                let mut rng = derived_rng(seed, "open-loop-arrivals");
+                let mut now = Nanos::ZERO;
+                let reference: Vec<Nanos> = (0..2_000)
+                    .map(|_| {
+                        let gap = exponential_nanos(&mut rng, 1e9 / rate);
+                        now = now.saturating_add(Nanos::from_nanos(gap));
+                        now
+                    })
+                    .collect();
+                let process = ArrivalProcess::Poisson { rate_per_sec: rate };
+                assert_eq!(
+                    collect(process, seed, 2_000),
+                    reference,
+                    "seed {seed}, rate {rate}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn saturate_pins_every_arrival_to_zero() {
         let arrivals = collect(ArrivalProcess::Saturate, 3, 64);
         assert!(arrivals.iter().all(|t| t.is_zero()));
         assert_eq!(ArrivalProcess::Saturate.mean_rate_per_sec(), f64::INFINITY);
-    }
-
-    #[test]
-    fn bursty_rate_sits_between_base_and_burst() {
-        let base = 200_000.0;
-        let mult = 10.0;
-        let p = ArrivalProcess::Bursty {
-            base_rate_per_sec: base,
-            burst_multiplier: mult,
-            mean_burst: Nanos::from_micros(100),
-            mean_calm: Nanos::from_micros(100),
-        };
-        let n = 30_000;
-        let arrivals = collect(p, 5, n);
-        let span = arrivals.last().unwrap().as_secs_f64();
-        let observed = n as f64 / span;
-        assert!(
-            observed > base * 1.2 && observed < base * mult,
-            "observed rate {observed} not between base {base} and burst {}",
-            base * mult
-        );
-        // Equal dwells → the analytic mean is the midpoint.
-        let analytic = p.mean_rate_per_sec();
-        assert!((analytic - base * (1.0 + mult) / 2.0).abs() < 1e-6);
-        assert!(
-            (observed - analytic).abs() < analytic * 0.2,
-            "observed {observed} too far from analytic {analytic}"
-        );
-    }
-
-    #[test]
-    fn diurnal_rate_averages_between_trough_and_peak() {
-        let p = ArrivalProcess::Diurnal {
-            trough_rate_per_sec: 2e5,
-            peak_rate_per_sec: 1e6,
-            period: Nanos::from_millis(2),
-        };
-        let n = 30_000;
-        let arrivals = collect(p, 9, n);
-        let span = arrivals.last().unwrap().as_secs_f64();
-        let observed = n as f64 / span;
-        assert!(
-            observed > 2e5 && observed < 1e6,
-            "observed rate {observed} outside the trough–peak band"
-        );
     }
 
     #[test]
@@ -426,17 +236,5 @@ mod tests {
     #[should_panic(expected = "must be finite and positive")]
     fn zero_rate_is_rejected() {
         let _ = ArrivalGenerator::new(ArrivalProcess::Poisson { rate_per_sec: 0.0 }, 1, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "burst_multiplier")]
-    fn sub_unit_burst_multiplier_is_rejected() {
-        ArrivalProcess::Bursty {
-            base_rate_per_sec: 1e5,
-            burst_multiplier: 0.5,
-            mean_burst: Nanos::from_micros(10),
-            mean_calm: Nanos::from_micros(10),
-        }
-        .validate();
     }
 }

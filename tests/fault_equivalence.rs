@@ -7,9 +7,7 @@
 //! 1. **Zero faults is free.** With no `FaultPlan` installed the parity
 //!    array (`hams-TP-r5`) is metrics-byte-identical to its RAID-0 twin at
 //!    the same shape — parity lives in the reserved OP region and the
-//!    healthy data path never touches it. Likewise a uniform heterogeneous
-//!    archive is byte-identical to the homogeneous constructor, and a
-//!    concat array's first slice is byte-identical to a single device.
+//!    healthy data path never touches it.
 //! 2. **Faults are part of the seed.** The same `FaultPlan` replays
 //!    byte-identically across repeated runs, across the batched and
 //!    per-access serving paths, and across grid worker threads — faults
@@ -24,9 +22,6 @@
 //! 4. **The figure has the right shape.** `fig26` shows the sojourn p99
 //!    elevated against its healthy-twin baseline while degraded and
 //!    rebuilding, and back within tolerance of the twin once recovered.
-//!
-//! Set `HAMS_FAULTS=1` (the CI fault leg) to add an open-loop replay of the
-//! fig26 schedule to the determinism checks.
 
 use hams::core::{AttachMode, PersistMode};
 use hams::flash::{
@@ -105,67 +100,6 @@ fn read_cmd(slba: u64) -> NvmeCommand {
 
 fn write_cmd(slba: u64) -> NvmeCommand {
     NvmeCommand::write(1, slba, 4096, PrpList::single(0x1000))
-}
-
-#[test]
-fn uniform_heterogeneous_archive_is_byte_identical_to_the_homogeneous_one() {
-    let config = SsdConfig::tiny_for_tests();
-    let topology = BackendTopology::raid0_striped(4, LBA_SIZE);
-    let mut homo = ArchiveSet::new(config, topology, 4096);
-    let mut hetero = ArchiveSet::new_heterogeneous(vec![config; 4], topology, 4096);
-    let mut now = Nanos::ZERO;
-    for i in 0..96u64 {
-        let cmd = match i % 4 {
-            0 => write_cmd(i % 32).with_fua(true),
-            1 => write_cmd(i % 32),
-            2 => NvmeCommand::flush(1),
-            _ => read_cmd(i % 32),
-        };
-        let a = homo.service(&cmd, now).unwrap();
-        let b = hetero.service(&cmd, now).unwrap();
-        assert_eq!(
-            a, b,
-            "uniform heterogeneous archive diverged at command {i}"
-        );
-        now = a.finished_at;
-    }
-    assert_eq!(homo.stats(), hetero.stats());
-    assert_eq!(homo.device_stats(), hetero.device_stats());
-}
-
-#[test]
-fn concat_sums_capacity_and_its_first_slice_matches_a_single_device() {
-    let config = SsdConfig::tiny_for_tests();
-    let mut single = ArchiveSet::single(config);
-    let mut concat = ArchiveSet::new(config, BackendTopology::concat(2), 4096);
-    assert_eq!(concat.capacity_bytes(), 2 * single.capacity_bytes());
-    let per_device_lbas = single.capacity_bytes() / LBA_SIZE;
-    assert_eq!(concat.device_of_slba(per_device_lbas - 1), 0);
-    assert_eq!(concat.device_of_slba(per_device_lbas), 1);
-    let mut now = Nanos::ZERO;
-    for i in 0..64u64 {
-        let cmd = if i % 3 == 0 {
-            write_cmd(i % 24).with_fua(i % 6 == 0)
-        } else {
-            read_cmd(i % 24)
-        };
-        let a = single.service(&cmd, now).unwrap();
-        let b = concat.service(&cmd, now).unwrap();
-        assert_eq!(a, b, "concat's first slice diverged from the single device");
-        now = a.finished_at;
-    }
-    assert_eq!(single.stats(), concat.stats());
-    assert_eq!(
-        concat.device(1).stats().total_commands(),
-        0,
-        "first-slice traffic must never reach the second device"
-    );
-    // The second slice serves in its own address range and translates back.
-    concat
-        .service(&write_cmd(per_device_lbas + 3).with_fua(true), now)
-        .unwrap();
-    assert!(concat.device(1).is_durable(3));
-    assert!(concat.is_durable(per_device_lbas + 3));
 }
 
 /// A closed-loop serving path: [`run_workload`] (batched) or
@@ -380,14 +314,10 @@ fn fig26_tail_is_elevated_under_rebuild_and_recovers() {
     assert!(recovered.p99_us <= 2.0 * recovered.baseline_p99_us.max(1.0));
 }
 
-/// CI's `HAMS_FAULTS` leg replays the exact fig26 fault schedule open-loop
-/// twice and demands byte-identical metrics and fault accounting — the
-/// deep end of contract 2.
+/// Replays the exact fig26 fault schedule open-loop twice and demands
+/// byte-identical metrics and fault accounting — the deep end of contract 2.
 #[test]
 fn open_loop_fault_schedule_replays_byte_identically() {
-    if std::env::var("HAMS_FAULTS").is_err() {
-        return;
-    }
     let scale = tiny();
     let spec = WorkloadSpec::by_name("rndWr").unwrap();
     let healthy = run_workload(&mut build_fault_platform(&scale), spec, &scale);

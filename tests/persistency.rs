@@ -9,6 +9,8 @@
 use hams::core::{
     AttachMode, BackendTopology, HamsConfig, HamsController, PersistMode, ShardConfig,
 };
+use hams::flash::{ArchiveSet, SsdConfig, LBA_SIZE};
+use hams::nvme::{NvmeCommand, PrpList};
 use hams::sim::Nanos;
 use proptest::prelude::*;
 
@@ -361,6 +363,58 @@ fn power_failure_during_rebuild_loses_no_acknowledged_write() {
             hams.is_page_recoverable(*page, report.completed_at),
             "page {page} lost after the post-recovery rebuild completed"
         );
+    }
+}
+
+#[test]
+fn power_failure_during_rebuild_reports_the_replacements_buffered_write() {
+    // Once the spare is online (rebuilding), plain writes to the failed
+    // device's stripes land in the replacement's internal DRAM. A power
+    // failure must then flush such a write from the supercap, or report it
+    // lost without one — never drop it from both lists.
+    let page = 17u64;
+    for supercap in [false, true] {
+        let mut config = SsdConfig::tiny_for_tests();
+        config.supercap_backed = supercap;
+        let mut set = ArchiveSet::new(config, BackendTopology::raid5_striped(4, LBA_SIZE), 4096);
+        for slba in 0..16u64 {
+            let write = NvmeCommand::write(1, slba, 4096, PrpList::single(0)).with_fua(true);
+            set.service(&write, Nanos::ZERO).unwrap();
+        }
+        set.set_fault_plan(
+            hams::core::FaultPlan::new()
+                .with_fail_stop(1, Nanos::from_millis(1), Nanos::from_millis(2))
+                .with_rebuild(hams::core::RebuildConfig {
+                    row_interval: Nanos::from_secs(10),
+                    ..hams::core::RebuildConfig::default()
+                }),
+        );
+        let read = NvmeCommand::read(1, 0, 4096, PrpList::single(0));
+        set.service(&read, Nanos::from_millis(3)).unwrap();
+        assert_eq!(set.array_state(), hams::core::ArrayState::Rebuilding);
+        assert_eq!(
+            set.device_of_slba(page),
+            1,
+            "the write targets the replacement"
+        );
+        let write = NvmeCommand::write(1, page, 4096, PrpList::single(0));
+        set.service(&write, Nanos::from_millis(3)).unwrap();
+        assert!(
+            !set.is_durable(page),
+            "the plain write must sit in the buffer"
+        );
+
+        let report = set.power_fail(Nanos::from_millis(4));
+        let (kept, missed) = if supercap {
+            (&report.flushed_pages, &report.lost_pages)
+        } else {
+            (&report.lost_pages, &report.flushed_pages)
+        };
+        assert!(
+            kept.contains(&page) && !missed.contains(&page),
+            "supercap {supercap}: page {page} missing from the power-loss report {report:?}"
+        );
+        assert_eq!(set.is_durable(page), supercap);
     }
 }
 
