@@ -29,10 +29,9 @@
 //! paper.
 
 use hams_bench::*;
-use hams_core::{AttachMode, HamsConfig, PersistMode};
-use hams_flash::{SsdConfig, SsdDevice};
-use hams_nvdimm::{NvdimmConfig, PinnedRegionLayout};
-use hams_nvme::{NvmeCommand, PrpList};
+use hams_core::{AttachMode, PersistMode};
+use hams_flash::{BackendTopology, SsdConfig, SsdDevice};
+use hams_nvme::{NvmeCommand, PrpList, QueueConfig};
 use hams_platforms::{
     feature_table, paper_config, run_workload, run_workload_traced, HamsPlatform, PlatformKind,
     ScaleProfile,
@@ -164,7 +163,7 @@ fn main() {
                 print_rows("Figure 16: application performance", &rows);
             }
             // Figures 17–19 loop workloads serially on purpose: the
-            // run_matrix call inside each figure function already fans its
+            // run_grid call inside each figure function already fans its
             // platforms out, and nesting parallel_map would multiply worker
             // threads past the HAMS_THREADS cap.
             "fig17" => {
@@ -328,32 +327,21 @@ fn ablation(scale: &ScaleProfile) {
 
     let spec = WorkloadSpec::by_name("rndWr").expect("rndWr is a Table III workload");
     println!("=== Ablation: SSD-internal DRAM and persist mode (hams-L, rndWr) ===");
-    for (label, dram, persist) in [
-        (
-            "loose + SSD DRAM + extend",
-            scale.ssd_dram_bytes(),
-            PersistMode::Extend,
-        ),
-        ("loose + no SSD DRAM + extend", 0, PersistMode::Extend),
-        (
-            "loose + SSD DRAM + persist",
-            scale.ssd_dram_bytes(),
-            PersistMode::Persist,
-        ),
+    // The scaled loose shape's SSD DRAM is `scale.ssd_dram_bytes()`, the
+    // baselines' size; the no-DRAM row removes it.
+    for (label, ssd_dram, persist) in [
+        ("loose + SSD DRAM + extend", true, PersistMode::Extend),
+        ("loose + no SSD DRAM + extend", false, PersistMode::Extend),
+        ("loose + SSD DRAM + persist", true, PersistMode::Persist),
     ] {
-        let base = HamsConfig::loose(persist);
-        let mut ssd = base.ssd;
-        ssd.dram_capacity_bytes = dram;
-        let config = HamsConfig {
-            nvdimm: NvdimmConfig {
-                capacity_bytes: scale.cache_bytes(),
-                ..NvdimmConfig::hpe_8gb()
-            },
-            pinned: PinnedRegionLayout::tiny_for_tests(),
-            ssd,
-            ..base
+        let mut config =
+            HamsPlatform::scaled_config(AttachMode::Loose, persist, scale.cache_bytes())
+                .with_mos_page_size(4096)
+                .with_queues(QueueConfig::single())
+                .with_backend(BackendTopology::single());
+        if !ssd_dram {
+            config.ssd.dram_capacity_bytes = 0;
         }
-        .with_mos_page_size(4096);
         let mut platform = HamsPlatform::from_config(config);
         let m = run_workload(&mut platform, spec, scale);
         println!("{label:<32} {:>12.0} pages/s", m.pages_per_sec);

@@ -13,16 +13,15 @@
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use hams_core::{ArrayState, FaultPlan, PersistMode, RebuildConfig};
+use hams_core::{ArrayState, AttachMode, BackendTopology, FaultPlan, PersistMode, RebuildConfig};
 use hams_flash::{SsdConfig, SsdDevice};
 use hams_interconnect::{Ddr4Channel, Ddr4Config};
-use hams_nvme::{NvmeCommand, PrpList};
+use hams_nvme::{NvmeCommand, PrpList, QueueConfig};
 use hams_platforms::{
     build_cxl_platform, build_fault_platform, build_raid_sweep_platform, fault_label,
-    queue_sweep_label, register_hams_queue_sweep, register_hams_shard_sweep, run_grid,
-    run_grid_with, run_matrix, run_tenant_set_open_loop, run_workload, run_workload_open_loop,
-    run_workload_open_loop_traced, shard_sweep_label, HamsPlatform, MmapPlatform, OpenLoopConfig,
-    OpenLoopMetrics, OpenLoopRecord, PlatformKind, PlatformRegistry, RunMetrics, ScaleProfile,
+    queue_sweep_platform, run_grid, run_tenant_set_open_loop, run_workload, run_workload_open_loop,
+    run_workload_open_loop_traced, shard_sweep_platform, HamsPlatform, MmapPlatform,
+    OpenLoopConfig, OpenLoopMetrics, OpenLoopRecord, PlatformKind, RunMetrics, ScaleProfile,
 };
 use hams_sim::parallel_map;
 use hams_sim::{Histogram, Nanos};
@@ -551,7 +550,7 @@ pub fn fig17_execution_breakdown(scale: &ScaleProfile, workload: &str) -> Vec<Br
     let results: Vec<(String, RunMetrics)> = kinds
         .iter()
         .map(|k| k.label().to_owned())
-        .zip(run_matrix(&kinds, spec, scale))
+        .zip(run_grid(&kinds, &[spec], scale))
         .collect();
     normalized_rows(
         &results,
@@ -582,7 +581,7 @@ pub fn fig18_memory_delay(scale: &ScaleProfile, workload: &str) -> Vec<Breakdown
     let results: Vec<(String, RunMetrics)> = kinds
         .iter()
         .map(|k| k.label().to_owned())
-        .zip(run_matrix(&kinds, spec, scale))
+        .zip(run_grid(&kinds, &[spec], scale))
         .collect();
     normalized_rows(
         &results,
@@ -613,7 +612,7 @@ pub fn fig19_energy(scale: &ScaleProfile, workload: &str) -> Vec<BreakdownRow> {
     let results: Vec<(String, RunMetrics)> = kinds
         .iter()
         .map(|k| k.label().to_owned())
-        .zip(run_matrix(&kinds, spec, scale))
+        .zip(run_grid(&kinds, &[spec], scale))
         .collect();
     normalized_rows(
         &results,
@@ -655,7 +654,8 @@ impl fmt::Display for PageSizeRow {
     }
 }
 
-/// Fig. 20a: hams-TE throughput across MoS page sizes.
+/// Fig. 20a: hams-TE throughput across MoS page sizes, on one queue pair and
+/// one archive device whatever `HAMS_DEVICES` asks for.
 #[must_use]
 pub fn fig20a_page_sizes(
     scale: &ScaleProfile,
@@ -667,19 +667,14 @@ pub fn fig20a_page_sizes(
     };
     let mut rows = Vec::new();
     for &page_size in page_sizes {
-        let base = hams_core::HamsConfig::tight(PersistMode::Extend);
-        let mut ssd = base.ssd;
-        ssd.dram_capacity_bytes = 0;
-        let config = hams_core::HamsConfig {
-            nvdimm: hams_nvdimm::NvdimmConfig {
-                capacity_bytes: scale.cache_bytes(),
-                ..hams_nvdimm::NvdimmConfig::hpe_8gb()
-            },
-            pinned: hams_nvdimm::PinnedRegionLayout::tiny_for_tests(),
-            ssd,
-            ..base
-        }
-        .with_mos_page_size(page_size);
+        let config = HamsPlatform::scaled_config(
+            AttachMode::Tight,
+            PersistMode::Extend,
+            scale.cache_bytes(),
+        )
+        .with_mos_page_size(page_size)
+        .with_queues(QueueConfig::single())
+        .with_backend(BackendTopology::single());
         let mut platform = HamsPlatform::from_config(config);
         let m = run_workload(&mut platform, spec, scale);
         rows.push(PageSizeRow {
@@ -729,7 +724,7 @@ pub fn fig20b_large_footprint(scale: &ScaleProfile, workload: &str) -> Vec<Large
     ];
     kinds
         .iter()
-        .zip(run_matrix(&kinds, grown, scale))
+        .zip(run_grid(&kinds, &[grown], scale))
         .map(|(k, m)| LargeFootprintRow {
             platform: k.label().to_owned(),
             workload: workload.to_owned(),
@@ -765,12 +760,12 @@ impl fmt::Display for QueueSensitivityRow {
     }
 }
 
-/// Queue-count sensitivity of hams-TE: the `hams-TE-q{n}` registry entries
-/// (32 KB MoS pages, striped fills, MSI coalescing) swept over
-/// `queue_counts` on one workload through the parallel grid. More queues
-/// let the controller stripe each page fill across more submission rings,
-/// overlapping the device firmware walks, so mean latency falls until the
-/// flash channels saturate.
+/// Queue-count sensitivity of hams-TE: [`queue_sweep_platform`] (32 KB MoS
+/// pages, striped fills, MSI coalescing) swept over `queue_counts` on one
+/// workload, the points served in parallel. More queues let the controller
+/// stripe each page fill across more submission rings, overlapping the
+/// device firmware walks, so mean latency falls until the flash channels
+/// saturate.
 #[must_use]
 pub fn fig21_queue_sensitivity(
     scale: &ScaleProfile,
@@ -780,11 +775,9 @@ pub fn fig21_queue_sensitivity(
     let Some(spec) = WorkloadSpec::by_name(workload) else {
         return Vec::new();
     };
-    let mut registry = PlatformRegistry::standard();
-    register_hams_queue_sweep(&mut registry, queue_counts);
-    let labels: Vec<String> = queue_counts.iter().map(|&n| queue_sweep_label(n)).collect();
-    let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-    let results = run_grid_with(&registry, &label_refs, &[spec], scale);
+    let results = parallel_map(queue_counts, |&n| {
+        run_workload(&mut queue_sweep_platform(scale, n), spec, scale)
+    });
     queue_counts
         .iter()
         .zip(results)
@@ -824,8 +817,8 @@ impl fmt::Display for ShardSensitivityRow {
     }
 }
 
-/// Shard-count sensitivity of hams-TE: the `hams-TE-s{n}` registry entries
-/// swept over `shard_counts` on one workload through the parallel grid.
+/// Shard-count sensitivity of hams-TE: [`shard_sweep_platform`] swept over
+/// `shard_counts` on one workload, the points served in parallel.
 /// Unlike the queue sweep, the simulated timing is pinned *flat*: a bank is
 /// only a label on journal tags and spans, so every count must report
 /// byte-identical metrics. The function asserts the invariance so a bench
@@ -844,11 +837,9 @@ pub fn fig_shard_sensitivity(
     let Some(spec) = WorkloadSpec::by_name(workload) else {
         return Vec::new();
     };
-    let mut registry = PlatformRegistry::standard();
-    register_hams_shard_sweep(&mut registry, shard_counts);
-    let labels: Vec<String> = shard_counts.iter().map(|&n| shard_sweep_label(n)).collect();
-    let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-    let results = run_grid_with(&registry, &label_refs, &[spec], scale);
+    let results = parallel_map(shard_counts, |&n| {
+        run_workload(&mut shard_sweep_platform(scale, n), spec, scale)
+    });
     if let Some(first) = results.first() {
         for m in &results {
             assert_eq!(
@@ -910,16 +901,18 @@ impl fmt::Display for DeviceScalingRow {
     }
 }
 
-/// Archive device scaling of hams-TE (`figures -- fig23`): the
-/// `hams-TE-d{n}` RAID-0 sweep over `device_counts` on one workload, plus
-/// the CXL-attached d4 variant. Each fill's stripe commands fan out across
-/// the archive set's devices (LBA-granularity stripes), so random-read
-/// latency falls as the device count grows — while the *work* stays fixed:
-/// the unified address space is one archive's capacity, every command lands
-/// on the device owning its stripe, and the function asserts that every
-/// run's per-device byte totals sum to the sweep baseline's (the first
-/// entry of `device_counts` — `d1` in the standard sweep, making the
-/// baseline the single-device totals).
+/// Archive device scaling of hams-TE (`figures -- fig23`):
+/// [`build_raid_sweep_platform`] swept over `device_counts` on one workload,
+/// plus the CXL-attached d4 variant ([`build_cxl_platform`]). Each fill's
+/// stripe commands fan out across the archive set's devices
+/// (LBA-granularity stripes), so random-read latency falls as the device
+/// count grows — while the *work* stays fixed: the unified address space is
+/// one archive's capacity, every command lands on the device owning its
+/// stripe, and the function asserts that every run's per-device byte totals
+/// sum to the sweep baseline's (the first entry of `device_counts` — one
+/// device in the standard sweep, making the baseline the single-device
+/// totals). The platforms are concrete, so the per-device stats stay
+/// readable.
 ///
 /// # Panics
 ///
@@ -934,9 +927,6 @@ pub fn fig_device_scaling(
     let Some(spec) = WorkloadSpec::by_name(workload) else {
         return Vec::new();
     };
-    // Built concretely (not through the boxed registry) so the per-device
-    // archive stats stay readable; the registry entries use the same
-    // constructor, so the grid rows and these rows are the same cells.
     let mut rows = Vec::new();
     let mut baseline_totals: Option<(u64, u64)> = None;
     let mut run = |backend: &'static str, devices: u16, platform: &mut HamsPlatform| {

@@ -163,8 +163,8 @@ impl HamsConfig {
     }
 
     /// Changes the tag-directory bank labels (builder style), as swept by
-    /// the `hams-TE-s{n}` registry entries. Any shape is metrics-neutral by
-    /// the shard-invariance contract.
+    /// `hams_platforms::shard_sweep_platform`. Any shape is metrics-neutral
+    /// by the shard-invariance contract.
     #[must_use]
     pub fn with_shards(mut self, shards: ShardConfig) -> Self {
         self.shards = shards;
@@ -172,9 +172,10 @@ impl HamsConfig {
     }
 
     /// Changes the archive backend topology (builder style): one device, a
-    /// RAID-0 fan-out or the CXL-attached variant, as swept by the
-    /// `hams-TE-d{n}` registry entries. A stripe unit of `0` resolves to the
-    /// MoS page size, so each MoS page lives wholly on one device.
+    /// RAID-0 or RAID-5 array, or the CXL-attached variant, as built by
+    /// `hams_platforms`' device-sweep and fault platforms. A stripe unit of
+    /// `0` resolves to the MoS page size, so each MoS page lives wholly on
+    /// one device.
     #[must_use]
     pub fn with_backend(mut self, backend: BackendTopology) -> Self {
         self.backend = backend;

@@ -126,8 +126,8 @@ impl ShardConfig {
         }
     }
 
-    /// `count` banks with round-robin set assignment (the default policy for
-    /// the `hams-TE-s{n}` sweep entries).
+    /// `count` banks with round-robin set assignment (the policy of the
+    /// shard sweep, `figures fig22`).
     #[must_use]
     pub fn interleaved(count: u16) -> Self {
         ShardConfig {
@@ -143,32 +143,6 @@ impl ShardConfig {
             count: count.max(1),
             policy: ShardHashPolicy::Block,
         }
-    }
-
-    /// Shard shape requested through the `HAMS_SHARDS` environment variable,
-    /// if set (the CI matrix lever — analogous to `HAMS_THREADS` for the
-    /// grid). By the shard-invariance contract the override can never change
-    /// results, only the bank labels on journal tags and spans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `HAMS_SHARDS` is set but not a positive `u16`. A silent
-    /// fallback would neuter the CI shard matrix: a leg that failed to
-    /// parse its count (or asked for zero banks) would run single-bank and
-    /// report the invariance green without ever exercising a multi-bank
-    /// directory.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("HAMS_SHARDS").ok()?;
-        let count = raw
-            .trim()
-            .parse::<u16>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                panic!("HAMS_SHARDS must be a positive integer up to 65535, got {raw:?}")
-            });
-        Some(ShardConfig::interleaved(count))
     }
 
     /// The bank labelling global set index `set` out of `num_sets`.

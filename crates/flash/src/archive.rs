@@ -31,7 +31,7 @@
 //! fills and evictions land wholly on its owning device — mirroring how the
 //! page's directory state lives in one tag-array set — while LBA
 //! granularity fans a multi-queue striped fill out across devices for
-//! intra-fill parallelism (the `hams-TE-d{n}` sweep entries do this).
+//! intra-fill parallelism (the device sweep of `figures fig23` does this).
 
 use hams_nvme::{NvmeCommand, NvmeOpcode};
 use hams_sim::Nanos;
@@ -215,12 +215,12 @@ impl BackendTopology {
     }
 
     /// Backend topology requested through the `HAMS_DEVICES` environment
-    /// variable, if set — the CI matrix lever, mirroring `HAMS_SHARDS` for
-    /// the tag directory. `HAMS_DEVICES=1` is the single backend;
-    /// `HAMS_DEVICES=n` for `n > 1` is RAID-0 at MoS-page stripe
-    /// granularity. Unlike the shard override, the device count legitimately
-    /// changes simulated timing, so the golden suites keep one snapshot per
-    /// device count.
+    /// variable, if set — the CI matrix lever, read by the scaled HAMS
+    /// platforms (`hams_platforms::HamsPlatform::scaled_config`).
+    /// `HAMS_DEVICES=1` is the single backend; `HAMS_DEVICES=n` for `n > 1`
+    /// is RAID-0 at MoS-page stripe granularity. The device count
+    /// legitimately changes simulated timing, so the golden suites keep one
+    /// snapshot per device count.
     ///
     /// # Panics
     ///

@@ -1,9 +1,7 @@
 //! The four HAMS platforms (`hams-LP`, `hams-LE`, `hams-TP`, `hams-TE`)
 //! wrapped behind the [`Platform`] trait.
 
-use hams_core::{
-    AttachMode, BackendTopology, HamsConfig, HamsController, PersistMode, ShardConfig,
-};
+use hams_core::{AttachMode, BackendTopology, HamsConfig, HamsController, PersistMode};
 use hams_energy::{EnergyAccount, PowerParams};
 use hams_nvdimm::{NvdimmConfig, PinnedRegionLayout};
 use hams_nvme::QueueConfig;
@@ -13,20 +11,20 @@ use hams_workloads::Access;
 
 use crate::platform::{AccessOutcome, BatchOutcome, BatchRequest, Platform};
 
-/// MoS page size of the default scaled registry entries (`hams-LP/LE/TP/TE`
-/// and the `hams-TE-s{n}` shard sweep): 8 KB — two LBAs, so striped fills
-/// no longer degenerate to a single stripe on the standard scaled profiles
-/// (the `hams-TE-q{n}` / `hams-TE-d{n}` sweeps keep their larger 32 KB
-/// page). Chosen as the largest multi-LBA page that preserves the paper's
-/// headline orderings at scaled-down capacity: the 4 KB-access random
-/// workloads pay whole-page clones and fills on every conflict miss, so
-/// page size trades fill striping against eviction traffic exactly as
+/// MoS page size of [`HamsPlatform::scaled_config`], and so of the scaled
+/// `hams-LP/LE/TP/TE` platforms and the shard sweep: 8 KB — two LBAs, so
+/// striped fills no longer degenerate to a single stripe on the standard
+/// scaled profiles (the queue and device sweeps replace it with their
+/// larger 32 KB page). Chosen as the largest multi-LBA page that preserves
+/// the paper's headline orderings at scaled-down capacity: the 4 KB-access
+/// random workloads pay whole-page clones and fills on every conflict miss,
+/// so page size trades fill striping against eviction traffic exactly as
 /// Fig. 20a describes — at 16 KB and above, loosely-coupled HAMS already
 /// loses its rndWr margin over `mmap` to PCIe eviction traffic.
 pub const SCALED_MOS_PAGE_BYTES: u64 = 8 * 1024;
 
-/// NVMe queue pairs of the default scaled registry entries: one per LBA of
-/// the [`SCALED_MOS_PAGE_BYTES`] page, so extend-mode fills stripe the whole
+/// NVMe queue pairs of [`HamsPlatform::scaled_config`]: one per LBA of the
+/// [`SCALED_MOS_PAGE_BYTES`] page, so extend-mode fills stripe the whole
 /// page across pairs (persist mode keeps its single outstanding command
 /// regardless). Multi-LBA pages without striped queues would serialize each
 /// fill into one multi-LBA command and hand the scaled profiles a page-size
@@ -67,136 +65,43 @@ impl HamsPlatform {
         }
     }
 
-    /// The paper's full-scale configuration for the given modes.
-    #[must_use]
-    pub fn paper(attach: AttachMode, persist: PersistMode) -> Self {
-        let config = match attach {
-            AttachMode::Loose => HamsConfig::loose(persist),
-            AttachMode::Tight => HamsConfig::tight(persist),
-        };
-        Self::from_config(config)
-    }
-
-    /// A capacity-scaled configuration: `nvdimm_bytes` of NVDIMM cache with a
-    /// proportionally small pinned region and multi-LBA
-    /// ([`SCALED_MOS_PAGE_BYTES`]) MoS pages, so scaled-down datasets exhibit
-    /// the same hit/miss behaviour as the full-scale system and striped
-    /// fills have stripes to split.
+    /// A capacity-scaled HAMS platform: [`Self::scaled_config`] built.
     #[must_use]
     pub fn scaled(attach: AttachMode, persist: PersistMode, nvdimm_bytes: u64) -> Self {
-        Self::scaled_with(
-            attach,
-            persist,
-            nvdimm_bytes,
-            SCALED_MOS_PAGE_BYTES,
-            QueueConfig::striped(SCALED_QUEUE_PAIRS),
-        )
+        Self::from_config(Self::scaled_config(attach, persist, nvdimm_bytes))
     }
 
-    /// [`Self::scaled`] with an explicit MoS page size and NVMe queue shape —
-    /// the constructor behind the multi-queue registry entries. Striped
-    /// fills only pay off on pages spanning several LBAs, so the queue-count
-    /// sweep pairs a multi-LBA `mos_page_size` with a multi-queue
-    /// [`QueueConfig`].
+    /// The one scaled HAMS shape. Every scaled platform is built from it;
+    /// the sensitivity sweeps replace the fields they sweep. It holds:
     ///
-    /// The tag-directory shard shape defaults to the `HAMS_SHARDS`
-    /// environment override (the CI matrix lever) or a single bank, and the
-    /// archive backend to the `HAMS_DEVICES` override or a single device.
-    /// The shard override can never change metrics (shard-invariance
-    /// contract); the device override legitimately can, which is why the
-    /// golden suites keep one snapshot per device count. Use
-    /// [`Self::scaled_with_shards`] / [`Self::scaled_with_backend`] to pin
-    /// an explicit shape (the `hams-TE-s{n}` / `hams-TE-d{n}` sweep entries
-    /// do).
+    /// * `nvdimm_bytes` of NVDIMM cache in front of the paper's archive;
+    /// * the fixed [`PinnedRegionLayout::tiny_for_tests`] pinned region;
+    /// * SSD-internal DRAM at `nvdimm_bytes / 16` (the paper's 512 MB : 8 GB
+    ///   ratio, at least 64 pages) when the mode's base configuration has
+    ///   any, so loose modes see [`ScaleProfile::ssd_dram_bytes`] at
+    ///   `scale.cache_bytes()`, and none in the tight modes;
+    /// * [`SCALED_MOS_PAGE_BYTES`] MoS pages on [`SCALED_QUEUE_PAIRS`]
+    ///   striped queue pairs, so scaled-down datasets exhibit the full-scale
+    ///   hit/miss behaviour and striped fills have stripes to split;
+    /// * the archive backend of the `HAMS_DEVICES` environment override, or
+    ///   a single device.
+    ///
+    /// [`ScaleProfile::ssd_dram_bytes`]: crate::ScaleProfile::ssd_dram_bytes
     #[must_use]
-    pub fn scaled_with(
+    pub fn scaled_config(
         attach: AttachMode,
         persist: PersistMode,
         nvdimm_bytes: u64,
-        mos_page_size: u64,
-        queues: QueueConfig,
-    ) -> Self {
-        Self::scaled_full(
-            attach,
-            persist,
-            nvdimm_bytes,
-            mos_page_size,
-            queues,
-            ShardConfig::from_env().unwrap_or_else(ShardConfig::single),
-            BackendTopology::from_env().unwrap_or_else(BackendTopology::single),
-        )
-    }
-
-    /// [`Self::scaled_with`] with an explicit tag-directory shard shape —
-    /// the constructor behind the `hams-TE-s{n}` registry entries. The
-    /// backend still follows the `HAMS_DEVICES` environment override.
-    #[must_use]
-    pub fn scaled_with_shards(
-        attach: AttachMode,
-        persist: PersistMode,
-        nvdimm_bytes: u64,
-        mos_page_size: u64,
-        queues: QueueConfig,
-        shards: ShardConfig,
-    ) -> Self {
-        Self::scaled_full(
-            attach,
-            persist,
-            nvdimm_bytes,
-            mos_page_size,
-            queues,
-            shards,
-            BackendTopology::from_env().unwrap_or_else(BackendTopology::single),
-        )
-    }
-
-    /// [`Self::scaled_with`] with an explicit archive backend — the
-    /// constructor behind the `hams-TE-d{n}` RAID sweep and `hams-TE-cxl`
-    /// registry entries. The shard shape still follows the `HAMS_SHARDS`
-    /// environment override (it is metrics-neutral by contract).
-    #[must_use]
-    pub fn scaled_with_backend(
-        attach: AttachMode,
-        persist: PersistMode,
-        nvdimm_bytes: u64,
-        mos_page_size: u64,
-        queues: QueueConfig,
-        backend: BackendTopology,
-    ) -> Self {
-        Self::scaled_full(
-            attach,
-            persist,
-            nvdimm_bytes,
-            mos_page_size,
-            queues,
-            ShardConfig::from_env().unwrap_or_else(ShardConfig::single),
-            backend,
-        )
-    }
-
-    /// The fully-explicit scaled constructor: every shape pinned, no
-    /// environment override applies.
-    #[must_use]
-    pub fn scaled_full(
-        attach: AttachMode,
-        persist: PersistMode,
-        nvdimm_bytes: u64,
-        mos_page_size: u64,
-        queues: QueueConfig,
-        shards: ShardConfig,
-        backend: BackendTopology,
-    ) -> Self {
+    ) -> HamsConfig {
         let base = match attach {
             AttachMode::Loose => HamsConfig::loose(persist),
             AttachMode::Tight => HamsConfig::tight(persist),
         };
         let mut ssd = base.ssd;
         if ssd.dram_capacity_bytes > 0 {
-            // Keep the paper's 512 MB : 8 GB ratio between the SSD-internal
-            // DRAM and the NVDIMM cache at the scaled-down capacity.
             ssd.dram_capacity_bytes = (nvdimm_bytes / 16).max(64 * 4096);
         }
-        let config = HamsConfig {
+        HamsConfig {
             nvdimm: NvdimmConfig {
                 capacity_bytes: nvdimm_bytes,
                 ..NvdimmConfig::hpe_8gb()
@@ -205,11 +110,9 @@ impl HamsPlatform {
             ssd,
             ..base
         }
-        .with_mos_page_size(mos_page_size)
-        .with_queues(queues)
-        .with_shards(shards)
-        .with_backend(backend);
-        Self::from_config(config)
+        .with_mos_page_size(SCALED_MOS_PAGE_BYTES)
+        .with_queues(QueueConfig::striped(SCALED_QUEUE_PAIRS))
+        .with_backend(BackendTopology::from_env().unwrap_or_else(BackendTopology::single))
     }
 
     fn paper_name(attach: AttachMode, persist: PersistMode) -> String {
@@ -401,6 +304,7 @@ impl Platform for HamsPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hams_core::ShardConfig;
 
     fn acc(addr: u64, is_write: bool) -> Access {
         Access {
@@ -408,6 +312,47 @@ mod tests {
             size: 64,
             is_write,
             compute_instructions: 0,
+        }
+    }
+
+    /// Scaled hams-TE at a 4 MiB cache with `edit` applied to its config.
+    fn te_with(edit: impl FnOnce(HamsConfig) -> HamsConfig) -> HamsPlatform {
+        HamsPlatform::from_config(edit(HamsPlatform::scaled_config(
+            AttachMode::Tight,
+            PersistMode::Extend,
+            4 << 20,
+        )))
+    }
+
+    #[test]
+    fn scaled_config_is_one_shape_at_every_divisor() {
+        for capacity_divisor in [1, 3, 128, 256, 512, 2048, 4096, 65536] {
+            let scale = crate::ScaleProfile {
+                capacity_divisor,
+                accesses: 0,
+                seed: 0,
+            };
+            let cache = scale.cache_bytes();
+            for persist in [PersistMode::Persist, PersistMode::Extend] {
+                let loose = HamsPlatform::scaled_config(AttachMode::Loose, persist, cache);
+                let tight = HamsPlatform::scaled_config(AttachMode::Tight, persist, cache);
+                // mmap, FlatFlash and NVDIMM-C get `ssd_dram_bytes` of SSD
+                // DRAM, so HAMS-L must see exactly the same.
+                assert_eq!(
+                    loose.ssd.dram_capacity_bytes,
+                    scale.ssd_dram_bytes(),
+                    "divisor {capacity_divisor}"
+                );
+                assert_eq!(tight.ssd.dram_capacity_bytes, 0);
+                for config in [loose, tight] {
+                    assert_eq!(config.persist, persist);
+                    assert_eq!(config.nvdimm.capacity_bytes, cache);
+                    assert_eq!(config.mos_page_size, SCALED_MOS_PAGE_BYTES);
+                    assert_eq!(config.queues, QueueConfig::striped(SCALED_QUEUE_PAIRS));
+                    assert_eq!(config.shards, ShardConfig::single());
+                    assert_eq!(config.pinned, PinnedRegionLayout::tiny_for_tests());
+                }
+            }
         }
     }
 
@@ -494,13 +439,10 @@ mod tests {
             .collect();
         let start = Nanos::from_micros(1);
         let build = || {
-            HamsPlatform::scaled_with(
-                AttachMode::Tight,
-                PersistMode::Extend,
-                4 << 20,
-                32 * 1024,
-                QueueConfig::striped(4),
-            )
+            te_with(|c| {
+                c.with_mos_page_size(32 * 1024)
+                    .with_queues(QueueConfig::striped(4))
+            })
         };
 
         let mut reference = build();
@@ -521,15 +463,7 @@ mod tests {
 
     #[test]
     fn queue_shape_is_honoured_and_speeds_up_cold_reads() {
-        let build = |queues| {
-            HamsPlatform::scaled_with(
-                AttachMode::Tight,
-                PersistMode::Extend,
-                4 << 20,
-                32 * 1024,
-                queues,
-            )
-        };
+        let build = |queues| te_with(|c| c.with_mos_page_size(32 * 1024).with_queues(queues));
         let mut single = build(QueueConfig::single());
         let mut striped = build(QueueConfig::striped(4));
         assert_eq!(striped.controller().engine().num_queues(), 4);
@@ -554,14 +488,7 @@ mod tests {
     #[test]
     fn shard_shape_is_honoured_and_metrics_neutral() {
         let mut single = HamsPlatform::scaled(AttachMode::Tight, PersistMode::Extend, 4 << 20);
-        let mut sharded = HamsPlatform::scaled_with_shards(
-            AttachMode::Tight,
-            PersistMode::Extend,
-            4 << 20,
-            SCALED_MOS_PAGE_BYTES,
-            QueueConfig::striped(SCALED_QUEUE_PAIRS),
-            ShardConfig::interleaved(8),
-        );
+        let mut sharded = te_with(|c| c.with_shards(ShardConfig::interleaved(8)));
         assert_eq!(sharded.controller().num_shards(), 8);
         let mut t_s = Nanos::ZERO;
         let mut t_m = Nanos::ZERO;
@@ -581,15 +508,11 @@ mod tests {
     fn raid_backend_is_honoured_and_speeds_up_cold_reads() {
         use hams_flash::LBA_SIZE;
         let build = |backend| {
-            HamsPlatform::scaled_full(
-                AttachMode::Tight,
-                PersistMode::Extend,
-                4 << 20,
-                32 * 1024,
-                QueueConfig::striped(8),
-                ShardConfig::single(),
-                backend,
-            )
+            te_with(|c| {
+                c.with_mos_page_size(32 * 1024)
+                    .with_queues(QueueConfig::striped(8))
+                    .with_backend(backend)
+            })
         };
         let mut single = build(BackendTopology::single());
         let mut raid = build(BackendTopology::raid0_striped(4, LBA_SIZE));
@@ -613,15 +536,8 @@ mod tests {
     }
 
     #[test]
-    fn scaled_with_shards_pins_the_directory_shape() {
-        let p = HamsPlatform::scaled_with_shards(
-            AttachMode::Tight,
-            PersistMode::Extend,
-            4 << 20,
-            4096,
-            QueueConfig::single(),
-            ShardConfig::blocked(3),
-        );
+    fn with_shards_pins_the_directory_shape() {
+        let p = te_with(|c| c.with_shards(ShardConfig::blocked(3)));
         assert_eq!(p.controller().shard_config(), ShardConfig::blocked(3));
         assert_eq!(p.controller().num_shards(), 3);
     }

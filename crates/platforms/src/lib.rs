@@ -7,15 +7,16 @@
 //! execution-time breakdown, memory-delay breakdown, energy breakdown, hit
 //! rates):
 //!
-//! * [`PlatformRegistry`] — named, boxed platform constructors; the eleven
-//!   paper systems are pre-registered and harnesses can add their own,
+//! * [`PlatformKind::build`] — the eleven paper systems, sized by a
+//!   [`ScaleProfile`]; every scaled HAMS platform, the sensitivity sweeps'
+//!   included, is [`HamsPlatform::scaled_config`] with fields replaced,
 //! * [`Platform::serve_batch_into`] — the batched serving path; the HAMS
 //!   platforms override it to amortize per-access host-side setup while
 //!   producing metrics byte-identical to the per-access loop,
-//! * [`run_workload`] / [`run_matrix`] / [`run_grid`] — single-cell, one
-//!   workload × many platforms, and full-grid execution; the grid fans cells
-//!   out across CPU cores with per-run seeded RNGs, so parallel results are
-//!   byte-identical to [`run_grid_serial`].
+//! * [`run_workload`] / [`run_grid`] — single-cell and platform × workload
+//!   grid execution; the grid fans cells out across CPU cores with per-run
+//!   seeded RNGs, so parallel results are byte-identical to
+//!   [`run_grid_serial`].
 //!
 //! # Example
 //!
@@ -40,9 +41,9 @@ pub mod mmap;
 mod observe;
 pub mod openloop;
 pub mod platform;
-pub mod registry;
 pub mod runner;
 pub mod summary;
+pub mod sweep;
 
 pub use cache::{CacheOutcome, CacheStats, LruPageCache};
 pub use direct::{FlatFlashPlatform, NvdimmCPlatform, OptanePlatform, OraclePlatform};
@@ -56,18 +57,16 @@ pub use openloop::{
     OpenLoopMetrics, OpenLoopRecord, TenantMetrics,
 };
 pub use platform::{AccessOutcome, BatchOutcome, BatchRequest, Platform};
-pub use registry::{
-    build_cxl_platform, build_fault_platform, build_raid_sweep_platform, cxl_label, fault_label,
-    queue_sweep_label, raid_sweep_label, register_hams_fault_scenario, register_hams_queue_sweep,
-    register_hams_raid_sweep, register_hams_shard_sweep, shard_sweep_label, standard_registry,
-    PlatformCtor, PlatformRegistry, FAULT_SWEEP_DEVICES, QUEUE_SWEEP_PAGE_BYTES,
-    RAID_SWEEP_PAGE_BYTES, RAID_SWEEP_QUEUES,
-};
 pub use runner::{
-    run_grid, run_grid_serial, run_grid_with, run_matrix, run_workload, run_workload_batched,
-    run_workload_serial, run_workload_traced, PlatformKind, RunMetrics, ScaleProfile,
-    ACCESSES_PER_SQL_OP, DEFAULT_BATCH_SIZE,
+    run_grid, run_grid_serial, run_workload, run_workload_batched, run_workload_serial,
+    run_workload_traced, PlatformKind, RunMetrics, ScaleProfile, ACCESSES_PER_SQL_OP,
+    DEFAULT_BATCH_SIZE,
 };
 pub use summary::{
     feature_table, headline_claims, paper_config, FeatureRow, HeadlineClaims, PaperConfig,
+};
+pub use sweep::{
+    build_cxl_platform, build_fault_platform, build_raid_sweep_platform, fault_label,
+    queue_sweep_platform, shard_sweep_platform, FAULT_SWEEP_DEVICES, QUEUE_SWEEP_PAGE_BYTES,
+    RAID_SWEEP_PAGE_BYTES, RAID_SWEEP_QUEUES,
 };

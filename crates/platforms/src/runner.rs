@@ -1,16 +1,20 @@
 //! The experiment runner: executes a Table III workload on a platform and
 //! produces every metric the paper's figures report.
 
+use hams_core::{AttachMode, PersistMode};
 use hams_energy::{EnergyAccount, PowerParams};
+use hams_flash::SsdConfig;
 use hams_host::{CpuConfig, CpuModel};
 use hams_sim::{parallel_map, ComponentId, LatencyBreakdown, Nanos};
 use hams_telemetry::RunTelemetry;
 use hams_workloads::{TraceGenerator, WorkloadClass, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
+use crate::direct::{FlatFlashPlatform, NvdimmCPlatform, OptanePlatform, OraclePlatform};
+use crate::hams::HamsPlatform;
+use crate::mmap::MmapPlatform;
 use crate::observe::{Observer, Tracer};
 use crate::platform::{AccessOutcome, BatchOutcome, BatchRequest, Platform};
-use crate::registry::{standard_registry, PlatformRegistry};
 
 /// Number of MoS accesses that constitute one SQLite "operation" when
 /// converting access throughput into the ops/s metric of Fig. 16b.
@@ -191,15 +195,39 @@ impl PlatformKind {
         }
     }
 
-    /// Builds the platform with caches sized by `scale`.
-    ///
-    /// Construction is delegated to the shared [`standard_registry`]; the
-    /// registry — not this enum — is the extension point for new systems.
+    /// Builds the platform with caches sized by `scale`: every cache gets
+    /// [`ScaleProfile::cache_bytes`], every SSD-internal DRAM
+    /// [`ScaleProfile::ssd_dram_bytes`], and the HAMS modes are
+    /// [`HamsPlatform::scaled`].
     #[must_use]
     pub fn build(&self, scale: &ScaleProfile) -> Box<dyn Platform> {
-        standard_registry()
-            .build(self.label(), scale)
-            .expect("every PlatformKind label is pre-registered")
+        let hams =
+            |attach, persist| Box::new(HamsPlatform::scaled(attach, persist, scale.cache_bytes()));
+        match self {
+            PlatformKind::Mmap => {
+                let mut ssd = SsdConfig::ull_flash();
+                ssd.dram_capacity_bytes = scale.ssd_dram_bytes();
+                Box::new(MmapPlatform::new("mmap", ssd, scale.cache_bytes()))
+            }
+            PlatformKind::FlatFlashP => Box::new(
+                FlatFlashPlatform::persistent().with_ssd_dram_bytes(scale.ssd_dram_bytes()),
+            ),
+            PlatformKind::FlatFlashM => Box::new(
+                FlatFlashPlatform::memory_cached(scale.cache_bytes())
+                    .with_ssd_dram_bytes(scale.ssd_dram_bytes()),
+            ),
+            PlatformKind::NvdimmC => Box::new(
+                NvdimmCPlatform::new(scale.cache_bytes())
+                    .with_ssd_dram_bytes(scale.ssd_dram_bytes()),
+            ),
+            PlatformKind::OptaneP => Box::new(OptanePlatform::app_direct()),
+            PlatformKind::OptaneM => Box::new(OptanePlatform::memory_mode(scale.cache_bytes())),
+            PlatformKind::HamsLP => hams(AttachMode::Loose, PersistMode::Persist),
+            PlatformKind::HamsLE => hams(AttachMode::Loose, PersistMode::Extend),
+            PlatformKind::HamsTP => hams(AttachMode::Tight, PersistMode::Persist),
+            PlatformKind::HamsTE => hams(AttachMode::Tight, PersistMode::Extend),
+            PlatformKind::Oracle => Box::new(OraclePlatform::new()),
+        }
     }
 }
 
@@ -409,16 +437,6 @@ pub fn run_workload_serial(
     fold.finish(platform, spec, scaled)
 }
 
-/// Runs one workload across a set of platforms, in parallel (one fully
-/// independent simulation per platform). Results keep the order of `kinds`.
-pub fn run_matrix(
-    kinds: &[PlatformKind],
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-) -> Vec<RunMetrics> {
-    run_grid(kinds, &[spec], scale)
-}
-
 /// Runs the full platform × workload grid in parallel.
 ///
 /// Every cell is an independent simulation: its own platform instance, CPU
@@ -431,31 +449,12 @@ pub fn run_grid(
     specs: &[WorkloadSpec],
     scale: &ScaleProfile,
 ) -> Vec<RunMetrics> {
-    let labels: Vec<&str> = kinds.iter().map(PlatformKind::label).collect();
-    run_grid_with(standard_registry(), &labels, specs, scale)
-}
-
-/// [`run_grid`] over an arbitrary [`PlatformRegistry`]: platforms are built
-/// by label, so custom systems registered by a harness run through the same
-/// parallel grid machinery as the standard eleven.
-///
-/// # Panics
-///
-/// Panics if any label in `labels` is not registered.
-pub fn run_grid_with(
-    registry: &PlatformRegistry,
-    labels: &[&str],
-    specs: &[WorkloadSpec],
-    scale: &ScaleProfile,
-) -> Vec<RunMetrics> {
-    let cells: Vec<(WorkloadSpec, &str)> = specs
+    let cells: Vec<(WorkloadSpec, PlatformKind)> = specs
         .iter()
-        .flat_map(|spec| labels.iter().map(move |label| (*spec, *label)))
+        .flat_map(|spec| kinds.iter().map(move |kind| (*spec, *kind)))
         .collect();
-    parallel_map(&cells, |(spec, label)| {
-        let mut platform = registry
-            .build(label, scale)
-            .unwrap_or_else(|| panic!("platform {label:?} is not registered"));
+    parallel_map(&cells, |(spec, kind)| {
+        let mut platform = kind.build(scale);
         run_workload(platform.as_mut(), *spec, scale)
     })
 }
@@ -487,6 +486,14 @@ mod tests {
             capacity_divisor: 2048,
             accesses: 1_500,
             seed: 3,
+        }
+    }
+
+    #[test]
+    fn built_platforms_report_their_label_as_name() {
+        let scale = ScaleProfile::test_tiny();
+        for kind in PlatformKind::all() {
+            assert_eq!(kind.build(&scale).name(), kind.label());
         }
     }
 
@@ -535,13 +542,13 @@ mod tests {
     fn oracle_is_the_upper_bound_among_hams_and_mmap() {
         let scale = quick_scale();
         let spec = WorkloadSpec::by_name("seqRd").unwrap();
-        let results = run_matrix(
+        let results = run_grid(
             &[
                 PlatformKind::Mmap,
                 PlatformKind::HamsTE,
                 PlatformKind::Oracle,
             ],
-            spec,
+            &[spec],
             &scale,
         );
         let oracle = results.iter().find(|r| r.platform == "oracle").unwrap();
@@ -573,7 +580,11 @@ mod tests {
     fn persist_mode_is_slower_than_extend_mode() {
         let scale = quick_scale();
         let spec = WorkloadSpec::by_name("update").unwrap();
-        let results = run_matrix(&[PlatformKind::HamsTP, PlatformKind::HamsTE], spec, &scale);
+        let results = run_grid(
+            &[PlatformKind::HamsTP, PlatformKind::HamsTE],
+            &[spec],
+            &scale,
+        );
         assert!(results[1].ops_per_sec >= results[0].ops_per_sec);
     }
 
@@ -631,30 +642,6 @@ mod tests {
         let serial = run_grid_serial(&kinds, &specs, &scale);
         assert_eq!(parallel.len(), kinds.len() * specs.len());
         assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn custom_registry_platforms_run_through_the_grid() {
-        use crate::direct::OraclePlatform;
-        let mut registry = PlatformRegistry::standard();
-        registry.register("oracle-2x", |_scale| Box::new(OraclePlatform::new()));
-        let scale = quick_scale();
-        let specs = [WorkloadSpec::by_name("rndRd").unwrap()];
-        let results = run_grid_with(&registry, &["mmap", "oracle-2x"], &specs, &scale);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].platform, "mmap");
-        assert_eq!(results[1].platform, "oracle");
-        assert!(results[1].pages_per_sec > results[0].pages_per_sec);
-    }
-
-    #[test]
-    #[should_panic(expected = "is not registered")]
-    fn unknown_label_in_grid_panics_with_the_label() {
-        let scale = quick_scale();
-        let specs = [WorkloadSpec::by_name("rndRd").unwrap()];
-        // Two labels put the grid on worker threads (with two or more
-        // cores), so the label must survive the hop back to the caller.
-        let _ = run_grid_with(standard_registry(), &["mmap", "hams-XX"], &specs, &scale);
     }
 
     #[test]

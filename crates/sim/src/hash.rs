@@ -13,7 +13,7 @@
 //! per-process seed), so map iteration order — which simulator code must
 //! never rely on anyway — is at least stable across runs of the same binary.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The Fx multiply constant (a large prime close to the golden ratio times
@@ -80,14 +80,11 @@ impl Hasher for FastHasher {
 }
 
 /// [`BuildHasherDefault`] over [`FastHasher`]; implements `Default`, so the
-/// aliases below keep working with `serde` and `HashMap::default()`.
+/// alias below keeps working with `serde` and `HashMap::default()`.
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` keyed with [`FastHasher`].
 pub type FastHashMap<K, V> = HashMap<K, V, FastBuildHasher>;
-
-/// A `HashSet` keyed with [`FastHasher`].
-pub type FastHashSet<T> = HashSet<T, FastBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -42,11 +42,9 @@ pub mod stats;
 pub mod time;
 
 pub use event::{CompletionSource, ScheduledEvent};
-pub use hash::{FastBuildHasher, FastHashMap, FastHashSet};
+pub use hash::{FastBuildHasher, FastHashMap};
 pub use intern::ComponentId;
 pub use par::parallel_map;
 pub use resource::{Grant, MultiResource, Resource};
-pub use stats::{
-    Counter, Histogram, HistogramSummary, LatencyBreakdown, LatencyVector, RunningStats,
-};
+pub use stats::{Counter, Histogram, HistogramSummary, LatencyBreakdown, LatencyVector};
 pub use time::Nanos;

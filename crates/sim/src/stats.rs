@@ -1,7 +1,6 @@
 //! Measurement primitives used to produce every figure of the paper.
 //!
 //! * [`Counter`] — a named monotonically increasing event count,
-//! * [`RunningStats`] — online mean/min/max over a stream of samples,
 //! * [`Histogram`] — fixed-width-bucket latency histogram with percentiles,
 //! * [`LatencyVector`] — named time components (e.g. `"mmap"`, `"io_stack"`,
 //!   `"ssd"`, `"cpu"`) that sum to a total, used for the stacked-bar figures
@@ -70,113 +69,6 @@ impl Counter {
     /// Resets the counter to zero.
     pub fn reset(&mut self) {
         self.value = 0;
-    }
-}
-
-/// Online mean / min / max / count over a stream of `f64` samples.
-///
-/// # Example
-///
-/// ```
-/// use hams_sim::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 2.0).abs() < 1e-12);
-/// assert_eq!(s.min(), Some(1.0));
-/// assert_eq!(s.max(), Some(3.0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct RunningStats {
-    count: u64,
-    sum: f64,
-    sum_sq: f64,
-    min: Option<f64>,
-    max: Option<f64>,
-}
-
-impl RunningStats {
-    /// Creates empty statistics.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.sum_sq += x * x;
-        self.min = Some(self.min.map_or(x, |m| m.min(x)));
-        self.max = Some(self.max.map_or(x, |m| m.max(x)));
-    }
-
-    /// Number of samples observed.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean, or 0 if no samples have been observed.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Population variance, or 0 if fewer than two samples have been observed.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        (self.sum_sq / n - (self.sum / n).powi(2)).max(0.0)
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample observed.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        self.min
-    }
-
-    /// Largest sample observed.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        self.max
-    }
-
-    /// Merges another statistics accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
     }
 }
 
@@ -679,43 +571,6 @@ mod tests {
         c.add(u64::MAX);
         c.add(5);
         assert_eq!(c.value(), u64::MAX);
-    }
-
-    #[test]
-    fn running_stats_mean_and_extremes() {
-        let mut s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        for x in [4.0, 8.0, 6.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 3);
-        assert!((s.mean() - 6.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(4.0));
-        assert_eq!(s.max(), Some(8.0));
-        assert!(s.std_dev() > 0.0);
-    }
-
-    #[test]
-    fn running_stats_merge() {
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        b.push(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert!((a.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(a.max(), Some(5.0));
-    }
-
-    #[test]
-    fn running_stats_variance_of_constant_is_zero() {
-        let mut s = RunningStats::new();
-        for _ in 0..100 {
-            s.push(7.5);
-        }
-        assert!(s.variance() < 1e-9);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 
 use hams_sim::{
     CompletionSource, ComponentId, Histogram, LatencyBreakdown, LatencyVector, Nanos, Resource,
-    RunningStats,
 };
 use proptest::prelude::*;
 
@@ -125,25 +124,6 @@ proptest! {
         let p99 = h.percentile(99.0).unwrap();
         prop_assert!(p50 <= p90 && p90 <= p99);
         prop_assert_eq!(h.count(), samples.len() as u64);
-    }
-
-    /// Running statistics: the mean lies between min and max and merging two
-    /// accumulators equals accumulating the concatenation.
-    #[test]
-    fn running_stats_merge_is_consistent(
-        xs in proptest::collection::vec(-1e6f64..1e6, 1..100),
-        ys in proptest::collection::vec(-1e6f64..1e6, 1..100),
-    ) {
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        let mut both = RunningStats::new();
-        for x in &xs { a.push(*x); both.push(*x); }
-        for y in &ys { b.push(*y); both.push(*y); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), both.count());
-        prop_assert!((a.mean() - both.mean()).abs() < 1e-6);
-        prop_assert!(a.mean() >= a.min().unwrap() - 1e-9);
-        prop_assert!(a.mean() <= a.max().unwrap() + 1e-9);
     }
 
     /// Breakdown component fractions always sum to 1 (or 0 for an empty one).

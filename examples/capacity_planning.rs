@@ -5,6 +5,8 @@
 //! Run with: `cargo run --release --example capacity_planning`
 
 use hams::core::{AttachMode, PersistMode};
+use hams::flash::BackendTopology;
+use hams::nvme::QueueConfig;
 use hams::platforms::{run_workload, HamsPlatform, ScaleProfile};
 use hams::workloads::WorkloadSpec;
 
@@ -51,15 +53,11 @@ fn main() {
     println!("{:>12} {:>12}", "page size", "ops/s");
     for page_size in [4096u64, 16 << 10, 64 << 10, 128 << 10, 256 << 10] {
         let spec = base.with_dataset_bytes(nvdimm_bytes * 4);
-        let config = hams::core::HamsConfig {
-            nvdimm: hams::nvdimm::NvdimmConfig {
-                capacity_bytes: nvdimm_bytes,
-                ..hams::nvdimm::NvdimmConfig::hpe_8gb()
-            },
-            pinned: hams::nvdimm::PinnedRegionLayout::tiny_for_tests(),
-            ..hams::core::HamsConfig::tight(PersistMode::Extend)
-        }
-        .with_mos_page_size(page_size);
+        let config =
+            HamsPlatform::scaled_config(AttachMode::Tight, PersistMode::Extend, nvdimm_bytes)
+                .with_mos_page_size(page_size)
+                .with_queues(QueueConfig::single())
+                .with_backend(BackendTopology::single());
         let mut platform = HamsPlatform::from_config(config);
         let m = run_workload(
             &mut platform,

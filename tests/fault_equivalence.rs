@@ -30,11 +30,11 @@ use hams::flash::{
 };
 use hams::nvme::{NvmeCommand, PrpList};
 use hams::platforms::{
-    build_fault_platform, fault_label, run_grid_with, run_workload, run_workload_open_loop,
-    run_workload_serial, HamsPlatform, OpenLoopConfig, Platform, PlatformRegistry, QueueConfig,
-    RunMetrics, ScaleProfile, FAULT_SWEEP_DEVICES, RAID_SWEEP_PAGE_BYTES, RAID_SWEEP_QUEUES,
+    build_fault_platform, fault_label, run_workload, run_workload_open_loop, run_workload_serial,
+    HamsPlatform, OpenLoopConfig, Platform, QueueConfig, RunMetrics, ScaleProfile,
+    FAULT_SWEEP_DEVICES, RAID_SWEEP_PAGE_BYTES, RAID_SWEEP_QUEUES,
 };
-use hams::sim::Nanos;
+use hams::sim::{parallel_map, Nanos};
 use hams::workloads::WorkloadSpec;
 use hams_bench::{fig26_fault_schedule, fig26_latency_under_rebuild, fig26_phase};
 use proptest::prelude::*;
@@ -51,13 +51,14 @@ fn tiny() -> ScaleProfile {
 /// mode, cache, page size, queue shape and device count — only the backend
 /// topology differs.
 fn raid0_twin(scale: &ScaleProfile) -> HamsPlatform {
-    HamsPlatform::scaled_with_backend(
-        AttachMode::Tight,
-        PersistMode::Persist,
-        scale.cache_bytes(),
-        RAID_SWEEP_PAGE_BYTES,
-        QueueConfig::striped(RAID_SWEEP_QUEUES),
-        BackendTopology::raid0_striped(FAULT_SWEEP_DEVICES, LBA_SIZE),
+    HamsPlatform::from_config(
+        HamsPlatform::scaled_config(AttachMode::Tight, PersistMode::Persist, scale.cache_bytes())
+            .with_mos_page_size(RAID_SWEEP_PAGE_BYTES)
+            .with_queues(QueueConfig::striped(RAID_SWEEP_QUEUES))
+            .with_backend(BackendTopology::raid0_striped(
+                FAULT_SWEEP_DEVICES,
+                LBA_SIZE,
+            )),
     )
 }
 
@@ -183,20 +184,10 @@ fn fault_schedule_replays_byte_identically_across_runs_and_thread_counts() {
         faulted_run(&scale, &plan, end, run_workload_serial),
         reference
     );
-    // Copies served side by side on the parallel grid (`HAMS_THREADS`,
-    // ambient via the CI matrix) replay the same bytes too.
-    let labels = ["r5-a", "r5-b", "r5-c"];
-    let mut registry = PlatformRegistry::new();
-    for label in labels {
-        let plan = plan.clone();
-        registry.register(label, move |scale: &ScaleProfile| {
-            let mut platform = build_fault_platform(scale);
-            platform.controller_mut().set_fault_plan(plan.clone());
-            Box::new(platform)
-        });
-    }
-    for row in run_grid_with(&registry, &labels, &[spec], &scale) {
-        assert_eq!(row, reference.0, "a faulted grid row diverged");
+    // Copies served side by side on worker threads (`HAMS_THREADS`, ambient
+    // via the CI matrix) replay the same bytes too.
+    for row in parallel_map(&[(); 3], |_| faulted_run(&scale, &plan, end, run_workload)) {
+        assert_eq!(row, reference, "a faulted copy served in parallel diverged");
     }
 }
 

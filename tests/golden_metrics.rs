@@ -1,22 +1,21 @@
-//! Golden-metrics snapshot: the 11 registered platforms on a small seeded
-//! grid, pinned against a checked-in JSON file, plus the `hams-TE-s{n}`
-//! shard-sweep entries pinned against a second snapshot whose rows must be
-//! *identical to each other* — the shard-invariance contract in golden form.
+//! Golden-metrics snapshot: the 11 platforms of `PlatformKind::all` on a
+//! small seeded grid, pinned against a checked-in JSON file, plus the shard
+//! sweep (`shard_sweep_platform`) pinned against a second snapshot whose
+//! rows must be *identical to each other* — the shard-invariance contract in
+//! golden form.
 //!
 //! Every metric the runner produces is deterministic — seeded trace
 //! generators, integer nanosecond timing, fixed float evaluation order — so
-//! the snapshot is byte-exact regardless of thread count *and* regardless of
-//! the `HAMS_SHARDS` override (the CI matrix runs this suite under shard
-//! counts {1, 4}; the tag-directory shard shape is pure routing and may not
-//! move a byte). A future refactor that silently shifts simulated results
-//! (timing model, stats accounting, trace generation) fails this test
-//! instead of slipping through.
+//! the snapshot is byte-exact regardless of thread count. A future refactor
+//! that silently shifts simulated results (timing model, stats accounting,
+//! trace generation) fails this test instead of slipping through.
 //!
-//! The `HAMS_DEVICES` override is different: a multi-device archive backend
+//! The `HAMS_DEVICES` override, which sets the scaled HAMS platforms'
+//! archive backend, does move results: a multi-device archive backend
 //! *legitimately* changes simulated timing (that is what the RAID-0 fan-out
 //! buys), so the goldens keep one snapshot per device count —
 //! `metrics.json` for the single-archive default, `metrics_d{n}.json` for
-//! `HAMS_DEVICES=n` — and the CI matrix pins both axes.
+//! `HAMS_DEVICES=n` — and the CI matrix pins both device counts.
 //!
 //! To bless an intentional change (once per device count the CI matrix
 //! exercises):
@@ -33,9 +32,9 @@ use std::fmt::Write as _;
 
 use hams::flash::BackendTopology;
 use hams::platforms::{
-    register_hams_shard_sweep, run_grid, run_grid_with, shard_sweep_label, PlatformKind,
-    PlatformRegistry, RunMetrics, ScaleProfile,
+    run_grid, run_workload, shard_sweep_platform, PlatformKind, RunMetrics, ScaleProfile,
 };
+use hams::sim::parallel_map;
 use hams::workloads::WorkloadSpec;
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
@@ -140,12 +139,12 @@ fn golden_metrics_snapshot_is_stable() {
     );
 }
 
-/// The shard-sweep golden: `hams-TE-s{n}` for n ∈ {1, 2, 8} on the snapshot
-/// grid. Two pins at once — the rows must match the checked-in snapshot
-/// (like every golden), and the rows of different shard counts must be
-/// identical to *each other*, which is the shard-invariance contract made
-/// visible: a diff in this file can only ever be a real model change, never
-/// a shard-shape artefact.
+/// The shard-sweep golden: `shard_sweep_platform` for n ∈ {1, 2, 8} on the
+/// snapshot grid, workload-major like `run_grid`. Two pins at once — the
+/// rows must match the checked-in snapshot (like every golden), and the rows
+/// of different shard counts must be identical to *each other*, which is the
+/// shard-invariance contract made visible: a diff in this file can only ever
+/// be a real model change, never a shard-shape artefact.
 #[test]
 fn shard_sweep_golden_snapshot_is_stable_and_rows_are_identical() {
     let scale = snapshot_scale();
@@ -153,11 +152,13 @@ fn shard_sweep_golden_snapshot_is_stable_and_rows_are_identical() {
         .iter()
         .map(|n| WorkloadSpec::by_name(n).unwrap())
         .collect();
-    let mut registry = PlatformRegistry::standard();
-    register_hams_shard_sweep(&mut registry, &SHARD_COUNTS);
-    let labels: Vec<String> = SHARD_COUNTS.iter().map(|&n| shard_sweep_label(n)).collect();
-    let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-    let grid = run_grid_with(&registry, &label_refs, &specs, &scale);
+    let cells: Vec<(WorkloadSpec, u16)> = specs
+        .iter()
+        .flat_map(|spec| SHARD_COUNTS.map(|n| (*spec, n)))
+        .collect();
+    let grid = parallel_map(&cells, |&(spec, n)| {
+        run_workload(&mut shard_sweep_platform(&scale, n), spec, &scale)
+    });
     assert_eq!(grid.len(), SHARD_COUNTS.len() * WORKLOADS.len());
 
     // Shard invariance: within each workload, every shard count's row equals

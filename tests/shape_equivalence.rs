@@ -2,13 +2,13 @@
 //!
 //! A HAMS platform's NVMe queue pairs, tag-directory banks and archive
 //! backend are fixed when it is built: `HamsConfig` carries the shape and
-//! `HamsPlatform::from_config` lays it out once. Every shape must then serve
+//! `HamsPlatform::from_config` lays it out once. Every row replaces one
+//! field of `HamsPlatform::scaled_config`, and every shape must then serve
 //! batched (`run_workload`) byte-identically to its per-access reference
 //! (`run_workload_serial`) on all four HAMS variants, at every thread count
 //! (the CI matrix runs this suite under `HAMS_THREADS` ∈ {1, 8} ×
-//! `HAMS_SHARDS` ∈ {1, 4} × `HAMS_DEVICES` ∈ {1, 4}; the shapes a row does
-//! not replace follow those defaults). Beyond that, each axis has its own
-//! contract:
+//! `HAMS_DEVICES` ∈ {1, 4}; a row that does not replace the backend keeps
+//! the `HAMS_DEVICES` one). Beyond that, each axis has its own contract:
 //!
 //! 1. **Queues** legitimately change timing: striped fills overlap on the
 //!    device, so more queue pairs strictly beat one on random reads.
@@ -21,15 +21,15 @@
 
 use hams::core::{AttachMode, PersistMode};
 use hams::platforms::{
-    build_cxl_platform, build_raid_sweep_platform, cxl_label, queue_sweep_label, raid_sweep_label,
-    register_hams_queue_sweep, register_hams_raid_sweep, register_hams_shard_sweep, run_grid_with,
-    run_workload, run_workload_serial, shard_sweep_label, BackendTopology, HamsPlatform, Platform,
-    PlatformKind, PlatformRegistry, QueueConfig, ScaleProfile, ShardConfig,
+    build_cxl_platform, build_raid_sweep_platform, queue_sweep_platform, run_workload,
+    run_workload_serial, shard_sweep_platform, BackendTopology, HamsPlatform, Platform,
+    PlatformKind, QueueConfig, RunMetrics, ScaleProfile, ShardConfig,
 };
+use hams::sim::parallel_map;
 use hams::workloads::WorkloadSpec;
 use proptest::prelude::*;
 use Shape::{Backend, Queues, Shards};
-use Twin::{Built, Own, Registry};
+use Twin::{Built, Own, Scaled};
 
 /// The scale of the shape rows, with the seed of the axis they check: 23
 /// for queues, 31 for shards, 37 for backends.
@@ -41,7 +41,7 @@ fn tiny(seed: u64) -> ScaleProfile {
     }
 }
 
-/// The four HAMS variants of the standard registry.
+/// The four HAMS variants of `PlatformKind`.
 const VARIANTS: [(AttachMode, PersistMode); 4] = [
     (AttachMode::Loose, PersistMode::Persist),
     (AttachMode::Loose, PersistMode::Extend),
@@ -57,17 +57,15 @@ enum Shape {
     Backend(BackendTopology),
 }
 
-/// The registry's scaled HAMS variant, built with `shape` in place of its
-/// default for that one field.
+/// The scaled HAMS variant, built with `shape` in place of its default for
+/// that one field.
 fn hams_with(
     variant: (AttachMode, PersistMode),
     scale: &ScaleProfile,
     shape: Shape,
 ) -> HamsPlatform {
     let (attach, persist) = variant;
-    let config = *HamsPlatform::scaled(attach, persist, scale.cache_bytes())
-        .controller()
-        .config();
+    let config = HamsPlatform::scaled_config(attach, persist, scale.cache_bytes());
     HamsPlatform::from_config(match shape {
         Queues(queues) => config.with_queues(queues),
         Shards(shards) => config.with_shards(shards),
@@ -80,8 +78,8 @@ fn hams_with(
 enum Twin {
     /// Nothing more: the shape legitimately changes timing.
     Own,
-    /// The per-access reference of the registry's unmodified variant.
-    Registry,
+    /// The per-access reference of the unmodified scaled variant.
+    Scaled,
     /// The per-access reference of the variant built with another shape.
     Built(Shape),
 }
@@ -107,7 +105,7 @@ fn check_shape(shape: Shape, seed: u64, workloads: &[&str], twin: Twin) {
             let (attach, persist) = variant;
             let mut other = match twin {
                 Own => continue,
-                Registry => HamsPlatform::scaled(attach, persist, scale.cache_bytes()),
+                Scaled => HamsPlatform::scaled(attach, persist, scale.cache_bytes()),
                 Built(other) => hams_with(variant, &scale, other),
             };
             assert_eq!(
@@ -130,13 +128,13 @@ fn single_queue_config_matches_the_serial_reference() {
     check_shape(Queues(QueueConfig::single()), 23, &["rndWr"], Own);
 }
 
-// The shard shape is pure routing, so every count matches the registry's
-// default directory and the hash policy is neutral.
+// The shard shape is pure routing, so every count matches the scaled
+// variant's one-bank directory and the hash policy is neutral.
 #[test]
 fn sharded_serving_is_byte_identical_to_the_unsharded_reference() {
     for n in [1u16, 2, 8] {
         let sharded = Shards(ShardConfig::interleaved(n));
-        check_shape(sharded, 31, &["rndWr"], Registry);
+        check_shape(sharded, 31, &["rndWr"], Scaled);
     }
 }
 
@@ -144,7 +142,7 @@ fn sharded_serving_is_byte_identical_to_the_unsharded_reference() {
 fn single_shard_config_matches_every_other_count_and_the_batched_path() {
     for n in [1u16, 2, 8] {
         let sharded = Shards(ShardConfig::interleaved(n));
-        check_shape(sharded, 31, &["update"], Registry);
+        check_shape(sharded, 31, &["update"], Scaled);
     }
 }
 
@@ -205,9 +203,7 @@ proptest! {
 
 /// The cross-axis smoke: grid workers (`HAMS_THREADS`, ambient via the CI
 /// matrix) and tag-array shards commute — every combination lands on the
-/// bytes of the unsharded serial reference. The registry entries bake the
-/// shard count into their constructors so the parallel grid serves all of
-/// them in one sweep.
+/// bytes of the unsharded serial reference.
 #[test]
 fn grid_threads_and_shards_commute() {
     let scale = tiny(31);
@@ -216,61 +212,51 @@ fn grid_threads_and_shards_commute() {
     let expected = run_workload_serial(reference.as_mut(), spec, &scale);
 
     let te = (AttachMode::Tight, PersistMode::Extend);
-    let mut registry = PlatformRegistry::new();
-    let mut labels = Vec::new();
-    for shards in [1u16, 2, 4, 8] {
-        let label = format!("hams-TE-s{shards}");
-        registry.register(label.clone(), move |scale: &ScaleProfile| {
-            let shape = Shards(ShardConfig::interleaved(shards));
-            Box::new(hams_with(te, scale, shape))
-        });
-        labels.push(label);
-    }
-    let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-    let grid = run_grid_with(&registry, &label_refs, &[spec], &scale);
-    for (row, label) in grid.iter().zip(&labels) {
+    let shard_counts = [1u16, 2, 4, 8];
+    let grid = parallel_map(&shard_counts, |&n| {
+        let mut platform = hams_with(te, &scale, Shards(ShardConfig::interleaved(n)));
+        run_workload(&mut platform, spec, &scale)
+    });
+    for (row, n) in grid.iter().zip(shard_counts) {
         assert_eq!(
             row, &expected,
-            "{label}: the shard shape leaked into the metrics"
+            "s{n}: the shard shape leaked into the metrics"
         );
     }
 }
 
-/// Serves every label of `registry` through the per-access loop, one
-/// platform at a time: the serial reference of a sweep grid. The sweep
-/// entries carry their shape in the constructor, so this loop is each
-/// shape's per-access reference.
-fn serial_rows(
-    registry: &PlatformRegistry,
-    labels: &[&str],
+/// Serves a sweep's points on worker threads (`run_workload`, as the
+/// figures do) and, one at a time, through the per-access loop: the sweep
+/// and its serial reference.
+fn sweep_and_serial<T: Sync>(
+    points: &[T],
+    build: impl Fn(&T) -> HamsPlatform + Sync,
     spec: WorkloadSpec,
     scale: &ScaleProfile,
-) -> Vec<hams::platforms::RunMetrics> {
-    labels
+) -> (Vec<RunMetrics>, Vec<RunMetrics>) {
+    let grid = parallel_map(points, |point| run_workload(&mut build(point), spec, scale));
+    let serial = points
         .iter()
-        .map(|label| {
-            let mut platform = registry.build(label, scale).unwrap();
-            run_workload_serial(platform.as_mut(), spec, scale)
-        })
-        .collect()
+        .map(|point| run_workload_serial(&mut build(point), spec, scale))
+        .collect();
+    (grid, serial)
 }
 
 #[test]
 fn mq_grid_is_byte_identical_to_the_serial_reference() {
     let scale = tiny(23);
     let spec = WorkloadSpec::by_name("rndRd").unwrap();
-    let mut registry = PlatformRegistry::standard();
-    register_hams_queue_sweep(&mut registry, &[1, 2, 4]);
-    let labels: Vec<String> = [1u16, 2, 4].iter().map(|&n| queue_sweep_label(n)).collect();
-    let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-
     // The parallel grid must match at every worker count. HAMS_THREADS is
     // process-global (mutating it here would race sibling tests), so the
     // sweep over worker counts lives in the CI matrix.
-    let grid = run_grid_with(&registry, &label_refs, &[spec], &scale);
+    let (grid, serial) = sweep_and_serial(
+        &[1u16, 2, 4],
+        |&n| queue_sweep_platform(&scale, n),
+        spec,
+        &scale,
+    );
     assert_eq!(
-        grid,
-        serial_rows(&registry, &label_refs, spec, &scale),
+        grid, serial,
         "multi-queue grid diverged from the serial reference"
     );
 }
@@ -279,19 +265,15 @@ fn mq_grid_is_byte_identical_to_the_serial_reference() {
 fn shard_sweep_grid_is_byte_identical_across_counts_and_to_serial() {
     let scale = tiny(31);
     let spec = WorkloadSpec::by_name("rndRd").unwrap();
-    let mut registry = PlatformRegistry::standard();
-    register_hams_shard_sweep(&mut registry, &[1, 2, 8]);
-    let labels: Vec<String> = [1u16, 2, 8].iter().map(|&n| shard_sweep_label(n)).collect();
-    let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-
     // The grid must match its serial reference and — the shard contract —
     // every row must be identical: the shape may not shift a single byte.
-    let grid = run_grid_with(&registry, &label_refs, &[spec], &scale);
-    assert_eq!(
-        grid,
-        serial_rows(&registry, &label_refs, spec, &scale),
-        "shard sweep grid diverged from serial"
+    let (grid, serial) = sweep_and_serial(
+        &[1u16, 2, 8],
+        |&n| shard_sweep_platform(&scale, n),
+        spec,
+        &scale,
     );
+    assert_eq!(grid, serial, "shard sweep grid diverged from serial");
     for row in &grid[1..] {
         assert_eq!(
             row, &grid[0],
@@ -304,18 +286,17 @@ fn shard_sweep_grid_is_byte_identical_across_counts_and_to_serial() {
 fn raid_sweep_grid_rows_match_their_serial_twins() {
     let scale = tiny(37);
     let spec = WorkloadSpec::by_name("rndRd").unwrap();
-    let mut registry = PlatformRegistry::standard();
-    register_hams_raid_sweep(&mut registry, &[1, 2, 4]);
-    let mut labels: Vec<String> = [1u16, 2, 4].iter().map(|&n| raid_sweep_label(n)).collect();
-    labels.push(cxl_label());
-    let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-
-    let grid = run_grid_with(&registry, &label_refs, &[spec], &scale);
-    assert_eq!(
-        grid,
-        serial_rows(&registry, &label_refs, spec, &scale),
-        "device sweep grid diverged from serial"
+    // RAID-0 at one, two and four devices, then (`None`) the CXL variant.
+    let (grid, serial) = sweep_and_serial(
+        &[Some(1u16), Some(2), Some(4), None],
+        |&devices| match devices {
+            Some(n) => build_raid_sweep_platform(&scale, n),
+            None => build_cxl_platform(&scale),
+        },
+        spec,
+        &scale,
     );
+    assert_eq!(grid, serial, "device sweep grid diverged from serial");
 }
 
 #[test]
@@ -328,17 +309,11 @@ fn multi_queue_strictly_beats_single_queue_on_random_reads() {
         seed: 11,
     };
     let spec = WorkloadSpec::by_name("rndRd").unwrap();
-    let mut registry = PlatformRegistry::standard();
-    register_hams_queue_sweep(&mut registry, &[1, 4]);
+    let s = run_workload(&mut queue_sweep_platform(&scale, 1), spec, &scale);
+    let m = run_workload(&mut queue_sweep_platform(&scale, 4), spec, &scale);
 
-    let mut single = registry.build(&queue_sweep_label(1), &scale).unwrap();
-    let mut striped = registry.build(&queue_sweep_label(4), &scale).unwrap();
-    let s = run_workload(single.as_mut(), spec, &scale);
-    let m = run_workload(striped.as_mut(), spec, &scale);
-
-    let mean = |metrics: &hams::platforms::RunMetrics| {
-        metrics.total_time.as_micros_f64() / metrics.accesses.max(1) as f64
-    };
+    let mean =
+        |metrics: &RunMetrics| metrics.total_time.as_micros_f64() / metrics.accesses.max(1) as f64;
     assert!(
         mean(&m) < mean(&s),
         "4-queue mean access latency ({:.3}us) must be strictly below single-queue ({:.3}us)",
