@@ -32,7 +32,7 @@ use hams_interconnect::{
     RegisterInterface, RegisterInterfaceConfig,
 };
 use hams_nvdimm::{Nvdimm, PinnedRegion};
-use hams_nvme::NvmeCommand;
+use hams_nvme::{NvmeCommand, PrpList};
 use hams_sim::{ComponentId, LatencyVector, Nanos};
 use hams_telemetry::{Layer, Span, TelemetrySink};
 use serde::{Deserialize, Serialize};
@@ -166,15 +166,12 @@ pub struct HamsController {
     /// new command before this.
     persist_gate: Nanos,
     stats: HamsStats,
-    /// Reused drain buffer for [`NvmeEngine::retire_due_into`]: the retire
-    /// scan runs once or twice per access, so the hot path never allocates
-    /// a fresh page list.
-    retire_scratch: Vec<u64>,
     /// Reused buffers for the multi-stripe fill path (one fill per miss):
-    /// stripe LBA ranges, issued segment descriptors, per-stripe completion
-    /// times, and coalesced MSI delivery times.
+    /// stripe LBA ranges, the stripe commands served (journalled once the
+    /// fill's completion instant is known), per-stripe completion times,
+    /// and coalesced MSI delivery times.
     fill_ranges: Vec<(u64, u64)>,
-    fill_segments: Vec<(u16, u64, u64)>,
+    fill_commands: Vec<NvmeCommand>,
     fill_completions: Vec<Nanos>,
     fill_delivered: Vec<Nanos>,
     /// Telemetry sink for simulated-time spans. [`TelemetrySink::Noop`] by
@@ -223,9 +220,8 @@ impl HamsController {
             prp_pool: PrpPool::new(prp_slots),
             persist_gate: Nanos::ZERO,
             stats: HamsStats::default(),
-            retire_scratch: Vec::new(),
             fill_ranges: Vec::new(),
-            fill_segments: Vec::new(),
+            fill_commands: Vec::new(),
             fill_completions: Vec::new(),
             fill_delivered: Vec::new(),
             trace: TelemetrySink::disabled(),
@@ -371,7 +367,7 @@ impl HamsController {
         breakdown.add(ComponentId::HAMS, self.config.controller_overhead);
 
         // Retire anything whose device service has completed.
-        self.engine.retire_due_into(t, &mut self.retire_scratch);
+        self.engine.retire(t);
 
         breakdown.add(ComponentId::NVDIMM, TAG_READ);
         let tag_read_at = t;
@@ -387,7 +383,7 @@ impl HamsController {
                 waited = Some((t, free_at));
             }
             t = free_at;
-            self.engine.retire_due_into(t, &mut self.retire_scratch);
+            self.engine.retire(t);
         }
 
         let probe = self.tags.probe_at(at);
@@ -409,7 +405,7 @@ impl HamsController {
                 t = self.fill(page, at, is_write, t, breakdown);
             }
             TagProbe::MissDirty { victim_page } => {
-                let (slot_free_at, eviction_done) = self.evict(victim_page, t, breakdown);
+                let (slot_free_at, eviction_done) = self.evict(victim_page, at, t, breakdown);
                 let fill_start = match self.config.persist {
                     // Persist mode: only one command in flight, so the fill
                     // waits for the eviction to reach the flash.
@@ -625,9 +621,10 @@ impl HamsController {
         }
     }
 
-    /// Evicts a dirty victim page. Returns `(slot_free_at, eviction_done)`:
-    /// the cache slot becomes reusable once the clone is in the PRP pool;
-    /// the data is durable on flash at `eviction_done`.
+    /// Evicts dirty `victim_page` out of the cache set `at`. Returns
+    /// `(slot_free_at, eviction_done)`: the cache slot becomes reusable once
+    /// the clone is in the PRP pool; the data is durable on flash at
+    /// `eviction_done`.
     ///
     /// Out of line on purpose: inlined into its only caller it would roughly
     /// triple the code of `access_into`, whose hit path never evicts.
@@ -635,6 +632,7 @@ impl HamsController {
     fn evict(
         &mut self,
         victim_page: u64,
+        at: SetRef,
         now: Nanos,
         breakdown: &mut LatencyVector,
     ) -> (Nanos, Nanos) {
@@ -668,13 +666,16 @@ impl HamsController {
 
         // 3. Data moves from the clone to the device, then the device programs
         //    it (FUA in persist mode forces it to the Z-NAND immediately).
+        //    The command is composed once, its PRP list pointing at the
+        //    victim's cache slot until step 4 retargets it at the clone.
         let (transferred, transfer_dma) = self.transfer_page(submitted);
         let fua = blocking;
-        let cmd = NvmeCommand::write(
+        let slba = self.slba_of(victim_page);
+        let mut cmd = NvmeCommand::write(
             1,
-            self.slba_of(victim_page),
+            slba,
             page_bytes,
-            hams_nvme::PrpList::for_transfer(0, page_bytes, 4096),
+            PrpList::for_transfer(at.set as u64 * page_bytes, page_bytes, 4096),
         )
         .with_fua(fua);
         let completion = self
@@ -687,9 +688,9 @@ impl HamsController {
             breakdown.add(ComponentId::SSD, eviction_done - transferred);
         }
 
+        let queue = self.engine.queue_for_page(victim_page);
         if self.trace.is_enabled() {
-            let queue = self.engine.queue_for_page(victim_page);
-            let device = self.archive.device_of_slba(self.slba_of(victim_page));
+            let device = self.archive.device_of_slba(slba);
             self.trace.record(
                 Span::new(Layer::Nvme, "evict_submit", persist_start, submitted)
                     .with_queue(queue)
@@ -704,8 +705,10 @@ impl HamsController {
             );
         }
 
-        // 4. Track the command for journal-tag recovery, park the clone.
-        //    A full pool parks it over slot 0 without waiting (counted).
+        // 4. Park the clone, point the command's PRP list at it (the
+        //    address manager's step of §V-B) and journal the command for
+        //    recovery. A full pool parks the clone over slot 0 without
+        //    waiting (counted).
         let slot = self
             .prp_pool
             .allocate(victim_page, eviction_done, now)
@@ -713,15 +716,9 @@ impl HamsController {
                 self.stats.prp_pool_full += 1;
                 0
             });
-        let nvdimm_clone_addr = self.pinned.prp_slot_address(slot as u64, page_bytes);
-        let _ = self.engine.issue_write(
-            victim_page,
-            self.slba_of(victim_page),
-            page_bytes,
-            nvdimm_clone_addr,
-            fua,
-            eviction_done,
-        );
+        cmd.prp
+            .retarget(self.pinned.prp_slot_address(slot as u64, page_bytes));
+        self.engine.issue(queue, cmd, victim_page, eviction_done);
 
         if matches!(self.config.persist, PersistMode::Persist) {
             self.persist_gate = self.persist_gate.max(eviction_done);
@@ -775,10 +772,8 @@ impl HamsController {
             start
         } else if self.fill_stripes(page_bytes) <= 1 {
             // The degenerate single-stripe path (single-LBA pages, a single
-            // queue pair, or persist mode): no stripe bookkeeping at all —
-            // the one command is composed once and journalled verbatim
-            // ([`NvmeEngine::issue_read_tracked`]) instead of being
-            // re-derived, PRP list and all, a second time for tracking.
+            // queue pair, or persist mode): no stripe bookkeeping at all,
+            // and the one command served is the one journalled.
             self.stats.fill_bytes += page_bytes;
             let (submitted, submit_dma) = self.submit_command(start);
             breakdown.add(ComponentId::DMA, submit_dma);
@@ -786,15 +781,15 @@ impl HamsController {
                 1,
                 self.slba_of(page),
                 page_bytes,
-                hams_nvme::PrpList::for_transfer(base_addr, page_bytes, 4096),
+                PrpList::for_transfer(base_addr, page_bytes, 4096),
             );
             let completion = self
                 .archive
                 .service(&cmd, submitted)
                 .expect("fill read within device capacity");
             breakdown.add(ComponentId::SSD, completion.finished_at - submitted);
+            let queue = self.engine.queue_for_page(page);
             if self.trace.is_enabled() {
-                let queue = self.engine.queue_for_page(page);
                 let device = self.archive.device_of_slba(self.slba_of(page));
                 self.trace.record(
                     Span::new(Layer::Nvme, "fill_submit", start, submitted)
@@ -819,9 +814,7 @@ impl HamsController {
             // Landing the page in the NVDIMM array.
             let array = self.nvdimm.write(page_bytes);
             breakdown.add(ComponentId::NVDIMM, array);
-            let _ = self
-                .engine
-                .issue_read_tracked(page, cmd, transferred + array);
+            self.engine.issue(queue, cmd, page, transferred + array);
             transferred + array
         } else {
             self.stats.fill_bytes += page_bytes;
@@ -833,11 +826,11 @@ impl HamsController {
             // buffers are taken out of `self` for the duration of the loop so
             // the iteration can borrow them alongside `&mut self` calls.
             let mut ranges = std::mem::take(&mut self.fill_ranges);
-            let mut segments = std::mem::take(&mut self.fill_segments);
+            let mut commands = std::mem::take(&mut self.fill_commands);
             let mut completions = std::mem::take(&mut self.fill_completions);
             let mut delivered = std::mem::take(&mut self.fill_delivered);
             hams_nvme::stripe_ranges_into(page_bytes / LBA_SIZE, stripes, &mut ranges);
-            segments.clear();
+            commands.clear();
             completions.clear();
             let mut submit_t = start;
             for (s, &(lba_offset, count)) in ranges.iter().enumerate() {
@@ -853,18 +846,14 @@ impl HamsController {
                     1,
                     slba,
                     length,
-                    hams_nvme::PrpList::for_transfer(
-                        base_addr + lba_offset * LBA_SIZE,
-                        length,
-                        4096,
-                    ),
+                    PrpList::for_transfer(base_addr + lba_offset * LBA_SIZE, length, 4096),
                 );
                 let completion = self
                     .archive
                     .service(&cmd, submit_t)
                     .expect("fill stripe within device capacity");
                 completions.push(completion.finished_at);
-                segments.push((s as u16, slba, length));
+                commands.push(cmd);
                 if self.trace.is_enabled() {
                     let device = self.archive.device_of_slba(slba);
                     self.trace.record(
@@ -907,18 +896,13 @@ impl HamsController {
             breakdown.add(ComponentId::DMA, transfer_dma);
             let array = self.nvdimm.write(page_bytes);
             breakdown.add(ComponentId::NVDIMM, array);
-            for &(queue, slba, length) in &segments {
-                let _ = self.engine.issue_read_on(
-                    queue,
-                    page,
-                    slba,
-                    length,
-                    base_addr + (slba - base_slba) * LBA_SIZE,
-                    transferred + array,
-                );
+            // Stripe `s` went to queue pair `s`.
+            for (queue, cmd) in commands.drain(..).enumerate() {
+                self.engine
+                    .issue(queue as u16, cmd, page, transferred + array);
             }
             self.fill_ranges = ranges;
-            self.fill_segments = segments;
+            self.fill_commands = commands;
             self.fill_completions = completions;
             self.fill_delivered = delivered;
             transferred + array
@@ -964,7 +948,7 @@ impl HamsController {
 
     /// Injects a power failure at `now`.
     pub fn power_fail(&mut self, now: Nanos) -> PowerFailureEvent {
-        self.engine.retire_due_into(now, &mut self.retire_scratch);
+        self.engine.retire(now);
         let incomplete = self.engine.journaled_incomplete(now).len();
         // Completions scheduled for after the failure died with the power;
         // without this, a later retire_due would post success CQ entries
@@ -1489,6 +1473,80 @@ mod tests {
         let mut t = Nanos::ZERO;
         for i in 0..h.cache_sets() as u64 + 64 {
             t = h.access(i * page, true, 64, t).finished_at;
+        }
+    }
+
+    #[test]
+    fn a_dirty_eviction_journals_the_served_command_at_its_clone() {
+        let config = HamsConfig::tiny_for_tests(AttachMode::Tight, PersistMode::Extend)
+            .with_mos_page_size(64 * 1024);
+        let mut h = HamsController::new(config);
+        let page_bytes = config.mos_page_size;
+        let sets = h.cache_sets() as u64;
+        // Dirty pages 0 and 1 (writing a page never on flash fetches
+        // nothing), then evict both at one instant, so the second clone
+        // finds slot 0 still held and takes slot 1.
+        h.access(0, true, 64, Nanos::ZERO);
+        h.access(page_bytes, true, 64, Nanos::ZERO);
+        let t = Nanos::from_micros(1);
+        h.access(sets * page_bytes, false, 64, t);
+        h.access((sets + 1) * page_bytes, false, 64, t);
+        assert_eq!(h.stats().evictions, 2);
+        let evictions: Vec<_> = h
+            .engine()
+            .journaled_incomplete(t)
+            .into_iter()
+            .filter(|tracked| tracked.command.opcode.is_write())
+            .collect();
+        assert_eq!(evictions.len(), 2);
+        for (slot, tracked) in (0u64..).zip(&evictions) {
+            assert_eq!(
+                tracked.mos_page, slot,
+                "victim page {slot} took slot {slot}"
+            );
+            // The served command, its PRP list moved from the victim's cache
+            // set to the clone: the same 4 KB regions, from the slot's
+            // address on (a slot need not be 4 KB aligned).
+            let clone = h.pinned.prp_slot_address(slot, page_bytes);
+            let at_clone: PrpList = (0..page_bytes / 4096)
+                .map(|region| hams_nvme::PrpEntry(clone + region * 4096))
+                .collect();
+            let mut served =
+                NvmeCommand::write(1, h.slba_of(slot), page_bytes, at_clone).with_journal_tag(true);
+            served.cid = tracked.id.cid;
+            assert_eq!(tracked.command, served);
+        }
+    }
+
+    #[test]
+    fn each_striped_fill_journal_entry_is_the_stripe_command_served() {
+        use hams_nvme::{stripe_ranges, QueueConfig};
+        let config = HamsConfig::tiny_for_tests(AttachMode::Loose, PersistMode::Extend)
+            .with_mos_page_size(64 * 1024)
+            .with_queues(QueueConfig::striped(4));
+        let mut h = HamsController::new(config);
+        let page_bytes = config.mos_page_size;
+        let page = 3u64;
+        h.access(page * page_bytes, false, 64, Nanos::ZERO);
+        let journal = h.engine().journaled_incomplete(Nanos::ZERO);
+        let stripes = stripe_ranges(page_bytes / LBA_SIZE, 4);
+        assert_eq!(journal.len(), stripes.len());
+        // Page 3 fills set 3; stripe `s` covers its LBAs from `offset` and
+        // goes to queue pair `s`.
+        let set_addr = page * page_bytes;
+        for ((queue, (offset, count)), tracked) in (0u16..).zip(stripes).zip(&journal) {
+            assert_eq!(tracked.id.queue, queue);
+            assert_eq!(tracked.mos_page, page);
+            let length = count * LBA_SIZE;
+            let mut served = NvmeCommand::read(
+                1,
+                h.slba_of(page) + offset,
+                length,
+                PrpList::for_transfer(set_addr + offset * LBA_SIZE, length, 4096),
+            )
+            .with_journal_tag(true);
+            served.cid = tracked.id.cid;
+            assert_eq!(tracked.command, served);
         }
     }
 

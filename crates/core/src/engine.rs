@@ -1,19 +1,21 @@
 //! The HAMS NVMe engine: in-controller management of the submission and
 //! completion queues, journal tags and interrupts.
 //!
-//! The engine replaces the OS NVMe driver. It composes commands for cache
-//! fills and evictions, sets the journal tag when a command is issued, clears
-//! it when the completion interrupt arrives, and — because the queues live in
-//! the pinned NVDIMM region — can be scanned after a power failure to find the
-//! commands that never completed (§V-C, Fig. 15).
+//! The engine replaces the OS NVMe driver. The controller composes each
+//! fill and eviction command once, the archive serves it, and the engine
+//! journals that same command: it sets the journal tag when the command is
+//! issued, retires the command when its completion arrives, and — because
+//! the queues live in the pinned NVDIMM region — can be scanned after a
+//! power failure to find the commands that never completed (§V-C, Fig. 15).
 //!
-//! Each in-flight command lives exactly once, in a slot of the engine's
-//! slab: the slot is the command's journal entry, and the completion event
-//! the device model schedules carries the slot index. Retiring a command
-//! pops the completion heap and takes its slot, so issue and retire cost
-//! O(log n) in the number of commands in flight. The device fetches every
-//! command the instant it is submitted, so the model keeps no ring state:
-//! a per-queue command-identifier counter is all that remains of each
+//! Each in-flight command lives exactly once, in the engine's journal: an
+//! unordered list of the journal-tagged SQ entries. Only a handful of
+//! commands are ever in flight, so the list is scanned rather than indexed:
+//! the engine caches the earliest scheduled completion, a retire with
+//! nothing due costs one compare against it, and a due retire is a short
+//! scan that swap-removes what completed. The device fetches every
+//! command the instant it is submitted, so the model keeps no ring state: a
+//! per-queue command-identifier counter is all that remains of each
 //! submission/completion pair.
 //!
 //! Independent fills are striped across the [`QueueConfig`]'s queue pairs
@@ -24,7 +26,7 @@
 use hams_nvme::{
     CommandId, MsiCoalescer, MsiCoalescerStats, NvmeCommand, NvmeOpcode, PrpList, QueueConfig,
 };
-use hams_sim::{CompletionSource, Nanos};
+use hams_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
 use crate::tag_array::ShardConfig;
@@ -67,14 +69,22 @@ pub struct EngineStats {
     pub recovered: u64,
 }
 
-/// A command in its slab slot, with the sequence number of its completion
-/// event. Recovery can vacate a slot while the command's completion is
-/// still scheduled, and the slot may then hold a newer command: an event
-/// retires a slot only when the sequence numbers match.
+/// One journal entry. Its command's journal tag is set while the command
+/// is outstanding; recovery clears it, and may do so while the completion
+/// the device model scheduled has yet to fire. Such an entry stays until
+/// that completion fires, which still counts as one, and an entry goes once
+/// its tag is clear and no completion is scheduled.
 #[derive(Debug, Clone)]
 struct InFlight {
-    event: u64,
     tracked: TrackedCommand,
+    /// The scheduled completion has not fired (nor died with the power).
+    scheduled: bool,
+}
+
+impl InFlight {
+    fn outstanding(&self) -> bool {
+        self.tracked.command.journal_tag
+    }
 }
 
 /// The in-controller NVMe engine.
@@ -102,11 +112,11 @@ pub struct NvmeEngine {
     /// Next command identifier of each queue pair; wraps like an NVMe cid.
     next_cid: Vec<u16>,
     coalescer: MsiCoalescer,
-    /// Completion events, each carrying its command's slot index.
-    completions: CompletionSource<u32>,
-    slots: Vec<Option<InFlight>>,
-    /// Empty slots, reused last-in first-out.
-    vacant: Vec<u32>,
+    /// Every journal entry, in no particular order.
+    journal: Vec<InFlight>,
+    /// The earliest scheduled completion in `journal`, [`Nanos::MAX`] when
+    /// none is scheduled.
+    next_due: Nanos,
     stats: EngineStats,
 }
 
@@ -150,9 +160,8 @@ impl NvmeEngine {
         NvmeEngine {
             next_cid: vec![0; usize::from(config.num_queues.max(1))],
             coalescer: MsiCoalescer::new(config.coalescing),
-            completions: CompletionSource::new(),
-            slots: Vec::new(),
-            vacant: Vec::new(),
+            journal: Vec::new(),
+            next_due: Nanos::MAX,
             stats: EngineStats::default(),
             config,
             shards,
@@ -189,7 +198,10 @@ impl NvmeEngine {
     /// Number of commands issued but not yet retired.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.slots.len() - self.vacant.len()
+        self.journal
+            .iter()
+            .filter(|entry| entry.outstanding())
+            .count()
     }
 
     /// The queue pair a MoS page's commands stripe onto: pages are
@@ -247,9 +259,8 @@ impl NvmeEngine {
         )
     }
 
-    /// [`Self::issue_read`] on an explicit queue pair — the striped-fill path,
-    /// where the controller spreads one MoS page's stripe commands across
-    /// the whole set.
+    /// [`Self::issue_read`] on an explicit queue pair, as a striped fill
+    /// spreads one MoS page's stripe commands across the whole set.
     ///
     /// # Panics
     ///
@@ -273,10 +284,7 @@ impl NvmeEngine {
     }
 
     /// Issues an already-composed fill command for `mos_page` on the page's
-    /// queue pair — the lean single-stripe path: the controller built the
-    /// exact command for the device service, so the engine journals it
-    /// as-is instead of re-deriving an identical one (and its PRP list)
-    /// from scratch.
+    /// queue pair, journalling it as it is.
     pub fn issue_read_tracked(
         &mut self,
         mos_page: u64,
@@ -308,8 +316,9 @@ impl NvmeEngine {
     }
 
     /// Journals `cmd` on `queue` with its tag set and schedules its
-    /// completion: the command's one copy moves into a slab slot.
-    fn issue(
+    /// completion at `completes_at`: the command the controller composed,
+    /// and the device served, moves into the journal as it is.
+    pub(crate) fn issue(
         &mut self,
         queue: u16,
         mut cmd: NvmeCommand,
@@ -326,30 +335,19 @@ impl NvmeEngine {
         *next = next.wrapping_add(1);
         cmd.cid = id.cid;
         cmd.journal_tag = true;
-        let slot = self.vacant.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            (self.slots.len() - 1) as u32
+        self.next_due = self.next_due.min(completes_at);
+        self.journal.push(InFlight {
+            tracked: TrackedCommand {
+                id,
+                shard: self.shard_for_page(mos_page),
+                device: self.device_for_slba(cmd.slba),
+                command: cmd,
+                mos_page,
+                completes_at,
+            },
+            scheduled: true,
         });
-        let tracked = TrackedCommand {
-            id,
-            shard: self.shard_for_page(mos_page),
-            device: self.device_for_slba(cmd.slba),
-            command: cmd,
-            mos_page,
-            completes_at,
-        };
-        let event = self.completions.schedule(completes_at, slot);
-        self.slots[slot as usize] = Some(InFlight { event, tracked });
         id
-    }
-
-    /// Empties an occupied `slot`, returning the command it held.
-    fn vacate(&mut self, slot: u32) -> TrackedCommand {
-        let held = self.slots[slot as usize]
-            .take()
-            .expect("only occupied slots are vacated");
-        self.vacant.push(slot);
-        held.tracked
     }
 
     /// Delivery times of one burst of stripe completions under the engine's
@@ -367,35 +365,56 @@ impl NvmeEngine {
         self.coalescer.deliver_into(completions, out);
     }
 
-    /// Processes every completion whose device service has finished by `now`,
-    /// in global completion order across all queues: clears the journal tag
-    /// and removes the command from the outstanding set. Returns the MoS
-    /// pages whose commands retired.
+    /// Processes every completion whose device service has finished by `now`:
+    /// clears the journal tag and removes the command from the outstanding
+    /// set. Returns the MoS pages whose commands retired, in ascending order.
     pub fn retire_due(&mut self, now: Nanos) -> Vec<u64> {
         let mut pages = Vec::new();
         self.retire_due_into(now, &mut pages);
         pages
     }
 
-    /// [`Self::retire_due`] into a caller-owned scratch buffer — the hot-path
-    /// form. The controller calls this once or twice per simulated access;
-    /// with a reused buffer the drain allocates nothing, and when no
-    /// completion is due (the overwhelmingly common case) it costs a single
-    /// heap peek. `pages` is cleared and then filled with the MoS pages whose
-    /// commands retired, in ascending page order.
+    /// [`Self::retire_due`] into a caller-owned buffer, which is cleared
+    /// first and then holds the retired MoS pages in ascending order.
     pub fn retire_due_into(&mut self, now: Nanos, pages: &mut Vec<u64>) {
         pages.clear();
-        while let Some(event) = self.completions.pop_due(now) {
-            self.stats.completions += 1;
-            let slot = event.payload;
-            if self.slots[slot as usize]
-                .as_ref()
-                .is_some_and(|held| held.event == event.seq)
-            {
-                pages.push(self.vacate(slot).mos_page);
-            }
+        if now >= self.next_due {
+            self.drain_due(now, |page| pages.push(page));
+            pages.sort_unstable();
         }
-        pages.sort_unstable();
+    }
+
+    /// [`Self::retire_due`] for the controller, which never reads the
+    /// retired pages: when nothing is due it costs one compare.
+    #[inline]
+    pub(crate) fn retire(&mut self, now: Nanos) {
+        if now >= self.next_due {
+            self.drain_due(now, |_| {});
+        }
+    }
+
+    /// Removes every entry whose completion is due by `now`, counting each
+    /// completion and handing `retired` the page of each command still
+    /// outstanding, then recomputes the earliest scheduled completion.
+    fn drain_due(&mut self, now: Nanos, mut retired: impl FnMut(u64)) {
+        let mut next_due = Nanos::MAX;
+        let mut index = 0;
+        while let Some(entry) = self.journal.get(index) {
+            if entry.scheduled {
+                let completes_at = entry.tracked.completes_at;
+                if completes_at <= now {
+                    self.stats.completions += 1;
+                    if entry.outstanding() {
+                        retired(entry.tracked.mos_page);
+                    }
+                    self.journal.swap_remove(index);
+                    continue;
+                }
+                next_due = next_due.min(completes_at);
+            }
+            index += 1;
+        }
+        self.next_due = next_due;
     }
 
     /// Commands whose journal tag is still set at `now` — exactly what the
@@ -405,10 +424,9 @@ impl NvmeEngine {
     #[must_use]
     pub fn journaled_incomplete(&self, now: Nanos) -> Vec<TrackedCommand> {
         let mut v: Vec<TrackedCommand> = self
-            .slots
+            .journal
             .iter()
-            .flatten()
-            .map(|held| &held.tracked)
+            .map(|entry| &entry.tracked)
             .filter(|t| t.completes_at > now && t.command.journal_tag)
             .cloned()
             .collect();
@@ -422,22 +440,29 @@ impl NvmeEngine {
     /// journal-tag scan ([`Self::journaled_incomplete`]), which reads the
     /// tracked commands, not the completion stream.
     pub fn drop_in_flight_completions(&mut self) {
-        self.completions.clear();
+        self.journal.retain_mut(|entry| {
+            entry.scheduled = false;
+            entry.outstanding()
+        });
+        self.next_due = Nanos::MAX;
     }
 
     /// Marks a set of commands as recovered (re-issued after power
-    /// restoration) and retires them.
+    /// restoration) and retires them. A recovered command whose completion
+    /// is still scheduled stays in the journal, its tag clear, until that
+    /// completion fires.
     pub fn mark_recovered(&mut self, ids: &[CommandId]) {
-        let mut ids = ids.to_vec();
-        ids.sort_unstable();
-        for slot in 0..self.slots.len() as u32 {
-            let recovered = self.slots[slot as usize]
-                .as_ref()
-                .is_some_and(|held| ids.binary_search(&held.tracked.id).is_ok());
-            if recovered {
-                self.vacate(slot);
+        let mut index = 0;
+        while let Some(entry) = self.journal.get_mut(index) {
+            if entry.outstanding() && ids.contains(&entry.tracked.id) {
+                entry.tracked.command.journal_tag = false;
                 self.stats.recovered += 1;
+                if !entry.scheduled {
+                    self.journal.swap_remove(index);
+                    continue;
+                }
             }
+            index += 1;
         }
     }
 
@@ -446,7 +471,7 @@ impl NvmeEngine {
     /// pairs' head and tail pointers coincide.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.outstanding() == 0 && self.completions.is_empty()
+        self.journal.is_empty()
     }
 }
 
@@ -652,8 +677,9 @@ mod tests {
         assert_eq!(order, vec![2, 1, 3]);
     }
 
-    /// The engine's contract without the slab: commands keyed by id, and
-    /// completion events in firing order, each naming its command's id.
+    /// The engine's contract without the journal list: commands keyed by
+    /// id, and completion events in firing order, each naming its command's
+    /// id.
     #[derive(Default)]
     struct Model {
         tracked: BTreeMap<CommandId, (u64, Nanos)>,
@@ -724,13 +750,16 @@ mod tests {
 
     proptest! {
         /// Issue / retire / power-fail / recover / re-issue sequences agree
-        /// with the keyed model. Recovery may vacate a slot whose completion
-        /// is still scheduled (no power failure dropped it), and a later
-        /// command may reuse that slot: the stale completion must retire
-        /// nothing, exactly as it finds no command under its id.
+        /// with the keyed model, through the public issue and retire calls
+        /// and through the controller's: a composed command journalled
+        /// verbatim, and the retire that collects no pages. Recovery may
+        /// clear a command whose completion is still scheduled (no power
+        /// failure dropped it): that completion must still count when it
+        /// fires and retire nothing, exactly as it finds no command under
+        /// its id.
         #[test]
-        fn slab_engine_matches_the_keyed_model(
-            ops in proptest::collection::vec((0u8..6, 0u64..64, 0u64..64), 1..200),
+        fn flat_journal_matches_the_keyed_model(
+            ops in proptest::collection::vec((0u8..8, 0u64..64, 0u64..64), 1..200),
         ) {
             let mut e = NvmeEngine::with_config(QueueConfig::striped(2));
             let mut m = Model::default();
@@ -764,6 +793,32 @@ mod tests {
                             journaled(&e, now).iter().map(|t| t.0).collect();
                         e.mark_recovered(&ids);
                         m.recover(&ids);
+                    }
+                    5 => {
+                        let page = a % 16;
+                        let at = now + Nanos::from_micros(b % 40);
+                        let prp = PrpList::for_transfer(page * 4096, 4096, 4096);
+                        let is_write = b % 2 == 0;
+                        let cmd = if is_write {
+                            NvmeCommand::write(1, page * 8, 4096, prp).with_fua(a % 3 == 0)
+                        } else {
+                            NvmeCommand::read(1, page * 8, 4096, prp)
+                        };
+                        let id = e.issue(e.queue_for_page(page), cmd.clone(), page, at);
+                        prop_assert_eq!(id, m.issue(page, is_write, at));
+                        let journalled = e
+                            .journal
+                            .iter()
+                            .find(|entry| entry.tracked.id == id)
+                            .map(|entry| entry.tracked.command.clone());
+                        let mut expected = cmd.with_journal_tag(true);
+                        expected.cid = id.cid;
+                        prop_assert_eq!(journalled, Some(expected));
+                    }
+                    6 => {
+                        now += Nanos::from_micros(a % 16);
+                        e.retire(now);
+                        m.retire(now);
                     }
                     _ => {
                         let pending = journaled(&e, now);

@@ -9,7 +9,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use hams_sim::{FastHashMap, Nanos};
+use hams_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
 /// A clone currently occupying a PRP-pool slot.
@@ -44,7 +44,8 @@ pub struct PrpPool {
     /// outlives its clone when the slot is released explicitly; reclaim
     /// only vacates a slot whose current clone has expired.
     expiries: BinaryHeap<Reverse<(Nanos, usize)>>,
-    by_page: FastHashMap<u64, usize>,
+    /// Occupied slots.
+    in_use: usize,
     high_water: usize,
 }
 
@@ -65,7 +66,7 @@ impl PrpPool {
             slots: vec![None; slots],
             free,
             expiries: BinaryHeap::new(),
-            by_page: FastHashMap::default(),
+            in_use: 0,
             high_water: 0,
         }
     }
@@ -79,7 +80,7 @@ impl PrpPool {
     /// Number of occupied slots.
     #[must_use]
     pub fn in_use(&self) -> usize {
-        self.by_page.len()
+        self.in_use
     }
 
     /// Maximum simultaneous occupancy seen so far.
@@ -91,15 +92,25 @@ impl PrpPool {
     /// Returns `true` if a clone of `mos_page` is parked in the pool.
     #[must_use]
     pub fn holds_page(&self, mos_page: u64) -> bool {
-        self.by_page.contains_key(&mos_page)
+        self.slots
+            .iter()
+            .flatten()
+            .any(|slot| slot.mos_page == mos_page)
     }
 
     /// MoS pages currently parked in the pool (in-flight eviction data that
-    /// survives a power failure because the pool lives in NVDIMM).
+    /// survives a power failure because the pool lives in NVDIMM),
+    /// ascending, each once however many of its clones are parked.
     #[must_use]
     pub fn parked_pages(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.by_page.keys().copied().collect();
+        let mut v: Vec<u64> = self
+            .slots
+            .iter()
+            .flatten()
+            .map(|slot| slot.mos_page)
+            .collect();
         v.sort_unstable();
+        v.dedup();
         v
     }
 
@@ -125,15 +136,15 @@ impl PrpPool {
             release_at,
         });
         self.expiries.push(Reverse((release_at, idx)));
-        self.by_page.insert(mos_page, idx);
-        self.high_water = self.high_water.max(self.by_page.len());
+        self.in_use += 1;
+        self.high_water = self.high_water.max(self.in_use);
         Some(idx)
     }
 
     /// Releases slot `index` explicitly (its eviction command completed).
     pub fn release(&mut self, index: usize) {
-        if let Some(slot) = self.slots.get_mut(index).and_then(Option::take) {
-            self.by_page.remove(&slot.mos_page);
+        if self.slots.get_mut(index).and_then(Option::take).is_some() {
+            self.in_use -= 1;
             self.free[index / 64] |= 1 << (index % 64);
         }
     }
@@ -141,8 +152,6 @@ impl PrpPool {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     use proptest::prelude::*;
 
     use super::*;
@@ -184,16 +193,36 @@ mod tests {
     }
 
     #[test]
+    fn a_page_parked_twice_holds_both_slots() {
+        let mut p = PrpPool::new(4);
+        let first = p.allocate(7, Nanos::from_micros(10), Nanos::ZERO).unwrap();
+        let second = p.allocate(7, Nanos::from_micros(30), Nanos::ZERO).unwrap();
+        assert_ne!(first, second);
+        assert_eq!(p.in_use(), 2);
+        assert_eq!(p.high_water(), 2);
+        assert_eq!(p.parked_pages(), vec![7]);
+        // The first clone expires and is reclaimed by the next allocation;
+        // the second still parks page 7.
+        p.allocate(8, Nanos::from_micros(40), Nanos::from_micros(20))
+            .unwrap();
+        assert!(p.holds_page(7), "the second clone of page 7 was forgotten");
+        assert_eq!(p.in_use(), 2);
+        p.release(second);
+        assert!(!p.holds_page(7));
+        assert_eq!(p.parked_pages(), vec![8]);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_slots_panics() {
         let _ = PrpPool::new(0);
     }
 
     /// The linear-scan pool the heap and bitmap replaced, kept as the
-    /// reference they must match slot for slot.
+    /// reference they must match slot for slot. Occupancy is read off the
+    /// slots, so a page parked in two slots counts twice.
     struct ScanPool {
         slots: Vec<Option<CloneSlot>>,
-        by_page: HashMap<u64, usize>,
         high_water: usize,
     }
 
@@ -201,18 +230,25 @@ mod tests {
         fn new(slots: usize) -> Self {
             ScanPool {
                 slots: vec![None; slots],
-                by_page: HashMap::new(),
                 high_water: 0,
             }
         }
 
+        fn in_use(&self) -> usize {
+            self.slots.iter().flatten().count()
+        }
+
+        fn holds_page(&self, page: u64) -> bool {
+            self.slots
+                .iter()
+                .flatten()
+                .any(|slot| slot.mos_page == page)
+        }
+
         fn allocate(&mut self, mos_page: u64, release_at: Nanos, now: Nanos) -> Option<usize> {
-            for i in 0..self.slots.len() {
-                if let Some(slot) = self.slots[i] {
-                    if slot.release_at <= now {
-                        self.by_page.remove(&slot.mos_page);
-                        self.slots[i] = None;
-                    }
+            for slot in &mut self.slots {
+                if slot.is_some_and(|s| s.release_at <= now) {
+                    *slot = None;
                 }
             }
             let idx = self.slots.iter().position(Option::is_none)?;
@@ -220,14 +256,13 @@ mod tests {
                 mos_page,
                 release_at,
             });
-            self.by_page.insert(mos_page, idx);
-            self.high_water = self.high_water.max(self.by_page.len());
+            self.high_water = self.high_water.max(self.in_use());
             Some(idx)
         }
 
         fn release(&mut self, index: usize) {
-            if let Some(slot) = self.slots.get_mut(index).and_then(Option::take) {
-                self.by_page.remove(&slot.mos_page);
+            if let Some(slot) = self.slots.get_mut(index) {
+                *slot = None;
             }
         }
     }
@@ -262,10 +297,10 @@ mod tests {
                     }
                     _ => now += span,
                 }
-                prop_assert_eq!(pool.in_use(), scan.by_page.len());
+                prop_assert_eq!(pool.in_use(), scan.in_use());
                 prop_assert_eq!(pool.high_water(), scan.high_water);
                 for p in 0..24 {
-                    prop_assert_eq!(pool.holds_page(p), scan.by_page.contains_key(&p));
+                    prop_assert_eq!(pool.holds_page(p), scan.holds_page(p));
                 }
             }
         }

@@ -1005,6 +1005,31 @@ mod tests {
     }
 
     #[test]
+    fn a_fail_stop_loses_the_failed_devices_buffered_writes() {
+        let mut set = raid5_set();
+        set.set_fault_plan(FaultPlan::new().with_fail_stop(
+            1,
+            Nanos::from_millis(1),
+            Nanos::from_millis(2),
+        ));
+        // A plain write of LBA 17 (device 1) is acknowledged from the
+        // device's DRAM and not programmed before the device fails.
+        set.service(&write_cmd(17, 4096), Nanos::from_micros(10))
+            .unwrap();
+        assert!(!set.is_durable(17));
+        // The failed device's buffer died with it: the rebuild finds
+        // nothing to regenerate, and a later flush has nothing to program.
+        set.service(&NvmeCommand::flush(1), Nanos::from_millis(60))
+            .unwrap();
+        assert_eq!(set.array_state(), ArrayState::Healthy);
+        assert!(
+            !set.is_durable(17),
+            "a write buffered in a failed device survived its failure"
+        );
+        assert_eq!(set.fault_stats().unwrap().lost_buffered_pages, 1);
+    }
+
+    #[test]
     fn flush_broadcast_skips_the_dead_device() {
         let mut set = raid5_set();
         set.set_fault_plan(FaultPlan::new().with_fail_stop(

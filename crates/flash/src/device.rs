@@ -512,6 +512,16 @@ impl SsdDevice {
         }
     }
 
+    /// Fail-stops the device: its controller and volatile internal DRAM go
+    /// dark, so every buffered page is gone, supercapacitor or not (no
+    /// controller is left to flush it). Returns the dirty pages lost: writes
+    /// the device acknowledged but never programmed.
+    pub fn fail_stop(&mut self) -> usize {
+        let lost = self.dram.dirty_pages();
+        self.dram.discard_all();
+        lost
+    }
+
     /// Returns `true` if logical page `lpn` is durably stored on flash (not
     /// merely dirty in the internal DRAM).
     #[must_use]

@@ -168,6 +168,9 @@ pub struct FaultStats {
     pub rebuild_writes: u64,
     /// Flush broadcasts that skipped the down device.
     pub skipped_flushes: u64,
+    /// Writes the failed devices had acknowledged from their volatile
+    /// buffers but not yet programmed, lost when they failed.
+    pub lost_buffered_pages: u64,
 }
 
 /// One completed rebuild row, for telemetry span export.
@@ -501,6 +504,8 @@ impl FaultInjector {
                         next_row_at: Nanos::ZERO,
                     });
                     self.stats.faults_injected += 1;
+                    self.stats.lost_buffered_pages +=
+                        devices[usize::from(event.device)].fail_stop() as u64;
                     self.state = ArrayState::Degraded;
                     self.transitions.push((event.at, ArrayState::Degraded));
                 }

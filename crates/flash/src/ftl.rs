@@ -163,10 +163,9 @@ impl PageTable {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The state of one block a run has opened.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 struct BlockInfo {
-    /// Flat block index.
-    index: usize,
     /// Valid (mapped) pages currently in the block.
     valid: u32,
     /// Next free page offset within the block; `pages_per_block` when full.
@@ -197,10 +196,19 @@ pub struct Ftl {
     map: PageTable,
     /// Physical → logical page, for GC relocation.
     reverse: PageTable,
+    /// The state of every block opened so far, in block-in-plane-major
+    /// order: entry `k * planes + plane` is block `k` of `plane`, so the
+    /// blocks a run opens first (each plane's lowest) sit side by side.
+    /// Grows by one row of planes when a plane opens a block past it; a
+    /// block never opened has no entry and the default state.
     blocks: Vec<BlockInfo>,
-    /// Per-plane pools of fully-erased blocks.
-    free_blocks: Vec<VecDeque<usize>>,
-    /// Blocks across every `free_blocks` pool.
+    /// Per plane, the lowest block never opened: blocks from it up to
+    /// `blocks_per_plane` are erased and unused.
+    fresh: Vec<u32>,
+    /// Per plane, the blocks garbage collection erased, in erase order.
+    /// A plane opens these only once its never-opened blocks run out.
+    erased: Vec<VecDeque<usize>>,
+    /// Free blocks across every plane: never opened or erased.
     free_count: usize,
     /// Per-plane block currently being filled, if any.
     active_blocks: Vec<Option<usize>>,
@@ -229,29 +237,16 @@ impl Ftl {
             "the mapping table numbers pages in u32, but the geometry has {} pages",
             geometry.total_pages()
         );
-        let total_blocks = geometry.total_blocks() as usize;
-        let blocks = (0..total_blocks)
-            .map(|index| BlockInfo {
-                index,
-                valid: 0,
-                write_ptr: 0,
-                erase_count: 0,
-            })
-            .collect();
         let planes = geometry.total_planes() as usize;
-        let bpp = geometry.blocks_per_plane as usize;
-        let mut free_blocks = vec![VecDeque::new(); planes];
-        for b in 0..total_blocks {
-            free_blocks[b / bpp].push_back(b);
-        }
         Ftl {
             geometry,
             exported_pages: (geometry.total_pages() as f64 * (1.0 - over_provisioning)) as u64,
             map: PageTable::default(),
             reverse: PageTable::default(),
-            blocks,
-            free_blocks,
-            free_count: total_blocks,
+            blocks: Vec::new(),
+            fresh: vec![0; planes],
+            erased: vec![VecDeque::new(); planes],
+            free_count: geometry.total_blocks() as usize,
             active_blocks: vec![None; planes],
             plane_cursor: 0,
             stats: FtlStats::default(),
@@ -289,11 +284,28 @@ impl Ftl {
         self.free_count + self.active_blocks.iter().filter(|b| b.is_some()).count()
     }
 
-    /// Takes the next erased block of `plane`'s pool, if any.
+    /// Takes `plane`'s next free block, if any: its lowest never-opened
+    /// block, else the block GC erased longest ago.
     fn take_free_block(&mut self, plane: usize) -> Option<usize> {
-        let block = self.free_blocks[plane].pop_front()?;
+        let next = self.fresh[plane];
+        let block = if next < self.geometry.blocks_per_plane {
+            self.fresh[plane] = next + 1;
+            let rows = (next as usize + 1) * self.fresh.len();
+            if self.blocks.len() < rows {
+                self.blocks.resize(rows, BlockInfo::default());
+            }
+            plane * self.geometry.blocks_per_plane as usize + next as usize
+        } else {
+            self.erased[plane].pop_front()?
+        };
         self.free_count -= 1;
         Some(block)
+    }
+
+    /// The state of opened flat block `block`.
+    fn block(&mut self, block: usize) -> &mut BlockInfo {
+        let (plane, in_plane) = div_rem(block as u64, self.geometry.blocks_per_plane);
+        &mut self.blocks[in_plane as usize * self.fresh.len() + plane as usize]
     }
 
     /// Maximum erase count across all blocks (wear indicator).
@@ -333,7 +345,7 @@ impl Ftl {
         let (ppn, block) = self.allocate_page(&mut outcome)?;
         self.map.insert(lpn, ppn);
         self.reverse.insert(ppn, lpn);
-        self.blocks[block].valid += 1;
+        self.block(block).valid += 1;
         self.stats.host_writes += 1;
         self.stats.flash_writes += 1;
         outcome.ppn = ppn;
@@ -347,8 +359,8 @@ impl Ftl {
             return false;
         };
         self.reverse.remove(ppn);
-        let block = self.block_of(ppn);
-        self.blocks[block].valid = self.blocks[block].valid.saturating_sub(1);
+        let block = self.block(self.block_of(ppn));
+        block.valid = block.valid.saturating_sub(1);
         true
     }
 
@@ -406,8 +418,9 @@ impl Ftl {
                 let next = if plane + 1 == planes { 0 } else { plane + 1 };
                 // Open a fresh block when the plane has none, or when its
                 // block filled up (retiring it).
-                let block = match self.active_blocks[plane] {
-                    Some(b) if self.blocks[b].write_ptr < self.geometry.pages_per_block => Some(b),
+                let active = self.active_blocks[plane];
+                let block = match active {
+                    Some(b) if self.block(b).write_ptr < self.geometry.pages_per_block => Some(b),
                     _ => {
                         let fresh = self.take_free_block(plane);
                         self.active_blocks[plane] = fresh;
@@ -415,8 +428,9 @@ impl Ftl {
                     }
                 };
                 if let Some(block) = block {
-                    let page = self.blocks[block].write_ptr;
-                    self.blocks[block].write_ptr += 1;
+                    let info = self.block(block);
+                    let page = info.write_ptr;
+                    info.write_ptr += 1;
                     self.plane_cursor = next;
                     return Ok((self.ppn_of(block, page), block));
                 }
@@ -432,18 +446,23 @@ impl Ftl {
     }
 
     /// Greedy garbage collection: relocate the valid pages of the block with
-    /// the fewest valid pages, then erase it.
+    /// the fewest valid pages (the lowest flat index among equals), then
+    /// erase it.
     fn collect_garbage(&mut self, outcome: &mut WriteOutcome) -> Result<(), FtlError> {
         let ppb = self.geometry.pages_per_block;
-        let victim = self
-            .blocks
-            .iter()
-            .filter(|b| {
-                b.write_ptr == ppb // fully written
-                    && self.active_blocks[self.plane_of_block(b.index)] != Some(b.index)
+        let planes = self.fresh.len();
+        let bpp = self.geometry.blocks_per_plane as usize;
+        let rows = self.blocks.len() / planes;
+        // Flat block order: plane-major. Blocks past `rows` were never
+        // opened, so never fully written.
+        let victim = (0..planes)
+            .flat_map(|plane| (0..rows).map(move |row| (plane, row)))
+            .filter(|&(plane, row)| {
+                self.blocks[row * planes + plane].write_ptr == ppb // fully written
+                    && self.active_blocks[plane] != Some(plane * bpp + row)
             })
-            .min_by_key(|b| b.valid)
-            .map(|b| b.index);
+            .min_by_key(|&(plane, row)| self.blocks[row * planes + plane].valid)
+            .map(|(plane, row)| plane * bpp + row);
         let Some(victim) = victim else {
             return Ok(()); // nothing eligible yet
         };
@@ -454,11 +473,12 @@ impl Ftl {
             let ppn = self.ppn_of(victim, page);
             if let Some(lpn) = self.reverse.remove(ppn) {
                 self.map.remove(lpn);
-                self.blocks[victim].valid = self.blocks[victim].valid.saturating_sub(1);
+                let info = self.block(victim);
+                info.valid = info.valid.saturating_sub(1);
                 let (new_ppn, new_block) = self.allocate_page(outcome)?;
                 self.map.insert(lpn, new_ppn);
                 self.reverse.insert(new_ppn, lpn);
-                self.blocks[new_block].valid += 1;
+                self.block(new_block).valid += 1;
                 self.stats.flash_writes += 1;
                 self.stats.gc_relocations += 1;
                 outcome.relocated.push((ppn, new_ppn));
@@ -466,12 +486,13 @@ impl Ftl {
         }
 
         // Erase and return to the owning plane's free pool.
-        self.blocks[victim].valid = 0;
-        self.blocks[victim].write_ptr = 0;
-        self.blocks[victim].erase_count += 1;
+        let info = self.block(victim);
+        info.valid = 0;
+        info.write_ptr = 0;
+        info.erase_count += 1;
         self.stats.erases += 1;
         let plane = self.plane_of_block(victim);
-        self.free_blocks[plane].push_back(victim);
+        self.erased[plane].push_back(victim);
         self.free_count += 1;
         outcome.erased_blocks.push(victim);
         Ok(())
@@ -633,9 +654,14 @@ mod tests {
             }
         }
         assert!(ftl.stats().gc_runs > 0, "expected GC to run");
+        let bpp = ftl.geometry().blocks_per_plane;
         assert_eq!(
             ftl.free_count,
-            ftl.free_blocks.iter().map(VecDeque::len).sum::<usize>(),
+            ftl.fresh
+                .iter()
+                .map(|&next| (bpp - next) as usize)
+                .sum::<usize>()
+                + ftl.erased.iter().map(VecDeque::len).sum::<usize>(),
             "the running free count must track the pools through GC"
         );
         assert!(ftl.stats().write_amplification() >= 1.0);
@@ -645,6 +671,21 @@ mod tests {
             let ppn = ftl.lookup(lpn).expect("mapping lost after GC");
             assert!(seen.insert(ppn), "two LPNs share ppn {ppn}");
         }
+    }
+
+    #[test]
+    fn a_plane_opens_its_never_opened_blocks_before_erased_ones() {
+        let mut ftl = tiny_ftl();
+        let bpp = ftl.geometry().blocks_per_plane as usize;
+        let total = ftl.free_count;
+        assert_eq!(ftl.take_free_block(1), Some(bpp));
+        // GC erases that block while the plane still has blocks it never
+        // opened: those come first, ascending, and the erased one last.
+        ftl.erased[1].push_back(bpp);
+        ftl.free_count += 1;
+        let order: Vec<usize> = std::iter::from_fn(|| ftl.take_free_block(1)).collect();
+        assert_eq!(order, (bpp + 1..2 * bpp).chain([bpp]).collect::<Vec<_>>());
+        assert_eq!(ftl.free_count, total - bpp);
     }
 
     #[test]

@@ -37,12 +37,10 @@ const PRP_INLINE: usize = 4;
 /// use a list of page-aligned pointers, exactly as the specification (and the
 /// paper's Fig. 4b discussion) describes.
 ///
-/// Lists of up to four entries are stored inline in the command itself —
-/// commands are moved through the submission ring, cloned into the
-/// outstanding set and journalled by the NVMe engine several times per
-/// simulated miss, and with the inline representation none of that touches
-/// the heap. Longer lists (multi-LBA pages on a single queue pair) spill to a
-/// `Vec`.
+/// Lists of up to four entries are stored inline in the command itself, so
+/// composing a command, serving it and moving it into the NVMe engine's
+/// journal touches the heap only for longer lists (multi-LBA pages on a
+/// single queue pair), which spill to a `Vec`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PrpList {
     /// Number of valid entries, wherever they are stored.

@@ -7,8 +7,6 @@
 //! crate provides the primitives those models are built from:
 //!
 //! * [`Nanos`] — the simulation time unit (nanoseconds, saturating arithmetic),
-//! * [`CompletionSource`] — a time-ordered completion list for out-of-order
-//!   completion,
 //! * [`Resource`] / [`MultiResource`] — FCFS busy-until schedulers that model
 //!   contention on buses, channels and dies,
 //! * [`stats`] — counters, running statistics, histograms and named latency
@@ -32,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod event;
 pub mod hash;
 pub mod intern;
 pub mod par;
@@ -41,7 +38,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{CompletionSource, ScheduledEvent};
 pub use hash::{FastBuildHasher, FastHashMap};
 pub use intern::ComponentId;
 pub use par::parallel_map;

@@ -2,9 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use hams_sim::{
-    CompletionSource, ComponentId, Histogram, LatencyBreakdown, LatencyVector, Nanos, Resource,
-};
+use hams_sim::{ComponentId, Histogram, LatencyBreakdown, LatencyVector, Nanos, Resource};
 use proptest::prelude::*;
 
 /// The name pool the `LatencyVector` equivalence properties draw from: the
@@ -83,32 +81,6 @@ proptest! {
         prop_assert_eq!(r.busy_time(), total);
         prop_assert_eq!(r.busy_until(), prev_end);
         prop_assert_eq!(r.grants(), durations.len() as u64);
-    }
-
-    /// Completions always pop in non-decreasing time order, FIFO among ties,
-    /// and `pop_due` releases exactly the completions due by its instant.
-    #[test]
-    fn completion_source_orders_events(
-        times in proptest::collection::vec(0u64..1_000, 1..100),
-        cut in 0u64..1_000,
-    ) {
-        let mut source = CompletionSource::new();
-        for (i, t) in times.iter().enumerate() {
-            source.schedule(Nanos::from_nanos(*t), i);
-        }
-        let cut = Nanos::from_nanos(cut);
-        let mut drained: Vec<_> = std::iter::from_fn(|| source.pop_due(cut)).collect();
-        let due = times.iter().filter(|&&t| Nanos::from_nanos(t) <= cut).count();
-        prop_assert_eq!(drained.len(), due);
-        drained.extend(std::iter::from_fn(|| source.pop_due(Nanos::MAX)));
-        prop_assert_eq!(drained.len(), times.len());
-        prop_assert!(source.is_empty());
-        for pair in drained.windows(2) {
-            prop_assert!(pair[0].at <= pair[1].at);
-            if pair[0].at == pair[1].at {
-                prop_assert!(pair[0].seq < pair[1].seq);
-            }
-        }
     }
 
     /// Histogram percentiles are monotone in the percentile and bounded by
