@@ -10,8 +10,8 @@
 //!
 //! `fig21` is this reproduction's NVMe queue-count sensitivity study, `fig22`
 //! its tag-array shard-count study — pinned flat by the shard-invariance
-//! contract — `fig23` its archive device-scaling study over the RAID-0 /
-//! CXL-attached backends, `fig24` its open-loop latency-vs-offered-load
+//! contract — `fig23` its archive device-scaling study over RAID-0 backends
+//! and the CXL attach, `fig24` its open-loop latency-vs-offered-load
 //! study locating each platform's max sustainable throughput, `fig25` its
 //! multi-tenant noisy-neighbour study of a latency-sensitive tenant's
 //! sojourn tail under a write-heavy antagonist, `fig26` its fault-injection
@@ -30,7 +30,7 @@
 
 use hams_bench::*;
 use hams_core::{AttachMode, PersistMode};
-use hams_flash::{BackendTopology, SsdConfig, SsdDevice};
+use hams_flash::{SsdConfig, SsdDevice};
 use hams_nvme::{NvmeCommand, PrpList, QueueConfig};
 use hams_platforms::{
     feature_table, paper_config, run_workload, run_workload_traced, HamsPlatform, PlatformKind,
@@ -337,8 +337,7 @@ fn ablation(scale: &ScaleProfile) {
         let mut config =
             HamsPlatform::scaled_config(AttachMode::Loose, persist, scale.cache_bytes())
                 .with_mos_page_size(4096)
-                .with_queues(QueueConfig::single())
-                .with_backend(BackendTopology::single());
+                .with_queues(QueueConfig::single());
         if !ssd_dram {
             config.ssd.dram_capacity_bytes = 0;
         }

@@ -13,7 +13,7 @@
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use hams_core::{ArrayState, AttachMode, BackendTopology, FaultPlan, PersistMode, RebuildConfig};
+use hams_core::{ArrayState, AttachMode, FaultPlan, PersistMode, RebuildConfig};
 use hams_flash::{SsdConfig, SsdDevice};
 use hams_interconnect::{Ddr4Channel, Ddr4Config};
 use hams_nvme::{NvmeCommand, PrpList, QueueConfig};
@@ -654,8 +654,7 @@ impl fmt::Display for PageSizeRow {
     }
 }
 
-/// Fig. 20a: hams-TE throughput across MoS page sizes, on one queue pair and
-/// one archive device whatever `HAMS_DEVICES` asks for.
+/// Fig. 20a: hams-TE throughput across MoS page sizes, on one queue pair.
 #[must_use]
 pub fn fig20a_page_sizes(
     scale: &ScaleProfile,
@@ -673,8 +672,7 @@ pub fn fig20a_page_sizes(
             scale.cache_bytes(),
         )
         .with_mos_page_size(page_size)
-        .with_queues(QueueConfig::single())
-        .with_backend(BackendTopology::single());
+        .with_queues(QueueConfig::single());
         let mut platform = HamsPlatform::from_config(config);
         let m = run_workload(&mut platform, spec, scale);
         rows.push(PageSizeRow {
@@ -861,8 +859,8 @@ pub fn fig_shard_sensitivity(
 }
 
 /// One point of the archive device-scaling study: hams-TE metrics at a
-/// RAID-0 (or CXL-attached) archive-set size, with the per-device traffic
-/// split.
+/// RAID-0 archive-set size (or hams-CE, the CXL attach, at four devices),
+/// with the per-device traffic split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceScalingRow {
     /// Workload name.
@@ -903,7 +901,7 @@ impl fmt::Display for DeviceScalingRow {
 
 /// Archive device scaling of hams-TE (`figures -- fig23`):
 /// [`build_raid_sweep_platform`] swept over `device_counts` on one workload,
-/// plus the CXL-attached d4 variant ([`build_cxl_platform`]). Each fill's
+/// plus the d4 array on the CXL attach ([`build_cxl_platform`]). Each fill's
 /// stripe commands fan out across the archive set's devices
 /// (LBA-granularity stripes), so random-read latency falls as the device
 /// count grows — while the *work* stays fixed: the unified address space is

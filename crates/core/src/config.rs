@@ -17,9 +17,15 @@ pub enum AttachMode {
     /// DRAM.
     Loose,
     /// Advanced HAMS (`hams-T`): the ULL-Flash NVMe controller is attached to
-    /// the DDR4 bus through the register interface and lock register; the
-    /// SSD-internal DRAM is removed.
+    /// the DDR4 bus through the register interface; the SSD-internal DRAM is
+    /// removed.
     Tight,
+    /// The DRAM-less ULL-Flash of advanced HAMS attached over a CXL link
+    /// (`hams-C`): pages cross the CXL link and then the DDR4 channel into
+    /// the NVDIMM, and each command's doorbell and fetch go over CXL.io —
+    /// slower than the DDR4 register interface, faster than PCIe. Not a
+    /// design of the paper.
+    Cxl,
 }
 
 /// How the MoS address space treats persistency.
@@ -38,7 +44,7 @@ pub enum PersistMode {
 /// Complete configuration of a HAMS controller instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HamsConfig {
-    /// Flash attach mode (loose = baseline, tight = advanced).
+    /// Flash attach mode (loose = baseline, tight = advanced, or CXL).
     pub attach: AttachMode,
     /// Persistence mode.
     pub persist: PersistMode,
@@ -52,8 +58,8 @@ pub struct HamsConfig {
     pub nvdimm: NvdimmConfig,
     /// ULL-Flash archive configuration (per device of the backend).
     pub ssd: SsdConfig,
-    /// Shape of the archive backend: one device, a RAID-0 fan-out, or the
-    /// CXL-attached variant. [`BackendTopology::single`] reproduces the
+    /// Shape of the archive backend: one device, a RAID-0 fan-out or a
+    /// RAID-5 parity array. [`BackendTopology::single`] reproduces the
     /// single-archive engine, and a one-device RAID-0 matches it byte for
     /// byte (`tests/shape_equivalence.rs`); multi-device shapes stripe the
     /// unified LBA space across devices and legitimately change timing.
@@ -133,7 +139,7 @@ impl HamsConfig {
             ..hams_flash::SsdConfig::tiny_for_tests()
         };
         ssd.supercap_backed = true;
-        if attach == AttachMode::Tight {
+        if attach != AttachMode::Loose {
             ssd.dram_capacity_bytes = 0;
         }
         HamsConfig {
@@ -171,11 +177,10 @@ impl HamsConfig {
         self
     }
 
-    /// Changes the archive backend topology (builder style): one device, a
-    /// RAID-0 or RAID-5 array, or the CXL-attached variant, as built by
-    /// `hams_platforms`' device-sweep and fault platforms. A stripe unit of
-    /// `0` resolves to the MoS page size, so each MoS page lives wholly on
-    /// one device.
+    /// Changes the archive backend topology (builder style): one device or a
+    /// RAID-0 or RAID-5 array, as built by `hams_platforms`' device-sweep
+    /// and fault platforms. A stripe unit of `0` resolves to the MoS page
+    /// size, so each MoS page lives wholly on one device.
     #[must_use]
     pub fn with_backend(mut self, backend: BackendTopology) -> Self {
         self.backend = backend;
@@ -258,7 +263,6 @@ mod tests {
         );
         let c = HamsConfig::tight(PersistMode::Extend).with_backend(BackendTopology::raid0(4));
         assert_eq!(c.backend.device_count(), 4);
-        assert!(!c.backend.uses_cxl());
     }
 
     #[test]

@@ -15,21 +15,20 @@
 //! * fill and eviction via the in-controller NVMe engine with journal tags,
 //! * hazard avoidance through PRP-pool cloning, the busy bit and the wait
 //!   queue (Fig. 13–14),
-//! * loose (PCIe) and tight (DDR4 register interface + lock register) attach,
+//! * loose (PCIe), tight (DDR4 register interface) and CXL attach,
 //! * persist (`FUA`, single outstanding command) and extend modes,
 //! * power-failure handling and journal-tag recovery (Fig. 15),
 //! * the multi-device archive backend ([`hams_flash::ArchiveSet`]): fills
-//!   and evictions route to the device owning their stripe, journal tags
-//!   carry `(shard, device)`, and the CXL-attached topology moves pages
-//!   across the CXL link instead of the attach-mode interface.
+//!   and evictions route to the device owning their stripe, and journal
+//!   tags carry `(shard, device)`.
 
 use hams_flash::{
     ArchiveSet, ArrayState, BackendTopology, FaultPlan, FaultStats, PowerLossReport, SsdDevice,
     LBA_SIZE,
 };
 use hams_interconnect::{
-    BusMaster, CxlConfig, CxlLink, Ddr4Channel, Ddr4Config, LockRegister, PcieConfig, PcieLink,
-    RegisterInterface, RegisterInterfaceConfig,
+    CxlConfig, CxlLink, Ddr4Channel, Ddr4Config, PcieConfig, PcieLink, RegisterInterface,
+    RegisterInterfaceConfig,
 };
 use hams_nvdimm::{Nvdimm, PinnedRegion};
 use hams_nvme::{NvmeCommand, PrpList};
@@ -159,7 +158,6 @@ pub struct HamsController {
     pcie: PcieLink,
     cxl: CxlLink,
     reg_iface: RegisterInterface,
-    lock: LockRegister,
     engine: NvmeEngine,
     prp_pool: PrpPool,
     /// Completion time of the most recent SSD command; persist mode forbids a
@@ -215,7 +213,6 @@ impl HamsController {
             pcie: PcieLink::new(PcieConfig::gen3_x4()),
             cxl: CxlLink::new(CxlConfig::cxl_x4()),
             reg_iface: RegisterInterface::new(RegisterInterfaceConfig::ddr4_2666()),
-            lock: LockRegister::new(),
             engine,
             prp_pool: PrpPool::new(prp_slots),
             persist_gate: Nanos::ZERO,
@@ -574,14 +571,6 @@ impl HamsController {
     /// interface. Returns `(finished_at, dma_time)`.
     fn transfer_page(&mut self, start: Nanos) -> (Nanos, Nanos) {
         let page_bytes = self.config.mos_page_size;
-        if self.archive.topology().uses_cxl() {
-            // CXL-attached backend: the page crosses the CXL link, then the
-            // DDR4 channel into/out of the NVDIMM — the loose-attach shape
-            // with the faster, flit-framed link in place of PCIe.
-            let t = self.cxl.transfer(page_bytes, start);
-            let d = self.ddr.transfer(page_bytes, t.finished_at);
-            return (d.finished_at, t.latency() + d.latency());
-        }
         match self.config.attach {
             AttachMode::Loose => {
                 let t = self.pcie.transfer(page_bytes, start);
@@ -590,12 +579,18 @@ impl HamsController {
                 (d.finished_at, t.latency() + d.latency())
             }
             AttachMode::Tight => {
-                // The NVMe controller takes the bus via the lock register and
-                // DMAs directly against the NVDIMM over DDR4.
-                let _ = self.lock.acquire(BusMaster::NvmeController);
+                // The NVMe controller DMAs directly against the NVDIMM over
+                // DDR4. The model charges no bus arbitration for taking the
+                // bus from the HAMS logic (§V-A's lock register).
                 let d = self.ddr.transfer(page_bytes, start);
-                let _ = self.lock.release(BusMaster::NvmeController);
                 (d.finished_at, d.latency())
+            }
+            AttachMode::Cxl => {
+                // The loose shape with the faster, flit-framed CXL link in
+                // place of PCIe.
+                let t = self.cxl.transfer(page_bytes, start);
+                let d = self.ddr.transfer(page_bytes, t.finished_at);
+                (d.finished_at, t.latency() + d.latency())
             }
         }
     }
@@ -603,12 +598,6 @@ impl HamsController {
     /// Submits one NVMe command over the configured interface. Returns
     /// `(finished_at, dma_time)`.
     fn submit_command(&mut self, start: Nanos) -> (Nanos, Nanos) {
-        if self.archive.topology().uses_cxl() {
-            // Doorbell and command fetch over CXL.io: cheaper than a PCIe
-            // BAR write, dearer than the DDR4 register interface.
-            let overhead = self.cxl.config().command_overhead;
-            return (start + overhead, overhead);
-        }
         match self.config.attach {
             AttachMode::Loose => {
                 let overhead = self.config.pcie_command_overhead;
@@ -617,6 +606,12 @@ impl HamsController {
             AttachMode::Tight => {
                 let t = self.reg_iface.send_command(&mut self.ddr, start);
                 (t.finished_at, t.latency())
+            }
+            AttachMode::Cxl => {
+                // Doorbell and command fetch over CXL.io: cheaper than a PCIe
+                // BAR write, dearer than the DDR4 register interface.
+                let overhead = self.cxl.config().command_overhead;
+                (start + overhead, overhead)
             }
         }
     }
@@ -1399,11 +1394,7 @@ mod tests {
         };
         let mut tight = controller(AttachMode::Tight, PersistMode::Extend);
         let mut loose = controller(AttachMode::Loose, PersistMode::Extend);
-        let mut cxl = HamsController::new(
-            HamsConfig::tiny_for_tests(AttachMode::Tight, PersistMode::Extend)
-                .with_backend(BackendTopology::cxl(1, 0)),
-        );
-        assert!(cxl.backend_topology().uses_cxl());
+        let mut cxl = controller(AttachMode::Cxl, PersistMode::Extend);
         let t_tight = finish(&mut tight);
         let t_cxl = finish(&mut cxl);
         let t_loose = finish(&mut loose);
@@ -1504,9 +1495,15 @@ mod tests {
                 tracked.mos_page, slot,
                 "victim page {slot} took slot {slot}"
             );
+            // NVMe requires every PRP entry past the first to be page
+            // aligned; the clone slots are, so all of them are.
+            for entry in tracked.command.prp.iter() {
+                let addr = entry.address();
+                assert_eq!(addr % 4096, 0, "PRP entry {addr:#x}");
+            }
             // The served command, its PRP list moved from the victim's cache
             // set to the clone: the same 4 KB regions, from the slot's
-            // address on (a slot need not be 4 KB aligned).
+            // address on.
             let clone = h.pinned.prp_slot_address(slot, page_bytes);
             let at_clone: PrpList = (0..page_bytes / 4096)
                 .map(|region| hams_nvme::PrpEntry(clone + region * 4096))

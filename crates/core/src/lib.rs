@@ -6,10 +6,10 @@
 //! OS-transparent Memory-over-Storage (MoS) address space.
 //!
 //! The main entry point is [`HamsController`]: construct one from a
-//! [`HamsConfig`] (loose or tight attach, persist or extend mode) and feed it
-//! MoS accesses; it returns per-access latency and a breakdown across NVDIMM,
-//! the DMA interface and the SSD, and exposes power-failure injection plus
-//! journal-tag recovery.
+//! [`HamsConfig`] (loose, tight or CXL attach, persist or extend mode) and
+//! feed it MoS accesses; it returns per-access latency and a breakdown across
+//! NVDIMM, the DMA interface and the SSD, and exposes power-failure injection
+//! plus journal-tag recovery.
 //!
 //! Internal building blocks are public for tests, benches and downstream
 //! experimentation:
@@ -24,8 +24,8 @@
 //!   recovery checks against the directory's bank label and the archive
 //!   device it replays to,
 //! * [`BackendTopology`] / [`ArchiveSet`] (re-exported from `hams_flash`) —
-//!   the multi-device archive backend: one device, RAID-0 fan-out, or the
-//!   CXL-attached variant,
+//!   the multi-device archive backend: one device, a RAID-0 fan-out or a
+//!   RAID-5 parity array,
 //! * [`PrpPool`] — the pinned-region clone slots used for hazard avoidance
 //!   (Fig. 14).
 //!

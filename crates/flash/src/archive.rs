@@ -2,11 +2,12 @@
 //!
 //! The paper models HAMS with a single ULL-Flash archive behind the NVDIMM
 //! cache. Production-scale serving wants more: a RAID-0 fan-out of several
-//! archives so independent fills land on independent flash arrays, and a
-//! CXL-attached variant whose fills cross a CXL link instead of PCIe/DDR4.
-//! [`ArchiveSet`] owns N [`SsdDevice`]s behind one capacity-unified address
-//! space and routes every NVMe command to the device owning its stripe;
-//! [`BackendTopology`] selects the shape.
+//! archives so independent fills land on independent flash arrays, or a
+//! RAID-5 one that survives a device failure. [`ArchiveSet`] owns N
+//! [`SsdDevice`]s behind one capacity-unified address space and routes every
+//! NVMe command to the device owning its stripe; [`BackendTopology`] selects
+//! the shape. How the set is wired to the controller (PCIe, DDR4 or CXL) is
+//! the controller's attach mode, not part of the shape.
 //!
 //! Two contracts shape the design (both pinned by
 //! `tests/shape_equivalence.rs`):
@@ -63,17 +64,6 @@ pub enum BackendTopology {
         /// page size.
         stripe_bytes: u64,
     },
-    /// The RAID-0 fan-out attached over a CXL link instead of the PCIe /
-    /// DDR4 register interface: same stripe routing, but the controller
-    /// moves pages (and submits commands) across the `hams_interconnect`
-    /// CXL link model.
-    CxlAttached {
-        /// Number of archives in the set (at least 1).
-        devices: u16,
-        /// Stripe unit in bytes (multiple of 4 KB); `0` resolves to the MoS
-        /// page size.
-        stripe_bytes: u64,
-    },
     /// RAID-5 style rotating parity over `devices` archives. Data placement
     /// is identical to `Raid0` — stripe `s` on device `s % N` — which is
     /// what keeps a fault-free parity array metrics-byte-identical to
@@ -119,16 +109,6 @@ impl BackendTopology {
         }
     }
 
-    /// CXL-attached fan-out over `devices` archives with an explicit stripe
-    /// unit (`0` = MoS page granularity).
-    #[must_use]
-    pub fn cxl(devices: u16, stripe_bytes: u64) -> Self {
-        BackendTopology::CxlAttached {
-            devices: devices.max(1),
-            stripe_bytes,
-        }
-    }
-
     /// Rotating-parity RAID-5 over `devices` archives with MoS-page stripe
     /// granularity.
     #[must_use]
@@ -154,8 +134,7 @@ impl BackendTopology {
     pub fn device_count(&self) -> u16 {
         match self {
             BackendTopology::Single => 1,
-            BackendTopology::Raid0 { devices, .. }
-            | BackendTopology::CxlAttached { devices, .. } => (*devices).max(1),
+            BackendTopology::Raid0 { devices, .. } => (*devices).max(1),
             BackendTopology::Raid5 { devices, .. } => (*devices).max(2),
         }
     }
@@ -166,15 +145,8 @@ impl BackendTopology {
         match self {
             BackendTopology::Single => 0,
             BackendTopology::Raid0 { stripe_bytes, .. }
-            | BackendTopology::CxlAttached { stripe_bytes, .. }
             | BackendTopology::Raid5 { stripe_bytes, .. } => *stripe_bytes,
         }
-    }
-
-    /// Whether fills cross the CXL link instead of the attach-mode interface.
-    #[must_use]
-    pub fn uses_cxl(&self) -> bool {
-        matches!(self, BackendTopology::CxlAttached { .. })
     }
 
     /// Whether the topology keeps rotating parity, making degraded reads
@@ -197,13 +169,6 @@ impl BackendTopology {
                 devices,
                 stripe_bytes: resolve(stripe_bytes),
             },
-            BackendTopology::CxlAttached {
-                devices,
-                stripe_bytes,
-            } => BackendTopology::CxlAttached {
-                devices,
-                stripe_bytes: resolve(stripe_bytes),
-            },
             BackendTopology::Raid5 {
                 devices,
                 stripe_bytes,
@@ -212,37 +177,6 @@ impl BackendTopology {
                 stripe_bytes: resolve(stripe_bytes),
             },
         }
-    }
-
-    /// Backend topology requested through the `HAMS_DEVICES` environment
-    /// variable, if set — the CI matrix lever, read by the scaled HAMS
-    /// platforms (`hams_platforms::HamsPlatform::scaled_config`).
-    /// `HAMS_DEVICES=1` is the single backend; `HAMS_DEVICES=n` for `n > 1`
-    /// is RAID-0 at MoS-page stripe granularity. The device count
-    /// legitimately changes simulated timing, so the golden suites keep one
-    /// snapshot per device count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `HAMS_DEVICES` is set but not a positive `u16` — a silent
-    /// fallback would let a CI leg report the multi-device matrix green
-    /// without ever building a multi-device archive.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("HAMS_DEVICES").ok()?;
-        let count = raw
-            .trim()
-            .parse::<u16>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                panic!("HAMS_DEVICES must be a positive integer up to 65535, got {raw:?}")
-            });
-        Some(if count == 1 {
-            BackendTopology::Single
-        } else {
-            BackendTopology::raid0(count)
-        })
     }
 }
 
@@ -884,8 +818,6 @@ mod tests {
     fn topology_helpers_normalise_and_resolve() {
         assert_eq!(BackendTopology::raid0(0).device_count(), 1);
         assert_eq!(BackendTopology::single().device_count(), 1);
-        assert!(!BackendTopology::raid0(4).uses_cxl());
-        assert!(BackendTopology::cxl(4, LBA_SIZE).uses_cxl());
         let resolved = BackendTopology::raid0(4).resolved(32 * 1024);
         assert_eq!(resolved.stripe_bytes(), 32 * 1024);
         let pinned = BackendTopology::raid0_striped(4, LBA_SIZE).resolved(32 * 1024);
@@ -901,17 +833,6 @@ mod tests {
             BackendTopology::raid0_striped(2, 1000),
             4096,
         );
-    }
-
-    #[test]
-    fn cxl_topology_builds_a_striped_set() {
-        let set = ArchiveSet::new(
-            SsdConfig::tiny_for_tests(),
-            BackendTopology::cxl(3, LBA_SIZE),
-            4096,
-        );
-        assert_eq!(set.num_devices(), 3);
-        assert!(set.topology().uses_cxl());
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * the SSD-internal DRAM buffer that advanced HAMS removes ([`dram`]),
 //! * the assembled NVMe-command-serving device ([`device`]),
 //! * the multi-device topology layer: N archives behind one
-//!   capacity-unified address space — striped RAID-0 style, rotating-parity
-//!   RAID-5 style, or attached over CXL ([`archive`]),
+//!   capacity-unified address space — striped RAID-0 style or
+//!   rotating-parity RAID-5 style ([`archive`]),
 //! * fault injection and degraded-mode serving: fail-stop device faults
 //!   with a spare, parity reconstruction and paced rebuild ([`fault`]).
 //!

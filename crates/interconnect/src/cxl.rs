@@ -1,7 +1,7 @@
 //! CXL link model.
 //!
-//! The CXL-attached archive variant moves pages across a CXL.mem-style link
-//! instead of the PCIe data path or the DDR4 register interface. The model
+//! The CXL attach mode moves pages across a CXL.mem-style link instead of
+//! the PCIe data path or the DDR4 register interface. The model
 //! captures what distinguishes CXL from PCIe at the transaction level: the
 //! same serial PHY, but flit-based framing (68-byte flits carrying 64 bytes
 //! of payload) instead of transaction-layer packets, so a transfer pays two

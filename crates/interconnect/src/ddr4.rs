@@ -172,12 +172,6 @@ impl Ddr4Channel {
         }
     }
 
-    /// Reserves the channel until `until` without moving data (used while the
-    /// lock register hands bus mastership to the NVMe controller).
-    pub fn hold_until(&mut self, until: Nanos) {
-        self.bus.hold_until(until);
-    }
-
     /// Channel utilisation over `[0, horizon]`.
     #[must_use]
     pub fn utilization(&self, horizon: Nanos) -> f64 {
@@ -229,14 +223,6 @@ mod tests {
         assert_eq!(a.wait, Nanos::ZERO);
         assert_eq!(b.wait, a.service);
         assert_eq!(ch.bytes_moved(), 8192);
-    }
-
-    #[test]
-    fn hold_until_blocks_later_transfers() {
-        let mut ch = Ddr4Channel::new(Ddr4Config::ddr4_2666());
-        ch.hold_until(Nanos::from_micros(1));
-        let t = ch.transfer(64, Nanos::ZERO);
-        assert!(t.finished_at > Nanos::from_micros(1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Interconnect models for the HAMS reproduction: the DDR4 memory channel,
-//! the PCIe link, the register-based interface plus lock register that
-//! the advanced (tightly-integrated) HAMS uses instead of PCIe, and the CXL
-//! link the CXL-attached archive variant routes its fills through.
+//! the PCIe link, the register-based interface that the advanced
+//! (tightly-integrated) HAMS uses instead of PCIe, and the CXL link of the
+//! CXL attach mode.
 //!
 //! The bandwidth asymmetry between these two paths — ~20 GB/s per DDR4
 //! channel versus ~4 GB/s for PCIe 3.0 x4 — is the architectural motivation
@@ -31,6 +31,4 @@ pub mod register;
 pub use cxl::{CxlConfig, CxlLink};
 pub use ddr4::{Ddr4Channel, Ddr4Config, Transfer};
 pub use pcie::{PcieConfig, PcieGeneration, PcieLink};
-pub use register::{
-    BusMaster, LockError, LockRegister, RegisterInterface, RegisterInterfaceConfig,
-};
+pub use register::{RegisterInterface, RegisterInterfaceConfig};

@@ -1,129 +1,16 @@
-//! Register-based interface and lock register of the advanced HAMS design.
+//! Register-based command interface of the advanced HAMS design.
 //!
 //! Advanced HAMS detaches ULL-Flash from PCIe and puts its NVMe controller on
 //! the DDR4 bus (§V-A, Fig. 12). Commands travel as 64-byte bursts written to
 //! the device's data-buffer registers (CS# deselect of the NVDIMM, a write
-//! command, then an 8-beat data burst); a *lock register* then hands bus
-//! mastership to the NVMe controller so it can DMA directly against the
-//! NVDIMM without colliding with the HAMS cache logic.
+//! command, then an 8-beat data burst). The paper's lock register, which
+//! hands bus mastership to the NVMe controller for its DMA, is not modelled:
+//! taking the bus costs no simulated time.
 
 use hams_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
 use crate::ddr4::{Ddr4Channel, Transfer};
-
-/// Who currently masters the shared DDR4 bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BusMaster {
-    /// The HAMS controller (memory-side cache logic).
-    HamsController,
-    /// The NVMe controller inside the DDR4-attached ULL-Flash.
-    NvmeController,
-}
-
-/// Errors raised by the lock register protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LockError {
-    /// The lock is already held by the other master.
-    AlreadyHeld(BusMaster),
-    /// Release was attempted by a master that does not hold the lock.
-    NotHeld,
-}
-
-impl std::fmt::Display for LockError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LockError::AlreadyHeld(m) => write!(f, "lock register already held by {m:?}"),
-            LockError::NotHeld => write!(f, "lock register is not held"),
-        }
-    }
-}
-
-impl std::error::Error for LockError {}
-
-/// The single-bit lock register arbitrating NVDIMM access between the HAMS
-/// cache logic and the DDR4-attached NVMe controller.
-///
-/// # Example
-///
-/// ```
-/// use hams_interconnect::{BusMaster, LockRegister};
-///
-/// let mut lock = LockRegister::new();
-/// lock.acquire(BusMaster::NvmeController).unwrap();
-/// assert!(lock.acquire(BusMaster::HamsController).is_err());
-/// lock.release(BusMaster::NvmeController).unwrap();
-/// assert_eq!(lock.holder(), None);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LockRegister {
-    holder: Option<BusMaster>,
-    acquisitions: u64,
-    contentions: u64,
-}
-
-impl LockRegister {
-    /// Creates an unlocked register.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The master currently holding the lock, if any.
-    #[must_use]
-    pub fn holder(&self) -> Option<BusMaster> {
-        self.holder
-    }
-
-    /// Number of successful acquisitions.
-    #[must_use]
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
-    /// Number of acquisition attempts that found the lock held.
-    #[must_use]
-    pub fn contentions(&self) -> u64 {
-        self.contentions
-    }
-
-    /// Attempts to take the lock for `master`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LockError::AlreadyHeld`] if another master holds it.
-    pub fn acquire(&mut self, master: BusMaster) -> Result<(), LockError> {
-        match self.holder {
-            None => {
-                self.holder = Some(master);
-                self.acquisitions += 1;
-                Ok(())
-            }
-            Some(current) if current == master => {
-                // Re-acquisition by the current holder is idempotent.
-                Ok(())
-            }
-            Some(current) => {
-                self.contentions += 1;
-                Err(LockError::AlreadyHeld(current))
-            }
-        }
-    }
-
-    /// Releases the lock held by `master`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LockError::NotHeld`] if `master` does not hold the lock.
-    pub fn release(&mut self, master: BusMaster) -> Result<(), LockError> {
-        if self.holder == Some(master) {
-            self.holder = None;
-            Ok(())
-        } else {
-            Err(LockError::NotHeld)
-        }
-    }
-}
 
 /// Timing of the register-based command interface.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -192,43 +79,6 @@ impl RegisterInterface {
 mod tests {
     use super::*;
     use crate::ddr4::Ddr4Config;
-
-    #[test]
-    fn lock_is_exclusive_between_masters() {
-        let mut lock = LockRegister::new();
-        lock.acquire(BusMaster::HamsController).unwrap();
-        assert_eq!(
-            lock.acquire(BusMaster::NvmeController),
-            Err(LockError::AlreadyHeld(BusMaster::HamsController))
-        );
-        assert_eq!(lock.contentions(), 1);
-        lock.release(BusMaster::HamsController).unwrap();
-        lock.acquire(BusMaster::NvmeController).unwrap();
-        assert_eq!(lock.holder(), Some(BusMaster::NvmeController));
-        assert_eq!(lock.acquisitions(), 2);
-    }
-
-    #[test]
-    fn reacquisition_by_holder_is_idempotent() {
-        let mut lock = LockRegister::new();
-        lock.acquire(BusMaster::NvmeController).unwrap();
-        lock.acquire(BusMaster::NvmeController).unwrap();
-        assert_eq!(lock.acquisitions(), 1);
-    }
-
-    #[test]
-    fn releasing_unheld_lock_is_an_error() {
-        let mut lock = LockRegister::new();
-        assert_eq!(
-            lock.release(BusMaster::HamsController),
-            Err(LockError::NotHeld)
-        );
-        lock.acquire(BusMaster::HamsController).unwrap();
-        assert_eq!(
-            lock.release(BusMaster::NvmeController),
-            Err(LockError::NotHeld)
-        );
-    }
 
     #[test]
     fn command_send_is_nanoseconds_not_microseconds() {

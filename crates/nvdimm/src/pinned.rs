@@ -135,6 +135,10 @@ impl PinnedRegion {
 
     /// NVDIMM address of PRP-pool clone slot `slot` for the given page size.
     ///
+    /// The pool sits at the top of the region, so on an NVDIMM whose
+    /// capacity is a multiple of 4 KB every slot starts on a 4 KB boundary,
+    /// as NVMe requires of every PRP entry after a list's first.
+    ///
     /// # Panics
     ///
     /// Panics if the slot index is out of range.
@@ -144,8 +148,8 @@ impl PinnedRegion {
             slot < self.layout.prp_pool_slots(page_size),
             "PRP pool slot {slot} out of range"
         );
-        // PRP pool sits after the SQ and CQ areas.
-        self.base + self.layout.sq_bytes + self.layout.cq_bytes + slot * page_size
+        let pool_base = self.base + self.layout.total_bytes() - self.layout.prp_pool_bytes;
+        pool_base + slot * page_size
     }
 }
 
@@ -180,6 +184,28 @@ mod tests {
         let b = r.prp_slot_address(1, page);
         assert_ne!(a, b);
         assert!(r.contains(a) && r.contains(b));
+    }
+
+    #[test]
+    fn every_prp_slot_is_4k_aligned_and_inside_the_region() {
+        let shapes = [
+            (PinnedRegionLayout::paper_default(), 8u64 << 30),
+            (PinnedRegionLayout::tiny_for_tests(), 4 << 20),
+            (PinnedRegionLayout::tiny_for_tests(), 8 << 20),
+            (PinnedRegionLayout::tiny_for_tests(), 32 << 20),
+        ];
+        for (layout, capacity) in shapes {
+            let r = PinnedRegion::at_top_of(capacity, layout);
+            for page in [4096u64, 8192, 64 << 10, 1 << 20] {
+                let slots = layout.prp_pool_slots(page);
+                assert!(slots > 0);
+                for slot in 0..slots {
+                    let addr = r.prp_slot_address(slot, page);
+                    assert_eq!(addr % 4096, 0, "slot {slot} of {page} B pages at {addr:#x}");
+                    assert!(r.contains(addr) && r.contains(addr + page - 1));
+                }
+            }
+        }
     }
 
     #[test]

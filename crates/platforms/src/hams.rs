@@ -1,7 +1,8 @@
-//! The four HAMS platforms (`hams-LP`, `hams-LE`, `hams-TP`, `hams-TE`)
-//! wrapped behind the [`Platform`] trait.
+//! The four HAMS platforms (`hams-LP`, `hams-LE`, `hams-TP`, `hams-TE`),
+//! and the CXL attach's `hams-CP` / `hams-CE`, wrapped behind the
+//! [`Platform`] trait.
 
-use hams_core::{AttachMode, BackendTopology, HamsConfig, HamsController, PersistMode};
+use hams_core::{AttachMode, HamsConfig, HamsController, PersistMode};
 use hams_energy::{EnergyAccount, PowerParams};
 use hams_nvdimm::{NvdimmConfig, PinnedRegionLayout};
 use hams_nvme::QueueConfig;
@@ -83,8 +84,10 @@ impl HamsPlatform {
     /// * [`SCALED_MOS_PAGE_BYTES`] MoS pages on [`SCALED_QUEUE_PAIRS`]
     ///   striped queue pairs, so scaled-down datasets exhibit the full-scale
     ///   hit/miss behaviour and striped fills have stripes to split;
-    /// * the archive backend of the `HAMS_DEVICES` environment override, or
-    ///   a single device.
+    /// * a single archive device.
+    ///
+    /// The CXL attach starts from the tight configuration: the same
+    /// DRAM-less SSD, attached over CXL.
     ///
     /// [`ScaleProfile::ssd_dram_bytes`]: crate::ScaleProfile::ssd_dram_bytes
     #[must_use]
@@ -95,7 +98,10 @@ impl HamsPlatform {
     ) -> HamsConfig {
         let base = match attach {
             AttachMode::Loose => HamsConfig::loose(persist),
-            AttachMode::Tight => HamsConfig::tight(persist),
+            AttachMode::Tight | AttachMode::Cxl => HamsConfig {
+                attach,
+                ..HamsConfig::tight(persist)
+            },
         };
         let mut ssd = base.ssd;
         if ssd.dram_capacity_bytes > 0 {
@@ -112,13 +118,13 @@ impl HamsPlatform {
         }
         .with_mos_page_size(SCALED_MOS_PAGE_BYTES)
         .with_queues(QueueConfig::striped(SCALED_QUEUE_PAIRS))
-        .with_backend(BackendTopology::from_env().unwrap_or_else(BackendTopology::single))
     }
 
     fn paper_name(attach: AttachMode, persist: PersistMode) -> String {
         let a = match attach {
             AttachMode::Loose => "L",
             AttachMode::Tight => "T",
+            AttachMode::Cxl => "C",
         };
         let p = match persist {
             PersistMode::Persist => "P",
@@ -304,7 +310,7 @@ impl Platform for HamsPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hams_core::ShardConfig;
+    use hams_core::{BackendTopology, ShardConfig};
 
     fn acc(addr: u64, is_write: bool) -> Access {
         Access {
@@ -357,6 +363,23 @@ mod tests {
     }
 
     #[test]
+    fn the_cxl_attach_is_the_tight_config_on_another_link() {
+        for persist in [PersistMode::Persist, PersistMode::Extend] {
+            let cxl = HamsPlatform::scaled_config(AttachMode::Cxl, persist, 8 << 20);
+            let tight = HamsPlatform::scaled_config(AttachMode::Tight, persist, 8 << 20);
+            assert_eq!(cxl.attach, AttachMode::Cxl);
+            assert_eq!(
+                HamsConfig {
+                    attach: AttachMode::Tight,
+                    ..cxl
+                },
+                tight
+            );
+            assert_eq!(cxl.backend, BackendTopology::Single);
+        }
+    }
+
+    #[test]
     fn names_follow_the_papers_convention() {
         assert_eq!(
             HamsPlatform::scaled(AttachMode::Loose, PersistMode::Persist, 8 << 20).name(),
@@ -365,6 +388,10 @@ mod tests {
         assert_eq!(
             HamsPlatform::scaled(AttachMode::Tight, PersistMode::Extend, 8 << 20).name(),
             "hams-TE"
+        );
+        assert_eq!(
+            HamsPlatform::scaled(AttachMode::Cxl, PersistMode::Extend, 8 << 20).name(),
+            "hams-CE"
         );
     }
 

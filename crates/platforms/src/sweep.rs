@@ -57,15 +57,16 @@ pub const RAID_SWEEP_PAGE_BYTES: u64 = 32 * 1024;
 /// baseline pays the same queue shape, only the archive fan-out changes.
 pub const RAID_SWEEP_QUEUES: u16 = 8;
 
-/// Tightly-integrated HAMS at the RAID sweep's page and queue shape over
-/// `backend`.
+/// HAMS at the RAID sweep's page and queue shape, attached by `attach`,
+/// over `backend`.
 fn raid_sweep_shape(
     scale: &ScaleProfile,
+    attach: AttachMode,
     persist: PersistMode,
     backend: BackendTopology,
 ) -> HamsPlatform {
     HamsPlatform::from_config(
-        HamsPlatform::scaled_config(AttachMode::Tight, persist, scale.cache_bytes())
+        HamsPlatform::scaled_config(attach, persist, scale.cache_bytes())
             .with_mos_page_size(RAID_SWEEP_PAGE_BYTES)
             .with_queues(QueueConfig::striped(RAID_SWEEP_QUEUES))
             .with_backend(backend),
@@ -85,20 +86,23 @@ fn raid_sweep_shape(
 pub fn build_raid_sweep_platform(scale: &ScaleProfile, devices: u16) -> HamsPlatform {
     raid_sweep_shape(
         scale,
+        AttachMode::Tight,
         PersistMode::Extend,
         BackendTopology::raid0_striped(devices, LBA_SIZE),
     )
 }
 
-/// The d4 RAID fan-out of [`build_raid_sweep_platform`] attached over the
-/// CXL link instead of the DDR4 register interface — the memory-expansion
-/// shape, slower than the tight attach and faster than loose PCIe.
+/// The d4 RAID fan-out of [`build_raid_sweep_platform`] on the CXL attach
+/// instead of the DDR4 register interface (`hams-CE`) — the
+/// memory-expansion shape, slower than the tight attach and faster than
+/// loose PCIe.
 #[must_use]
 pub fn build_cxl_platform(scale: &ScaleProfile) -> HamsPlatform {
     raid_sweep_shape(
         scale,
+        AttachMode::Cxl,
         PersistMode::Extend,
-        BackendTopology::cxl(4, LBA_SIZE),
+        BackendTopology::raid0_striped(4, LBA_SIZE),
     )
 }
 
@@ -130,6 +134,7 @@ pub fn fault_label() -> String {
 pub fn build_fault_platform(scale: &ScaleProfile) -> HamsPlatform {
     raid_sweep_shape(
         scale,
+        AttachMode::Tight,
         PersistMode::Persist,
         BackendTopology::raid5_striped(FAULT_SWEEP_DEVICES, LBA_SIZE),
     )
@@ -184,10 +189,10 @@ mod tests {
             1,
             "LBA-granularity stripes fan one fill across devices"
         );
-        assert!(build_cxl_platform(&scale)
-            .controller()
-            .backend_topology()
-            .uses_cxl());
+        let cxl = build_cxl_platform(&scale);
+        assert_eq!(cxl.name(), "hams-CE");
+        assert_eq!(cxl.controller().config().attach, AttachMode::Cxl);
+        assert_eq!(cxl.controller().num_devices(), 4);
     }
 
     #[test]

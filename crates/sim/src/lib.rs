@@ -9,8 +9,8 @@
 //! * [`Nanos`] — the simulation time unit (nanoseconds, saturating arithmetic),
 //! * [`Resource`] / [`MultiResource`] — FCFS busy-until schedulers that model
 //!   contention on buses, channels and dies,
-//! * [`stats`] — counters, running statistics, histograms and named latency
-//!   breakdowns used to produce every figure in the paper,
+//! * [`stats`] — histograms and named latency breakdowns used to produce
+//!   every figure in the paper,
 //! * [`rng`] — seeded RNG construction so every experiment is reproducible.
 //!
 //! # Example
@@ -42,5 +42,5 @@ pub use hash::{FastBuildHasher, FastHashMap};
 pub use intern::ComponentId;
 pub use par::parallel_map;
 pub use resource::{Grant, MultiResource, Resource};
-pub use stats::{Counter, Histogram, HistogramSummary, LatencyBreakdown, LatencyVector};
+pub use stats::{Histogram, HistogramSummary, LatencyBreakdown, LatencyVector};
 pub use time::Nanos;

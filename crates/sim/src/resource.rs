@@ -110,14 +110,6 @@ impl Resource {
         }
     }
 
-    /// Reserves the resource until at least `until` without accounting the
-    /// span as useful busy time (used for lock-register style bus holds).
-    pub fn hold_until(&mut self, until: Nanos) {
-        if until > self.busy_until {
-            self.busy_until = until;
-        }
-    }
-
     /// Utilisation of the resource over `[0, horizon]`, in `[0, 1]`.
     /// Returns 0 for a zero horizon.
     #[must_use]
@@ -283,16 +275,6 @@ mod tests {
         assert_eq!(r.grants(), 2);
         assert!(r.is_idle_at(Nanos::from_nanos(200)));
         assert!(!r.is_idle_at(Nanos::from_nanos(105)));
-    }
-
-    #[test]
-    fn hold_until_extends_horizon_without_busy_accounting() {
-        let mut r = Resource::new("r");
-        r.hold_until(Nanos::from_nanos(50));
-        assert_eq!(r.busy_until(), Nanos::from_nanos(50));
-        assert_eq!(r.busy_time(), Nanos::ZERO);
-        let g = r.acquire(Nanos::ZERO, Nanos::from_nanos(5));
-        assert_eq!(g.start, Nanos::from_nanos(50));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Measurement primitives used to produce every figure of the paper.
 //!
-//! * [`Counter`] — a named monotonically increasing event count,
 //! * [`Histogram`] — fixed-width-bucket latency histogram with percentiles,
 //! * [`LatencyVector`] — named time components (e.g. `"mmap"`, `"io_stack"`,
 //!   `"ssd"`, `"cpu"`) that sum to a total, used for the stacked-bar figures
@@ -15,62 +14,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::intern::ComponentId;
 use crate::time::Nanos;
-
-/// A named monotonically increasing counter.
-///
-/// # Example
-///
-/// ```
-/// use hams_sim::Counter;
-///
-/// let mut hits = Counter::new("nvdimm_cache_hits");
-/// hits.add(3);
-/// hits.incr();
-/// assert_eq!(hits.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with a diagnostic name.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// The counter's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The current count.
-    #[must_use]
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Adds one to the counter.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
 
 /// A fixed-bucket-width histogram of nanosecond latencies with percentile
 /// queries.
@@ -553,25 +496,6 @@ impl fmt::Display for LatencyVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.name(), "x");
-        c.incr();
-        c.add(10);
-        assert_eq!(c.value(), 11);
-        c.reset();
-        assert_eq!(c.value(), 0);
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new("x");
-        c.add(u64::MAX);
-        c.add(5);
-        assert_eq!(c.value(), u64::MAX);
-    }
 
     #[test]
     fn histogram_percentiles() {

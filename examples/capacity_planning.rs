@@ -5,7 +5,6 @@
 //! Run with: `cargo run --release --example capacity_planning`
 
 use hams::core::{AttachMode, PersistMode};
-use hams::flash::BackendTopology;
 use hams::nvme::QueueConfig;
 use hams::platforms::{run_workload, HamsPlatform, ScaleProfile};
 use hams::workloads::WorkloadSpec;
@@ -56,8 +55,7 @@ fn main() {
         let config =
             HamsPlatform::scaled_config(AttachMode::Tight, PersistMode::Extend, nvdimm_bytes)
                 .with_mos_page_size(page_size)
-                .with_queues(QueueConfig::single())
-                .with_backend(BackendTopology::single());
+                .with_queues(QueueConfig::single());
         let mut platform = HamsPlatform::from_config(config);
         let m = run_workload(
             &mut platform,

@@ -1,4 +1,4 @@
-//! Golden-metrics snapshot: the 11 platforms of `PlatformKind::all` on a
+//! Golden-metrics snapshots: the 11 platforms of `PlatformKind::all` on a
 //! small seeded grid, pinned against a checked-in JSON file, plus the shard
 //! sweep (`shard_sweep_platform`) pinned against a second snapshot whose
 //! rows must be *identical to each other* — the shard-invariance contract in
@@ -10,49 +10,61 @@
 //! that silently shifts simulated results (timing model, stats accounting,
 //! trace generation) fails this test instead of slipping through.
 //!
-//! The `HAMS_DEVICES` override, which sets the scaled HAMS platforms'
-//! archive backend, does move results: a multi-device archive backend
-//! *legitimately* changes simulated timing (that is what the RAID-0 fan-out
-//! buys), so the goldens keep one snapshot per device count —
-//! `metrics.json` for the single-archive default, `metrics_d{n}.json` for
-//! `HAMS_DEVICES=n` — and the CI matrix pins both device counts.
+//! Both snapshots are taken at every count of `DEVICE_COUNTS`: one archive
+//! device (`metrics.json`, `shard_sweep.json`) and, for each HAMS platform,
+//! its twin on a RAID-0 of four (`metrics_d4.json`, `shard_sweep_d4.json`).
+//! A multi-device archive *legitimately* changes simulated timing (that is
+//! what the RAID-0 fan-out buys), so each device count pins its own bytes.
 //!
-//! To bless an intentional change (once per device count the CI matrix
-//! exercises):
+//! To bless an intentional change:
 //!
 //! ```text
 //! HAMS_BLESS=1 cargo test --test golden_metrics
-//! HAMS_DEVICES=4 HAMS_BLESS=1 cargo test --test golden_metrics
 //! ```
 //!
 //! then commit the regenerated `tests/golden/*.json` together with the
 //! change that explains it.
 
+mod common;
+
 use std::fmt::Write as _;
 
-use hams::flash::BackendTopology;
-use hams::platforms::{
-    run_grid, run_workload, shard_sweep_platform, PlatformKind, RunMetrics, ScaleProfile,
-};
+use common::{build_on, with_devices};
+use hams::platforms::{run_workload, shard_sweep_platform, PlatformKind, RunMetrics, ScaleProfile};
 use hams::sim::parallel_map;
 use hams::workloads::WorkloadSpec;
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 const WORKLOADS: [&str; 2] = ["rndRd", "update"];
 const SHARD_COUNTS: [u16; 3] = [1, 2, 8];
+/// Archive devices of every HAMS platform, one snapshot each.
+const DEVICE_COUNTS: [u16; 2] = [1, 4];
 
-/// The snapshot path for `stem`, suffixed by the device count the
-/// `HAMS_DEVICES` override selects: the backend shape shifts simulated
-/// timing by design, so each device count pins its own golden bytes.
-fn golden_path(stem: &str) -> String {
-    let devices = BackendTopology::from_env()
-        .map(|t| t.device_count())
-        .unwrap_or(1);
-    if devices <= 1 {
+/// The snapshot path for `stem` at `devices` archive devices.
+fn golden_path(stem: &str, devices: u16) -> String {
+    if devices == 1 {
         format!("{GOLDEN_DIR}/{stem}.json")
     } else {
         format!("{GOLDEN_DIR}/{stem}_d{devices}.json")
     }
+}
+
+/// Checks `rendered` against the snapshot at `golden`, or rewrites the
+/// snapshot under `HAMS_BLESS=1`.
+fn check_golden(rendered: &str, golden: &str) {
+    if std::env::var("HAMS_BLESS").as_deref() == Ok("1") {
+        std::fs::write(golden, rendered).expect("write golden metrics");
+        eprintln!("blessed {golden}");
+        return;
+    }
+    let expected = std::fs::read_to_string(golden).unwrap_or_else(|e| {
+        panic!("missing golden file {golden} ({e}); regenerate with HAMS_BLESS=1")
+    });
+    assert_eq!(
+        rendered, expected,
+        "simulated metrics shifted from {golden}; if the change is intentional, \
+         regenerate with HAMS_BLESS=1 cargo test --test golden_metrics"
+    );
 }
 
 fn snapshot_scale() -> ScaleProfile {
@@ -111,81 +123,63 @@ fn render(grid: &[RunMetrics]) -> String {
     out
 }
 
+/// The Table III specs of `WORKLOADS`.
+fn specs() -> Vec<WorkloadSpec> {
+    WORKLOADS
+        .iter()
+        .map(|n| WorkloadSpec::by_name(n).unwrap())
+        .collect()
+}
+
 #[test]
 fn golden_metrics_snapshot_is_stable() {
     let scale = snapshot_scale();
-    let specs: Vec<WorkloadSpec> = WORKLOADS
-        .iter()
-        .map(|n| WorkloadSpec::by_name(n).unwrap())
+    let kinds = PlatformKind::all();
+    // Workload-major, like `run_grid`.
+    let cells: Vec<(WorkloadSpec, PlatformKind)> = specs()
+        .into_iter()
+        .flat_map(|spec| kinds.iter().map(move |&kind| (spec, kind)))
         .collect();
-    let grid = run_grid(&PlatformKind::all(), &specs, &scale);
-    assert_eq!(grid.len(), PlatformKind::all().len() * WORKLOADS.len());
-    let rendered = render(&grid);
-
-    let golden = golden_path("metrics");
-    if std::env::var("HAMS_BLESS").as_deref() == Ok("1") {
-        std::fs::write(&golden, &rendered).expect("write golden metrics");
-        eprintln!("blessed {golden}");
-        return;
+    for devices in DEVICE_COUNTS {
+        let grid = parallel_map(&cells, |&(spec, kind)| {
+            run_workload(build_on(kind, &scale, devices).as_mut(), spec, &scale)
+        });
+        assert_eq!(grid.len(), kinds.len() * WORKLOADS.len());
+        check_golden(&render(&grid), &golden_path("metrics", devices));
     }
-
-    let expected = std::fs::read_to_string(&golden).unwrap_or_else(|e| {
-        panic!("missing golden file {golden} ({e}); regenerate with HAMS_BLESS=1")
-    });
-    assert_eq!(
-        rendered, expected,
-        "simulated metrics shifted from the golden snapshot; if the change is \
-         intentional, regenerate with HAMS_BLESS=1 cargo test --test golden_metrics"
-    );
 }
 
 /// The shard-sweep golden: `shard_sweep_platform` for n ∈ {1, 2, 8} on the
-/// snapshot grid, workload-major like `run_grid`. Two pins at once — the
-/// rows must match the checked-in snapshot (like every golden), and the rows
-/// of different shard counts must be identical to *each other*, which is the
-/// shard-invariance contract made visible: a diff in this file can only ever
-/// be a real model change, never a shard-shape artefact.
+/// snapshot grid, workload-major like `run_grid`, at every device count.
+/// Two pins at once — the rows must match the checked-in snapshot (like
+/// every golden), and the rows of different shard counts must be identical
+/// to *each other*, which is the shard-invariance contract made visible: a
+/// diff in this file can only ever be a real model change, never a
+/// shard-shape artefact.
 #[test]
 fn shard_sweep_golden_snapshot_is_stable_and_rows_are_identical() {
     let scale = snapshot_scale();
-    let specs: Vec<WorkloadSpec> = WORKLOADS
-        .iter()
-        .map(|n| WorkloadSpec::by_name(n).unwrap())
+    let cells: Vec<(WorkloadSpec, u16)> = specs()
+        .into_iter()
+        .flat_map(|spec| SHARD_COUNTS.map(|n| (spec, n)))
         .collect();
-    let cells: Vec<(WorkloadSpec, u16)> = specs
-        .iter()
-        .flat_map(|spec| SHARD_COUNTS.map(|n| (*spec, n)))
-        .collect();
-    let grid = parallel_map(&cells, |&(spec, n)| {
-        run_workload(&mut shard_sweep_platform(&scale, n), spec, &scale)
-    });
-    assert_eq!(grid.len(), SHARD_COUNTS.len() * WORKLOADS.len());
+    for devices in DEVICE_COUNTS {
+        let grid = parallel_map(&cells, |&(spec, n)| {
+            let mut platform = with_devices(shard_sweep_platform(&scale, n), devices);
+            run_workload(&mut platform, spec, &scale)
+        });
+        assert_eq!(grid.len(), SHARD_COUNTS.len() * WORKLOADS.len());
 
-    // Shard invariance: within each workload, every shard count's row equals
-    // the s1 row.
-    for rows in grid.chunks(SHARD_COUNTS.len()) {
-        for row in &rows[1..] {
-            assert_eq!(
-                row, &rows[0],
-                "a shard count diverged from s1 — shard-invariance violation"
-            );
+        // Shard invariance: within each workload, every shard count's row
+        // equals the s1 row.
+        for rows in grid.chunks(SHARD_COUNTS.len()) {
+            for row in &rows[1..] {
+                assert_eq!(
+                    row, &rows[0],
+                    "d{devices}: a shard count diverged from s1 — shard-invariance violation"
+                );
+            }
         }
+        check_golden(&render(&grid), &golden_path("shard_sweep", devices));
     }
-
-    let rendered = render(&grid);
-    let golden = golden_path("shard_sweep");
-    if std::env::var("HAMS_BLESS").as_deref() == Ok("1") {
-        std::fs::write(&golden, &rendered).expect("write shard golden metrics");
-        eprintln!("blessed {golden}");
-        return;
-    }
-
-    let expected = std::fs::read_to_string(&golden).unwrap_or_else(|e| {
-        panic!("missing golden file {golden} ({e}); regenerate with HAMS_BLESS=1")
-    });
-    assert_eq!(
-        rendered, expected,
-        "shard-sweep metrics shifted from the golden snapshot; if the change \
-         is intentional, regenerate with HAMS_BLESS=1 cargo test --test golden_metrics"
-    );
 }

@@ -14,6 +14,9 @@
 //!    size only change *when* requests sit in the queue, never the FIFO
 //!    service order or the dispatch instants, so [`RunMetrics`] stays pinned
 //!    to the serial reference for every depth × batch shape.
+//!
+//! The all-platform pins also run each HAMS kind on a four-device RAID-0
+//! archive, derived from its single-device twin (`common::build_on`).
 //! 3. **Accounting closes.** `arrivals = served + dropped` always; a
 //!    blocking queue never drops; per-record timestamps are ordered and the
 //!    sojourn decomposes into wait + service (property-tested over random
@@ -22,6 +25,9 @@
 //!    the leading sustained prefix, so truncating a sweep can never move the
 //!    knee to a higher offered load (property-tested on synthetic curves).
 
+mod common;
+
+use common::build_on;
 use hams::platforms::{
     run_workload_open_loop, run_workload_serial, AdmissionPolicy, OpenLoopConfig, PlatformKind,
     ScaleProfile,
@@ -38,14 +44,24 @@ fn tiny() -> ScaleProfile {
     }
 }
 
+/// Every platform of `PlatformKind::all` on one archive device, then the
+/// four HAMS kinds again on four.
+fn every_platform() -> impl Iterator<Item = (PlatformKind, u16)> {
+    let raid = PlatformKind::hams_set().into_iter().map(|kind| (kind, 4));
+    PlatformKind::all()
+        .into_iter()
+        .map(|kind| (kind, 1))
+        .chain(raid)
+}
+
 #[test]
 fn degenerate_open_loop_is_byte_identical_to_serial_on_all_platforms() {
     let scale = tiny();
     for workload in ["rndRd", "update"] {
         let spec = WorkloadSpec::by_name(workload).unwrap();
-        for kind in PlatformKind::all() {
-            let mut serial = kind.build(&scale);
-            let mut open = kind.build(&scale);
+        for (kind, devices) in every_platform() {
+            let mut serial = build_on(kind, &scale, devices);
+            let mut open = build_on(kind, &scale, devices);
             let reference = run_workload_serial(serial.as_mut(), spec, &scale);
             let ol = run_workload_open_loop(
                 open.as_mut(),
@@ -56,7 +72,8 @@ fn degenerate_open_loop_is_byte_identical_to_serial_on_all_platforms() {
             assert_eq!(
                 ol.run,
                 reference,
-                "{} on {workload}: degenerate open-loop diverged from run_workload_serial",
+                "{} d{devices} on {workload}: degenerate open-loop diverged from \
+                 run_workload_serial",
                 kind.label()
             );
             assert_eq!(ol.served, scale.accesses as u64);
@@ -70,12 +87,13 @@ fn degenerate_open_loop_is_byte_identical_to_serial_on_all_platforms() {
 fn saturated_blocking_metrics_are_invariant_under_queue_and_batch_shape() {
     let scale = tiny();
     let spec = WorkloadSpec::by_name("rndRd").unwrap();
-    for kind in [
-        PlatformKind::HamsTE,
-        PlatformKind::Mmap,
-        PlatformKind::Oracle,
+    for (kind, devices) in [
+        (PlatformKind::HamsTE, 1),
+        (PlatformKind::HamsTE, 4),
+        (PlatformKind::Mmap, 1),
+        (PlatformKind::Oracle, 1),
     ] {
-        let mut serial = kind.build(&scale);
+        let mut serial = build_on(kind, &scale, devices);
         let reference = run_workload_serial(serial.as_mut(), spec, &scale);
         for depth in [1usize, 3, 64] {
             for batch in [1usize, 2, 256] {
@@ -86,12 +104,12 @@ fn saturated_blocking_metrics_are_invariant_under_queue_and_batch_shape() {
                     batch_size: batch,
                     ..config
                 };
-                let mut open = kind.build(&scale);
+                let mut open = build_on(kind, &scale, devices);
                 let m = run_workload_open_loop(open.as_mut(), spec, &scale, &config);
                 assert_eq!(
                     m.run,
                     reference,
-                    "{}: saturated blocking run at depth {depth} batch {batch} \
+                    "{} d{devices}: saturated blocking run at depth {depth} batch {batch} \
                      diverged from the serial reference",
                     kind.label()
                 );
@@ -109,24 +127,24 @@ fn drop_policy_accounting_closes_on_every_platform() {
     let config = OpenLoopConfig::degenerate_serial()
         .with_queue_depth(8)
         .with_policy(AdmissionPolicy::Drop);
-    for kind in PlatformKind::all() {
-        let mut p = kind.build(&scale);
+    for (kind, devices) in every_platform() {
+        let mut p = build_on(kind, &scale, devices);
         let m = run_workload_open_loop(p.as_mut(), spec, &scale, &config);
         assert_eq!(
             m.arrivals,
             scale.accesses as u64,
-            "{}: every trace entry must arrive",
+            "{} d{devices}: every trace entry must arrive",
             kind.label()
         );
         assert_eq!(
             m.arrivals,
             m.served + m.dropped,
-            "{}: arrivals must split exactly into served + dropped",
+            "{} d{devices}: arrivals must split exactly into served + dropped",
             kind.label()
         );
         assert!(
             m.dropped > 0,
-            "{}: a saturated depth-8 dropping queue must reject something",
+            "{} d{devices}: a saturated depth-8 dropping queue must reject something",
             kind.label()
         );
         assert_eq!(m.served, m.records.len() as u64);

@@ -6,18 +6,19 @@
 //! field of `HamsPlatform::scaled_config`, and every shape must then serve
 //! batched (`run_workload`) byte-identically to its per-access reference
 //! (`run_workload_serial`) on all four HAMS variants, at every thread count
-//! (the CI matrix runs this suite under `HAMS_THREADS` ∈ {1, 8} ×
-//! `HAMS_DEVICES` ∈ {1, 4}; a row that does not replace the backend keeps
-//! the `HAMS_DEVICES` one). Beyond that, each axis has its own contract:
+//! (the CI matrix runs this suite under `HAMS_THREADS` ∈ {1, 8}). A row that
+//! does not replace the backend runs the scaled config's single archive
+//! device; the backend rows cover RAID-0 at one and four devices. Beyond
+//! that, each axis has its own contract:
 //!
 //! 1. **Queues** legitimately change timing: striped fills overlap on the
 //!    device, so more queue pairs strictly beat one on random reads.
 //! 2. **Shards** only label the directory's sets: every bank count and
 //!    hash policy is byte-identical to the one-bank directory.
 //! 3. **Backends** partition work without changing it: a one-device RAID-0
-//!    is the single archive byte for byte, per-device traffic of a wider
-//!    array sums to the single-device totals, and the CXL attach routes
-//!    identically but pays the slower link.
+//!    is the single archive byte for byte, and per-device traffic of a
+//!    wider array sums to the single-device totals. The CXL attach mode,
+//!    over the same array, routes identically but pays the slower link.
 
 use hams::core::{AttachMode, PersistMode};
 use hams::platforms::{
@@ -385,7 +386,7 @@ fn cxl_attached_backend_trails_the_ddr4_attach_and_still_routes_identically() {
     let spec = WorkloadSpec::by_name("rndRd").unwrap();
     let mut tight = build_raid_sweep_platform(&scale, 4);
     let mut cxl = build_cxl_platform(&scale);
-    assert!(cxl.controller().backend_topology().uses_cxl());
+    assert_eq!(cxl.controller().config().attach, AttachMode::Cxl);
     let m_tight = run_workload(&mut tight, spec, &scale);
     let m_cxl = run_workload(&mut cxl, spec, &scale);
     // Same stripe routing → same per-device traffic…

@@ -10,8 +10,12 @@
 //! 2. **Against real runs** — the open-loop engine's request and admission
 //!    spans must agree instant-for-instant with the per-request
 //!    [`OpenLoopRecord`]s the engine already pins, so a request's span
-//!    durations decompose its recorded sojourn exactly.
+//!    durations decompose its recorded sojourn exactly — on mmap, on
+//!    hams-TE, and on hams-TE over a four-device RAID-0 archive.
 
+mod common;
+
+use common::build_on;
 use hams::platforms::{run_workload_open_loop_traced, OpenLoopConfig, PlatformKind, ScaleProfile};
 use hams::telemetry::{component_spans, Layer, RunTelemetry, Span};
 use hams::workloads::WorkloadSpec;
@@ -85,7 +89,7 @@ proptest! {
     #[test]
     fn traced_open_loop_spans_match_the_engine_records(
         rate_per_sec in 10_000.0f64..10_000_000.0,
-        hams in any::<bool>(),
+        platform in 0usize..3,
         seed in 0u64..200,
     ) {
         let scale = ScaleProfile {
@@ -93,10 +97,14 @@ proptest! {
             accesses: 300,
             seed,
         };
-        let kind = if hams { PlatformKind::HamsTE } else { PlatformKind::Mmap };
+        let (kind, devices) = [
+            (PlatformKind::Mmap, 1),
+            (PlatformKind::HamsTE, 1),
+            (PlatformKind::HamsTE, 4),
+        ][platform];
         let spec = WorkloadSpec::by_name("update").unwrap();
         let config = OpenLoopConfig::poisson(rate_per_sec);
-        let mut platform = kind.build(&scale);
+        let mut platform = build_on(kind, &scale, devices);
         let mut telemetry = RunTelemetry::new();
         let m = run_workload_open_loop_traced(
             platform.as_mut(),

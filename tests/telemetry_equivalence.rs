@@ -10,8 +10,13 @@
 //! On top of the equivalence pin, the tier checks the traces are worth
 //! collecting: every served request yields a request-layer span, hardware
 //! platforms surface their controller/tag-array/NVMe/MSI/archive crossings,
-//! and the open-loop engine tags admission spans per tenant.
+//! and the open-loop engine tags admission spans per tenant. Each pin also
+//! runs the HAMS kinds on a four-device RAID-0 archive, derived from their
+//! single-device twins (`common::build_on`).
 
+mod common;
+
+use common::build_on;
 use hams::platforms::{
     run_tenant_set_open_loop, run_tenant_set_open_loop_traced, run_workload,
     run_workload_open_loop, run_workload_open_loop_traced, run_workload_traced, OpenLoopConfig,
@@ -28,6 +33,16 @@ fn tiny() -> ScaleProfile {
     }
 }
 
+/// Every platform of `PlatformKind::all` on one archive device, then the
+/// four HAMS kinds again on four.
+fn every_platform() -> impl Iterator<Item = (PlatformKind, u16)> {
+    let raid = PlatformKind::hams_set().into_iter().map(|kind| (kind, 4));
+    PlatformKind::all()
+        .into_iter()
+        .map(|kind| (kind, 1))
+        .chain(raid)
+}
+
 fn count(telemetry: &RunTelemetry, layer: Layer) -> u64 {
     telemetry.layer_counts()[layer.index()]
 }
@@ -37,23 +52,23 @@ fn traced_closed_loop_is_byte_identical_on_all_platforms() {
     let scale = tiny();
     for workload in ["rndRd", "update"] {
         let spec = WorkloadSpec::by_name(workload).unwrap();
-        for kind in PlatformKind::all() {
-            let mut plain = kind.build(&scale);
+        for (kind, devices) in every_platform() {
+            let mut plain = build_on(kind, &scale, devices);
             let reference = run_workload(plain.as_mut(), spec, &scale);
 
-            let mut traced = kind.build(&scale);
+            let mut traced = build_on(kind, &scale, devices);
             let mut telemetry = RunTelemetry::new();
             let metrics = run_workload_traced(traced.as_mut(), spec, &scale, &mut telemetry);
             assert_eq!(
                 metrics,
                 reference,
-                "{} on {workload}: tracing changed the closed-loop metrics",
+                "{} d{devices} on {workload}: tracing changed the closed-loop metrics",
                 kind.label()
             );
             assert_eq!(
                 count(&telemetry, Layer::Request),
                 scale.accesses as u64,
-                "{} on {workload}: every access must yield a request span",
+                "{} d{devices} on {workload}: every access must yield a request span",
                 kind.label()
             );
         }
@@ -71,11 +86,11 @@ fn traced_open_loop_is_byte_identical_on_all_platforms() {
         OpenLoopConfig::degenerate_serial(),
     ];
     for config in &configs {
-        for kind in PlatformKind::all() {
-            let mut plain = kind.build(&scale);
+        for (kind, devices) in every_platform() {
+            let mut plain = build_on(kind, &scale, devices);
             let reference = run_workload_open_loop(plain.as_mut(), spec, &scale, config);
 
-            let mut traced = kind.build(&scale);
+            let mut traced = build_on(kind, &scale, devices);
             let mut telemetry = RunTelemetry::new();
             let metrics = run_workload_open_loop_traced(
                 traced.as_mut(),
@@ -87,7 +102,7 @@ fn traced_open_loop_is_byte_identical_on_all_platforms() {
             assert_eq!(
                 metrics,
                 reference,
-                "{}: tracing changed the open-loop metrics",
+                "{} d{devices}: tracing changed the open-loop metrics",
                 kind.label()
             );
             assert_eq!(
@@ -114,13 +129,9 @@ fn traced_open_loop_is_byte_identical_on_all_platforms() {
 fn traced_runs_cover_the_hardware_layers_on_hams_platforms() {
     let scale = tiny();
     let spec = WorkloadSpec::by_name("rndRd").unwrap();
-    for kind in [
-        PlatformKind::HamsLP,
-        PlatformKind::HamsLE,
-        PlatformKind::HamsTP,
-        PlatformKind::HamsTE,
-    ] {
-        let mut platform = kind.build(&scale);
+    let hams_kinds = PlatformKind::hams_set().into_iter();
+    for (kind, devices) in hams_kinds.flat_map(|kind| [(kind, 1), (kind, 4)]) {
+        let mut platform = build_on(kind, &scale, devices);
         let mut telemetry = RunTelemetry::new();
         run_workload_traced(platform.as_mut(), spec, &scale, &mut telemetry);
         for layer in [Layer::Controller, Layer::TagArray] {
@@ -145,7 +156,7 @@ fn traced_runs_cover_the_hardware_layers_on_hams_platforms() {
         // A ring too small for the run still counts every span, the ones
         // the platform's own ring evicted included.
         assert_eq!(telemetry.recorder.dropped(), 0, "{}", kind.label());
-        let mut platform = kind.build(&scale);
+        let mut platform = build_on(kind, &scale, devices);
         let mut small = RunTelemetry::with_capacity(scale.accesses, DEFAULT_BUCKET_WIDTH);
         run_workload_traced(platform.as_mut(), spec, &scale, &mut small);
         let small = &small.recorder;
@@ -181,11 +192,15 @@ fn traced_tenant_set_is_byte_identical_and_tags_tenants() {
         ),
     ]);
     let config = OpenLoopConfig::poisson(1.0).with_queue_depth(32);
-    for kind in [PlatformKind::Mmap, PlatformKind::HamsTE] {
-        let mut plain = kind.build(&scale);
+    for (kind, devices) in [
+        (PlatformKind::Mmap, 1),
+        (PlatformKind::HamsTE, 1),
+        (PlatformKind::HamsTE, 4),
+    ] {
+        let mut plain = build_on(kind, &scale, devices);
         let reference = run_tenant_set_open_loop(plain.as_mut(), &set, &scale, &config);
 
-        let mut traced = kind.build(&scale);
+        let mut traced = build_on(kind, &scale, devices);
         let mut telemetry = RunTelemetry::new();
         let metrics =
             run_tenant_set_open_loop_traced(traced.as_mut(), &set, &scale, &config, &mut telemetry);

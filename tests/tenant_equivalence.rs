@@ -17,9 +17,14 @@
 //!    in non-decreasing order and exactly `accesses_or(default)` requests
 //!    per tenant (property-tested).
 //!
-//! The open loop's oracle against the closed loop is
+//! The all-platform pins also run each HAMS kind on a four-device RAID-0
+//! archive, derived from its single-device twin (`common::build_on`). The
+//! open loop's oracle against the closed loop is
 //! `tests/openloop_equivalence.rs`'s degenerate pin.
 
+mod common;
+
+use common::build_on;
 use hams::platforms::{
     run_tenant_set_open_loop, run_workload_open_loop, AdmissionPolicy, OpenLoopConfig,
     PlatformKind, ScaleProfile, TenantMetrics,
@@ -33,6 +38,16 @@ fn tiny() -> ScaleProfile {
         accesses: 1_200,
         seed: 23,
     }
+}
+
+/// Every platform of `PlatformKind::all` on one archive device, then the
+/// four HAMS kinds again on four.
+fn every_platform() -> impl Iterator<Item = (PlatformKind, u16)> {
+    let raid = PlatformKind::hams_set().into_iter().map(|kind| (kind, 4));
+    PlatformKind::all()
+        .into_iter()
+        .map(|kind| (kind, 1))
+        .chain(raid)
 }
 
 fn sum_by(tenants: &[TenantMetrics], f: fn(&TenantMetrics) -> u64) -> u64 {
@@ -56,20 +71,21 @@ fn single_tenant_ledger_equals_the_merged_metrics_on_all_platforms() {
             .with_arrivals(arrivals)
             .with_queue_depth(32);
         let set = TenantSet::single("solo", spec, arrivals);
-        for kind in PlatformKind::all() {
-            let mut p = kind.build(&scale);
+        for (kind, devices) in every_platform() {
+            let mut p = build_on(kind, &scale, devices);
+            let label = format!("{} d{devices}", kind.label());
             let mt = run_tenant_set_open_loop(p.as_mut(), &set, &scale, &config);
             let merged = &mt.merged;
             assert_eq!(mt.tenants.len(), 1);
             let t = &mt.tenants[0];
-            assert_eq!(t.arrivals, merged.arrivals, "{}", kind.label());
-            assert_eq!(t.served, merged.served, "{}", kind.label());
-            assert_eq!(t.dropped, merged.dropped, "{}", kind.label());
-            assert_eq!(t.sojourn, merged.sojourn, "{}", kind.label());
-            assert_eq!(t.first_arrival, merged.first_arrival, "{}", kind.label());
-            assert_eq!(t.last_finish, merged.last_finish, "{}", kind.label());
-            assert_eq!(merged.run.workload, workload, "{}", kind.label());
-            assert!((mt.fairness() - 1.0).abs() < 1e-12, "{}", kind.label());
+            assert_eq!(t.arrivals, merged.arrivals, "{label}");
+            assert_eq!(t.served, merged.served, "{label}");
+            assert_eq!(t.dropped, merged.dropped, "{label}");
+            assert_eq!(t.sojourn, merged.sojourn, "{label}");
+            assert_eq!(t.first_arrival, merged.first_arrival, "{label}");
+            assert_eq!(t.last_finish, merged.last_finish, "{label}");
+            assert_eq!(merged.run.workload, workload, "{label}");
+            assert!((mt.fairness() - 1.0).abs() < 1e-12, "{label}");
         }
     }
 }
@@ -105,41 +121,33 @@ fn per_tenant_counters_sum_to_merged_totals_on_all_platforms() {
     let config = OpenLoopConfig::poisson(1.0)
         .with_queue_depth(8)
         .with_policy(AdmissionPolicy::Drop);
-    for kind in PlatformKind::all() {
-        let mut p = kind.build(&scale);
+    for (kind, devices) in every_platform() {
+        let mut p = build_on(kind, &scale, devices);
+        let label = format!("{} d{devices}", kind.label());
         let m = run_tenant_set_open_loop(p.as_mut(), &set, &scale, &config);
         assert_eq!(
             sum_by(&m.tenants, |t| t.arrivals),
             m.merged.arrivals,
-            "{}: per-tenant arrivals lost requests in the merge",
-            kind.label()
+            "{label}: per-tenant arrivals lost requests in the merge"
         );
-        assert_eq!(
-            sum_by(&m.tenants, |t| t.served),
-            m.merged.served,
-            "{}",
-            kind.label()
-        );
+        assert_eq!(sum_by(&m.tenants, |t| t.served), m.merged.served, "{label}");
         assert_eq!(
             sum_by(&m.tenants, |t| t.dropped),
             m.merged.dropped,
-            "{}",
-            kind.label()
+            "{label}"
         );
         assert!(
             m.merged.dropped > 0,
-            "{}: saturated depth-8 dropping queue must reject",
-            kind.label()
+            "{label}: saturated depth-8 dropping queue must reject"
         );
         for t in &m.tenants {
             assert_eq!(
                 t.arrivals,
                 t.served + t.dropped,
-                "{}: tenant {} accounting does not close",
-                kind.label(),
+                "{label}: tenant {} accounting does not close",
                 t.name
             );
-            assert_eq!(t.sojourn.count(), t.served, "{}", kind.label());
+            assert_eq!(t.sojourn.count(), t.served, "{label}");
         }
         assert_eq!(m.tenants[2].arrivals, 400, "accesses override respected");
         assert_eq!(
