@@ -21,9 +21,11 @@ use hams_platforms::{
     build_cxl_platform, build_fault_platform, build_raid_sweep_platform, fault_label,
     queue_sweep_platform, run_grid, run_tenant_set_open_loop, run_workload, run_workload_open_loop,
     run_workload_open_loop_traced, shard_sweep_platform, HamsPlatform, MmapPlatform,
-    OpenLoopConfig, OpenLoopMetrics, OpenLoopRecord, PlatformKind, RunMetrics, ScaleProfile,
+    OpenLoopConfig, OpenLoopMetrics, OpenLoopRecord, Platform, PlatformKind, RunMetrics,
+    ScaleProfile,
 };
 use hams_sim::parallel_map;
+use hams_sim::stats::nearest_rank;
 use hams_sim::{Histogram, Nanos};
 use hams_telemetry::{Layer, RunTelemetry};
 use hams_workloads::{
@@ -1050,6 +1052,13 @@ pub fn openloop_sustainable(
         && achieved_per_sec >= SUSTAINABLE_MIN_ACHIEVED_FRACTION * offered_per_sec
 }
 
+/// A platform's closed-loop service rate on `spec` in accesses per
+/// simulated second: the rate the open-loop studies offer fractions of.
+fn closed_loop_rate(platform: &mut dyn Platform, spec: WorkloadSpec, scale: &ScaleProfile) -> f64 {
+    let m = run_workload(platform, spec, scale);
+    m.accesses as f64 / m.total_time.as_secs_f64().max(1e-12)
+}
+
 /// Fig. 24: open-loop sojourn latency versus offered load. Each platform is
 /// first calibrated closed-loop (its service rate with one outstanding
 /// batch), then served Poisson arrivals at every fraction of that rate in
@@ -1067,11 +1076,7 @@ pub fn fig24_latency_vs_load(
         return Vec::new();
     };
     let per_platform = parallel_map(kinds, |kind| {
-        let service_rate = {
-            let mut platform = kind.build(scale);
-            let m = run_workload(platform.as_mut(), spec, scale);
-            m.accesses as f64 / m.total_time.as_secs_f64().max(1e-12)
-        };
+        let service_rate = closed_loop_rate(kind.build(scale).as_mut(), spec, scale);
         fractions
             .iter()
             .map(|&frac| {
@@ -1127,20 +1132,12 @@ pub fn fig24_knee(rows: &[OpenLoopRow]) -> Option<usize> {
 /// the per-platform max-sustainable-throughput summary the figure reports.
 #[must_use]
 pub fn fig24_knees(rows: &[OpenLoopRow]) -> Vec<(String, Option<OpenLoopRow>)> {
-    let mut out: Vec<(String, Option<OpenLoopRow>)> = Vec::new();
-    let mut start = 0;
-    while start < rows.len() {
-        let platform = rows[start].platform.clone();
-        let end = rows[start..]
-            .iter()
-            .take_while(|r| r.platform == platform)
-            .count()
-            + start;
-        let knee = fig24_knee(&rows[start..end]).map(|i| rows[start + i].clone());
-        out.push((platform, knee));
-        start = end;
-    }
-    out
+    rows.chunk_by(|a, b| a.platform == b.platform)
+        .map(|curve| {
+            let knee = fig24_knee(curve).map(|i| curve[i].clone());
+            (curve[0].platform.clone(), knee)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1252,11 +1249,7 @@ pub fn fig25_interference(
         return Vec::new();
     };
     let per_platform = parallel_map(kinds, |kind| {
-        let service_rate = {
-            let mut platform = kind.build(scale);
-            let m = run_workload(platform.as_mut(), victim, scale);
-            m.accesses as f64 / m.total_time.as_secs_f64().max(1e-12)
-        };
+        let service_rate = closed_loop_rate(kind.build(scale).as_mut(), victim, scale);
         antagonist_fracs
             .iter()
             .map(|&frac| {
@@ -1340,23 +1333,12 @@ pub fn fig25_victim_p99_monotone_prefix(rows: &[InterferenceRow]) -> usize {
 /// per-platform summary the figure reports alongside the rows.
 #[must_use]
 pub fn fig25_summary(rows: &[InterferenceRow]) -> Vec<(String, usize, usize)> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start < rows.len() {
-        let platform = rows[start].platform.clone();
-        let end = rows[start..]
-            .iter()
-            .take_while(|r| r.platform == platform)
-            .count()
-            + start;
-        out.push((
-            platform,
-            fig25_victim_p99_monotone_prefix(&rows[start..end]),
-            end - start,
-        ));
-        start = end;
-    }
-    out
+    rows.chunk_by(|a, b| a.platform == b.platform)
+        .map(|curve| {
+            let prefix = fig25_victim_p99_monotone_prefix(curve);
+            (curve[0].platform.clone(), prefix, curve.len())
+        })
+        .collect()
 }
 
 /// Per-layer summary of one traced run's spans: how many times the layer was
@@ -1437,11 +1419,7 @@ pub const TIMELINE_OFFERED_FRACTION: f64 = 0.9;
 #[must_use]
 pub fn timeline_traced_run(scale: &ScaleProfile) -> (OpenLoopMetrics, RunTelemetry) {
     let spec = WorkloadSpec::by_name("rndRd").expect("rndRd is a Table III workload");
-    let service_rate = {
-        let mut platform = PlatformKind::HamsTE.build(scale);
-        let m = run_workload(platform.as_mut(), spec, scale);
-        m.accesses as f64 / m.total_time.as_secs_f64().max(1e-12)
-    };
+    let service_rate = closed_loop_rate(PlatformKind::HamsTE.build(scale).as_mut(), spec, scale);
     let config = OpenLoopConfig::poisson(TIMELINE_OFFERED_FRACTION * service_rate);
     let mut platform = PlatformKind::HamsTE.build(scale);
     // Size the span ring to the run: every access crosses at most the seven
@@ -1570,13 +1548,13 @@ impl fmt::Display for Fig26Row {
 }
 
 /// Nearest-rank percentile of an ascending sojourn list, in microseconds
-/// (0 for an empty window).
+/// (0 for an empty window): the sample at [`nearest_rank`], the rule
+/// [`Histogram`]'s percentiles follow.
 fn sorted_percentile_us(sorted: &[Nanos], p: f64) -> f64 {
-    let Some(last) = sorted.len().checked_sub(1) else {
+    if sorted.is_empty() {
         return 0.0;
-    };
-    let idx = ((p / 100.0) * last as f64).round() as usize;
-    sorted[idx.min(last)].as_micros_f64()
+    }
+    sorted[nearest_rank(p, sorted.len() as u64) as usize - 1].as_micros_f64()
 }
 
 /// The fault schedule of fig26, plus the expected simulated span it was
@@ -1625,11 +1603,7 @@ fn window_sojourns(records: &[OpenLoopRecord], start: Nanos, stop: Nanos) -> Vec
 #[must_use]
 pub fn fig26_latency_under_rebuild(scale: &ScaleProfile) -> Vec<Fig26Row> {
     let spec = WorkloadSpec::by_name(FIG26_WORKLOAD).expect("rndWr is a Table III workload");
-    let service_rate = {
-        let mut platform = build_fault_platform(scale);
-        let m = run_workload(&mut platform, spec, scale);
-        m.accesses as f64 / m.total_time.as_secs_f64().max(1e-12)
-    };
+    let service_rate = closed_loop_rate(&mut build_fault_platform(scale), spec, scale);
     let offered = FIG26_OFFERED_FRACTION * service_rate;
     let (plan, span) = fig26_fault_schedule(scale.accesses, offered);
     let config = OpenLoopConfig::poisson(offered);
@@ -1714,6 +1688,17 @@ mod tests {
             accesses: 800,
             seed: 5,
         }
+    }
+
+    #[test]
+    fn sorted_percentiles_follow_the_nearest_rank_rule() {
+        let us = |n: u64| Nanos::from_micros(n);
+        let four: Vec<Nanos> = (1..=4).map(us).collect();
+        // The median of four samples is the 2nd, as `Histogram` ranks it.
+        assert_eq!(sorted_percentile_us(&four, 50.0), 2.0);
+        let hundred: Vec<Nanos> = (1..=100).map(us).collect();
+        assert_eq!(sorted_percentile_us(&hundred, 99.0), 99.0);
+        assert_eq!(sorted_percentile_us(&[], 99.0), 0.0);
     }
 
     #[test]

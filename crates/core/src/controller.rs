@@ -22,10 +22,7 @@
 //!   and evictions route to the device owning their stripe, and journal
 //!   tags carry `(shard, device)`.
 
-use hams_flash::{
-    ArchiveSet, ArrayState, BackendTopology, FaultPlan, FaultStats, PowerLossReport, SsdDevice,
-    LBA_SIZE,
-};
+use hams_flash::{ArchiveSet, ArrayState, FaultPlan, FaultStats, PowerLossReport, LBA_SIZE};
 use hams_interconnect::{
     CxlConfig, CxlLink, Ddr4Channel, Ddr4Config, PcieConfig, PcieLink, RegisterInterface,
     RegisterInterfaceConfig,
@@ -277,24 +274,10 @@ impl HamsController {
         addr >> self.page_shift
     }
 
-    /// Read access to the primary SSD model — the whole backend under
-    /// [`BackendTopology::single`]. Multi-device accounting goes through
-    /// [`Self::archive`].
-    #[must_use]
-    pub fn ssd(&self) -> &SsdDevice {
-        self.archive.primary()
-    }
-
     /// Read access to the archive set backing the MoS address space.
     #[must_use]
     pub fn archive(&self) -> &ArchiveSet {
         &self.archive
-    }
-
-    /// The archive backend topology in force (stripe unit resolved).
-    #[must_use]
-    pub fn backend_topology(&self) -> BackendTopology {
-        self.archive.topology()
     }
 
     /// Number of devices in the archive set.
@@ -495,7 +478,8 @@ impl HamsController {
     /// simulated clock of the serial archive command stream, so fault
     /// timing is deterministic for a given workload whatever the host
     /// thread count. Requires the parity backend
-    /// ([`BackendTopology::Raid5`]), fixed when the controller is built.
+    /// ([`hams_flash::BackendTopology::Raid5`]), fixed when the controller
+    /// is built.
     /// Arming the injector does not change the archive's shape.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.archive.set_fault_plan(plan);
@@ -1030,6 +1014,8 @@ impl HamsController {
 
 #[cfg(test)]
 mod tests {
+    use hams_flash::BackendTopology;
+
     use super::*;
 
     fn controller(attach: AttachMode, persist: PersistMode) -> HamsController {
@@ -1517,7 +1503,7 @@ mod tests {
 
     #[test]
     fn each_striped_fill_journal_entry_is_the_stripe_command_served() {
-        use hams_nvme::{stripe_ranges, QueueConfig};
+        use hams_nvme::{stripe_ranges_into, QueueConfig};
         let config = HamsConfig::tiny_for_tests(AttachMode::Loose, PersistMode::Extend)
             .with_mos_page_size(64 * 1024)
             .with_queues(QueueConfig::striped(4));
@@ -1526,7 +1512,8 @@ mod tests {
         let page = 3u64;
         h.access(page * page_bytes, false, 64, Nanos::ZERO);
         let journal = h.engine().journaled_incomplete(Nanos::ZERO);
-        let stripes = stripe_ranges(page_bytes / LBA_SIZE, 4);
+        let mut stripes = Vec::new();
+        stripe_ranges_into(page_bytes / LBA_SIZE, 4, &mut stripes);
         assert_eq!(journal.len(), stripes.len());
         // Page 3 fills set 3; stripe `s` covers its LBAs from `offset` and
         // goes to queue pair `s`.

@@ -92,15 +92,18 @@ impl InFlight {
 /// # Example
 ///
 /// ```
-/// use hams_core::NvmeEngine;
+/// use hams_core::{NvmeEngine, ShardConfig};
+/// use hams_nvme::QueueConfig;
 /// use hams_sim::Nanos;
 ///
-/// let mut engine = NvmeEngine::new();
-/// let id = engine.issue_write(7, 0x1c0, 4096, 0xF000, false, Nanos::from_micros(5));
+/// // One queue pair, a one-bank directory of 64 sets, one archive device.
+/// let mut engine = NvmeEngine::with_backend(QueueConfig::single(), ShardConfig::single(), 64, 1, 1);
+/// engine.issue_write(7, 0x1c0, 4096, 0xF000, false, Nanos::from_micros(5));
 /// assert_eq!(engine.journaled_incomplete(Nanos::ZERO).len(), 1);
-/// engine.retire_due(Nanos::from_micros(5));
+/// let mut retired = Vec::new();
+/// engine.retire_due_into(Nanos::from_micros(5), &mut retired);
+/// assert_eq!(retired, vec![7]);
 /// assert!(engine.journaled_incomplete(Nanos::from_micros(5)).is_empty());
-/// let _ = id;
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NvmeEngine {
@@ -121,33 +124,12 @@ pub struct NvmeEngine {
 }
 
 impl NvmeEngine {
-    /// Creates an engine with a single queue pair.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_config(QueueConfig::single())
-    }
-
-    /// Creates an engine with the queue shape described by `config` and a
-    /// single-bank tag directory.
-    #[must_use]
-    pub fn with_config(config: QueueConfig) -> Self {
-        Self::with_topology(config, ShardConfig::single(), 1)
-    }
-
     /// Creates an engine with the queue shape described by `config` inside a
     /// controller whose tag directory has `cache_sets` sets labelled by
-    /// `shards`: the engine stamps each journal tag with its page's bank,
-    /// which recovery checks against the directory. The archive backend is
-    /// a single device.
-    #[must_use]
-    pub fn with_topology(config: QueueConfig, shards: ShardConfig, cache_sets: u64) -> Self {
-        Self::with_backend(config, shards, cache_sets, 1, 1)
-    }
-
-    /// [`Self::with_topology`] for a multi-device archive backend: journal
-    /// tags additionally record the device owning each command's stripe
-    /// (`devices` archives, `stripe_lbas` LBAs per stripe unit), so the
-    /// power-failure scan can assert the replay lands on the archive the
+    /// `shards`, in front of `devices` archives striped `stripe_lbas` LBAs
+    /// per unit. Each journal tag records its page's bank and the device
+    /// owning its command's stripe, so the power-failure scan can check the
+    /// page against the directory and the replay against the archive the
     /// dead command was in flight to.
     #[must_use]
     pub fn with_backend(
@@ -238,29 +220,10 @@ impl NvmeEngine {
         }
     }
 
-    /// Issues a fill (read) command for `mos_page`, whose data lands at
-    /// NVDIMM address `nvdimm_addr` and whose device service completes at
-    /// `completes_at`. The command is striped onto the page's queue pair.
-    pub fn issue_read(
-        &mut self,
-        mos_page: u64,
-        slba: u64,
-        length: u64,
-        nvdimm_addr: u64,
-        completes_at: Nanos,
-    ) -> CommandId {
-        self.issue_read_on(
-            self.queue_for_page(mos_page),
-            mos_page,
-            slba,
-            length,
-            nvdimm_addr,
-            completes_at,
-        )
-    }
-
-    /// [`Self::issue_read`] on an explicit queue pair, as a striped fill
-    /// spreads one MoS page's stripe commands across the whole set.
+    /// Issues a fill (read) command for `mos_page` on queue pair `queue`,
+    /// as a striped fill spreads one MoS page's stripe commands across the
+    /// whole set. The data lands at NVDIMM address `nvdimm_addr` and the
+    /// device service completes at `completes_at`.
     ///
     /// # Panics
     ///
@@ -328,7 +291,6 @@ impl NvmeEngine {
         match cmd.opcode {
             NvmeOpcode::Read => self.stats.reads_issued += 1,
             NvmeOpcode::Write => self.stats.writes_issued += 1,
-            NvmeOpcode::Flush => {}
         }
         let next = &mut self.next_cid[usize::from(queue)];
         let id = CommandId::new(queue, *next);
@@ -351,31 +313,18 @@ impl NvmeEngine {
     }
 
     /// Delivery times of one burst of stripe completions under the engine's
-    /// MSI coalescing policy, in ascending completion order. The controller
-    /// uses this to know when the interrupt covering a fill's last stripe
-    /// reaches the cache logic.
-    pub fn deliver_times(&mut self, completions: &[Nanos]) -> Vec<Nanos> {
-        self.coalescer.deliver(completions)
-    }
-
-    /// [`Self::deliver_times`] into a caller-owned buffer — the hot-path form
-    /// used by the fill path, which reuses one buffer across misses. `out` is
-    /// cleared first.
+    /// MSI coalescing policy, in ascending completion order, into `out`
+    /// (cleared first; the fill path reuses one buffer across misses). The
+    /// controller uses this to know when the interrupt covering a fill's
+    /// last stripe reaches the cache logic.
     pub fn deliver_times_into(&mut self, completions: &[Nanos], out: &mut Vec<Nanos>) {
         self.coalescer.deliver_into(completions, out);
     }
 
     /// Processes every completion whose device service has finished by `now`:
     /// clears the journal tag and removes the command from the outstanding
-    /// set. Returns the MoS pages whose commands retired, in ascending order.
-    pub fn retire_due(&mut self, now: Nanos) -> Vec<u64> {
-        let mut pages = Vec::new();
-        self.retire_due_into(now, &mut pages);
-        pages
-    }
-
-    /// [`Self::retire_due`] into a caller-owned buffer, which is cleared
-    /// first and then holds the retired MoS pages in ascending order.
+    /// set. `pages` is cleared first and then holds the MoS pages whose
+    /// commands retired, in ascending order.
     pub fn retire_due_into(&mut self, now: Nanos, pages: &mut Vec<u64>) {
         pages.clear();
         if now >= self.next_due {
@@ -384,7 +333,7 @@ impl NvmeEngine {
         }
     }
 
-    /// [`Self::retire_due`] for the controller, which never reads the
+    /// [`Self::retire_due_into`] for the controller, which never reads the
     /// retired pages: when nothing is due it costs one compare.
     #[inline]
     pub(crate) fn retire(&mut self, now: Nanos) {
@@ -475,12 +424,6 @@ impl NvmeEngine {
     }
 }
 
-impl Default for NvmeEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
@@ -489,21 +432,38 @@ mod tests {
 
     use super::*;
 
+    /// An engine with the queue shape `config`, a one-bank directory and one
+    /// archive device.
+    fn engine(config: QueueConfig) -> NvmeEngine {
+        NvmeEngine::with_backend(config, ShardConfig::single(), 1, 1, 1)
+    }
+
+    /// Issues a fill for `page` on the page's queue pair.
+    fn read(e: &mut NvmeEngine, page: u64, slba: u64, completes_at: Nanos) -> CommandId {
+        e.issue_read_on(e.queue_for_page(page), page, slba, 4096, 0, completes_at)
+    }
+
+    fn retired_pages(e: &mut NvmeEngine, now: Nanos) -> Vec<u64> {
+        let mut pages = Vec::new();
+        e.retire_due_into(now, &mut pages);
+        pages
+    }
+
     #[test]
     fn issue_and_retire_lifecycle() {
-        let mut e = NvmeEngine::new();
+        let mut e = engine(QueueConfig::single());
         assert!(e.is_quiescent());
-        e.issue_read(3, 0, 4096, 0x1000, Nanos::from_micros(8));
+        read(&mut e, 3, 0, Nanos::from_micros(8));
         e.issue_write(5, 8, 4096, 0x2000, false, Nanos::from_micros(4));
         assert_eq!(e.outstanding(), 2);
         assert!(!e.is_quiescent());
 
         // Only the write has completed by 5 µs.
-        let retired = e.retire_due(Nanos::from_micros(5));
+        let retired = retired_pages(&mut e, Nanos::from_micros(5));
         assert_eq!(retired, vec![5]);
         assert_eq!(e.outstanding(), 1);
 
-        let retired = e.retire_due(Nanos::from_micros(10));
+        let retired = retired_pages(&mut e, Nanos::from_micros(10));
         assert_eq!(retired, vec![3]);
         assert!(e.is_quiescent());
         assert_eq!(e.stats().completions, 2);
@@ -511,10 +471,10 @@ mod tests {
 
     #[test]
     fn journal_scan_finds_only_incomplete_commands() {
-        let mut e = NvmeEngine::new();
+        let mut e = engine(QueueConfig::single());
         e.issue_write(1, 0, 4096, 0x1000, false, Nanos::from_micros(2));
         e.issue_write(2, 8, 4096, 0x2000, false, Nanos::from_micros(50));
-        e.retire_due(Nanos::from_micros(10));
+        retired_pages(&mut e, Nanos::from_micros(10));
         // Power fails at 10 µs: only the second command is journaled-incomplete.
         let pending = e.journaled_incomplete(Nanos::from_micros(10));
         assert_eq!(pending.len(), 1);
@@ -524,7 +484,7 @@ mod tests {
 
     #[test]
     fn mark_recovered_counts_and_clears() {
-        let mut e = NvmeEngine::new();
+        let mut e = engine(QueueConfig::single());
         let id = e.issue_write(9, 0, 4096, 0x1000, true, Nanos::from_micros(100));
         let pending = e.journaled_incomplete(Nanos::ZERO);
         assert_eq!(pending.len(), 1);
@@ -535,8 +495,8 @@ mod tests {
 
     #[test]
     fn stats_split_reads_and_writes() {
-        let mut e = NvmeEngine::new();
-        e.issue_read(1, 0, 4096, 0, Nanos::ZERO);
+        let mut e = engine(QueueConfig::single());
+        read(&mut e, 1, 0, Nanos::ZERO);
         e.issue_write(2, 0, 4096, 0, false, Nanos::ZERO);
         assert_eq!(e.stats().reads_issued, 1);
         assert_eq!(e.stats().writes_issued, 1);
@@ -544,18 +504,18 @@ mod tests {
 
     #[test]
     fn shallow_queue_still_accepts_back_to_back_commands() {
-        let mut e = NvmeEngine::new();
+        let mut e = engine(QueueConfig::single());
         // The device fetches each command as it is submitted, so the ring
         // depth bounds nothing: three commands fit a two-entry queue.
         for page in 0..3 {
-            e.issue_read(page, 0, 4096, 0, Nanos::from_secs(1));
+            read(&mut e, page, 0, Nanos::from_secs(1));
         }
         assert_eq!(e.outstanding(), 3);
     }
 
     #[test]
     fn dropped_completions_are_never_drained_as_successes() {
-        let mut e = NvmeEngine::new();
+        let mut e = engine(QueueConfig::single());
         e.issue_write(1, 0, 4096, 0x1000, false, Nanos::from_micros(100));
         // Power fails at 50 µs: the in-flight completion dies with it, and
         // recovery re-issues the journaled command.
@@ -565,30 +525,30 @@ mod tests {
         e.mark_recovered(&[pending[0].id]);
         // Time passing the original completion must not retire anything —
         // the command was recovered, not completed.
-        assert!(e.retire_due(Nanos::from_micros(200)).is_empty());
+        assert!(retired_pages(&mut e, Nanos::from_micros(200)).is_empty());
         assert_eq!(e.stats().completions, 0);
         assert_eq!(e.stats().recovered, 1);
     }
 
     #[test]
     fn multi_queue_engine_stripes_pages_across_pairs() {
-        let mut e = NvmeEngine::with_config(QueueConfig::striped(4));
+        let mut e = engine(QueueConfig::striped(4));
         assert_eq!(e.num_queues(), 4);
-        let a = e.issue_read(0, 0, 4096, 0, Nanos::from_micros(1));
-        let b = e.issue_read(1, 8, 4096, 0, Nanos::from_micros(2));
-        let c = e.issue_read(5, 16, 4096, 0, Nanos::from_micros(3));
+        let a = read(&mut e, 0, 0, Nanos::from_micros(1));
+        let b = read(&mut e, 1, 8, Nanos::from_micros(2));
+        let c = read(&mut e, 5, 16, Nanos::from_micros(3));
         assert_eq!(a.queue, 0);
         assert_eq!(b.queue, 1);
         assert_eq!(c.queue, 1, "page 5 stripes onto queue 5 % 4");
         assert_eq!(e.outstanding(), 3);
-        let retired = e.retire_due(Nanos::from_micros(3));
+        let retired = retired_pages(&mut e, Nanos::from_micros(3));
         assert_eq!(retired, vec![0, 1, 5]);
         assert!(e.is_quiescent());
     }
 
     #[test]
     fn explicit_queue_reads_land_where_directed() {
-        let mut e = NvmeEngine::with_config(QueueConfig::striped(2));
+        let mut e = engine(QueueConfig::striped(2));
         let id = e.issue_read_on(1, 0, 0, 4096, 0, Nanos::from_micros(1));
         assert_eq!(id.queue, 1);
         let pending = e.journaled_incomplete(Nanos::ZERO);
@@ -598,7 +558,7 @@ mod tests {
     #[test]
     fn journal_tags_record_the_owning_shard() {
         let mut e =
-            NvmeEngine::with_topology(QueueConfig::single(), ShardConfig::interleaved(4), 8);
+            NvmeEngine::with_backend(QueueConfig::single(), ShardConfig::interleaved(4), 8, 1, 1);
         // Pages 0, 1, 5 map to sets 0, 1, 5 of 8; interleaved over 4 banks
         // that is shards 0, 1, 1.
         e.issue_write(0, 0, 4096, 0, false, Nanos::from_secs(1));
@@ -616,7 +576,7 @@ mod tests {
 
     #[test]
     fn single_shard_topology_is_the_default() {
-        let e = NvmeEngine::new();
+        let e = engine(QueueConfig::single());
         assert_eq!(e.shard_config(), ShardConfig::single());
         assert_eq!(e.shard_for_page(12345), 0);
         assert_eq!(e.device_for_slba(98765), 0, "single backend is device 0");
@@ -643,22 +603,23 @@ mod tests {
 
     #[test]
     fn issue_read_tracked_journals_the_composed_command_verbatim() {
-        let mut e = NvmeEngine::new();
+        let mut e = engine(QueueConfig::single());
         let cmd = NvmeCommand::read(1, 24, 4096, PrpList::for_transfer(0x3000, 4096, 4096));
         let id = e.issue_read_tracked(3, cmd.clone(), Nanos::from_micros(9));
         let pending = e.journaled_incomplete(Nanos::ZERO);
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].id, id);
         assert_eq!(pending[0].mos_page, 3);
-        // Identical to what issue_read would have journalled for the same
+        // Identical to what issue_read_on would have journalled for the same
         // geometry: the composed command plus the journal tag.
         assert_eq!(pending[0].command, cmd.with_journal_tag(true));
     }
 
     #[test]
     fn deliver_times_follow_the_coalescing_policy() {
-        let mut e = NvmeEngine::with_config(QueueConfig::striped(2));
-        let d = e.deliver_times(&[Nanos::from_micros(3), Nanos::from_micros(1)]);
+        let mut e = engine(QueueConfig::striped(2));
+        let mut d = Vec::new();
+        e.deliver_times_into(&[Nanos::from_micros(3), Nanos::from_micros(1)], &mut d);
         // Threshold 2: one interrupt covers both, posted at the later time.
         assert_eq!(d, vec![Nanos::from_micros(3); 2]);
         assert_eq!(e.coalescer_stats().interrupts, 1);
@@ -667,7 +628,7 @@ mod tests {
 
     #[test]
     fn multi_queue_journal_scan_orders_by_queue_then_cid() {
-        let mut e = NvmeEngine::with_config(QueueConfig::striped(2));
+        let mut e = engine(QueueConfig::striped(2));
         // Pages 1 and 3 both stripe onto queue 1; page 2 onto queue 0.
         e.issue_write(1, 0, 4096, 0, false, Nanos::from_secs(1));
         e.issue_write(2, 8, 4096, 0, false, Nanos::from_secs(1));
@@ -761,7 +722,7 @@ mod tests {
         fn flat_journal_matches_the_keyed_model(
             ops in proptest::collection::vec((0u8..8, 0u64..64, 0u64..64), 1..200),
         ) {
-            let mut e = NvmeEngine::with_config(QueueConfig::striped(2));
+            let mut e = engine(QueueConfig::striped(2));
             let mut m = Model::default();
             let mut now = Nanos::ZERO;
             for (op, a, b) in ops {
@@ -772,19 +733,19 @@ mod tests {
                         let id = if op == 0 {
                             e.issue_write(page, page * 8, 4096, 0, false, at)
                         } else {
-                            e.issue_read(page, page * 8, 4096, 0, at)
+                            read(&mut e, page, page * 8, at)
                         };
                         prop_assert_eq!(id, m.issue(page, op == 0, at));
                     }
                     2 => {
                         now += Nanos::from_micros(a % 16);
-                        prop_assert_eq!(e.retire_due(now), m.retire(now));
+                        prop_assert_eq!(retired_pages(&mut e, now), m.retire(now));
                     }
                     3 => {
                         // Power failure: drain what finished, then every
                         // later completion dies with the power.
                         now += Nanos::from_micros(a % 16);
-                        prop_assert_eq!(e.retire_due(now), m.retire(now));
+                        prop_assert_eq!(retired_pages(&mut e, now), m.retire(now));
                         e.drop_in_flight_completions();
                         m.events.clear();
                     }

@@ -384,16 +384,6 @@ impl ShardedTagArray {
         e.dirty = true;
     }
 
-    /// Marks the cached copy of `page` clean (its eviction write-back has
-    /// durably completed).
-    pub fn mark_clean(&mut self, page: u64) {
-        let at = self.locate(page);
-        let e = &mut self.entries[at.set];
-        if e.valid && e.tag == at.tag {
-            e.dirty = false;
-        }
-    }
-
     /// Sets the busy bit on the set `page` maps to, recording the completion
     /// time of the in-flight operation.
     pub fn set_busy(&mut self, page: u64, until: Nanos) {
@@ -412,12 +402,6 @@ impl ShardedTagArray {
     pub fn clear_busy(&mut self, page: u64) {
         let set = self.index_of(page);
         self.entries[set].busy = false;
-    }
-
-    /// Invalidates the set `page` maps to (regardless of which page it held).
-    pub fn invalidate(&mut self, page: u64) {
-        let set = self.index_of(page);
-        self.entries[set] = TagEntry::EMPTY;
     }
 
     /// Iterates over all valid (resident) MoS page numbers, in set order.
@@ -552,29 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_during_pending_fill_drops_the_busy_bit() {
-        let mut t = MosTagArray::new(4);
-        t.fill(2);
-        t.set_busy(2, Nanos::from_micros(100));
-        t.invalidate(2);
-        assert_eq!(t.probe(2), TagProbe::MissEmpty);
-        assert_eq!(t.busy_until(2, Nanos::ZERO), None);
-    }
-
-    #[test]
-    fn mark_clean_on_a_replaced_page_is_a_no_op() {
-        let mut t = MosTagArray::new(4);
-        t.fill(1);
-        t.mark_dirty(1);
-        t.fill(5); // replaces page 1 in set 1
-        t.mark_dirty(5);
-        // Page 1's eviction completes late; its mark_clean must not touch the
-        // new occupant's dirty bit.
-        t.mark_clean(1);
-        assert!(t.entry(1).dirty, "stale mark_clean must not affect page 5");
-    }
-
-    #[test]
     fn dirty_and_resident_iterators() {
         let mut t = MosTagArray::new(8);
         t.fill(1);
@@ -584,16 +545,6 @@ mod tests {
         let dirty: Vec<u64> = t.dirty_pages().collect();
         assert_eq!(resident, vec![1, 2]);
         assert_eq!(dirty, vec![2]);
-        t.mark_clean(2);
-        assert_eq!(t.dirty_pages().count(), 0);
-    }
-
-    #[test]
-    fn invalidate_empties_the_set() {
-        let mut t = MosTagArray::new(4);
-        t.fill(5);
-        t.invalidate(5);
-        assert_eq!(t.probe(5), TagProbe::MissEmpty);
     }
 
     #[test]
@@ -837,15 +788,6 @@ mod tests {
             e.dirty = true;
         }
 
-        fn mark_clean(&mut self, page: u64) {
-            let idx = self.index_of(page);
-            let tag = self.tag_of(page);
-            let e = self.entry_mut(idx);
-            if e.valid && e.tag == tag {
-                e.dirty = false;
-            }
-        }
-
         fn set_busy(&mut self, page: u64, until: Nanos) {
             let idx = self.index_of(page);
             let e = self.entry_mut(idx);
@@ -856,11 +798,6 @@ mod tests {
         fn clear_busy(&mut self, page: u64) {
             let idx = self.index_of(page);
             self.entry_mut(idx).busy = false;
-        }
-
-        fn invalidate(&mut self, page: u64) {
-            let idx = self.index_of(page);
-            *self.entry_mut(idx) = TagEntry::EMPTY;
         }
 
         fn resident_pages(&self) -> impl Iterator<Item = u64> + '_ {
@@ -906,7 +843,7 @@ mod tests {
             num_sets in 1usize..24,
             count in 1u16..13,
             policy_pick in 0u8..2,
-            ops in proptest::collection::vec((0u8..8, 0u64..96, 0u64..40), 1..200),
+            ops in proptest::collection::vec((0u8..6, 0u64..96, 0u64..40), 1..200),
         ) {
             let config = if policy_pick == 0 {
                 ShardConfig::interleaved(count)
@@ -936,25 +873,17 @@ mod tests {
                         }
                     }
                     3 => {
-                        flat.mark_clean(page);
-                        banked.mark_clean(page);
-                    }
-                    4 => {
                         flat.set_busy(page, now);
                         banked.set_busy(page, now);
                     }
-                    5 => prop_assert_eq!(
+                    4 => prop_assert_eq!(
                         flat.busy_until(page, now),
                         banked.busy_until(page, now),
                         "wait answer diverged for page {} at {}", page, now
                     ),
-                    6 => {
+                    _ => {
                         flat.clear_busy(page);
                         banked.clear_busy(page);
-                    }
-                    _ => {
-                        flat.invalidate(page);
-                        banked.invalidate(page);
                     }
                 }
                 prop_assert_eq!(flat.shard_of_page(page), banked.shard_of_page(page));

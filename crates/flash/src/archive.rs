@@ -25,8 +25,7 @@
 //!   same command stream — what RAID-0 buys is device-level parallelism
 //!   (independent channels, dies and firmware), not a different workload.
 //!   (Command *counts* are per-segment: a command crossing stripe
-//!   boundaries counts once per device it touches, and a flush counts once
-//!   per device it broadcasts to.)
+//!   boundaries counts once per device it touches.)
 //!
 //! Stripe granularity is configurable. At MoS-page granularity a page's
 //! fills and evictions land wholly on its owning device — mirroring how the
@@ -326,8 +325,8 @@ impl ArchiveSet {
 
     /// Aggregate device accounting across the set. Byte totals sum exactly
     /// over [`Self::device_stats`] to what one device would have served;
-    /// command counts are per-segment (boundary-splitting and flush
-    /// broadcast count once per device touched).
+    /// command counts are per-segment (a command split at a stripe boundary
+    /// counts once per device touched).
     #[must_use]
     pub fn stats(&self) -> SsdStats {
         let mut total = SsdStats::default();
@@ -335,7 +334,6 @@ impl ArchiveSet {
             let s = device.stats();
             total.read_commands += s.read_commands;
             total.write_commands += s.write_commands;
-            total.flush_commands += s.flush_commands;
             total.bytes_read += s.bytes_read;
             total.bytes_written += s.bytes_written;
             total.page_programs += s.page_programs;
@@ -368,7 +366,7 @@ impl ArchiveSet {
     /// owning its stripe. A command that crosses stripe boundaries is split
     /// into per-device segments (the HAMS controller never issues one when
     /// the stripe unit is the MoS page size or a striped fill's command
-    /// length); a flush broadcasts to every device.
+    /// length).
     ///
     /// # Errors
     ///
@@ -410,9 +408,6 @@ impl ArchiveSet {
         };
         if self.devices.len() == 1 {
             return serve(&mut self.devices[0], cmd, now);
-        }
-        if cmd.opcode == NvmeOpcode::Flush {
-            return self.broadcast_flush(cmd, now);
         }
         if cmd.length == 0 {
             let device = usize::from(self.device_of_slba(cmd.slba));
@@ -465,23 +460,6 @@ impl ArchiveSet {
         if let Some(injector) = self.fault.as_mut() {
             injector.poll(now, &mut self.devices);
         }
-        if cmd.opcode == NvmeOpcode::Flush {
-            let injector = self.fault.as_mut().expect("faulted path has an injector");
-            let mut merged: Option<IoCompletion> = None;
-            let mut skipped = false;
-            for (index, device) in self.devices.iter_mut().enumerate() {
-                if injector.flush_skips(index as u16) {
-                    skipped = true;
-                    continue;
-                }
-                let completion = device.service(cmd, now)?;
-                merged = Some(merge_completion(merged, completion));
-            }
-            if skipped {
-                injector.note_skipped_flush();
-            }
-            return Ok(merged.expect("a degraded array keeps at least one survivor online"));
-        }
         if cmd.length == 0 {
             return self.serve_segment_faulted(cmd.clone(), now, fua);
         }
@@ -514,15 +492,6 @@ impl ArchiveSet {
                 }
             }
         }
-    }
-
-    fn broadcast_flush(&mut self, cmd: &NvmeCommand, now: Nanos) -> Result<IoCompletion, SsdError> {
-        let mut merged: Option<IoCompletion> = None;
-        for device in &mut self.devices {
-            let completion = device.service(cmd, now)?;
-            merged = Some(merge_completion(merged, completion));
-        }
-        Ok(merged.expect("archive set holds at least one device"))
     }
 
     /// Whether logical flash page `lpn` is durably stored on the device
@@ -787,19 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_broadcasts_to_every_device() {
-        let topology = BackendTopology::raid0_striped(2, LBA_SIZE);
-        let mut set = ArchiveSet::new(SsdConfig::tiny_for_tests(), topology, 4096);
-        set.service(&write_cmd(0, 4096), Nanos::ZERO).unwrap();
-        set.service(&write_cmd(1, 4096), Nanos::ZERO).unwrap();
-        assert!(!set.is_durable(0) && !set.is_durable(1));
-        set.service(&NvmeCommand::flush(1), Nanos::from_micros(10))
-            .unwrap();
-        assert!(set.is_durable(0) && set.is_durable(1));
-        assert_eq!(set.stats().flush_commands, 2);
-    }
-
-    #[test]
     fn power_fail_merges_per_device_reports() {
         let mut config = SsdConfig::tiny_for_tests();
         config.supercap_backed = true;
@@ -939,31 +895,14 @@ mod tests {
             .unwrap();
         assert!(!set.is_durable(17));
         // The failed device's buffer died with it: the rebuild finds
-        // nothing to regenerate, and a later flush has nothing to program.
-        set.service(&NvmeCommand::flush(1), Nanos::from_millis(60))
-            .unwrap();
+        // nothing to regenerate.
+        set.advance_faults(Nanos::from_millis(60));
         assert_eq!(set.array_state(), ArrayState::Healthy);
         assert!(
             !set.is_durable(17),
             "a write buffered in a failed device survived its failure"
         );
         assert_eq!(set.fault_stats().unwrap().lost_buffered_pages, 1);
-    }
-
-    #[test]
-    fn flush_broadcast_skips_the_dead_device() {
-        let mut set = raid5_set();
-        set.set_fault_plan(FaultPlan::new().with_fail_stop(
-            0,
-            Nanos::from_micros(10),
-            Nanos::from_millis(100),
-        ));
-        set.service(&write_cmd(1, 4096), Nanos::ZERO).unwrap();
-        set.service(&NvmeCommand::flush(1), Nanos::from_micros(50))
-            .unwrap();
-        assert_eq!(set.device(0).stats().flush_commands, 0);
-        assert_eq!(set.device(1).stats().flush_commands, 1);
-        assert_eq!(set.fault_stats().unwrap().skipped_flushes, 1);
     }
 
     #[test]

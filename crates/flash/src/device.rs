@@ -179,24 +179,23 @@ pub struct SsdStats {
     pub read_commands: u64,
     /// Write commands serviced.
     pub write_commands: u64,
-    /// Flush commands serviced.
-    pub flush_commands: u64,
     /// Bytes read by the host.
     pub bytes_read: u64,
     /// Bytes written by the host.
     pub bytes_written: u64,
-    /// Flash page programs issued (host + buffer write-back + flush).
+    /// Flash page programs issued (host + buffer write-back + power-fail
+    /// backup flush).
     pub page_programs: u64,
     /// Flash page reads issued.
     pub page_reads: u64,
 }
 
 impl SsdStats {
-    /// Total commands serviced across all opcodes — the telemetry "archive
+    /// Total commands serviced, reads plus writes — the telemetry "archive
     /// commands" counter.
     #[must_use]
     pub fn total_commands(&self) -> u64 {
-        self.read_commands + self.write_commands + self.flush_commands
+        self.read_commands + self.write_commands
     }
 }
 
@@ -323,7 +322,6 @@ impl SsdDevice {
         match cmd.opcode {
             NvmeOpcode::Read => self.service_read(cmd, now),
             NvmeOpcode::Write => self.service_write(cmd, now, fua),
-            NvmeOpcode::Flush => Ok(self.service_flush(now)),
         }
     }
 
@@ -449,25 +447,6 @@ impl SsdDevice {
             sub_requests: subs,
             served_from_dram: all_dram && subs > 0,
         })
-    }
-
-    fn service_flush(&mut self, now: Nanos) -> IoCompletion {
-        let start = now + self.config.timing.hil_overhead;
-        let dirty = self.dram.flush_dirty();
-        let mut finish = start;
-        for lpn in dirty {
-            if let Ok(outcome) = self.ftl.write(lpn) {
-                self.stats.page_programs += 1;
-                let c = self.fil.schedule_page(outcome.ppn, FlashOp::Program, start);
-                finish = finish.max(c.finished_at);
-            }
-        }
-        self.stats.flush_commands += 1;
-        IoCompletion {
-            finished_at: finish,
-            sub_requests: 0,
-            served_from_dram: false,
-        }
     }
 
     /// Programs a dirty page evicted from the internal DRAM. Background work:
@@ -600,19 +579,6 @@ mod tests {
         assert!(!done.served_from_dram);
         assert!(done.latency(Nanos::ZERO) >= Nanos::from_micros(100));
         assert!(ssd.is_durable(0));
-    }
-
-    #[test]
-    fn flush_makes_buffered_writes_durable() {
-        let mut ssd = SsdDevice::new(SsdConfig::tiny_for_tests());
-        ssd.service(&write_cmd(0, 4096), Nanos::ZERO).unwrap();
-        ssd.service(&write_cmd(1, 4096), Nanos::ZERO).unwrap();
-        assert!(!ssd.is_durable(0));
-        let flush = NvmeCommand::flush(1);
-        ssd.service(&flush, Nanos::from_micros(50)).unwrap();
-        assert!(ssd.is_durable(0));
-        assert!(ssd.is_durable(1));
-        assert_eq!(ssd.stats().flush_commands, 1);
     }
 
     #[test]

@@ -198,8 +198,9 @@ impl InternalDram {
         evicted_dirty
     }
 
-    /// Drains every dirty page (a flush or pre-shutdown write-back), returning
-    /// their LPNs and marking them clean.
+    /// Drains every dirty page (a power failure's super-capacitor write-back,
+    /// or its loss), returning their LPNs in ascending order and marking
+    /// them clean.
     pub fn flush_dirty(&mut self) -> Vec<u64> {
         let mut dirty: Vec<u64> = self
             .resident

@@ -166,8 +166,6 @@ pub struct FaultStats {
     pub rebuild_reads: u64,
     /// Replacement-device program commands issued by rebuild traffic.
     pub rebuild_writes: u64,
-    /// Flush broadcasts that skipped the down device.
-    pub skipped_flushes: u64,
     /// Writes the failed devices had acknowledged from their volatile
     /// buffers but not yet programmed, lost when they failed.
     pub lost_buffered_pages: u64,
@@ -186,9 +184,7 @@ pub struct RebuildSpan {
     pub end: Nanos,
 }
 
-/// Rotating-parity layout math for an `N`-device RAID-5 style array, plus
-/// the pure XOR reconstruction model proptested against pre-failure
-/// contents.
+/// Rotating-parity layout math for an `N`-device RAID-5 style array.
 ///
 /// Data placement is identical to RAID-0 (stripe `s` lives on device
 /// `s % N`, row `r = s / N`); the parity unit of row `r` rotates as
@@ -242,50 +238,6 @@ impl Raid5Layout {
     #[must_use]
     pub fn stripe_slba(&self, row: u64, device: u16) -> u64 {
         (row * u64::from(self.devices) + u64::from(device)) * self.stripe_lbas
-    }
-
-    /// XOR parity of a row's data units.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the units differ in length.
-    #[must_use]
-    pub fn parity_of(units: &[Vec<u8>]) -> Vec<u8> {
-        let len = units.first().map_or(0, Vec::len);
-        let mut parity = vec![0u8; len];
-        for unit in units {
-            assert_eq!(unit.len(), len, "row units must share one stripe size");
-            for (p, b) in parity.iter_mut().zip(unit) {
-                *p ^= b;
-            }
-        }
-        parity
-    }
-
-    /// Reconstructs the lost unit `lost` of a row from the surviving data
-    /// units and the row parity — the XOR pass a degraded read performs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lost` is out of range or the units differ in length.
-    #[must_use]
-    pub fn reconstruct(units: &[Vec<u8>], parity: &[u8], lost: usize) -> Vec<u8> {
-        assert!(lost < units.len(), "lost unit index out of range");
-        let mut rebuilt = parity.to_vec();
-        for (index, unit) in units.iter().enumerate() {
-            if index == lost {
-                continue;
-            }
-            assert_eq!(
-                unit.len(),
-                rebuilt.len(),
-                "row units must share one stripe size"
-            );
-            for (r, b) in rebuilt.iter_mut().zip(unit) {
-                *r ^= b;
-            }
-        }
-        rebuilt
     }
 }
 
@@ -393,12 +345,6 @@ impl FaultInjector {
         self.layout
     }
 
-    /// The installed plan.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Rebuild completion fraction of the current (or last) fault: 1.0 when
     /// healthy with nothing pending.
     #[must_use]
@@ -468,17 +414,12 @@ impl FaultInjector {
         matches!((&self.state, &self.active), (ArrayState::Degraded, Some(active)) if active.device == device)
     }
 
-    /// Whether `device` must be skipped by a flush broadcast or a power
-    /// failure: the failed device while the array is degraded, when no
-    /// controller is online to flush it.
+    /// Whether `device` must be skipped by a power failure: the failed
+    /// device while the array is degraded, when no controller is online to
+    /// flush its buffer.
     #[must_use]
     pub fn flush_skips(&self, device: u16) -> bool {
         matches!((&self.state, &self.active), (ArrayState::Degraded, Some(active)) if active.device == device)
-    }
-
-    /// Counts a flush broadcast that skipped the down device.
-    pub fn note_skipped_flush(&mut self) {
-        self.stats.skipped_flushes += 1;
     }
 
     /// Advances the state machine to simulated instant `now`, injecting due
@@ -688,7 +629,6 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn parity_rotation_covers_every_device() {
@@ -755,32 +695,5 @@ mod tests {
             .with_fail_stop(1, Nanos::from_micros(50), Nanos::from_micros(60))
             .with_fail_stop(0, Nanos::from_micros(10), Nanos::from_micros(20));
         assert!(std::panic::catch_unwind(|| FaultInjector::new(unsorted, 4, 8)).is_err());
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The XOR model is exact: whatever unit of a row is lost, parity of
-        /// the pre-failure contents reconstructs it byte for byte.
-        #[test]
-        fn reconstruction_recovers_the_lost_unit(
-            seed in any::<u64>(),
-            devices in 2usize..6,
-            unit_len in 1usize..64,
-            lost in 0usize..6,
-        ) {
-            let lost = lost % devices;
-            // Deterministic pseudo-random contents from the seed.
-            let mut state = seed | 1;
-            let mut next = || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 33) as u8
-            };
-            let units: Vec<Vec<u8>> =
-                (0..devices).map(|_| (0..unit_len).map(|_| next()).collect()).collect();
-            let parity = Raid5Layout::parity_of(&units);
-            let rebuilt = Raid5Layout::reconstruct(&units, &parity, lost);
-            prop_assert_eq!(rebuilt, units[lost].clone());
-        }
     }
 }

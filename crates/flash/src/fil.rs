@@ -55,8 +55,8 @@ impl Fil {
             geometry,
             timing,
             stripe_halves,
-            channels: MultiResource::new("flash-channel", geometry.channels as usize),
-            dies: MultiResource::new("flash-die", geometry.total_dies() as usize),
+            channels: MultiResource::new(geometry.channels as usize),
+            dies: MultiResource::new(geometry.total_dies() as usize),
         }
     }
 
@@ -139,12 +139,6 @@ impl Fil {
             (g.end, full_transfer, g.wait)
         }
     }
-
-    /// Resets all channel and die schedules (used between experiments).
-    pub fn reset(&mut self) {
-        self.channels.reset();
-        self.dies.reset();
-    }
 }
 
 #[cfg(test)]
@@ -217,14 +211,5 @@ mod tests {
         let mut f = fil(false);
         let c = f.schedule_page(0, FlashOp::Read, Nanos::ZERO);
         assert_eq!(c.array_time + c.transfer_time, c.finished_at);
-    }
-
-    #[test]
-    fn reset_clears_queues() {
-        let mut f = fil(false);
-        f.schedule_page(0, FlashOp::Read, Nanos::ZERO);
-        f.reset();
-        let c = f.schedule_page(0, FlashOp::Read, Nanos::ZERO);
-        assert_eq!(c.queue_time, Nanos::ZERO);
     }
 }

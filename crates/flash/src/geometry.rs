@@ -118,12 +118,6 @@ impl FlashGeometry {
         self.total_pages() * u64::from(self.page_size)
     }
 
-    /// Pages per plane.
-    #[must_use]
-    pub fn pages_per_plane(&self) -> u64 {
-        u64::from(self.blocks_per_plane) * u64::from(self.pages_per_block)
-    }
-
     /// Decomposes a physical page number into the hardware unit it lives on.
     /// Pages are interleaved across planes first (channel = ppn % channels,
     /// …), which is what gives sequential physical pages channel-level
@@ -298,7 +292,6 @@ pub(crate) mod tests {
         assert_eq!(g.total_blocks(), 16);
         assert_eq!(g.total_pages(), 256);
         assert_eq!(g.capacity_bytes(), 256 * 4096);
-        assert_eq!(g.pages_per_plane(), 128);
     }
 
     #[test]

@@ -150,13 +150,6 @@ impl CpuModel {
         let cycles = total.as_secs_f64() * self.config.frequency_hz;
         self.instructions as f64 / cycles
     }
-
-    /// Resets all accounting.
-    pub fn reset(&mut self) {
-        self.instructions = 0;
-        self.compute_time = Nanos::ZERO;
-        self.stall_time = Nanos::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -219,16 +212,6 @@ mod tests {
     fn empty_core_has_zero_ipc() {
         let cpu = CpuModel::new(CpuConfig::paper_default());
         assert_eq!(cpu.ipc(), 0.0);
-        assert_eq!(cpu.total_time(), Nanos::ZERO);
-    }
-
-    #[test]
-    fn reset_clears_accounting() {
-        let mut cpu = CpuModel::new(CpuConfig::i7_4790k());
-        cpu.retire(100);
-        cpu.stall(Nanos::from_nanos(10));
-        cpu.reset();
-        assert_eq!(cpu.instructions(), 0);
         assert_eq!(cpu.total_time(), Nanos::ZERO);
     }
 }

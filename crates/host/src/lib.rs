@@ -11,7 +11,7 @@
 //! let mmf = MmfCostModel::linux_4_9();
 //!
 //! // A store to an unmapped page: the MMF baseline pays the software stack.
-//! cpu.stall(mmf.fault_total(4096));
+//! cpu.stall(mmf.fault_overhead(4096).total());
 //! assert!(cpu.stall_time() > Nanos::from_micros(10));
 //! ```
 

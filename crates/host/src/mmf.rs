@@ -43,20 +43,6 @@ impl MmfCostModel {
         }
     }
 
-    /// A polled, DAX-style shortened stack (no block layer) used to model the
-    /// FlatFlash MMIO path's software component.
-    #[must_use]
-    pub fn dax_like() -> Self {
-        MmfCostModel {
-            page_fault_handling: Nanos::from_nanos(1_200),
-            context_switch: Nanos::ZERO,
-            filesystem: Nanos::from_nanos(400),
-            blk_mq: Nanos::ZERO,
-            nvme_driver: Nanos::ZERO,
-            copy_bandwidth_bytes_per_sec: 6.0e9,
-        }
-    }
-
     /// Time to copy `bytes` between user and kernel space.
     #[must_use]
     pub fn copy_time(&self, bytes: u64) -> Nanos {
@@ -100,12 +86,6 @@ impl MmfCostModel {
         );
         b
     }
-
-    /// Total software time of one blocking fault (convenience).
-    #[must_use]
-    pub fn fault_total(&self, bytes: u64) -> Nanos {
-        self.fault_overhead(bytes).total()
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +95,7 @@ mod tests {
     #[test]
     fn linux_fault_cost_is_in_the_papers_band() {
         let m = MmfCostModel::linux_4_9();
-        let total = m.fault_total(4096);
+        let total = m.fault_overhead(4096).total();
         assert!(
             total >= Nanos::from_micros(10) && total <= Nanos::from_micros(20),
             "fault software cost {total} outside 10-20us"
@@ -126,7 +106,7 @@ mod tests {
     fn software_cost_dwarfs_z_nand_read() {
         let m = MmfCostModel::linux_4_9();
         let znand_read = Nanos::from_micros(3);
-        assert!(m.fault_total(4096) > znand_read * 4);
+        assert!(m.fault_overhead(4096).total() > znand_read * 4);
     }
 
     #[test]
@@ -149,12 +129,5 @@ mod tests {
     fn writeback_is_cheaper_than_fault() {
         let m = MmfCostModel::linux_4_9();
         assert!(m.writeback_overhead(4096).total() < m.fault_overhead(4096).total());
-    }
-
-    #[test]
-    fn dax_stack_is_much_shorter() {
-        let dax = MmfCostModel::dax_like();
-        let full = MmfCostModel::linux_4_9();
-        assert!(dax.fault_total(4096) * 3 < full.fault_total(4096));
     }
 }

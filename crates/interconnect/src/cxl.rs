@@ -75,7 +75,6 @@ impl CxlConfig {
 pub struct CxlLink {
     config: CxlConfig,
     link: Resource,
-    bytes_moved: u64,
 }
 
 impl CxlLink {
@@ -84,8 +83,7 @@ impl CxlLink {
     pub fn new(config: CxlConfig) -> Self {
         CxlLink {
             config,
-            link: Resource::new("cxl-link"),
-            bytes_moved: 0,
+            link: Resource::default(),
         }
     }
 
@@ -93,12 +91,6 @@ impl CxlLink {
     #[must_use]
     pub fn config(&self) -> &CxlConfig {
         &self.config
-    }
-
-    /// Total bytes moved over the link.
-    #[must_use]
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
     }
 
     /// Wire time for `bytes` — two port crossings plus the flit-framed
@@ -116,24 +108,11 @@ impl CxlLink {
     pub fn transfer(&mut self, bytes: u64, now: Nanos) -> Transfer {
         let service = self.service_time(bytes);
         let grant = self.link.acquire(now, service);
-        self.bytes_moved += bytes;
         Transfer {
             finished_at: grant.end,
             service,
             wait: grant.wait,
         }
-    }
-
-    /// Link utilisation over `[0, horizon]`.
-    #[must_use]
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        self.link.utilization(horizon)
-    }
-
-    /// Resets the link schedule and counters.
-    pub fn reset(&mut self) {
-        self.link.reset();
-        self.bytes_moved = 0;
     }
 }
 
@@ -178,9 +157,6 @@ mod tests {
         let b = link.transfer(4096, Nanos::ZERO);
         assert!(b.finished_at > a.finished_at);
         assert_eq!(b.wait, a.service);
-        assert_eq!(link.bytes_moved(), 8192);
-        link.reset();
-        assert_eq!(link.bytes_moved(), 0);
     }
 
     #[test]

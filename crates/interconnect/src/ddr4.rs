@@ -78,7 +78,6 @@ impl Ddr4Config {
 pub struct Ddr4Channel {
     config: Ddr4Config,
     bus: Resource,
-    bytes_moved: u64,
     /// Rolling four-entry memo of the last transfer sizes' wire times. The
     /// channel sees the same few sizes millions of times per run (64-byte
     /// commands, the CPU access granule and the MoS page on the miss path),
@@ -95,8 +94,8 @@ pub struct Ddr4Channel {
 /// first.
 ///
 /// The default entries map 0 bytes to zero time, which is exactly
-/// [`Ddr4Channel::service_time`]`(0)` — so a freshly deserialized or reset
-/// memo is a *valid* (cold) cache, never a wrong one.
+/// [`Ddr4Channel::service_time`]`(0)` — so a freshly deserialized memo is a
+/// *valid* (cold) cache, never a wrong one.
 #[derive(Debug, Clone, Copy, Default)]
 struct ServiceMemo {
     entries: [(u64, Nanos); 4],
@@ -123,8 +122,7 @@ impl Ddr4Channel {
     pub fn new(config: Ddr4Config) -> Self {
         Ddr4Channel {
             config,
-            bus: Resource::new("ddr4-channel"),
-            bytes_moved: 0,
+            bus: Resource::default(),
             service_memo: ServiceMemo::default(),
         }
     }
@@ -133,12 +131,6 @@ impl Ddr4Channel {
     #[must_use]
     pub fn config(&self) -> &Ddr4Config {
         &self.config
-    }
-
-    /// Total bytes moved over the channel so far.
-    #[must_use]
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
     }
 
     /// Wire time for `bytes` (setup plus burst beats), without contention.
@@ -164,24 +156,11 @@ impl Ddr4Channel {
             }
         };
         let grant = self.bus.acquire(now, service);
-        self.bytes_moved += bytes;
         Transfer {
             finished_at: grant.end,
             service,
             wait: grant.wait,
         }
-    }
-
-    /// Channel utilisation over `[0, horizon]`.
-    #[must_use]
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        self.bus.utilization(horizon)
-    }
-
-    /// Resets the channel schedule and counters.
-    pub fn reset(&mut self) {
-        self.bus.reset();
-        self.bytes_moved = 0;
     }
 }
 
@@ -222,7 +201,6 @@ mod tests {
         let b = ch.transfer(4096, Nanos::ZERO);
         assert_eq!(a.wait, Nanos::ZERO);
         assert_eq!(b.wait, a.service);
-        assert_eq!(ch.bytes_moved(), 8192);
     }
 
     #[test]

@@ -82,7 +82,6 @@ impl PcieConfig {
 pub struct PcieLink {
     config: PcieConfig,
     link: Resource,
-    bytes_moved: u64,
 }
 
 impl PcieLink {
@@ -91,8 +90,7 @@ impl PcieLink {
     pub fn new(config: PcieConfig) -> Self {
         PcieLink {
             config,
-            link: Resource::new("pcie-link"),
-            bytes_moved: 0,
+            link: Resource::default(),
         }
     }
 
@@ -100,12 +98,6 @@ impl PcieLink {
     #[must_use]
     pub fn config(&self) -> &PcieConfig {
         &self.config
-    }
-
-    /// Total bytes moved over the link.
-    #[must_use]
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
     }
 
     /// Wire time for `bytes`, including per-packet overhead, without
@@ -124,24 +116,11 @@ impl PcieLink {
     pub fn transfer(&mut self, bytes: u64, now: Nanos) -> Transfer {
         let service = self.service_time(bytes);
         let grant = self.link.acquire(now, service);
-        self.bytes_moved += bytes;
         Transfer {
             finished_at: grant.end,
             service,
             wait: grant.wait,
         }
-    }
-
-    /// Link utilisation over `[0, horizon]`.
-    #[must_use]
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        self.link.utilization(horizon)
-    }
-
-    /// Resets the link schedule and counters.
-    pub fn reset(&mut self) {
-        self.link.reset();
-        self.bytes_moved = 0;
     }
 }
 
@@ -189,7 +168,6 @@ mod tests {
         let b = link.transfer(4096, Nanos::ZERO);
         assert!(b.finished_at > a.finished_at);
         assert_eq!(b.wait, a.service);
-        assert_eq!(link.bytes_moved(), 8192);
     }
 
     #[test]

@@ -40,15 +40,6 @@ impl NvdimmConfig {
         }
     }
 
-    /// The hypothetical 512 GB NVDIMM of the paper's `oracle` platform.
-    #[must_use]
-    pub fn oracle_512gb() -> Self {
-        NvdimmConfig {
-            capacity_bytes: 512 * 1024 * 1024 * 1024,
-            ..Self::hpe_8gb()
-        }
-    }
-
     /// A small module for unit tests (64 MB).
     #[must_use]
     pub fn tiny_for_tests() -> Self {
@@ -313,11 +304,5 @@ mod tests {
     fn restoring_live_module_panics() {
         let mut dimm = Nvdimm::new(NvdimmConfig::tiny_for_tests());
         let _ = dimm.power_restore();
-    }
-
-    #[test]
-    fn oracle_config_is_512gb() {
-        let c = NvdimmConfig::oracle_512gb();
-        assert_eq!(c.capacity_bytes, 512 * 1024 * 1024 * 1024);
     }
 }

@@ -18,8 +18,6 @@ pub enum NvmeOpcode {
     Read,
     /// Write data from host (NVDIMM) memory to the flash medium.
     Write,
-    /// Flush the device's volatile write buffer to the medium.
-    Flush,
 }
 
 impl NvmeOpcode {
@@ -27,12 +25,6 @@ impl NvmeOpcode {
     #[must_use]
     pub fn is_write(self) -> bool {
         matches!(self, NvmeOpcode::Write)
-    }
-
-    /// Returns `true` for commands that transfer data from the medium.
-    #[must_use]
-    pub fn is_read(self) -> bool {
-        matches!(self, NvmeOpcode::Read)
     }
 }
 
@@ -120,21 +112,6 @@ impl NvmeCommand {
         }
     }
 
-    /// Builds a flush command.
-    #[must_use]
-    pub fn flush(nsid: u32) -> Self {
-        NvmeCommand {
-            cid: 0,
-            opcode: NvmeOpcode::Flush,
-            nsid,
-            slba: 0,
-            length: 0,
-            prp: PrpList::empty(),
-            fua: false,
-            journal_tag: false,
-        }
-    }
-
     /// Sets the force-unit-access bit (builder style).
     #[must_use]
     pub fn with_fua(mut self, fua: bool) -> Self {
@@ -148,10 +125,6 @@ impl NvmeCommand {
         self.journal_tag = tag;
         self
     }
-
-    /// The encoded size of a command on the wire/bus: 64 bytes, the size the
-    /// advanced HAMS register interface bursts over DDR4 in eight beats.
-    pub const WIRE_SIZE_BYTES: u64 = 64;
 }
 
 #[cfg(test)]
@@ -162,7 +135,6 @@ mod tests {
     fn constructors_set_expected_fields() {
         let r = NvmeCommand::read(1, 0x10, 4096, PrpList::single(0xA000));
         assert_eq!(r.opcode, NvmeOpcode::Read);
-        assert!(r.opcode.is_read());
         assert!(!r.opcode.is_write());
         assert_eq!(r.slba, 0x10);
         assert_eq!(r.length, 4096);
@@ -171,10 +143,6 @@ mod tests {
 
         let w = NvmeCommand::write(1, 0x20, 8192, PrpList::single(0xB000));
         assert!(w.opcode.is_write());
-
-        let f = NvmeCommand::flush(1);
-        assert_eq!(f.opcode, NvmeOpcode::Flush);
-        assert_eq!(f.length, 0);
     }
 
     #[test]
@@ -184,10 +152,5 @@ mod tests {
             .with_journal_tag(true);
         assert!(c.fua);
         assert!(c.journal_tag);
-    }
-
-    #[test]
-    fn wire_size_matches_spec() {
-        assert_eq!(NvmeCommand::WIRE_SIZE_BYTES, 64);
     }
 }

@@ -26,11 +26,12 @@
 //! # Example
 //!
 //! ```
-//! use hams_nvme::{stripe_ranges, NvmeCommand, PrpList, QueueConfig};
+//! use hams_nvme::{stripe_ranges_into, NvmeCommand, PrpList, QueueConfig};
 //!
 //! let shape = QueueConfig::striped(4);
 //! // One 32 KB fill (8 LBAs) split into a stripe per queue pair.
-//! let stripes = stripe_ranges(8, u64::from(shape.num_queues));
+//! let mut stripes = Vec::new();
+//! stripe_ranges_into(8, u64::from(shape.num_queues), &mut stripes);
 //! assert_eq!(stripes, vec![(0, 2), (2, 2), (4, 2), (6, 2)]);
 //! let (lba, count) = stripes[1];
 //! let cmd = NvmeCommand::read(1, lba, count * 4096, PrpList::for_transfer(0x1000, count * 4096, 4096))
@@ -49,4 +50,4 @@ pub mod queue;
 pub use command::{CommandId, NvmeCommand, NvmeOpcode};
 pub use msi::{MsiCoalescer, MsiCoalescerStats, MsiCoalescing};
 pub use prp::{PrpEntry, PrpList};
-pub use queue::{stripe_ranges, stripe_ranges_into, QueueConfig};
+pub use queue::{stripe_ranges_into, QueueConfig};

@@ -90,7 +90,8 @@ impl MsiCoalescerStats {
 ///
 /// let mut c = MsiCoalescer::new(MsiCoalescing::batched(2, Nanos::from_micros(5)));
 /// let completions = [Nanos::from_micros(1), Nanos::from_micros(3)];
-/// let delivered = c.deliver(&completions);
+/// let mut delivered = Vec::new();
+/// c.deliver_into(&completions, &mut delivered);
 /// // Both completions ride one interrupt, posted when the second arrives.
 /// assert_eq!(delivered, vec![Nanos::from_micros(3); 2]);
 /// assert_eq!(c.stats().interrupts, 1);
@@ -129,25 +130,17 @@ impl MsiCoalescer {
         self.stats
     }
 
-    /// Computes the interrupt delivery time of each completion in one burst,
-    /// returned in ascending completion order (the input need not be sorted;
-    /// the output is index-aligned with the *sorted* completion times).
+    /// Computes the interrupt delivery time of each completion in one burst
+    /// into `out`, in ascending completion order (the input need not be
+    /// sorted; the output is index-aligned with the *sorted* completion
+    /// times). `out` is cleared, filled with the sorted completion times, and
+    /// then each group is overwritten in place with its interrupt delivery
+    /// time, so the HAMS fill path, which runs one burst per striped miss,
+    /// reuses one buffer and allocates nothing.
     ///
     /// Guarantees, for every completion time `c` with delivery time `d`:
     /// `c <= d` and `d - c <= timeout`; each posted interrupt covers at most
     /// `threshold` completions.
-    #[must_use]
-    pub fn deliver(&mut self, completions: &[Nanos]) -> Vec<Nanos> {
-        let mut out = Vec::new();
-        self.deliver_into(completions, &mut out);
-        out
-    }
-
-    /// [`Self::deliver`] into a caller-owned buffer — the hot-path form. The
-    /// HAMS fill path runs one burst per striped miss, so a reused buffer
-    /// keeps the delivery computation allocation-free. `out` is cleared,
-    /// filled with the sorted completion times, and then each group is
-    /// overwritten in place with its interrupt delivery time.
     pub fn deliver_into(&mut self, completions: &[Nanos], out: &mut Vec<Nanos>) {
         out.clear();
         out.extend_from_slice(completions);
@@ -184,6 +177,12 @@ impl MsiCoalescer {
 mod tests {
     use super::*;
 
+    fn deliver(c: &mut MsiCoalescer, completions: &[Nanos]) -> Vec<Nanos> {
+        let mut out = Vec::new();
+        c.deliver_into(completions, &mut out);
+        out
+    }
+
     #[test]
     fn immediate_coalescing_is_the_identity() {
         let mut c = MsiCoalescer::new(MsiCoalescing::immediate());
@@ -192,7 +191,7 @@ mod tests {
             Nanos::from_nanos(30),
             Nanos::from_nanos(20),
         ];
-        let d = c.deliver(&ts);
+        let d = deliver(&mut c, &ts);
         assert_eq!(
             d,
             vec![
@@ -209,7 +208,7 @@ mod tests {
     fn threshold_groups_fire_on_their_last_member() {
         let mut c = MsiCoalescer::new(MsiCoalescing::batched(4, Nanos::from_micros(100)));
         let ts: Vec<Nanos> = (1..=8).map(Nanos::from_micros).collect();
-        let d = c.deliver(&ts);
+        let d = deliver(&mut c, &ts);
         assert_eq!(&d[..4], &[Nanos::from_micros(4); 4]);
         assert_eq!(&d[4..], &[Nanos::from_micros(8); 4]);
         assert_eq!(c.stats().interrupts, 2);
@@ -220,13 +219,16 @@ mod tests {
     #[test]
     fn burst_stats_track_the_largest_group() {
         let mut c = MsiCoalescer::new(MsiCoalescing::batched(3, Nanos::from_micros(2)));
-        let _ = c.deliver(&[Nanos::from_micros(1)]);
+        let _ = deliver(&mut c, &[Nanos::from_micros(1)]);
         assert_eq!(c.stats().max_burst, 1);
-        let _ = c.deliver(&[
-            Nanos::from_micros(10),
-            Nanos::from_micros(11),
-            Nanos::from_micros(12),
-        ]);
+        let _ = deliver(
+            &mut c,
+            &[
+                Nanos::from_micros(10),
+                Nanos::from_micros(11),
+                Nanos::from_micros(12),
+            ],
+        );
         assert_eq!(c.stats().max_burst, 3);
         assert_eq!(c.stats().mean_burst(), 2.0);
         assert_eq!(MsiCoalescerStats::default().mean_burst(), 0.0);
@@ -242,7 +244,7 @@ mod tests {
             Nanos::from_micros(11),
             Nanos::from_micros(12),
         ];
-        let d = c.deliver(&ts);
+        let d = deliver(&mut c, &ts);
         // First group: only two completions arrive within the 2 us window, so
         // the timer fires at 1 us + 2 us.
         assert_eq!(&d[..2], &[Nanos::from_micros(3); 2]);
@@ -255,13 +257,13 @@ mod tests {
         let mut c = MsiCoalescer::new(MsiCoalescing::batched(8, Nanos::from_micros(50)));
         let ts = [Nanos::from_micros(5)];
         // A single-completion burst must not wait for the timer.
-        assert_eq!(c.deliver(&ts), vec![Nanos::from_micros(5)]);
+        assert_eq!(deliver(&mut c, &ts), vec![Nanos::from_micros(5)]);
     }
 
     #[test]
     fn empty_burst_delivers_nothing() {
         let mut c = MsiCoalescer::new(MsiCoalescing::batched(4, Nanos::from_micros(1)));
-        assert!(c.deliver(&[]).is_empty());
+        assert!(deliver(&mut c, &[]).is_empty());
         assert_eq!(c.stats().interrupts, 0);
     }
 

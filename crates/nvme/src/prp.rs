@@ -52,7 +52,7 @@ pub struct PrpList {
 }
 
 impl PrpList {
-    /// An empty list (used by data-less commands such as Flush).
+    /// An empty list, the PRP list of a zero-length transfer.
     #[must_use]
     pub fn empty() -> Self {
         PrpList::default()

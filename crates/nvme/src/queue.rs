@@ -69,31 +69,21 @@ impl Default for QueueConfig {
 }
 
 /// Partitions `lbas` logical blocks into at most `lanes` contiguous stripe
-/// ranges `(start_lba, lba_count)`, in address order. The first
-/// `lbas % lanes` stripes carry one extra block, so the split is as even as
-/// possible; `lanes` is clamped to `1..=lbas`. This is the one LBA-split
-/// rule every multi-queue submitter (the HAMS fill path, the FlatFlash
-/// MMIO path) shares, so a change to the partitioning cannot diverge
-/// between them.
+/// ranges `(start_lba, lba_count)`, in address order, into `out` (cleared
+/// first; the HAMS fill path partitions one page per simulated miss and
+/// reuses the buffer across misses). The first `lbas % lanes` stripes carry
+/// one extra block, so the split is as even as possible; `lanes` is clamped
+/// to `1..=lbas`. The HAMS fill path and perfbench's replays share this one
+/// LBA-split rule, so a change to the partitioning cannot diverge between
+/// them.
 ///
 /// # Example
 ///
 /// ```
-/// assert_eq!(
-///     hams_nvme::stripe_ranges(10, 4),
-///     vec![(0, 3), (3, 3), (6, 2), (8, 2)]
-/// );
+/// let mut ranges = Vec::new();
+/// hams_nvme::stripe_ranges_into(10, 4, &mut ranges);
+/// assert_eq!(ranges, vec![(0, 3), (3, 3), (6, 2), (8, 2)]);
 /// ```
-#[must_use]
-pub fn stripe_ranges(lbas: u64, lanes: u64) -> Vec<(u64, u64)> {
-    let mut ranges = Vec::new();
-    stripe_ranges_into(lbas, lanes, &mut ranges);
-    ranges
-}
-
-/// [`stripe_ranges`] into a caller-owned buffer — the hot-path form used by
-/// the HAMS fill path, which partitions one page per simulated miss and
-/// reuses the buffer across misses. `out` is cleared first.
 pub fn stripe_ranges_into(lbas: u64, lanes: u64, out: &mut Vec<(u64, u64)>) {
     out.clear();
     if lbas == 0 {
@@ -115,11 +105,17 @@ pub fn stripe_ranges_into(lbas: u64, lanes: u64, out: &mut Vec<(u64, u64)>) {
 mod tests {
     use super::*;
 
+    fn split(lbas: u64, lanes: u64) -> Vec<(u64, u64)> {
+        let mut ranges = Vec::new();
+        stripe_ranges_into(lbas, lanes, &mut ranges);
+        ranges
+    }
+
     #[test]
     fn stripe_ranges_cover_the_span_exactly_once() {
         for lbas in 1u64..40 {
             for lanes in 1u64..10 {
-                let ranges = stripe_ranges(lbas, lanes);
+                let ranges = split(lbas, lanes);
                 assert_eq!(ranges.len() as u64, lanes.min(lbas));
                 assert_eq!(ranges.iter().map(|(_, c)| c).sum::<u64>(), lbas);
                 let mut expected_start = 0;
@@ -130,7 +126,7 @@ mod tests {
                 }
             }
         }
-        assert!(stripe_ranges(0, 4).is_empty());
+        assert!(split(0, 4).is_empty());
     }
 
     #[test]

@@ -53,7 +53,8 @@ proptest! {
             t += g;
             completions.push(Nanos::from_nanos(t));
         }
-        let delivered = coalescer.deliver(&completions);
+        let mut delivered = Vec::new();
+        coalescer.deliver_into(&completions, &mut delivered);
         prop_assert_eq!(delivered.len(), completions.len());
         for (c, d) in completions.iter().zip(&delivered) {
             prop_assert!(*d >= *c, "interrupt delivered before its completion");

@@ -172,13 +172,6 @@ impl LruPageCache {
         v.sort_unstable();
         v
     }
-
-    /// Marks every resident page clean (e.g. after an `msync`-style flush).
-    pub fn clean_all(&mut self) {
-        for (_, d) in self.resident.values_mut() {
-            *d = false;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -226,14 +219,12 @@ mod tests {
     }
 
     #[test]
-    fn dirty_pages_and_clean_all() {
+    fn dirty_pages_are_listed_in_page_order() {
         let mut c = LruPageCache::new(4);
-        c.access(1, true);
-        c.access(2, false);
         c.access(3, true);
+        c.access(2, false);
+        c.access(1, true);
         assert_eq!(c.dirty_pages(), vec![1, 3]);
-        c.clean_all();
-        assert!(c.dirty_pages().is_empty());
     }
 
     #[test]

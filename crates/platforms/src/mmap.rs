@@ -65,25 +65,6 @@ impl MmapPlatform {
         }
     }
 
-    /// The paper's default baseline: `mmap` over ULL-Flash with the given
-    /// amount of DRAM page cache.
-    #[must_use]
-    pub fn ull_flash(dram_bytes: u64) -> Self {
-        Self::new("mmap", SsdConfig::ull_flash(), dram_bytes)
-    }
-
-    /// Hit rate of the OS page cache.
-    #[must_use]
-    pub fn page_cache_hit_rate(&self) -> f64 {
-        self.page_cache.stats().hit_rate()
-    }
-
-    /// Read access to the underlying SSD model.
-    #[must_use]
-    pub fn ssd(&self) -> &SsdDevice {
-        &self.ssd
-    }
-
     /// Device latency (flash plus PCIe) of reading one OS page at `now`.
     fn ssd_read(&mut self, page: u64, now: Nanos) -> Nanos {
         let cmd = NvmeCommand::read(1, page * OS_PAGE / LBA_SIZE, OS_PAGE, PrpList::single(0));
@@ -219,7 +200,7 @@ mod tests {
         let hit = p.access(&acc(64, false), fault.finished_at);
         assert_eq!(hit.os_time, Nanos::ZERO);
         assert!(hit.latency(fault.finished_at) < Nanos::from_micros(1));
-        assert!(p.page_cache_hit_rate() > 0.0);
+        assert!(p.hit_rate().unwrap() > 0.0);
     }
 
     #[test]

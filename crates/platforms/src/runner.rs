@@ -64,8 +64,11 @@ impl RunMetrics {
 /// How much the full-scale experiment is shrunk so it runs in seconds.
 ///
 /// Capacities (DRAM/NVDIMM caches) and dataset footprints are divided by
-/// `capacity_divisor`, which preserves the cache-to-dataset ratio and hence
-/// hit rates; the number of replayed accesses is capped at `accesses`.
+/// `capacity_divisor`, which preserves the cache-to-dataset ratio; the
+/// number of replayed accesses is capped at `accesses`. Hit rates and the
+/// headline ratios still move with the divisor, because the pinned NVDIMM
+/// region and the capacity floors do not scale: ROADMAP item 6 measures
+/// the converged hit rate and ratios at ÷128, ÷512 and ÷2048.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScaleProfile {
     /// Factor by which capacities and dataset sizes are divided.

@@ -201,7 +201,7 @@ mod tests {
         let platform = build_fault_platform(&scale);
         assert_eq!(platform.name(), "hams-TP");
         assert_eq!(platform.controller().num_devices(), FAULT_SWEEP_DEVICES);
-        assert!(platform.controller().backend_topology().has_parity());
+        assert!(platform.controller().archive().topology().has_parity());
         assert_eq!(
             platform.controller().archive().stripe_lbas(),
             1,

@@ -18,7 +18,7 @@
 //! ```
 //! use hams_sim::{Nanos, Resource};
 //!
-//! let mut channel = Resource::new("ddr4-ch0");
+//! let mut channel = Resource::default();
 //! // Two back-to-back 64-byte bursts contend for the same channel.
 //! let first = channel.acquire(Nanos::ZERO, Nanos::from_nanos(5));
 //! let second = channel.acquire(Nanos::ZERO, Nanos::from_nanos(5));

@@ -1,6 +1,8 @@
 //! Measurement primitives used to produce every figure of the paper.
 //!
 //! * [`Histogram`] — fixed-width-bucket latency histogram with percentiles,
+//! * [`nearest_rank`] — the rank rule behind every percentile the
+//!   simulator reports,
 //! * [`LatencyVector`] — named time components (e.g. `"mmap"`, `"io_stack"`,
 //!   `"ssd"`, `"cpu"`) that sum to a total, used for the stacked-bar figures
 //!   (Fig. 7a, 17, 18, 19). Components are slot-indexed by an interned
@@ -14,6 +16,37 @@ use serde::{Deserialize, Serialize};
 
 use crate::intern::ComponentId;
 use crate::time::Nanos;
+
+/// The 1-based nearest rank percentile `p` (clamped to `0..=100`) resolves
+/// to among `count` samples: `⌈p/100 · count⌉`, at least 1. This is the
+/// rule behind every percentile the simulator reports: [`Histogram`]'s
+/// queries rank bucketed samples by it, and a sorted sample list is indexed
+/// at `nearest_rank(p, len) - 1`.
+///
+/// # Example
+///
+/// ```
+/// use hams_sim::stats::nearest_rank;
+///
+/// // The median of four samples is the 2nd, not the upper middle one.
+/// assert_eq!(nearest_rank(50.0, 4), 2);
+/// assert_eq!(nearest_rank(99.0, 100), 99);
+/// assert_eq!(nearest_rank(99.9, 1000), 999);
+/// ```
+#[must_use]
+pub fn nearest_rank(p: f64, count: u64) -> u64 {
+    let exact = p.clamp(0.0, 100.0) / 100.0 * count as f64;
+    // `99.9 / 100.0` is 0.9990000000000001, so a product that should be an
+    // integer can land just above it; snap it back before the ceiling, or
+    // p99.9 of 1000 samples would resolve to rank 1000.
+    let nearest = exact.round();
+    let rank = if (exact - nearest).abs() <= nearest * 1e-9 {
+        nearest
+    } else {
+        exact.ceil()
+    };
+    rank.max(1.0) as u64
+}
 
 /// A fixed-bucket-width histogram of nanosecond latencies with percentile
 /// queries.
@@ -129,7 +162,7 @@ impl Histogram {
         if self.count == 0 {
             return None;
         }
-        let target = Self::rank_of(p, self.count);
+        let target = nearest_rank(p, self.count);
         let mut seen = 0;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
@@ -156,7 +189,7 @@ impl Histogram {
         // while a single cumulative count walks the buckets.
         let mut targets: Vec<(usize, u64)> = ps
             .iter()
-            .map(|p| Self::rank_of(*p, self.count))
+            .map(|p| nearest_rank(*p, self.count))
             .enumerate()
             .collect();
         targets.sort_by_key(|&(_, target)| target);
@@ -185,23 +218,6 @@ impl Histogram {
         results
     }
 
-    /// The 1-based sample rank percentile `p` resolves to among `count`
-    /// samples — the shared definition behind [`Histogram::percentile`] and
-    /// [`Histogram::percentiles`].
-    fn rank_of(p: f64, count: u64) -> u64 {
-        let exact = p.clamp(0.0, 100.0) / 100.0 * count as f64;
-        // `99.9 / 100.0` is 0.9990000000000001, so a product that should be
-        // an integer can land just above it; snap it back before the
-        // ceiling, or p99.9 of 1000 samples would resolve to rank 1000.
-        let nearest = exact.round();
-        let rank = if (exact - nearest).abs() <= nearest * 1e-9 {
-            nearest
-        } else {
-            exact.ceil()
-        };
-        rank.max(1.0) as u64
-    }
-
     /// The standard tail summary — count, mean, p50/p99/p99.9 and max — in
     /// **one** cumulative pass over the buckets. Returns `None` when the
     /// histogram is empty.
@@ -215,9 +231,9 @@ impl Histogram {
             return None;
         }
         let targets = [
-            Self::rank_of(50.0, self.count),
-            Self::rank_of(99.0, self.count),
-            Self::rank_of(99.9, self.count),
+            nearest_rank(50.0, self.count),
+            nearest_rank(99.0, self.count),
+            nearest_rank(99.9, self.count),
         ];
         // One walk resolves all three ranks and finds the highest non-empty
         // bucket; overflowed values resolve to the exact overflow maximum.
@@ -246,15 +262,6 @@ impl Histogram {
             p999: resolved[2],
             max,
         })
-    }
-
-    /// Clears all recorded samples.
-    pub fn reset(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.overflow = 0;
-        self.overflow_max = Nanos::ZERO;
-        self.count = 0;
-        self.sum = 0;
     }
 }
 
@@ -465,15 +472,6 @@ impl LatencyVector {
         self.present = 0;
         self.spill.clear();
     }
-
-    /// Returns the breakdown normalised so that components sum to 1.0.
-    /// Components of a zero-total breakdown normalise to 0.
-    #[must_use]
-    pub fn normalized(&self) -> Vec<(String, f64)> {
-        self.iter()
-            .map(|(name, _)| (name.to_owned(), self.fraction(name)))
-            .collect()
-    }
 }
 
 impl Default for LatencyVector {
@@ -512,14 +510,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_empty_and_reset() {
-        let mut h = Histogram::new(Nanos::from_nanos(10), 10);
-        assert_eq!(h.percentile(50.0), None);
-        assert_eq!(h.mean(), Nanos::ZERO);
-        h.record(Nanos::from_nanos(5));
-        h.reset();
+    fn empty_histogram_has_no_percentile() {
+        let h = Histogram::new(Nanos::from_nanos(10), 10);
         assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(50.0), None);
+        assert_eq!(h.mean(), Nanos::ZERO);
+        assert_eq!(h.overflow_max(), None);
     }
 
     #[test]
@@ -534,7 +530,7 @@ mod tests {
         b.add("a", Nanos::from_nanos(10));
         b.add("b", Nanos::from_nanos(30));
         b.add("a", Nanos::from_nanos(10));
-        let sum: f64 = b.normalized().iter().map(|(_, f)| f).sum();
+        let sum: f64 = b.iter().map(|(name, _)| b.fraction(name)).sum();
         assert!((sum - 1.0).abs() < 1e-9);
         assert_eq!(b.component("a"), Nanos::from_nanos(20));
         assert_eq!(b.component("missing"), Nanos::ZERO);
@@ -705,8 +701,6 @@ mod tests {
             h.percentiles(&[50.0, 99.9]),
             vec![Some(Nanos::from_micros(1)); 2]
         );
-        h.reset();
-        assert_eq!(h.overflow_max(), None);
     }
 
     #[test]

@@ -65,10 +65,10 @@ proptest! {
     }
 
     /// A resource never starts a grant before the request time, never before
-    /// the previous grant ends, and accounts busy time exactly.
+    /// the previous grant ends, and queues back-to-back requests with no gap.
     #[test]
     fn resource_grants_never_overlap(durations in proptest::collection::vec(1u64..10_000, 1..60)) {
-        let mut r = Resource::new("prop");
+        let mut r = Resource::default();
         let mut prev_end = Nanos::ZERO;
         let mut total = Nanos::ZERO;
         for d in &durations {
@@ -78,9 +78,8 @@ proptest! {
             prev_end = g.end;
             total += Nanos::from_nanos(*d);
         }
-        prop_assert_eq!(r.busy_time(), total);
         prop_assert_eq!(r.busy_until(), prev_end);
-        prop_assert_eq!(r.grants(), durations.len() as u64);
+        prop_assert_eq!(prev_end, total);
     }
 
     /// Histogram percentiles are monotone in the percentile and bounded by
@@ -106,7 +105,7 @@ proptest! {
         for (idx, v) in &components {
             b.add(names[*idx], Nanos::from_nanos(*v));
         }
-        let sum: f64 = b.normalized().iter().map(|(_, f)| f).sum();
+        let sum: f64 = b.iter().map(|(name, _)| b.fraction(name)).sum();
         if components.is_empty() {
             prop_assert_eq!(sum, 0.0);
         } else {

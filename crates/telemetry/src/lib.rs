@@ -32,7 +32,7 @@ mod span;
 pub use export::chrome_trace_json;
 pub use registry::{MetricKind, MetricSeries, MetricsRegistry, SeriesBucket};
 pub use sink::{SpanRecorder, TelemetrySink};
-pub use span::{component_spans, Layer, Span};
+pub use span::{Layer, Span};
 
 use hams_sim::Nanos;
 

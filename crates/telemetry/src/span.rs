@@ -1,6 +1,6 @@
 //! The span model: one interval of a request's lifecycle in simulated time.
 
-use hams_sim::{LatencyVector, Nanos};
+use hams_sim::Nanos;
 
 /// The serving-spine layer a span belongs to. Layers become Chrome-trace
 /// thread lanes, so one request's journey reads top-to-bottom: request →
@@ -159,34 +159,9 @@ impl Span {
     }
 }
 
-/// Lays the components of a latency breakdown out as back-to-back child spans
-/// starting at `start`, appending them to `out` in component-name order.
-///
-/// This is the bridge between the repo's per-request [`LatencyVector`] and
-/// the span model, and it gives span conservation *by construction*: the
-/// produced spans are contiguous and time-ordered, each zero-or-positive, and
-/// their durations sum exactly to `breakdown.total()` (the property
-/// `tests/span_conservation.rs` pins under proptest).
-///
-/// Returns the end instant of the last span (`start + breakdown.total()`).
-pub fn component_spans(
-    layer: Layer,
-    start: Nanos,
-    breakdown: &LatencyVector,
-    out: &mut Vec<Span>,
-) -> Nanos {
-    let mut cursor = start;
-    for (name, t) in breakdown.iter() {
-        out.push(Span::new(layer, name, cursor, cursor + t));
-        cursor += t;
-    }
-    cursor
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hams_sim::ComponentId;
 
     #[test]
     fn span_duration_and_tags() {
@@ -216,22 +191,6 @@ mod tests {
         );
         assert_eq!(s.duration(), Nanos::ZERO);
         assert_eq!(s.end, s.start);
-    }
-
-    #[test]
-    fn component_spans_conserve_total_and_tile() {
-        let mut v = LatencyVector::new();
-        v.add(ComponentId::SSD, Nanos::from_nanos(300));
-        v.add(ComponentId::DMA, Nanos::from_nanos(50));
-        v.add(ComponentId::NVDIMM, Nanos::from_nanos(15));
-        let mut out = Vec::new();
-        let end = component_spans(Layer::Controller, Nanos::from_nanos(1_000), &v, &mut out);
-        assert_eq!(end, Nanos::from_nanos(1_000) + v.total());
-        let sum: Nanos = out.iter().map(Span::duration).sum();
-        assert_eq!(sum, v.total());
-        for pair in out.windows(2) {
-            assert_eq!(pair[0].end, pair[1].start);
-        }
     }
 
     #[test]

@@ -164,16 +164,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// Total number of memory accesses the full workload performs.
-    ///
-    /// Rounds to nearest (not truncation) so that every consumer — the
-    /// closed-loop replay, the open-loop arrival generator, and capacity
-    /// planning — derives the same count from the same spec.
-    #[must_use]
-    pub fn total_memory_accesses(&self) -> u64 {
-        (self.total_instructions as f64 * self.memory_ratio()).round() as u64
-    }
-
     /// Average non-memory instructions between consecutive memory accesses.
     #[must_use]
     pub fn compute_per_access(&self) -> u64 {
@@ -332,9 +322,9 @@ impl WorkloadSpec {
 /// Deterministic generator of a workload's memory-access trace.
 ///
 /// The generator produces `count` accesses whose statistics follow the spec;
-/// `count` is typically a scaled-down sample of
-/// [`WorkloadSpec::total_memory_accesses`] so that experiments finish in
-/// seconds while preserving ratios.
+/// `count` is typically far below the full workload's memory accesses
+/// (`total_instructions` times [`WorkloadSpec::memory_ratio`]) so that
+/// experiments finish in seconds while preserving ratios.
 ///
 /// # Example
 ///
@@ -722,21 +712,6 @@ mod tests {
         assert!(fixed.memory_ratio() <= 1.0);
         assert!((fixed.memory_ratio() - 1.0).abs() < 1e-9);
         assert!((fixed.write_fraction() - 0.4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn total_memory_accesses_rounds_to_nearest() {
-        let mut spec = WorkloadSpec::by_name("rndRd").unwrap();
-        spec.total_instructions = 1_001;
-        spec.load_ratio = 0.4995;
-        spec.store_ratio = 0.0;
-        // 1_001 * 0.4995 = 500.0495: rounds down, same as truncation.
-        assert_eq!(spec.total_memory_accesses(), 500);
-        spec.load_ratio = 0.4999;
-        spec.store_ratio = 0.0006;
-        // 1_001 * 0.5005 = 500.9505: truncation used to report 500; rounding
-        // gives the 501 every consumer (replay, arrivals) now agrees on.
-        assert_eq!(spec.total_memory_accesses(), 501);
     }
 
     #[test]

@@ -16,9 +16,7 @@
 //!    none can move a failure or a rebuild row.
 //! 3. **Degraded reads are reads.** While a device is out, reads of its
 //!    stripes reconstruct from the `N − 1` survivors and every page durable
-//!    before the failure is durable again once the rebuild completes. The
-//!    XOR reconstruction model itself is property-tested against
-//!    pre-failure contents.
+//!    before the failure is durable again once the rebuild completes.
 //! 4. **The figure has the right shape.** `fig26` shows the sojourn p99
 //!    elevated against its healthy-twin baseline while degraded and
 //!    rebuilding, and back within tolerance of the twin once recovered.
@@ -331,20 +329,6 @@ fn open_loop_fault_schedule_replays_byte_identically() {
 }
 
 proptest! {
-    /// The XOR model is self-inverse: for any row of equal-length units,
-    /// `reconstruct` recovers any lost unit from the survivors plus
-    /// `parity_of` — the guarantee a degraded read rests on.
-    #[test]
-    fn xor_reconstruction_recovers_any_lost_unit(
-        units in collection::vec(collection::vec(any::<u8>(), 16..17), 2..7),
-        lost_seed in any::<usize>(),
-    ) {
-        let parity = Raid5Layout::parity_of(&units);
-        let lost = lost_seed % units.len();
-        let rebuilt = Raid5Layout::reconstruct(&units, &parity, lost);
-        prop_assert_eq!(&rebuilt, &units[lost]);
-    }
-
     /// Parity rotation visits every device exactly once per `N` consecutive
     /// rows, so no single device carries the parity write load.
     #[test]
