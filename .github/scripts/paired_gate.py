@@ -22,10 +22,12 @@ gate stops with exit status 2. The gate then reports whether the head's
 fingerprint is the base's (`same`) or not (`moved`); that line is a
 report, not a verdict, since a declared model change moves it on purpose.
 
-Two probes time `figures fig6` (the mmap path) and `figures fig26` (the
-fault path), which no benchmark workload runs, with HAMS_THREADS=1. A
-side's value in a pair is runs per second of its fastest of PROBE_RUNS
-runs, held to the bound of `host_accesses_per_s`.
+Three probes time paths no benchmark workload runs, with HAMS_THREADS=1:
+`figures fig6` (the mmap path), `figures fig18` (the loose HAMS modes,
+which serve through the SSD's internal DRAM; every workload is tight and
+DRAM-less) and `figures fig26` (the fault path). A side's value in a pair
+is runs per second of its fastest of PROBE_RUNS runs, held to the bound of
+`host_accesses_per_s`.
 
 Ratios of paired runs follow Kalibera & Jones, "Rigorous Benchmarking in
 Reasonable Time" (ISMM 2013); perfbench's host rate already keeps the
@@ -51,7 +53,7 @@ HEAD = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 PAIRS = 9
 SECONDS = 2
 SEED = 42
-PROBES = ("fig6", "fig26")
+PROBES = ("fig6", "fig18", "fig26")
 PROBE_RUNS = 3
 RATE_METRIC = "host_accesses_per_s"
 FINGERPRINT = "simulated fingerprint "

@@ -34,13 +34,12 @@
 //! intra-fill parallelism (the device sweep of `figures fig23` does this).
 
 use hams_nvme::{NvmeCommand, NvmeOpcode};
-use hams_sim::Nanos;
+use hams_sim::{LruStats, Nanos};
 use serde::{Deserialize, Serialize};
 
 use crate::device::{
     IoCompletion, PowerLossReport, SsdConfig, SsdDevice, SsdError, SsdStats, LBA_SIZE,
 };
-use crate::dram::DramStats;
 use crate::fault::{ArrayState, FaultInjector, FaultPlan, FaultStats, RebuildSpan};
 
 /// Shape of the archive backend behind the HAMS controller.
@@ -350,14 +349,13 @@ impl ArchiveSet {
 
     /// Aggregate internal-DRAM accounting across the set.
     #[must_use]
-    pub fn dram_stats(&self) -> DramStats {
-        let mut total = DramStats::default();
+    pub fn dram_stats(&self) -> LruStats {
+        let mut total = LruStats::default();
         for device in &self.devices {
             let s = device.dram_stats();
             total.hits += s.hits;
             total.misses += s.misses;
             total.dirty_evictions += s.dirty_evictions;
-            total.accesses += s.accesses;
         }
         total
     }
@@ -409,17 +407,13 @@ impl ArchiveSet {
         if self.devices.len() == 1 {
             return serve(&mut self.devices[0], cmd, now);
         }
-        if cmd.length == 0 {
-            let device = usize::from(self.device_of_slba(cmd.slba));
-            return serve(&mut self.devices[device], cmd, now);
-        }
         self.serve_by_stripe(cmd, |set, segment| {
             let device = usize::from(set.device_of_slba(segment.slba));
             serve(&mut set.devices[device], &segment, now)
         })
     }
 
-    /// Splits a non-empty command at stripe boundaries, serves each segment
+    /// Splits a command at stripe boundaries, serves each segment
     /// through `serve_segment` and merges the completions. Devices address
     /// their LBAs by identity, so each segment keeps its global `slba`.
     fn serve_by_stripe(
@@ -442,7 +436,7 @@ impl ArchiveSet {
             merged = Some(merge_completion(merged, completion));
             offset = segment_end;
         }
-        Ok(merged.expect("non-empty command produced at least one segment"))
+        Ok(merged.expect("a command has at least one byte, so one segment"))
     }
 
     /// The service path with a fault plan installed: every command first
@@ -459,9 +453,6 @@ impl ArchiveSet {
     ) -> Result<IoCompletion, SsdError> {
         if let Some(injector) = self.fault.as_mut() {
             injector.poll(now, &mut self.devices);
-        }
-        if cmd.length == 0 {
-            return self.serve_segment_faulted(cmd.clone(), now, fua);
         }
         self.serve_by_stripe(cmd, |set, segment| {
             set.serve_segment_faulted(segment, now, fua)

@@ -9,10 +9,9 @@
 //! DRAM-less ULL-Flash used by advanced HAMS.
 
 use hams_nvme::{NvmeCommand, NvmeOpcode};
-use hams_sim::Nanos;
+use hams_sim::{LruOutcome, LruStats, Nanos, PageLru};
 use serde::{Deserialize, Serialize};
 
-use crate::dram::{DramOutcome, InternalDram};
 use crate::fil::Fil;
 use crate::ftl::{Ftl, FtlError};
 use crate::geometry::{div_rem, FlashGeometry};
@@ -212,6 +211,11 @@ pub struct PowerLossReport {
 
 /// A complete SSD: HIL + FTL + FIL + internal DRAM.
 ///
+/// The internal DRAM is a write-back [`PageLru`] of flash pages: reads fill
+/// it, writes without FUA are acknowledged from it, and a dirty page it
+/// evicts is programmed in the background. A zero-byte DRAM (advanced HAMS)
+/// sends every page to flash.
+///
 /// # Example
 ///
 /// ```
@@ -229,7 +233,7 @@ pub struct SsdDevice {
     config: SsdConfig,
     ftl: Ftl,
     fil: Fil,
-    dram: InternalDram,
+    dram: PageLru,
     stats: SsdStats,
 }
 
@@ -243,7 +247,7 @@ impl SsdDevice {
             config,
             ftl: Ftl::new(config.geometry, config.over_provisioning),
             fil: Fil::new(config.geometry, config.timing, config.stripe_halves),
-            dram: InternalDram::new(dram_pages, config.dram_access_latency),
+            dram: PageLru::new(dram_pages),
             stats: SsdStats::default(),
         }
     }
@@ -274,14 +278,14 @@ impl SsdDevice {
 
     /// Internal DRAM accounting.
     #[must_use]
-    pub fn dram_stats(&self) -> &crate::dram::DramStats {
+    pub fn dram_stats(&self) -> &LruStats {
         self.dram.stats()
     }
 
     /// Whether the internal DRAM buffer is present.
     #[must_use]
     pub fn has_internal_dram(&self) -> bool {
-        self.dram.capacity_pages() > 0
+        self.dram.capacity() > 0
     }
 
     /// Services an NVMe command issued at `now`.
@@ -329,11 +333,7 @@ impl SsdDevice {
         let page = self.config.geometry.page_size;
         let start_byte = cmd.slba * LBA_SIZE;
         let first = div_rem(start_byte, page).0;
-        let last = if cmd.length == 0 {
-            first
-        } else {
-            div_rem(start_byte + cmd.length - 1, page).0
-        };
+        let last = div_rem(start_byte + cmd.length - 1, page).0;
         (first, last)
     }
 
@@ -350,15 +350,15 @@ impl SsdDevice {
             subs += 1;
             firmware_clock += timing.ftl_overhead;
             let outcome = if self.has_internal_dram() {
-                self.dram.read(lpn)
+                self.dram.access(lpn, false)
             } else {
-                DramOutcome::Miss
+                LruOutcome::Miss
             };
             match outcome {
-                DramOutcome::Hit => {
-                    finish = finish.max(firmware_clock + self.dram.access_latency());
+                LruOutcome::Hit => {
+                    finish = finish.max(firmware_clock + self.config.dram_access_latency);
                 }
-                _ => {
+                miss => {
                     all_dram = false;
                     let done = match self.ftl.lookup(lpn) {
                         Some(ppn) => {
@@ -370,10 +370,10 @@ impl SsdDevice {
                         // Never-written page: served as zero-fill by firmware.
                         None => firmware_clock,
                     };
-                    if self.has_internal_dram() {
-                        if let Some(evicted) = self.dram.install(lpn, false) {
-                            self.write_back(evicted, done);
-                        }
+                    // The miss installed the page already; a dirty victim's
+                    // write-back starts when the flash read finishes.
+                    if let LruOutcome::MissEvictDirty { victim } = miss {
+                        self.write_back(victim, done);
                     }
                     finish = finish.max(done);
                 }
@@ -408,15 +408,12 @@ impl SsdDevice {
             subs += 1;
             firmware_clock += timing.ftl_overhead;
             if buffered {
-                match self.dram.write(lpn) {
-                    DramOutcome::MissEvictDirty { evicted_lpn } => {
-                        // The victim write-back happens in the background; it
-                        // occupies flash resources but does not delay this ack.
-                        self.write_back(evicted_lpn, firmware_clock);
-                    }
-                    DramOutcome::Hit | DramOutcome::Miss => {}
+                if let LruOutcome::MissEvictDirty { victim } = self.dram.access(lpn, true) {
+                    // The victim write-back happens in the background; it
+                    // occupies flash resources but does not delay this ack.
+                    self.write_back(victim, firmware_clock);
                 }
-                finish = finish.max(firmware_clock + self.dram.access_latency());
+                finish = finish.max(firmware_clock + self.config.dram_access_latency);
             } else {
                 all_dram = false;
                 let outcome = self.ftl.write(lpn)?;
@@ -464,30 +461,26 @@ impl SsdDevice {
     /// Super-capacitor-backed devices flush their dirty internal-DRAM pages to
     /// flash (the design HAMS mandates, §IV-B); unprotected devices lose them.
     pub fn power_fail(&mut self, now: Nanos) -> PowerLossReport {
-        if self.config.supercap_backed {
-            let dirty = self.dram.flush_dirty();
-            let mut finish = now;
-            for lpn in &dirty {
-                if let Ok(outcome) = self.ftl.write(*lpn) {
-                    self.stats.page_programs += 1;
-                    let c = self.fil.schedule_page(outcome.ppn, FlashOp::Program, now);
-                    finish = finish.max(c.finished_at);
-                }
-            }
-            self.dram.discard_all();
-            PowerLossReport {
-                flushed_pages: dirty,
-                lost_pages: Vec::new(),
-                flush_time: finish - now,
-            }
-        } else {
-            let lost: Vec<u64> = self.dram.flush_dirty();
-            self.dram.discard_all();
-            PowerLossReport {
+        let dirty = self.dram.drain_dirty();
+        if !self.config.supercap_backed {
+            return PowerLossReport {
                 flushed_pages: Vec::new(),
-                lost_pages: lost,
+                lost_pages: dirty,
                 flush_time: Nanos::ZERO,
+            };
+        }
+        let mut finish = now;
+        for lpn in &dirty {
+            if let Ok(outcome) = self.ftl.write(*lpn) {
+                self.stats.page_programs += 1;
+                let c = self.fil.schedule_page(outcome.ppn, FlashOp::Program, now);
+                finish = finish.max(c.finished_at);
             }
+        }
+        PowerLossReport {
+            flushed_pages: dirty,
+            lost_pages: Vec::new(),
+            flush_time: finish - now,
         }
     }
 
@@ -496,9 +489,7 @@ impl SsdDevice {
     /// controller is left to flush it). Returns the dirty pages lost: writes
     /// the device acknowledged but never programmed.
     pub fn fail_stop(&mut self) -> usize {
-        let lost = self.dram.dirty_pages();
-        self.dram.discard_all();
-        lost
+        self.dram.drain_dirty().len()
     }
 
     /// Returns `true` if logical page `lpn` is durably stored on flash (not
@@ -617,6 +608,21 @@ mod tests {
         assert!(report.lost_pages.is_empty());
         assert!(report.flush_time >= Nanos::from_micros(100));
         assert!(ssd.is_durable(0));
+    }
+
+    #[test]
+    fn read_miss_into_a_full_dirty_buffer_writes_the_victim_back() {
+        let mut ssd = SsdDevice::new(SsdConfig::tiny_for_tests());
+        let pages = ssd.config().dram_capacity_bytes / 4096;
+        for lba in 0..pages {
+            ssd.service(&write_cmd(lba, 4096), Nanos::ZERO).unwrap();
+        }
+        assert_eq!(ssd.stats().page_programs, 0);
+        ssd.service(&read_cmd(pages, 4096), Nanos::from_micros(10))
+            .unwrap();
+        assert_eq!(ssd.stats().page_programs, 1);
+        assert!(ssd.is_durable(0), "the LRU victim is programmed");
+        assert!(!ssd.is_durable(1), "only the victim leaves the buffer");
     }
 
     #[test]

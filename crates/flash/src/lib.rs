@@ -14,8 +14,8 @@
 //! * a flash interface layer that schedules operations onto channel/die
 //!   resources, including the ULL-Flash half-page dual-channel striping
 //!   ([`fil`]),
-//! * the SSD-internal DRAM buffer that advanced HAMS removes ([`dram`]),
-//! * the assembled NVMe-command-serving device ([`device`]),
+//! * the assembled NVMe-command-serving device ([`device`]), whose internal
+//!   DRAM buffer, the one advanced HAMS removes, is a [`hams_sim::PageLru`],
 //! * the multi-device topology layer: N archives behind one
 //!   capacity-unified address space — striped RAID-0 style or
 //!   rotating-parity RAID-5 style ([`archive`]),
@@ -40,7 +40,6 @@
 
 pub mod archive;
 pub mod device;
-pub mod dram;
 pub mod fault;
 pub mod fil;
 pub mod ftl;
@@ -51,7 +50,6 @@ pub use archive::{ArchiveSet, BackendTopology};
 pub use device::{
     IoCompletion, PowerLossReport, SsdConfig, SsdDevice, SsdError, SsdStats, LBA_SIZE,
 };
-pub use dram::{DramOutcome, DramStats, InternalDram};
 pub use fault::{
     ArrayState, FaultEvent, FaultInjector, FaultPlan, FaultStats, Raid5Layout, RebuildConfig,
     RebuildSpan,

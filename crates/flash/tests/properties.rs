@@ -1,7 +1,7 @@
-//! Property-based tests for the flash substrate: FTL mapping invariants,
-//! internal-DRAM bounds and device-level causality.
+//! Property-based tests for the flash substrate: FTL mapping invariants and
+//! device-level causality.
 
-use hams_flash::{FlashGeometry, Ftl, InternalDram, SsdConfig, SsdDevice};
+use hams_flash::{FlashGeometry, Ftl, SsdConfig, SsdDevice};
 use hams_nvme::{NvmeCommand, PrpList};
 use hams_sim::Nanos;
 use proptest::prelude::*;
@@ -39,27 +39,6 @@ proptest! {
         if ftl.stats().host_writes > 0 {
             prop_assert!(ftl.stats().write_amplification() >= 1.0);
         }
-    }
-
-    /// The internal DRAM never holds more pages than its capacity and its
-    /// hit/miss counts always add up.
-    #[test]
-    fn internal_dram_respects_capacity(
-        capacity in 1usize..64,
-        ops in proptest::collection::vec((0u64..256, any::<bool>()), 1..300),
-    ) {
-        let mut dram = InternalDram::new(capacity, Nanos::from_nanos(200));
-        for (lpn, is_write) in &ops {
-            if *is_write {
-                dram.write(*lpn);
-            } else {
-                dram.read(*lpn);
-            }
-            prop_assert!(dram.resident_pages() <= capacity);
-            prop_assert!(dram.dirty_pages() <= dram.resident_pages());
-        }
-        let s = dram.stats();
-        prop_assert_eq!(s.hits + s.misses, ops.len() as u64);
     }
 
     /// Device-level: write completion times never precede issue times.

@@ -83,8 +83,14 @@ pub struct NvmeCommand {
 
 impl NvmeCommand {
     /// Builds a read command for `length` bytes starting at `slba`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `length` is zero: NVMe encodes a transfer's block count
+    /// 0's-based, so a read or write always moves at least one block.
     #[must_use]
     pub fn read(nsid: u32, slba: u64, length: u64, prp: PrpList) -> Self {
+        assert!(length > 0, "an NVMe read moves at least one block");
         NvmeCommand {
             cid: 0,
             opcode: NvmeOpcode::Read,
@@ -98,8 +104,13 @@ impl NvmeCommand {
     }
 
     /// Builds a write command for `length` bytes starting at `slba`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `length` is zero, as [`NvmeCommand::read`] does.
     #[must_use]
     pub fn write(nsid: u32, slba: u64, length: u64, prp: PrpList) -> Self {
+        assert!(length > 0, "an NVMe write moves at least one block");
         NvmeCommand {
             cid: 0,
             opcode: NvmeOpcode::Write,
@@ -143,6 +154,12 @@ mod tests {
 
         let w = NvmeCommand::write(1, 0x20, 8192, PrpList::single(0xB000));
         assert!(w.opcode.is_write());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one block")]
+    fn zero_length_commands_cannot_be_built() {
+        let _ = NvmeCommand::write(1, 0, 0, PrpList::empty());
     }
 
     #[test]

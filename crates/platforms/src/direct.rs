@@ -11,19 +11,12 @@ use hams_energy::{EnergyAccount, PowerParams};
 use hams_flash::{SsdConfig, SsdDevice, LBA_SIZE};
 use hams_interconnect::{Ddr4Channel, Ddr4Config, PcieConfig, PcieLink};
 use hams_nvme::{NvmeCommand, PrpList};
-use hams_sim::Nanos;
+use hams_sim::{LruOutcome, Nanos, PageLru};
 use hams_workloads::Access;
 
-use crate::cache::{CacheOutcome, LruPageCache};
-use crate::platform::{AccessOutcome, Platform};
+use crate::platform::{znand_energy, AccessOutcome, Platform};
 
 const OS_PAGE: u64 = 4096;
-
-fn znand_energy(power: &PowerParams, ssd: &SsdDevice) -> f64 {
-    (ssd.stats().page_reads as f64 * power.znand_read_page_nj
-        + ssd.stats().page_programs as f64 * power.znand_program_page_nj)
-        / 1e9
-}
 
 /// FlatFlash: the SSD is exposed byte-addressably over MMIO.
 ///
@@ -33,7 +26,7 @@ fn znand_energy(power: &PowerParams, ssd: &SsdDevice) -> f64 {
 #[derive(Debug)]
 pub struct FlatFlashPlatform {
     name: String,
-    host_cache: Option<LruPageCache>,
+    host_cache: Option<PageLru>,
     ssd: SsdDevice,
     pcie: PcieLink,
     ddr: Ddr4Channel,
@@ -42,41 +35,31 @@ pub struct FlatFlashPlatform {
 }
 
 impl FlatFlashPlatform {
-    /// `flatflash-P`: direct MMIO access, fully persistent.
+    /// `flatflash-P` over an SSD described by `ssd`: direct MMIO access,
+    /// fully persistent.
     #[must_use]
-    pub fn persistent() -> Self {
-        Self::build("flatflash-P", None)
+    pub fn persistent(ssd: SsdConfig) -> Self {
+        Self::build("flatflash-P", ssd, None)
     }
 
-    /// `flatflash-M`: hot pages buffered in `dram_bytes` of host memory.
+    /// `flatflash-M` over an SSD described by `ssd`: hot pages buffered in
+    /// `dram_bytes` of host memory.
     #[must_use]
-    pub fn memory_cached(dram_bytes: u64) -> Self {
-        Self::build(
-            "flatflash-M",
-            Some(LruPageCache::new((dram_bytes / OS_PAGE) as usize)),
-        )
+    pub fn memory_cached(ssd: SsdConfig, dram_bytes: u64) -> Self {
+        let host_cache = PageLru::new((dram_bytes / OS_PAGE) as usize);
+        Self::build("flatflash-M", ssd, Some(host_cache))
     }
 
-    fn build(name: &str, host_cache: Option<LruPageCache>) -> Self {
+    fn build(name: &str, ssd: SsdConfig, host_cache: Option<PageLru>) -> Self {
         FlatFlashPlatform {
             name: name.to_owned(),
             host_cache,
-            ssd: SsdDevice::new(SsdConfig::ull_flash()),
+            ssd: SsdDevice::new(ssd),
             pcie: PcieLink::new(PcieConfig::gen3_x4()),
             ddr: Ddr4Channel::new(Ddr4Config::ddr4_2133()),
             power: PowerParams::paper_default(),
             dram_bytes_accessed: 0,
         }
-    }
-
-    /// Replaces the SSD with one whose internal DRAM holds `bytes` (used by
-    /// scaled-down experiments to preserve the paper's capacity ratios).
-    #[must_use]
-    pub fn with_ssd_dram_bytes(mut self, bytes: u64) -> Self {
-        let mut cfg = SsdConfig::ull_flash();
-        cfg.dram_capacity_bytes = bytes;
-        self.ssd = SsdDevice::new(cfg);
-        self
     }
 
     /// One MMIO access of `size` bytes to the SSD: a small PCIe transaction
@@ -108,7 +91,7 @@ impl Platform for FlatFlashPlatform {
         if let Some(cache) = &mut self.host_cache {
             let page = access.addr / OS_PAGE;
             let outcome = cache.access(page, access.is_write);
-            if outcome.is_hit() {
+            if outcome == LruOutcome::Hit {
                 self.dram_bytes_accessed += access.size;
                 let served = self.ddr.transfer(access.size, t).finished_at + Nanos::from_nanos(30);
                 return AccessOutcome {
@@ -120,7 +103,7 @@ impl Platform for FlatFlashPlatform {
             }
             // Promote the page to host DRAM over MMIO (page-sized pull).
             let promoted = self.mmio_access(access.addr, OS_PAGE, false, t);
-            if let CacheOutcome::MissEvictDirty { victim } = outcome {
+            if let LruOutcome::MissEvictDirty { victim } = outcome {
                 t = self.mmio_access(victim * OS_PAGE, OS_PAGE, true, promoted);
             } else {
                 t = promoted;
@@ -156,10 +139,11 @@ impl Platform for FlatFlashPlatform {
         );
         e.add(
             "internal_dram",
-            (self.ssd.dram_stats().accesses * 4096) as f64 * self.power.ssd_dram_access_nj_per_byte
+            (self.ssd.dram_stats().accesses() * 4096) as f64
+                * self.power.ssd_dram_access_nj_per_byte
                 / 1e9,
         );
-        e.add("znand", znand_energy(&self.power, &self.ssd));
+        e.add("znand", znand_energy(&self.power, self.ssd.stats()));
         e
     }
 
@@ -178,7 +162,7 @@ impl Platform for FlatFlashPlatform {
 #[derive(Debug)]
 pub struct OptanePlatform {
     name: String,
-    dram_cache: Option<LruPageCache>,
+    dram_cache: Option<PageLru>,
     power: PowerParams,
     ddr: Ddr4Channel,
     media_reads: u64,
@@ -216,7 +200,7 @@ impl OptanePlatform {
     pub fn memory_mode(dram_bytes: u64) -> Self {
         OptanePlatform {
             name: "optane-M".to_owned(),
-            dram_cache: Some(LruPageCache::new((dram_bytes / OS_PAGE) as usize)),
+            dram_cache: Some(PageLru::new((dram_bytes / OS_PAGE) as usize)),
             ..Self::app_direct()
         }
     }
@@ -246,7 +230,7 @@ impl Platform for OptanePlatform {
     fn access(&mut self, access: &Access, now: Nanos) -> AccessOutcome {
         let finished = if let Some(cache) = &mut self.dram_cache {
             let page = access.addr / OS_PAGE;
-            if cache.access(page, access.is_write).is_hit() {
+            if cache.access(page, access.is_write) == LruOutcome::Hit {
                 self.dram_bytes_accessed += access.size;
                 self.ddr.transfer(access.size, now).finished_at + Nanos::from_nanos(30)
             } else {
@@ -292,7 +276,7 @@ impl Platform for OptanePlatform {
 /// costs tens of microseconds (§VI-B).
 #[derive(Debug)]
 pub struct NvdimmCPlatform {
-    dram_cache: LruPageCache,
+    dram_cache: PageLru,
     ssd: SsdDevice,
     ddr: Ddr4Channel,
     power: PowerParams,
@@ -304,26 +288,17 @@ impl NvdimmCPlatform {
     /// across) DRAM refresh windows; the paper quotes up to 48 µs per page.
     pub const REFRESH_MIGRATION_PENALTY: Nanos = Nanos::from_micros(40);
 
-    /// Creates the platform with `dram_bytes` of DRAM cache.
+    /// Creates the platform with `dram_bytes` of DRAM cache over an SSD
+    /// described by `ssd`.
     #[must_use]
-    pub fn new(dram_bytes: u64) -> Self {
+    pub fn new(ssd: SsdConfig, dram_bytes: u64) -> Self {
         NvdimmCPlatform {
-            dram_cache: LruPageCache::new((dram_bytes / OS_PAGE) as usize),
-            ssd: SsdDevice::new(SsdConfig::ull_flash()),
+            dram_cache: PageLru::new((dram_bytes / OS_PAGE) as usize),
+            ssd: SsdDevice::new(ssd),
             ddr: Ddr4Channel::new(Ddr4Config::ddr4_2666()),
             power: PowerParams::paper_default(),
             dram_bytes_accessed: 0,
         }
-    }
-
-    /// Replaces the SSD with one whose internal DRAM holds `bytes` (used by
-    /// scaled-down experiments to preserve the paper's capacity ratios).
-    #[must_use]
-    pub fn with_ssd_dram_bytes(mut self, bytes: u64) -> Self {
-        let mut cfg = SsdConfig::ull_flash();
-        cfg.dram_capacity_bytes = bytes;
-        self.ssd = SsdDevice::new(cfg);
-        self
     }
 
     fn migrate(&mut self, page: u64, is_write: bool, now: Nanos) -> Nanos {
@@ -351,9 +326,9 @@ impl Platform for NvdimmCPlatform {
         let page = access.addr / OS_PAGE;
         let outcome = self.dram_cache.access(page, access.is_write);
         let mut t = now;
-        if !outcome.is_hit() {
+        if outcome != LruOutcome::Hit {
             t = self.migrate(page, false, t);
-            if let CacheOutcome::MissEvictDirty { victim } = outcome {
+            if let LruOutcome::MissEvictDirty { victim } = outcome {
                 t = self.migrate(victim, true, t);
             }
         }
@@ -379,7 +354,7 @@ impl Platform for NvdimmCPlatform {
             self.power.ssd_dram_background_watts,
             elapsed,
         );
-        e.add("znand", znand_energy(&self.power, &self.ssd));
+        e.add("znand", znand_energy(&self.power, self.ssd.stats()));
         e
     }
 
@@ -469,7 +444,7 @@ mod tests {
 
     #[test]
     fn flatflash_p_cache_line_access_is_microseconds() {
-        let mut p = FlatFlashPlatform::persistent();
+        let mut p = FlatFlashPlatform::persistent(SsdConfig::ull_flash());
         let o = p.access(&acc(0, false, 64), Nanos::ZERO);
         let us = o.latency(Nanos::ZERO).as_micros_f64();
         assert!(us > 1.0 && us < 10.0, "flatflash-P 64B access was {us}us");
@@ -478,8 +453,8 @@ mod tests {
 
     #[test]
     fn flatflash_m_beats_flatflash_p_on_reuse() {
-        let mut pp = FlatFlashPlatform::persistent();
-        let mut pm = FlatFlashPlatform::memory_cached(1 << 20);
+        let mut pp = FlatFlashPlatform::persistent(SsdConfig::ull_flash());
+        let mut pm = FlatFlashPlatform::memory_cached(SsdConfig::ull_flash(), 1 << 20);
         let mut tp = Nanos::ZERO;
         let mut tm = Nanos::ZERO;
         for i in 0..64u64 {
@@ -516,7 +491,7 @@ mod tests {
 
     #[test]
     fn nvdimm_c_migration_penalty_dominates_misses() {
-        let mut p = NvdimmCPlatform::new(1 << 20);
+        let mut p = NvdimmCPlatform::new(SsdConfig::ull_flash(), 1 << 20);
         let miss = p.access(&acc(0, false, 64), Nanos::ZERO);
         assert!(miss.latency(Nanos::ZERO) >= NvdimmCPlatform::REFRESH_MIGRATION_PENALTY);
         let hit = p.access(&acc(64, false, 64), miss.finished_at);

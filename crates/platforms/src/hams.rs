@@ -10,7 +10,7 @@ use hams_sim::{LatencyVector, Nanos};
 use hams_telemetry::TelemetrySink;
 use hams_workloads::Access;
 
-use crate::platform::{AccessOutcome, BatchOutcome, BatchRequest, Platform};
+use crate::platform::{znand_energy, AccessOutcome, BatchOutcome, BatchRequest, Platform};
 
 /// MoS page size of [`HamsPlatform::scaled_config`], and so of the scaled
 /// `hams-LP/LE/TP/TE` platforms and the shard sweep: 8 KB — two LBAs, so
@@ -283,18 +283,12 @@ impl Platform for HamsPlatform {
             );
             e.add(
                 "internal_dram",
-                (archive.dram_stats().accesses * 4096) as f64
+                (archive.dram_stats().accesses() * 4096) as f64
                     * self.power.ssd_dram_access_nj_per_byte
                     / 1e9,
             );
         }
-        let flash = archive.stats();
-        e.add(
-            "znand",
-            (flash.page_reads as f64 * self.power.znand_read_page_nj
-                + flash.page_programs as f64 * self.power.znand_program_page_nj)
-                / 1e9,
-        );
+        e.add("znand", znand_energy(&self.power, &archive.stats()));
         e
     }
 

@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
 pub mod direct;
 pub mod hams;
 pub mod mmap;
@@ -45,7 +44,6 @@ pub mod runner;
 pub mod summary;
 pub mod sweep;
 
-pub use cache::{CacheOutcome, CacheStats, LruPageCache};
 pub use direct::{FlatFlashPlatform, NvdimmCPlatform, OptanePlatform, OraclePlatform};
 pub use hams::{HamsPlatform, SCALED_MOS_PAGE_BYTES};
 pub use hams_core::{BackendTopology, ShardConfig, ShardHashPolicy};

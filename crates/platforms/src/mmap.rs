@@ -7,11 +7,10 @@ use hams_flash::{SsdConfig, SsdDevice, LBA_SIZE};
 use hams_host::MmfCostModel;
 use hams_interconnect::{Ddr4Channel, Ddr4Config, PcieConfig, PcieLink};
 use hams_nvme::{NvmeCommand, PrpList};
-use hams_sim::Nanos;
+use hams_sim::{LruOutcome, Nanos, PageLru};
 use hams_workloads::Access;
 
-use crate::cache::{CacheOutcome, LruPageCache};
-use crate::platform::{AccessOutcome, Platform};
+use crate::platform::{znand_energy, AccessOutcome, Platform};
 
 /// OS page size used by the memory-mapped-file path.
 const OS_PAGE: u64 = 4096;
@@ -39,7 +38,7 @@ const OS_PAGE: u64 = 4096;
 #[derive(Debug)]
 pub struct MmapPlatform {
     name: String,
-    page_cache: LruPageCache,
+    page_cache: PageLru,
     mmf: MmfCostModel,
     ssd: SsdDevice,
     pcie: PcieLink,
@@ -55,7 +54,7 @@ impl MmapPlatform {
     pub fn new(name: impl Into<String>, ssd: SsdConfig, dram_bytes: u64) -> Self {
         MmapPlatform {
             name: name.into(),
-            page_cache: LruPageCache::new((dram_bytes / OS_PAGE) as usize),
+            page_cache: PageLru::new((dram_bytes / OS_PAGE) as usize),
             mmf: MmfCostModel::linux_4_9(),
             ssd: SsdDevice::new(ssd),
             pcie: PcieLink::new(PcieConfig::gen3_x4()),
@@ -106,7 +105,7 @@ impl Platform for MmapPlatform {
         let mut t = now;
 
         let outcome = self.page_cache.access(page, access.is_write);
-        if !outcome.is_hit() {
+        if outcome != LruOutcome::Hit {
             // Page fault: software stack, then the device read, then (for a
             // dirty eviction) the write-back of the victim.
             let software = self.mmf.fault_overhead(OS_PAGE).total();
@@ -117,7 +116,7 @@ impl Platform for MmapPlatform {
             ssd_time += ssd_done - t;
             t = ssd_done;
 
-            if let CacheOutcome::MissEvictDirty { victim } = outcome {
+            if let LruOutcome::MissEvictDirty { victim } = outcome {
                 let wb_software = self.mmf.writeback_overhead(OS_PAGE).total();
                 os_time += wb_software;
                 t += wb_software;
@@ -151,17 +150,12 @@ impl Platform for MmapPlatform {
             self.power.ssd_dram_background_watts,
             elapsed,
         );
-        let dram_bytes = self.ssd.dram_stats().accesses * 4096;
+        let dram_bytes = self.ssd.dram_stats().accesses() * 4096;
         e.add(
             "internal_dram",
             dram_bytes as f64 * self.power.ssd_dram_access_nj_per_byte / 1e9,
         );
-        e.add(
-            "znand",
-            (self.ssd.stats().page_reads as f64 * self.power.znand_read_page_nj
-                + self.ssd.stats().page_programs as f64 * self.power.znand_program_page_nj)
-                / 1e9,
-        );
+        e.add("znand", znand_energy(&self.power, self.ssd.stats()));
         e
     }
 

@@ -5,7 +5,8 @@
 //! `optane-P/-M`, the four HAMS variants and the `oracle` — implements this
 //! trait, so the runner and every figure harness are platform-agnostic.
 
-use hams_energy::EnergyAccount;
+use hams_energy::{EnergyAccount, PowerParams};
+use hams_flash::SsdStats;
 use hams_sim::{LatencyVector, Nanos};
 use hams_telemetry::TelemetrySink;
 use hams_workloads::Access;
@@ -86,6 +87,14 @@ impl BatchOutcome {
     pub fn finished_at(&self, start: Nanos) -> Nanos {
         self.outcomes.last().map_or(start, |o| o.finished_at)
     }
+}
+
+/// Joules the Z-NAND array spent on the page reads and programs in `flash`,
+/// the `znand` component of every flash-backed platform's device energy.
+pub(crate) fn znand_energy(power: &PowerParams, flash: &SsdStats) -> f64 {
+    (flash.page_reads as f64 * power.znand_read_page_nj
+        + flash.page_programs as f64 * power.znand_program_page_nj)
+        / 1e9
 }
 
 /// A complete system under test.

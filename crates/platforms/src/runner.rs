@@ -199,32 +199,24 @@ impl PlatformKind {
     }
 
     /// Builds the platform with caches sized by `scale`: every cache gets
-    /// [`ScaleProfile::cache_bytes`], every SSD-internal DRAM
-    /// [`ScaleProfile::ssd_dram_bytes`], and the HAMS modes are
+    /// [`ScaleProfile::cache_bytes`], every ULL-Flash SSD an internal DRAM
+    /// of [`ScaleProfile::ssd_dram_bytes`], and the HAMS modes are
     /// [`HamsPlatform::scaled`].
     #[must_use]
     pub fn build(&self, scale: &ScaleProfile) -> Box<dyn Platform> {
-        let hams =
-            |attach, persist| Box::new(HamsPlatform::scaled(attach, persist, scale.cache_bytes()));
+        let cache = scale.cache_bytes();
+        let ssd = SsdConfig {
+            dram_capacity_bytes: scale.ssd_dram_bytes(),
+            ..SsdConfig::ull_flash()
+        };
+        let hams = |attach, persist| Box::new(HamsPlatform::scaled(attach, persist, cache));
         match self {
-            PlatformKind::Mmap => {
-                let mut ssd = SsdConfig::ull_flash();
-                ssd.dram_capacity_bytes = scale.ssd_dram_bytes();
-                Box::new(MmapPlatform::new("mmap", ssd, scale.cache_bytes()))
-            }
-            PlatformKind::FlatFlashP => Box::new(
-                FlatFlashPlatform::persistent().with_ssd_dram_bytes(scale.ssd_dram_bytes()),
-            ),
-            PlatformKind::FlatFlashM => Box::new(
-                FlatFlashPlatform::memory_cached(scale.cache_bytes())
-                    .with_ssd_dram_bytes(scale.ssd_dram_bytes()),
-            ),
-            PlatformKind::NvdimmC => Box::new(
-                NvdimmCPlatform::new(scale.cache_bytes())
-                    .with_ssd_dram_bytes(scale.ssd_dram_bytes()),
-            ),
+            PlatformKind::Mmap => Box::new(MmapPlatform::new("mmap", ssd, cache)),
+            PlatformKind::FlatFlashP => Box::new(FlatFlashPlatform::persistent(ssd)),
+            PlatformKind::FlatFlashM => Box::new(FlatFlashPlatform::memory_cached(ssd, cache)),
+            PlatformKind::NvdimmC => Box::new(NvdimmCPlatform::new(ssd, cache)),
             PlatformKind::OptaneP => Box::new(OptanePlatform::app_direct()),
-            PlatformKind::OptaneM => Box::new(OptanePlatform::memory_mode(scale.cache_bytes())),
+            PlatformKind::OptaneM => Box::new(OptanePlatform::memory_mode(cache)),
             PlatformKind::HamsLP => hams(AttachMode::Loose, PersistMode::Persist),
             PlatformKind::HamsLE => hams(AttachMode::Loose, PersistMode::Extend),
             PlatformKind::HamsTP => hams(AttachMode::Tight, PersistMode::Persist),

@@ -1,39 +1,9 @@
-//! Property-based tests for the platform layer: cache bounds, runner metric
-//! sanity and cross-platform orderings that must hold for any seed.
+//! Property-based tests for the platform layer: runner metric sanity and
+//! cross-platform orderings that must hold for any seed.
 
-use hams_platforms::{run_workload, CacheOutcome, LruPageCache, PlatformKind, ScaleProfile};
+use hams_platforms::{run_workload, PlatformKind, ScaleProfile};
 use hams_workloads::WorkloadSpec;
 use proptest::prelude::*;
-
-proptest! {
-    /// The LRU page cache never exceeds its capacity, counts hits and misses
-    /// exactly, and only evicts pages that were resident.
-    #[test]
-    fn lru_cache_invariants(
-        capacity in 1usize..128,
-        ops in proptest::collection::vec((0u64..512, any::<bool>()), 1..400),
-    ) {
-        let mut cache = LruPageCache::new(capacity);
-        let mut resident = std::collections::HashSet::new();
-        for (page, is_write) in &ops {
-            let outcome = cache.access(*page, *is_write);
-            match outcome {
-                CacheOutcome::Hit => prop_assert!(resident.contains(page)),
-                CacheOutcome::MissInstalled => {
-                    resident.insert(*page);
-                }
-                CacheOutcome::MissEvictClean { victim } | CacheOutcome::MissEvictDirty { victim } => {
-                    prop_assert!(resident.remove(&victim), "evicted page {victim} was not resident");
-                    resident.insert(*page);
-                }
-            }
-            prop_assert!(cache.len() <= capacity);
-            prop_assert_eq!(cache.len(), resident.len());
-        }
-        let s = cache.stats();
-        prop_assert_eq!(s.hits + s.misses, ops.len() as u64);
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]

@@ -9,6 +9,8 @@
 //! * [`Nanos`] — the simulation time unit (nanoseconds, saturating arithmetic),
 //! * [`Resource`] / [`MultiResource`] — FCFS busy-until schedulers that model
 //!   contention on buses, channels and dies,
+//! * [`PageLru`] — the true-LRU write-back page cache behind the SSD's
+//!   internal DRAM and every host page cache,
 //! * [`stats`] — histograms and named latency breakdowns used to produce
 //!   every figure in the paper,
 //! * [`rng`] — seeded RNG construction so every experiment is reproducible.
@@ -32,6 +34,7 @@
 
 pub mod hash;
 pub mod intern;
+pub mod lru;
 pub mod par;
 pub mod resource;
 pub mod rng;
@@ -40,6 +43,7 @@ pub mod time;
 
 pub use hash::{FastBuildHasher, FastHashMap};
 pub use intern::ComponentId;
+pub use lru::{LruOutcome, LruStats, PageLru};
 pub use par::parallel_map;
 pub use resource::{Grant, MultiResource, Resource};
 pub use stats::{Histogram, HistogramSummary, LatencyBreakdown, LatencyVector};

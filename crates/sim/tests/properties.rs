@@ -2,7 +2,10 @@
 
 use std::collections::BTreeMap;
 
-use hams_sim::{ComponentId, Histogram, LatencyBreakdown, LatencyVector, Nanos, Resource};
+use hams_sim::{
+    ComponentId, Histogram, LatencyBreakdown, LatencyVector, LruOutcome, LruStats, Nanos, PageLru,
+    Resource,
+};
 use proptest::prelude::*;
 
 /// The name pool the `LatencyVector` equivalence properties draw from: the
@@ -51,7 +54,61 @@ const EQUIV_NAMES: [&str; 40] = [
     "prop_c25",
 ];
 
+/// The obvious LRU: `(page, dirty)` pairs ordered from least to most
+/// recently used, scanned on every access.
+struct RecencyList {
+    capacity: usize,
+    pages: Vec<(u64, bool)>,
+    stats: LruStats,
+}
+
+impl RecencyList {
+    fn access(&mut self, page: u64, is_write: bool) -> LruOutcome {
+        if let Some(at) = self.pages.iter().position(|&(p, _)| p == page) {
+            let (_, dirty) = self.pages.remove(at);
+            self.pages.push((page, dirty || is_write));
+            self.stats.hits += 1;
+            return LruOutcome::Hit;
+        }
+        self.stats.misses += 1;
+        if self.capacity == 0 {
+            return LruOutcome::Miss;
+        }
+        let mut outcome = LruOutcome::Miss;
+        if self.pages.len() == self.capacity {
+            if let (victim, true) = self.pages.remove(0) {
+                self.stats.dirty_evictions += 1;
+                outcome = LruOutcome::MissEvictDirty { victim };
+            }
+        }
+        self.pages.push((page, is_write));
+        outcome
+    }
+}
+
 proptest! {
+    /// `PageLru` matches the recency-list reference on every access (the
+    /// dirty victim included), in its size and counters, and in the dirty
+    /// pages a final drain returns.
+    #[test]
+    fn page_lru_matches_a_recency_list(
+        capacity in 0usize..9,
+        stream in proptest::collection::vec((0u64..16, any::<bool>()), 0..200),
+    ) {
+        let mut lru = PageLru::new(capacity);
+        let mut reference = RecencyList { capacity, pages: Vec::new(), stats: LruStats::default() };
+        for &(page, is_write) in &stream {
+            prop_assert_eq!(lru.access(page, is_write), reference.access(page, is_write));
+            prop_assert_eq!(lru.len(), reference.pages.len());
+            prop_assert_eq!(lru.stats(), &reference.stats);
+        }
+        let mut dirty: Vec<u64> = reference.pages.iter().filter(|p| p.1).map(|p| p.0).collect();
+        dirty.sort_unstable();
+        prop_assert_eq!(lru.drain_dirty(), dirty);
+        prop_assert!(lru.is_empty());
+        prop_assert_eq!(lru.capacity(), capacity);
+    }
+
     /// Saturating arithmetic never panics and never goes below zero.
     #[test]
     fn nanos_arithmetic_is_total(a in any::<u64>(), b in any::<u64>()) {
