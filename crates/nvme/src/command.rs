@@ -159,7 +159,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one block")]
     fn zero_length_commands_cannot_be_built() {
-        let _ = NvmeCommand::write(1, 0, 0, PrpList::empty());
+        let _ = NvmeCommand::write(1, 0, 0, PrpList::single(0));
     }
 
     #[test]

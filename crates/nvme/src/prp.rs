@@ -52,12 +52,6 @@ pub struct PrpList {
 }
 
 impl PrpList {
-    /// An empty list, the PRP list of a zero-length transfer.
-    #[must_use]
-    pub fn empty() -> Self {
-        PrpList::default()
-    }
-
     /// A list holding a single pointer.
     #[must_use]
     pub fn single(addr: u64) -> Self {
@@ -72,13 +66,12 @@ impl PrpList {
     ///
     /// # Panics
     ///
-    /// Panics if `page_size` is zero.
+    /// Panics if `page_size` or `length` is zero: like the NVMe read and
+    /// write commands that carry it, a transfer moves at least one byte.
     #[must_use]
     pub fn for_transfer(base: u64, length: u64, page_size: u64) -> Self {
         assert!(page_size > 0, "PRP page size must be non-zero");
-        if length == 0 {
-            return PrpList::empty();
-        }
+        assert!(length > 0, "a PRP transfer moves at least one byte");
         let first_page = base / page_size;
         let last_page = (base + length - 1) / page_size;
         let count = (last_page - first_page + 1) as usize;
@@ -224,10 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_length_transfer_is_empty() {
-        let l = PrpList::for_transfer(0x1000, 0, 4096);
-        assert!(l.is_empty());
-        assert_eq!(l.first(), None);
+    #[should_panic(expected = "at least one byte")]
+    fn zero_length_transfer_is_refused() {
+        let _ = PrpList::for_transfer(0x1000, 0, 4096);
     }
 
     #[test]
@@ -237,7 +229,7 @@ mod tests {
         let addrs: Vec<u64> = l.iter().map(|e| e.address()).collect();
         assert_eq!(addrs, vec![0x9000, 0xA000]);
         // Retargeting an empty list is a no-op.
-        let mut e = PrpList::empty();
+        let mut e = PrpList::default();
         e.retarget(0x5000);
         assert!(e.is_empty());
     }

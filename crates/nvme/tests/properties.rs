@@ -8,17 +8,13 @@ proptest! {
     /// A PRP list built for any transfer covers every byte of the transfer:
     /// the number of entries equals the number of pages the range straddles.
     #[test]
-    fn prp_lists_cover_the_transfer(base in 0u64..1_000_000, len in 0u64..1_000_000) {
+    fn prp_lists_cover_the_transfer(base in 0u64..1_000_000, len in 1u64..1_000_000) {
         let page = 4096u64;
         let list = PrpList::for_transfer(base, len, page);
-        if len == 0 {
-            prop_assert!(list.is_empty());
-        } else {
-            let first = base / page;
-            let last = (base + len - 1) / page;
-            prop_assert_eq!(list.len() as u64, last - first + 1);
-            prop_assert_eq!(list.first().unwrap().address(), first * page);
-        }
+        let first = base / page;
+        let last = (base + len - 1) / page;
+        prop_assert_eq!(list.len() as u64, last - first + 1);
+        prop_assert_eq!(list.first().unwrap().address(), first * page);
     }
 
     /// Retargeting preserves pairwise offsets between PRP entries.

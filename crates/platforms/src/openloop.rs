@@ -26,6 +26,11 @@
 //! [`run_workload_open_loop`] is the one-tenant set of its workload and
 //! arrival process.
 //!
+//! The engine builds the merged source on the calling thread, then serves it
+//! through [`hams_sim::par::prefetch`]: one producer thread generates the
+//! stream ahead in chunks, so the serving thread never draws an arrival gap,
+//! steps a trace or merges tenants. Closed-loop replay generates inline.
+//!
 //! At arrival-rate → ∞ ([`ArrivalProcess::Saturate`]) with a depth-1
 //! blocking queue and batch size 1, every dispatch instant equals the
 //! previous finish — exactly the closed-loop serial schedule — so
@@ -34,6 +39,7 @@
 //! counters always sum exactly to the merged totals
 //! (`tests/tenant_equivalence.rs`).
 
+use hams_sim::par::{prefetch, Prefetched};
 use hams_sim::{Histogram, Nanos};
 use hams_telemetry::RunTelemetry;
 use hams_workloads::{Access, ArrivalProcess, TenantSet, TenantSource, WorkloadSpec};
@@ -402,11 +408,11 @@ impl AdmissionQueue {
     /// must therefore invoke this at every instant a slot *actually* frees
     /// (in particular at batch dispatch, when `pop_front` empties slots),
     /// not only when the server goes idle.
-    fn admit_until(&mut self, source: &mut TenantSource, t: Nanos) {
+    fn admit_until(&mut self, source: &mut Prefetched<(usize, Access, Nanos)>, t: Nanos) {
         loop {
             let (item, from_door) = if let Some(blocked) = self.door.take() {
                 (blocked, true)
-            } else if source.peek_arrival().is_some_and(|arrival| arrival <= t) {
+            } else if source.peek().is_some_and(|&(_, _, arrival)| arrival <= t) {
                 let item = source.next().expect("peeked");
                 let (tenant, _, arrival) = item;
                 self.arrivals[tenant] += 1;
@@ -524,6 +530,10 @@ pub fn run_tenant_set_open_loop_traced(
 /// The open-loop engine behind all four entry points: the set's merged
 /// `(tenant, access, arrival)` stream through the admission queue and FIFO
 /// batch dispatch.
+///
+/// The source is built here, on the calling thread, so an invalid set
+/// panics where it always did; [`prefetch`] then runs it on its producer
+/// thread, which yields exactly what [`TenantSource`] yields.
 fn run_open_loop<O: Observer>(
     platform: &mut dyn Platform,
     set: &TenantSet,
@@ -536,7 +546,7 @@ fn run_open_loop<O: Observer>(
         .iter()
         .map(|t| scale.scale_spec(t.spec))
         .collect();
-    let mut source = TenantSource::new(set, &scaled, scale.seed, scale.accesses);
+    let source = TenantSource::new(set, &scaled, scale.seed, scale.accesses);
     let expected = set.total_accesses(scale.accesses);
     let batch_size = config.batch_size.max(1);
     observer.start(platform);
@@ -564,19 +574,19 @@ fn run_open_loop<O: Observer>(
     // idle from here until the next dispatch.
     let mut server_free = Nanos::ZERO;
 
-    loop {
+    prefetch(source, |source| loop {
         // Catch the queue up to the server's clock, then — if it is idle and
         // empty — jump it forward to the next arrival.
-        queue.admit_until(&mut source, server_free);
+        queue.admit_until(source, server_free);
         if queue.queue.is_empty() {
             debug_assert!(
                 queue.door.is_none(),
                 "a blocked client implies a full queue"
             );
-            let Some(next_arrival) = source.peek_arrival() else {
+            let Some(&(_, _, next_arrival)) = source.peek() else {
                 break;
             };
-            queue.admit_until(&mut source, server_free.max(next_arrival));
+            queue.admit_until(source, server_free.max(next_arrival));
         }
 
         // FIFO dispatch: the batch starts when the server is free and its
@@ -606,7 +616,7 @@ fn run_open_loop<O: Observer>(
         // are unaffected: `start` only ever grows past `server_free`, so
         // this earlier admission changes `enqueued` bookkeeping, never the
         // schedule.)
-        queue.admit_until(&mut source, start);
+        queue.admit_until(source, start);
 
         platform.serve_batch_into(&batch, start, &mut out);
         assert_eq!(
@@ -651,7 +661,7 @@ fn run_open_loop<O: Observer>(
             served,
             &queue.dropped,
         );
-    }
+    });
 
     let AdmissionQueue {
         arrivals,
@@ -718,7 +728,9 @@ fn run_open_loop<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::AccessOutcome;
     use crate::runner::{run_workload_serial, PlatformKind};
+    use hams_energy::EnergyAccount;
     use hams_telemetry::Layer;
     use hams_workloads::TenantSpec;
 
@@ -838,6 +850,98 @@ mod tests {
             );
             // Same for the door client displaced by the second batch.
             assert_eq!(r[4].enqueued, r[2].started, "{}", kind.label());
+        }
+    }
+
+    /// A platform that breaks the batch contract: it serves each batch
+    /// through the platform it wraps, then drops the last outcome.
+    struct ShortChanging(Box<dyn Platform>);
+
+    impl Platform for ShortChanging {
+        fn name(&self) -> &str {
+            "short-changing"
+        }
+
+        fn access(&mut self, access: &Access, now: Nanos) -> AccessOutcome {
+            self.0.access(access, now)
+        }
+
+        fn serve_batch_into(
+            &mut self,
+            batch: &[BatchRequest],
+            start: Nanos,
+            out: &mut BatchOutcome,
+        ) {
+            self.0.serve_batch_into(batch, start, out);
+            out.outcomes.pop();
+        }
+
+        fn device_energy(&self, elapsed: Nanos) -> EnergyAccount {
+            self.0.device_energy(elapsed)
+        }
+
+        fn is_persistent(&self) -> bool {
+            self.0.is_persistent()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "short-changing returned 3 outcomes for an open-loop batch of 4")]
+    fn a_platform_short_of_one_outcome_panics_without_hanging() {
+        // Far more requests than the generator runs ahead, so it is blocked
+        // on its full channel when the first batch's contract check fires;
+        // the test returning at all shows the unwind released it.
+        let scale = ScaleProfile {
+            capacity_divisor: 2048,
+            accesses: 20_000,
+            seed: 3,
+        };
+        let config = OpenLoopConfig {
+            arrivals: ArrivalProcess::Saturate,
+            queue_depth: 64,
+            policy: AdmissionPolicy::Block,
+            batch_size: 4,
+            sojourn_bucket: Nanos::from_nanos(256),
+            sojourn_buckets: 1024,
+            keep_records: false,
+        };
+        let mut p = ShortChanging(PlatformKind::Oracle.build(&scale));
+        let _ = run_workload_open_loop(&mut p, spec(), &scale, &config);
+    }
+
+    #[test]
+    fn a_set_offering_no_requests_serves_nothing_and_returns() {
+        let scale = tiny_scale();
+        let set = TenantSet::new(vec![
+            TenantSpec::new(
+                "quiet",
+                spec(),
+                ArrivalProcess::Poisson {
+                    rate_per_sec: 1_000_000.0,
+                },
+            )
+            .with_accesses(0),
+            TenantSpec::new(
+                "silent",
+                WorkloadSpec::by_name("update").unwrap(),
+                ArrivalProcess::Saturate,
+            )
+            .with_accesses(0),
+        ]);
+        let mut p = PlatformKind::HamsTE.build(&scale);
+        let m = run_tenant_set_open_loop(p.as_mut(), &set, &scale, &OpenLoopConfig::poisson(1.0));
+        let merged = &m.merged;
+        assert_eq!((merged.arrivals, merged.served, merged.dropped), (0, 0, 0));
+        assert!(merged.records.is_empty());
+        assert_eq!(merged.sojourn.count(), 0);
+        assert_eq!(
+            (merged.first_arrival, merged.last_finish),
+            (Nanos::ZERO, Nanos::ZERO)
+        );
+        assert_eq!(merged.run.total_time, Nanos::ZERO);
+        for t in &m.tenants {
+            assert_eq!((t.arrivals, t.served, t.dropped), (0, 0, 0));
+            assert_eq!(t.sojourn.count(), 0);
         }
     }
 

@@ -13,7 +13,11 @@
 //!   internal DRAM and every host page cache,
 //! * [`stats`] — histograms and named latency breakdowns used to produce
 //!   every figure in the paper,
-//! * [`rng`] — seeded RNG construction so every experiment is reproducible.
+//! * [`rng`] — seeded RNG construction so every experiment is reproducible,
+//! * [`par`] — the workspace's two thread primitives: [`parallel_map`], the
+//!   order-preserving fork–join the experiment grid fans out on, and
+//!   [`par::prefetch`], one producer thread that generates a stream ahead of
+//!   its consumer (the open-loop engine's request stream).
 //!
 //! # Example
 //!

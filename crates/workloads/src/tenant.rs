@@ -256,12 +256,6 @@ impl TenantSource {
         source
     }
 
-    /// The arrival instant of the next request, without taking it.
-    #[must_use]
-    pub fn peek_arrival(&self) -> Option<Nanos> {
-        self.head.map(|(_, arrival)| arrival)
-    }
-
     /// Earliest-arrival scan; strict `<` keeps the lowest tenant index on
     /// ties, so the merge order is deterministic.
     fn earliest(&self) -> Option<(usize, Nanos)> {
@@ -415,12 +409,10 @@ mod tests {
             let mut merged = Vec::new();
             loop {
                 let remaining = source.size_hint();
-                let head = source.peek_arrival();
                 let Some(item) = source.next() else {
-                    assert_eq!((head, remaining), (None, (0, Some(0))));
+                    assert_eq!(remaining, (0, Some(0)));
                     break;
                 };
-                assert_eq!(head, Some(item.2), "the head query names the next arrival");
                 assert!(remaining.0 > 0 && remaining.1 == Some(remaining.0));
                 merged.push(item);
             }
