@@ -15,6 +15,10 @@ start with `sim_` fails when the median ratio over the pairs is worse than
 the metric's bound. The simulated metrics are not gated here: a model
 change moves them on purpose.
 
+Every perfbench run also reports how many operations it attempted and how
+many of them failed. Per workload, the gate fails when the head's median
+share of failed operations is higher than the base's.
+
 Every perfbench run prints one `simulated fingerprint <hex>` line. Both
 sides run on this machine with one libm, so every run of a side must print
 the same fingerprint: a side that prints two is nondeterministic, and the
@@ -80,6 +84,28 @@ def verdict(pairs, better, bound):
     raise ValueError(f"unknown direction {better!r}")
 
 
+def failed_share(result):
+    """The share of attempted operations that failed, from the `attempted`
+    and `failed` counts of one perfbench result."""
+    attempted, failed = result["attempted"], result["failed"]
+    if (not isinstance(attempted, int) or not isinstance(failed, int)
+            or isinstance(attempted, bool) or isinstance(failed, bool)
+            or attempted <= 0 or not 0 <= failed <= attempted):
+        raise RunError(f"malformed operation counts: attempted={attempted!r} failed={failed!r}")
+    return failed / attempted
+
+
+def failure_verdict(pairs):
+    """Medians of the base's and the head's failed-operation shares over
+    `pairs` of (base, head) shares, and whether the head's median is no
+    higher than the base's."""
+    if not pairs:
+        raise ValueError("no pairs to judge")
+    base = statistics.median(b for b, _ in pairs)
+    head = statistics.median(h for _, h in pairs)
+    return base, head, head <= base
+
+
 def fingerprint_of(stdout):
     """The value of the one `simulated fingerprint <hex>` line in a
     perfbench run's output."""
@@ -126,8 +152,8 @@ def side_env(side, **extra):
 
 
 def run_perfbench(side, workload):
-    """The simulated fingerprint and the metric values of one
-    `perfbench/run.py` run of `workload` on `side`."""
+    """The simulated fingerprint, the metric values and the share of failed
+    operations of one `perfbench/run.py` run of `workload` on `side`."""
     argv = [sys.executable, os.path.join(side, "perfbench", "run.py"), "--workload", workload,
             "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
     run = subprocess.run(argv, cwd=side, env=side_env(side), capture_output=True, text=True)
@@ -139,9 +165,11 @@ def run_perfbench(side, workload):
         raise RunError(f"{side}: {workload} reported correct={result['correct']}\n{run.stdout}")
     try:
         fingerprint = fingerprint_of(run.stdout)
+        share = failed_share(result)
     except RunError as e:
         raise RunError(f"{side}: {workload}: {e}") from None
-    return fingerprint, {name: metric["value"] for name, metric in result["metrics"].items()}
+    metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
+    return fingerprint, metrics, share
 
 
 def build_figures(side):
@@ -188,6 +216,15 @@ def judge(label, name, pairs, better, bound):
     return ok
 
 
+def judge_failures(workload, pairs):
+    """Prints the failed-operations verdict line of one workload and returns
+    whether it passed."""
+    base, head, ok = failure_verdict(pairs)
+    print(f"{workload:<16} {'failed_share':<20} median base {base:.4g} head {head:.4g}; "
+          f"the head's may not be higher -> {'ok' if ok else 'FAIL'}", flush=True)
+    return ok
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: paired_gate.py <base-checkout>", file=sys.stderr)
@@ -205,11 +242,13 @@ def main():
         for workload in (w["name"] for w in bench["workloads"]):
             runs = paired(base, lambda side: run_perfbench(side, workload))
             print(fingerprint_report(workload,
-                                     side_fingerprint("base", [b for (b, _), _ in runs]),
-                                     side_fingerprint("head", [h for _, (h, _) in runs])),
+                                     side_fingerprint("base", [b for (b, _, _), _ in runs]),
+                                     side_fingerprint("head", [h for _, (h, _, _) in runs])),
                   flush=True)
+            if not judge_failures(workload, [(b, h) for (_, _, b), (_, _, h) in runs]):
+                failed.append(f"{workload} failed_share")
             for m in gated:
-                values = [(b[m["name"]], h[m["name"]]) for (_, b), (_, h) in runs]
+                values = [(b[m["name"]], h[m["name"]]) for (_, b, _), (_, h, _) in runs]
                 if not judge(workload, m["name"], values, m["better"], m["bound"]):
                     failed.append(f"{workload} {m['name']}")
         for side in (base, HEAD):

@@ -1,12 +1,12 @@
-"""Tests for the host-time gate's verdict and its fingerprint checks.
+"""Tests for the host-time gate's verdicts and its fingerprint checks.
 
     python3 -m unittest discover -s .github/scripts -p 'test_*.py'
 """
 
 import unittest
 
-from paired_gate import (RunError, fingerprint_of, fingerprint_report, side_fingerprint,
-                         verdict)
+from paired_gate import (RunError, failed_share, failure_verdict, fingerprint_of,
+                         fingerprint_report, side_fingerprint, verdict)
 
 
 class VerdictTest(unittest.TestCase):
@@ -57,6 +57,42 @@ class VerdictTest(unittest.TestCase):
             verdict([(-1.0, 5.0)], "higher", 0.24)
         with self.assertRaises(ValueError):
             verdict([(1.0, 1.0)], "sideways", 0.24)
+
+
+class FailureShareTest(unittest.TestCase):
+    def test_the_share_is_failed_over_attempted(self):
+        self.assertEqual(failed_share({"attempted": 400, "failed": 0}), 0.0)
+        self.assertEqual(failed_share({"attempted": 400, "failed": 100}), 0.25)
+        self.assertEqual(failed_share({"attempted": 3, "failed": 3}), 1.0)
+
+    def test_malformed_counts_are_an_error(self):
+        for counts in ({"attempted": 0, "failed": 0}, {"attempted": 5, "failed": 6},
+                       {"attempted": 5, "failed": -1}, {"attempted": "5", "failed": 0},
+                       {"attempted": 5.0, "failed": 0}, {"attempted": True, "failed": False}):
+            with self.assertRaises(RunError, msg=str(counts)):
+                failed_share(counts)
+        with self.assertRaises(KeyError):
+            failed_share({"attempted": 5})
+
+    def test_equal_or_fewer_failures_pass(self):
+        self.assertEqual(failure_verdict([(0.0, 0.0), (0.0, 0.0)]), (0.0, 0.0, True))
+        self.assertEqual(failure_verdict([(0.5, 0.25)]), (0.5, 0.25, True))
+
+    def test_more_failures_than_the_base_fail(self):
+        self.assertEqual(failure_verdict([(0.0, 0.001)]), (0.0, 0.001, False))
+        self.assertEqual(failure_verdict([(0.1, 0.2), (0.1, 0.3), (0.1, 0.1)]),
+                         (0.1, 0.2, False))
+
+    def test_the_medians_are_compared_not_single_pairs(self):
+        # One head run with a failure does not fail the gate while most of
+        # its runs fail nothing; a base run with many does not hide a head
+        # that fails in most runs.
+        self.assertTrue(failure_verdict([(0.0, 0.0), (0.0, 0.5), (0.0, 0.0)])[2])
+        self.assertFalse(failure_verdict([(0.9, 0.1), (0.0, 0.1), (0.0, 0.1)])[2])
+
+    def test_no_pairs_is_refused(self):
+        with self.assertRaises(ValueError):
+            failure_verdict([])
 
 
 RUN_OUTPUT = """manifest: {"workload": "hit-update"}

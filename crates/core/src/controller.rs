@@ -20,7 +20,10 @@
 //! * power-failure handling and journal-tag recovery (Fig. 15),
 //! * the multi-device archive backend ([`hams_flash::ArchiveSet`]): fills
 //!   and evictions route to the device owning their stripe, and journal
-//!   tags carry `(shard, device)`.
+//!   tags carry `(shard, device)`,
+//! * a miss's fixed shape, resolved once in [`HamsController::new`]: the
+//!   MoS page's wire times on the attach mode's links, its NVDIMM array
+//!   latency, the fill's stripe layout and the 64-byte command's time.
 
 use hams_flash::{ArchiveSet, ArrayState, FaultPlan, FaultStats, PowerLossReport, LBA_SIZE};
 use hams_interconnect::{
@@ -40,6 +43,57 @@ use crate::tag_array::{SetRef, ShardConfig, ShardedTagArray, TagProbe};
 
 /// Tag lookup: a tCL plus a few tBURSTs out of the NVDIMM (<20 ns).
 const TAG_READ: Nanos = Nanos::from_nanos(15);
+
+/// What every miss moves, fixed by the [`HamsConfig`]: one MoS page over
+/// the attach mode's links and into or out of the NVDIMM array, and one
+/// stripe layout for a fill. Resolved once, when the controller is built,
+/// from the same model functions that price any transfer, so a miss reads
+/// these instead of recomputing them. (The 64-byte command's time lives in
+/// the [`RegisterInterface`], resolved the same way.)
+#[derive(Debug)]
+struct MissShape {
+    /// One MoS page's wire time on the DDR4 channel.
+    page_ddr: Nanos,
+    /// One MoS page's wire time on the PCIe (loose) or CXL link in front of
+    /// the channel; zero under tight attach, which has no such link.
+    page_link: Nanos,
+    /// NVDIMM array latency of one MoS page read or write.
+    page_array: Nanos,
+    /// The fill's stripe commands, `(LBA offset, LBA count)` within the
+    /// page, one per queue pair and bounded by the page's LBA count.
+    /// Persist mode keeps at most one NVMe command outstanding (§IV-B), so
+    /// it never stripes: its layout, like a single queue pair's, is the
+    /// whole page.
+    stripes: Box<[(u64, u64)]>,
+}
+
+impl MissShape {
+    fn new(
+        config: &HamsConfig,
+        ddr: &Ddr4Channel,
+        pcie: &PcieLink,
+        cxl: &CxlLink,
+        nvdimm: &Nvdimm,
+    ) -> Self {
+        let page_bytes = config.mos_page_size;
+        let lanes = match config.persist {
+            PersistMode::Persist => 1,
+            PersistMode::Extend => u64::from(config.queues.num_queues),
+        };
+        let mut stripes = Vec::new();
+        hams_nvme::stripe_ranges_into(page_bytes / LBA_SIZE, lanes, &mut stripes);
+        MissShape {
+            page_ddr: ddr.service_time(page_bytes),
+            page_link: match config.attach {
+                AttachMode::Loose => pcie.service_time(page_bytes),
+                AttachMode::Tight => Nanos::ZERO,
+                AttachMode::Cxl => cxl.service_time(page_bytes),
+            },
+            page_array: nvdimm.access_latency(page_bytes),
+            stripes: stripes.into_boxed_slice(),
+        }
+    }
+}
 
 /// The result of one MoS access.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -155,6 +209,7 @@ pub struct HamsController {
     pcie: PcieLink,
     cxl: CxlLink,
     reg_iface: RegisterInterface,
+    miss: MissShape,
     engine: NvmeEngine,
     prp_pool: PrpPool,
     /// Completion time of the most recent SSD command; persist mode forbids a
@@ -162,10 +217,9 @@ pub struct HamsController {
     persist_gate: Nanos,
     stats: HamsStats,
     /// Reused buffers for the multi-stripe fill path (one fill per miss):
-    /// stripe LBA ranges, the stripe commands served (journalled once the
-    /// fill's completion instant is known), per-stripe completion times,
-    /// and coalesced MSI delivery times.
-    fill_ranges: Vec<(u64, u64)>,
+    /// the stripe commands served (journalled once the fill's completion
+    /// instant is known), per-stripe completion times, and coalesced MSI
+    /// delivery times.
     fill_commands: Vec<NvmeCommand>,
     fill_completions: Vec<Nanos>,
     fill_delivered: Vec<Nanos>,
@@ -201,20 +255,23 @@ impl HamsController {
             archive.num_devices(),
             archive.stripe_lbas(),
         );
+        let ddr = Ddr4Channel::new(Ddr4Config::ddr4_2666());
+        let pcie = PcieLink::new(PcieConfig::gen3_x4());
+        let cxl = CxlLink::new(CxlConfig::cxl_x4());
         HamsController {
             tags: ShardedTagArray::with_config(num_sets, config.shards),
             mos_capacity: archive.capacity_bytes(),
             page_shift: config.mos_page_size.trailing_zeros(),
             archive,
-            ddr: Ddr4Channel::new(Ddr4Config::ddr4_2666()),
-            pcie: PcieLink::new(PcieConfig::gen3_x4()),
-            cxl: CxlLink::new(CxlConfig::cxl_x4()),
-            reg_iface: RegisterInterface::new(RegisterInterfaceConfig::ddr4_2666()),
+            reg_iface: RegisterInterface::new(RegisterInterfaceConfig::ddr4_2666(), &ddr),
+            miss: MissShape::new(&config, &ddr, &pcie, &cxl, &nvdimm),
+            ddr,
+            pcie,
+            cxl,
             engine,
             prp_pool: PrpPool::new(prp_slots),
             persist_gate: Nanos::ZERO,
             stats: HamsStats::default(),
-            fill_ranges: Vec::new(),
             fill_commands: Vec::new(),
             fill_completions: Vec::new(),
             fill_delivered: Vec::new(),
@@ -552,28 +609,33 @@ impl HamsController {
     }
 
     /// Moves a MoS page between the archive and NVDIMM over the configured
-    /// interface. Returns `(finished_at, dma_time)`.
+    /// interface, at the page's resolved wire times. Returns
+    /// `(finished_at, dma_time)`.
     fn transfer_page(&mut self, start: Nanos) -> (Nanos, Nanos) {
-        let page_bytes = self.config.mos_page_size;
+        let MissShape {
+            page_ddr,
+            page_link,
+            ..
+        } = self.miss;
         match self.config.attach {
             AttachMode::Loose => {
-                let t = self.pcie.transfer(page_bytes, start);
+                let t = self.pcie.occupy(page_link, start);
                 // The page also crosses the DDR4 channel into/out of NVDIMM.
-                let d = self.ddr.transfer(page_bytes, t.finished_at);
+                let d = self.ddr.occupy(page_ddr, t.finished_at);
                 (d.finished_at, t.latency() + d.latency())
             }
             AttachMode::Tight => {
                 // The NVMe controller DMAs directly against the NVDIMM over
                 // DDR4. The model charges no bus arbitration for taking the
                 // bus from the HAMS logic (§V-A's lock register).
-                let d = self.ddr.transfer(page_bytes, start);
+                let d = self.ddr.occupy(page_ddr, start);
                 (d.finished_at, d.latency())
             }
             AttachMode::Cxl => {
                 // The loose shape with the faster, flit-framed CXL link in
                 // place of PCIe.
-                let t = self.cxl.transfer(page_bytes, start);
-                let d = self.ddr.transfer(page_bytes, t.finished_at);
+                let t = self.cxl.occupy(page_link, start);
+                let d = self.ddr.occupy(page_ddr, t.finished_at);
                 (d.finished_at, t.latency() + d.latency())
             }
         }
@@ -622,9 +684,11 @@ impl HamsController {
         // 1. Clone the victim into the PRP pool (read + write inside NVDIMM).
         //    This always blocks the access: the cache slot cannot be reused
         //    before the clone exists.
-        let read = self.ddr.transfer(page_bytes, now);
-        let write = self.ddr.transfer(page_bytes, read.finished_at);
-        let array = self.nvdimm.read(page_bytes) + self.nvdimm.write(page_bytes);
+        let read = self.ddr.occupy(self.miss.page_ddr, now);
+        let write = self.ddr.occupy(self.miss.page_ddr, read.finished_at);
+        self.nvdimm.record_read(page_bytes);
+        self.nvdimm.record_write(page_bytes);
+        let array = self.miss.page_array + self.miss.page_array;
         breakdown.add(
             ComponentId::NVDIMM,
             read.latency() + write.latency() + array,
@@ -706,18 +770,6 @@ impl HamsController {
         (clone_done, eviction_done)
     }
 
-    /// Number of stripe commands a fill is split into: one per queue pair,
-    /// bounded by the page's LBA count. Persist mode keeps at most one NVMe
-    /// command outstanding (§IV-B), so it never stripes.
-    fn fill_stripes(&self, page_bytes: u64) -> u64 {
-        match self.config.persist {
-            PersistMode::Persist => 1,
-            PersistMode::Extend => u64::from(self.config.queues.num_queues)
-                .min(page_bytes / LBA_SIZE)
-                .max(1),
-        }
-    }
-
     /// Fills `page`, resolved to `at`, into its NVDIMM set. A write to a
     /// page that has never reached flash skips the fetch (write-allocate
     /// without fetch). Returns the time the data is available in NVDIMM.
@@ -749,7 +801,7 @@ impl HamsController {
             // Nothing to fetch: the page has never been written to flash, or
             // the access overwrites it entirely; claim the slot directly.
             start
-        } else if self.fill_stripes(page_bytes) <= 1 {
+        } else if self.miss.stripes.len() <= 1 {
             // The degenerate single-stripe path (single-LBA pages, a single
             // queue pair, or persist mode): no stripe bookkeeping at all,
             // and the one command served is the one journalled.
@@ -791,28 +843,28 @@ impl HamsController {
             let (transferred, transfer_dma) = self.transfer_page(completion.finished_at);
             breakdown.add(ComponentId::DMA, transfer_dma);
             // Landing the page in the NVDIMM array.
-            let array = self.nvdimm.write(page_bytes);
+            self.nvdimm.record_write(page_bytes);
+            let array = self.miss.page_array;
             breakdown.add(ComponentId::NVDIMM, array);
             self.engine.issue(queue, cmd, page, transferred + array);
             transferred + array
         } else {
             self.stats.fill_bytes += page_bytes;
-            let stripes = self.fill_stripes(page_bytes);
             let base_slba = self.slba_of(page);
-            // One stripe command per queue pair over the page's LBA range.
-            // The stripe bookkeeping runs in controller-owned scratch buffers
+            // One stripe command per queue pair over the page's LBA range,
+            // in the layout resolved when the controller was built. The
+            // stripe bookkeeping runs in controller-owned scratch buffers
             // (one fill per miss makes this the hottest allocation site); the
             // buffers are taken out of `self` for the duration of the loop so
             // the iteration can borrow them alongside `&mut self` calls.
-            let mut ranges = std::mem::take(&mut self.fill_ranges);
             let mut commands = std::mem::take(&mut self.fill_commands);
             let mut completions = std::mem::take(&mut self.fill_completions);
             let mut delivered = std::mem::take(&mut self.fill_delivered);
-            hams_nvme::stripe_ranges_into(page_bytes / LBA_SIZE, stripes, &mut ranges);
             commands.clear();
             completions.clear();
             let mut submit_t = start;
-            for (s, &(lba_offset, count)) in ranges.iter().enumerate() {
+            for s in 0..self.miss.stripes.len() {
+                let (lba_offset, count) = self.miss.stripes[s];
                 let slba = base_slba + lba_offset;
                 let length = count * LBA_SIZE;
                 // Doorbell writes serialize over the command interface; each
@@ -873,14 +925,14 @@ impl HamsController {
             breakdown.add(ComponentId::SSD, flash_ready - submit_t);
             let (transferred, transfer_dma) = self.transfer_page(flash_ready);
             breakdown.add(ComponentId::DMA, transfer_dma);
-            let array = self.nvdimm.write(page_bytes);
+            self.nvdimm.record_write(page_bytes);
+            let array = self.miss.page_array;
             breakdown.add(ComponentId::NVDIMM, array);
             // Stripe `s` went to queue pair `s`.
-            for (queue, cmd) in commands.drain(..).enumerate() {
+            for (queue, &cmd) in commands.iter().enumerate() {
                 self.engine
                     .issue(queue as u16, cmd, page, transferred + array);
             }
-            self.fill_ranges = ranges;
             self.fill_commands = commands;
             self.fill_completions = completions;
             self.fill_delivered = delivered;
@@ -969,9 +1021,8 @@ impl HamsController {
         for tracked in &pending {
             // Recovery forces the re-issued request onto the flash medium so
             // the recovered data is durable even if the device has a volatile
-            // buffer; the FUA override rides on the borrowed journal command
-            // instead of cloning it (PRP list and all) to flip one bit.
-            let command = &tracked.command;
+            // buffer.
+            let command = tracked.command.with_fua(true);
             assert_eq!(
                 tracked.device,
                 self.archive.device_of_slba(command.slba),
@@ -983,7 +1034,7 @@ impl HamsController {
             );
             let completion = self
                 .archive
-                .service_fua(command, restore_done)
+                .service(&command, restore_done)
                 .expect("re-issued command must fit the device");
             completed_at = completed_at.max(completion.finished_at);
             // The in-flight operation died with the power; drop the busy
@@ -1228,17 +1279,65 @@ mod tests {
             .with_queues(QueueConfig::striped(4));
         let h = HamsController::new(config);
         assert_eq!(
-            h.fill_stripes(config.mos_page_size),
-            1,
+            *h.miss.stripes,
+            [(0, 16)],
             "persist mode keeps at most one command outstanding"
         );
     }
 
     #[test]
     fn single_queue_stripe_count_is_one_regardless_of_page_size() {
-        let h = controller(AttachMode::Tight, PersistMode::Extend);
-        assert_eq!(h.fill_stripes(4096), 1);
-        assert_eq!(h.fill_stripes(128 * 1024), 1);
+        for page_size in [4096u64, 128 * 1024] {
+            let h = HamsController::new(
+                HamsConfig::tiny_for_tests(AttachMode::Tight, PersistMode::Extend)
+                    .with_mos_page_size(page_size),
+            );
+            assert_eq!(*h.miss.stripes, [(0, page_size / LBA_SIZE)]);
+        }
+    }
+
+    #[test]
+    fn miss_timings_are_resolved_from_the_model_functions() {
+        use hams_nvme::{stripe_ranges_into, QueueConfig};
+        let ddr = Ddr4Channel::new(Ddr4Config::ddr4_2666());
+        let pcie = PcieLink::new(PcieConfig::gen3_x4());
+        let cxl = CxlLink::new(CxlConfig::cxl_x4());
+        // The register setup, then one 64-byte SQ entry over the channel.
+        let command = RegisterInterfaceConfig::ddr4_2666().command_setup + ddr.service_time(64);
+        for attach in [AttachMode::Loose, AttachMode::Tight, AttachMode::Cxl] {
+            for persist in [PersistMode::Persist, PersistMode::Extend] {
+                for queues in [QueueConfig::single(), QueueConfig::striped(4)] {
+                    // MoS pages of 4 KiB through 1 MiB.
+                    for page_bytes in (12..=20).map(|shift| 1u64 << shift) {
+                        let config = HamsConfig::tiny_for_tests(attach, persist)
+                            .with_mos_page_size(page_bytes)
+                            .with_queues(queues);
+                        let h = HamsController::new(config);
+                        let shape = format!("{attach:?} {persist:?} {queues:?} {page_bytes}");
+                        assert_eq!(h.miss.page_ddr, ddr.service_time(page_bytes), "{shape}");
+                        let link = match attach {
+                            AttachMode::Loose => pcie.service_time(page_bytes),
+                            AttachMode::Tight => Nanos::ZERO,
+                            AttachMode::Cxl => cxl.service_time(page_bytes),
+                        };
+                        assert_eq!(h.miss.page_link, link, "{shape}");
+                        assert_eq!(h.reg_iface.command_time(), command, "{shape}");
+                        assert_eq!(
+                            h.miss.page_array,
+                            Nvdimm::new(config.nvdimm).access_latency(page_bytes),
+                            "{shape}"
+                        );
+                        let lanes = match persist {
+                            PersistMode::Persist => 1,
+                            PersistMode::Extend => u64::from(queues.num_queues),
+                        };
+                        let mut stripes = Vec::new();
+                        stripe_ranges_into(page_bytes / LBA_SIZE, lanes, &mut stripes);
+                        assert_eq!(*h.miss.stripes, *stripes, "{shape}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1491,9 +1590,12 @@ mod tests {
             // set to the clone: the same 4 KB regions, from the slot's
             // address on.
             let clone = h.pinned.prp_slot_address(slot, page_bytes);
-            let at_clone: PrpList = (0..page_bytes / 4096)
-                .map(|region| hams_nvme::PrpEntry(clone + region * 4096))
+            let regions: Vec<u64> = (0..page_bytes / 4096)
+                .map(|region| clone + region * 4096)
                 .collect();
+            let listed: Vec<u64> = tracked.command.prp.iter().map(|e| e.address()).collect();
+            assert_eq!(listed, regions);
+            let at_clone = PrpList::for_transfer(clone, page_bytes, 4096);
             let mut served =
                 NvmeCommand::write(1, h.slba_of(slot), page_bytes, at_clone).with_journal_tag(true);
             served.cid = tracked.id.cid;

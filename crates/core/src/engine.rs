@@ -32,8 +32,8 @@ use serde::{Deserialize, Serialize};
 use crate::tag_array::ShardConfig;
 
 /// One command tracked by the engine, with the HAMS-side metadata the cache
-/// logic needs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// logic needs. A plain `Copy` value, like the command it carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrackedCommand {
     /// Fully-qualified identifier (queue pair + per-queue cid).
     pub id: CommandId,
@@ -74,7 +74,7 @@ pub struct EngineStats {
 /// the device model scheduled has yet to fire. Such an entry stays until
 /// that completion fires, which still counts as one, and an entry goes once
 /// its tag is clear and no completion is scheduled.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct InFlight {
     tracked: TrackedCommand,
     /// The scheduled completion has not fired (nor died with the power).
@@ -377,7 +377,7 @@ impl NvmeEngine {
             .iter()
             .map(|entry| &entry.tracked)
             .filter(|t| t.completes_at > now && t.command.journal_tag)
-            .cloned()
+            .copied()
             .collect();
         v.sort_by_key(|t| t.id);
         v
@@ -605,7 +605,7 @@ mod tests {
     fn issue_read_tracked_journals_the_composed_command_verbatim() {
         let mut e = engine(QueueConfig::single());
         let cmd = NvmeCommand::read(1, 24, 4096, PrpList::for_transfer(0x3000, 4096, 4096));
-        let id = e.issue_read_tracked(3, cmd.clone(), Nanos::from_micros(9));
+        let id = e.issue_read_tracked(3, cmd, Nanos::from_micros(9));
         let pending = e.journaled_incomplete(Nanos::ZERO);
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].id, id);
@@ -613,6 +613,15 @@ mod tests {
         // Identical to what issue_read_on would have journalled for the same
         // geometry: the composed command plus the journal tag.
         assert_eq!(pending[0].command, cmd.with_journal_tag(true));
+    }
+
+    #[test]
+    fn commands_are_small_plain_values() {
+        // An NVMe submission-queue entry is 64 bytes; the modelled command
+        // fits in one, and neither it nor its journal entry owns heap data.
+        assert!(std::mem::size_of::<NvmeCommand>() <= 64);
+        assert!(!std::mem::needs_drop::<NvmeCommand>());
+        assert!(!std::mem::needs_drop::<TrackedCommand>());
     }
 
     #[test]
@@ -765,13 +774,13 @@ mod tests {
                         } else {
                             NvmeCommand::read(1, page * 8, 4096, prp)
                         };
-                        let id = e.issue(e.queue_for_page(page), cmd.clone(), page, at);
+                        let id = e.issue(e.queue_for_page(page), cmd, page, at);
                         prop_assert_eq!(id, m.issue(page, is_write, at));
                         let journalled = e
                             .journal
                             .iter()
                             .find(|entry| entry.tracked.id == id)
-                            .map(|entry| entry.tracked.command.clone());
+                            .map(|entry| entry.tracked.command);
                         let mut expected = cmd.with_journal_tag(true);
                         expected.cid = id.cid;
                         prop_assert_eq!(journalled, Some(expected));

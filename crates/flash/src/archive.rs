@@ -364,52 +364,23 @@ impl ArchiveSet {
     /// owning its stripe. A command that crosses stripe boundaries is split
     /// into per-device segments (the HAMS controller never issues one when
     /// the stripe unit is the MoS page size or a striped fill's command
-    /// length).
+    /// length). The command's own FUA bit decides whether a write may be
+    /// acknowledged from a device's volatile buffer; a caller that must
+    /// force it serves `cmd.with_fua(true)`.
     ///
     /// # Errors
     ///
     /// Propagates [`SsdError`] from the owning device(s).
     pub fn service(&mut self, cmd: &NvmeCommand, now: Nanos) -> Result<IoCompletion, SsdError> {
-        self.service_impl(cmd, now, cmd.fua)
-    }
-
-    /// [`Self::service`] with the force-unit-access bit treated as set on
-    /// the borrowed command. Power-failure recovery re-issues every
-    /// journal-tagged command with FUA so the recovered data is durable even
-    /// on a device with a volatile buffer; this entry point does that
-    /// without cloning each command (and its PRP list) just to flip the
-    /// bit. Timing is exactly `service` of the same command with
-    /// `fua = true`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SsdError`] from the owning device(s).
-    pub fn service_fua(&mut self, cmd: &NvmeCommand, now: Nanos) -> Result<IoCompletion, SsdError> {
-        self.service_impl(cmd, now, true)
-    }
-
-    fn service_impl(
-        &mut self,
-        cmd: &NvmeCommand,
-        now: Nanos,
-        fua: bool,
-    ) -> Result<IoCompletion, SsdError> {
         if self.fault.is_some() {
-            return self.service_faulted(cmd, now, fua);
+            return self.service_faulted(cmd, now);
         }
-        let serve = |device: &mut SsdDevice, cmd: &NvmeCommand, now| {
-            if fua {
-                device.service_forcing_fua(cmd, now)
-            } else {
-                device.service(cmd, now)
-            }
-        };
         if self.devices.len() == 1 {
-            return serve(&mut self.devices[0], cmd, now);
+            return self.devices[0].service(cmd, now);
         }
         self.serve_by_stripe(cmd, |set, segment| {
             let device = usize::from(set.device_of_slba(segment.slba));
-            serve(&mut set.devices[device], &segment, now)
+            set.devices[device].service(&segment, now)
         })
     }
 
@@ -429,7 +400,7 @@ impl ArchiveSet {
         while offset < end {
             let stripe_end = (offset / stripe_bytes + 1) * stripe_bytes;
             let segment_end = end.min(stripe_end);
-            let mut segment = cmd.clone();
+            let mut segment = *cmd;
             segment.slba = offset / LBA_SIZE;
             segment.length = segment_end - offset;
             let completion = serve_segment(self, segment)?;
@@ -445,25 +416,17 @@ impl ArchiveSet {
     /// down device reconstruct from the survivors, degraded writes are
     /// absorbed by parity, everything else serves exactly as the healthy
     /// path would. Only parity (`Raid5`) topologies reach here.
-    fn service_faulted(
-        &mut self,
-        cmd: &NvmeCommand,
-        now: Nanos,
-        fua: bool,
-    ) -> Result<IoCompletion, SsdError> {
+    fn service_faulted(&mut self, cmd: &NvmeCommand, now: Nanos) -> Result<IoCompletion, SsdError> {
         if let Some(injector) = self.fault.as_mut() {
             injector.poll(now, &mut self.devices);
         }
-        self.serve_by_stripe(cmd, |set, segment| {
-            set.serve_segment_faulted(segment, now, fua)
-        })
+        self.serve_by_stripe(cmd, |set, segment| set.serve_segment_faulted(segment, now))
     }
 
     fn serve_segment_faulted(
         &mut self,
         segment: NvmeCommand,
         now: Nanos,
-        fua: bool,
     ) -> Result<IoCompletion, SsdError> {
         let device = self.device_of_slba(segment.slba);
         let injector = self.fault.as_mut().expect("faulted path has an injector");
@@ -472,16 +435,9 @@ impl ArchiveSet {
                 Ok(injector.reconstruct_read(&mut self.devices, &segment, now))
             }
             NvmeOpcode::Write if injector.write_is_degraded(device) => {
-                injector.absorb_write(&mut self.devices, &segment, now, fua)
+                injector.absorb_write(&mut self.devices, &segment, now)
             }
-            _ => {
-                let target = &mut self.devices[usize::from(device)];
-                if fua {
-                    target.service_forcing_fua(&segment, now)
-                } else {
-                    target.service(&segment, now)
-                }
-            }
+            _ => self.devices[usize::from(device)].service(&segment, now),
         }
     }
 

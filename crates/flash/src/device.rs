@@ -295,37 +295,9 @@ impl SsdDevice {
     /// Returns [`SsdError::OutOfRange`] or [`SsdError::OutOfSpace`] when the
     /// command cannot be served.
     pub fn service(&mut self, cmd: &NvmeCommand, now: Nanos) -> Result<IoCompletion, SsdError> {
-        self.service_with_fua(cmd, now, cmd.fua)
-    }
-
-    /// [`Self::service`] with the force-unit-access bit treated as set,
-    /// whatever the borrowed command carries. Power-failure recovery uses
-    /// this to push re-issued journal commands straight to the medium
-    /// without cloning each command (PRP list and all) just to flip one
-    /// bit; timing is exactly `service` of the same command with
-    /// `fua = true`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SsdError::OutOfRange`] or [`SsdError::OutOfSpace`] when the
-    /// command cannot be served.
-    pub fn service_forcing_fua(
-        &mut self,
-        cmd: &NvmeCommand,
-        now: Nanos,
-    ) -> Result<IoCompletion, SsdError> {
-        self.service_with_fua(cmd, now, true)
-    }
-
-    fn service_with_fua(
-        &mut self,
-        cmd: &NvmeCommand,
-        now: Nanos,
-        fua: bool,
-    ) -> Result<IoCompletion, SsdError> {
         match cmd.opcode {
             NvmeOpcode::Read => self.service_read(cmd, now),
-            NvmeOpcode::Write => self.service_write(cmd, now, fua),
+            NvmeOpcode::Write => self.service_write(cmd, now),
         }
     }
 
@@ -389,12 +361,7 @@ impl SsdDevice {
         })
     }
 
-    fn service_write(
-        &mut self,
-        cmd: &NvmeCommand,
-        now: Nanos,
-        fua: bool,
-    ) -> Result<IoCompletion, SsdError> {
+    fn service_write(&mut self, cmd: &NvmeCommand, now: Nanos) -> Result<IoCompletion, SsdError> {
         let timing = self.config.timing;
         let start = now + timing.hil_overhead;
         let (first, last) = self.pages_of(cmd);
@@ -402,7 +369,7 @@ impl SsdDevice {
         let mut firmware_clock = start;
         let mut all_dram = true;
         let mut subs = 0;
-        let buffered = self.has_internal_dram() && !fua;
+        let buffered = self.has_internal_dram() && !cmd.fua;
 
         for lpn in first..=last {
             subs += 1;

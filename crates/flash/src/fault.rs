@@ -540,8 +540,8 @@ impl FaultInjector {
         }
         finish += self.xor_cost(bytes);
         let slba = self.layout.stripe_slba(row, down);
-        let write = NvmeCommand::write(1, slba, bytes, PrpList::single(0));
-        if let Ok(done) = devices[usize::from(down)].service_forcing_fua(&write, finish) {
+        let write = NvmeCommand::write(1, slba, bytes, PrpList::single(0)).with_fua(true);
+        if let Ok(done) = devices[usize::from(down)].service(&write, finish) {
             finish = finish.max(done.finished_at);
             self.stats.rebuild_writes += 1;
         }
@@ -571,7 +571,7 @@ impl FaultInjector {
                 continue;
             }
             let slba = self.layout.stripe_slba(row, peer) + offset;
-            let read = NvmeCommand::read(cmd.nsid, slba, cmd.length, cmd.prp.clone());
+            let read = NvmeCommand::read(cmd.nsid, slba, cmd.length, cmd.prp);
             if let Ok(done) = devices[usize::from(peer)].service(&read, now) {
                 self.stats.reconstruction_reads += 1;
                 merged = Some(merge_completion(merged, done));
@@ -595,7 +595,6 @@ impl FaultInjector {
         devices: &mut [SsdDevice],
         cmd: &NvmeCommand,
         now: Nanos,
-        fua: bool,
     ) -> Result<IoCompletion, crate::device::SsdError> {
         let down = self
             .active
@@ -605,11 +604,7 @@ impl FaultInjector {
         let row = self.layout.row_of_slba(cmd.slba);
         let target = self.layout.absorbing_device(row, down);
         let device = &mut devices[usize::from(target)];
-        let done = if fua {
-            device.service_forcing_fua(cmd, now)?
-        } else {
-            device.service(cmd, now)?
-        };
+        let done = device.service(cmd, now)?;
         let active = self
             .active
             .as_mut()

@@ -104,9 +104,11 @@ impl CxlLink {
         self.config.port_latency * 2 + Nanos::from_nanos_f64(wire_ns)
     }
 
-    /// Moves `bytes` over the link starting no earlier than `now`.
-    pub fn transfer(&mut self, bytes: u64, now: Nanos) -> Transfer {
-        let service = self.service_time(bytes);
+    /// Holds the link for `service`, a transfer's wire time resolved ahead
+    /// with [`Self::service_time`], starting no earlier than `now`: the
+    /// controller resolves its MoS page's time once, when it is built.
+    #[inline]
+    pub fn occupy(&mut self, service: Nanos, now: Nanos) -> Transfer {
         let grant = self.link.acquire(now, service);
         Transfer {
             finished_at: grant.end,
@@ -153,8 +155,9 @@ mod tests {
     #[test]
     fn contention_queues_transfers() {
         let mut link = CxlLink::new(CxlConfig::cxl_x4());
-        let a = link.transfer(4096, Nanos::ZERO);
-        let b = link.transfer(4096, Nanos::ZERO);
+        let page = link.service_time(4096);
+        let a = link.occupy(page, Nanos::ZERO);
+        let b = link.occupy(page, Nanos::ZERO);
         assert!(b.finished_at > a.finished_at);
         assert_eq!(b.wait, a.service);
     }
@@ -162,6 +165,8 @@ mod tests {
     #[test]
     fn zero_bytes_is_free() {
         let mut link = CxlLink::new(CxlConfig::cxl_x4());
-        assert_eq!(link.transfer(0, Nanos::ZERO).service, Nanos::ZERO);
+        assert_eq!(link.service_time(0), Nanos::ZERO);
+        let t = link.occupy(link.service_time(0), Nanos::from_nanos(5));
+        assert_eq!(t.finished_at, Nanos::from_nanos(5));
     }
 }

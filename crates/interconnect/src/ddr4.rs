@@ -79,13 +79,14 @@ pub struct Ddr4Channel {
     config: Ddr4Config,
     bus: Resource,
     /// Rolling four-entry memo of the last transfer sizes' wire times. The
-    /// channel sees the same few sizes millions of times per run (64-byte
-    /// commands, the CPU access granule and the MoS page on the miss path),
-    /// and the burst round-up plus
-    /// `f64` bandwidth division was the dominant per-transfer bookkeeping
-    /// cost — the FCFS grant itself is a single busy-until compare. The memo
-    /// caches the exact [`Self::service_time`] result per byte count, so
-    /// timing stays byte-identical (the goldens pin this).
+    /// channel sees the same few CPU access sizes millions of times per run,
+    /// and the burst round-up plus `f64` bandwidth division was the dominant
+    /// per-transfer bookkeeping cost — the FCFS grant itself is a single
+    /// busy-until compare. The memo caches the exact [`Self::service_time`]
+    /// result per byte count, so timing stays byte-identical (the goldens
+    /// pin this). Transfers whose size is fixed ahead (the HAMS controller's
+    /// MoS pages and 64-byte commands) resolve their service time once and
+    /// go through [`Self::occupy`] instead.
     #[serde(skip)]
     service_memo: ServiceMemo,
 }
@@ -155,6 +156,13 @@ impl Ddr4Channel {
                 service
             }
         };
+        self.occupy(service, now)
+    }
+
+    /// Holds the channel for `service`, a transfer's wire time resolved
+    /// ahead with [`Self::service_time`], starting no earlier than `now`.
+    #[inline]
+    pub fn occupy(&mut self, service: Nanos, now: Nanos) -> Transfer {
         let grant = self.bus.acquire(now, service);
         Transfer {
             finished_at: grant.end,
@@ -215,6 +223,17 @@ mod tests {
             let t = ch.transfer(bytes, now);
             assert_eq!(t.service, reference.service_time(bytes), "bytes={bytes}");
             now = t.finished_at;
+        }
+    }
+
+    #[test]
+    fn occupying_a_resolved_service_time_equals_transferring_the_bytes() {
+        let mut by_size = Ddr4Channel::new(Ddr4Config::ddr4_2666());
+        let mut resolved = Ddr4Channel::new(Ddr4Config::ddr4_2666());
+        let page = resolved.service_time(8192);
+        for i in 0..8u64 {
+            let now = Nanos::from_nanos(i * 300);
+            assert_eq!(resolved.occupy(page, now), by_size.transfer(8192, now));
         }
     }
 

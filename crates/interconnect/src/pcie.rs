@@ -114,7 +114,13 @@ impl PcieLink {
 
     /// Moves `bytes` over the link starting no earlier than `now`.
     pub fn transfer(&mut self, bytes: u64, now: Nanos) -> Transfer {
-        let service = self.service_time(bytes);
+        self.occupy(self.service_time(bytes), now)
+    }
+
+    /// Holds the link for `service`, a transfer's wire time resolved ahead
+    /// with [`Self::service_time`], starting no earlier than `now`.
+    #[inline]
+    pub fn occupy(&mut self, service: Nanos, now: Nanos) -> Transfer {
         let grant = self.link.acquire(now, service);
         Transfer {
             finished_at: grant.end,

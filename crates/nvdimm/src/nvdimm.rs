@@ -97,12 +97,14 @@ pub struct Nvdimm {
     state: NvdimmPowerState,
     stats: NvdimmStats,
     /// Rolling memo of the last access sizes' array latencies. The serving
-    /// path reads/writes the same one or two sizes (the CPU granule and the
-    /// MoS page) millions of times per run, and the `f64` bandwidth division
-    /// in [`Self::access_latency`] dominated the per-access bookkeeping. The
+    /// path reads/writes the same one or two CPU access sizes millions of
+    /// times per run, and the `f64` bandwidth division in
+    /// [`Self::access_latency`] dominated the per-access bookkeeping. The
     /// memo caches the exact `access_latency` result per byte count, so
     /// timing stays byte-identical. The default entries map 0 bytes to zero
-    /// time — exactly `access_latency(0)` — so a cold memo is valid.
+    /// time — exactly `access_latency(0)` — so a cold memo is valid. The
+    /// HAMS controller resolves its MoS page's latency once and records
+    /// page accesses with [`Self::record_read`] and [`Self::record_write`].
     #[serde(skip)]
     latency_memo: [(u64, Nanos); 2],
 }
@@ -173,16 +175,30 @@ impl Nvdimm {
 
     /// Records a read of `bytes` and returns its array latency.
     pub fn read(&mut self, bytes: u64) -> Nanos {
-        self.stats.reads += 1;
-        self.stats.bytes_read += bytes;
+        self.record_read(bytes);
         self.memoized_latency(bytes)
     }
 
     /// Records a write of `bytes` and returns its array latency.
     pub fn write(&mut self, bytes: u64) -> Nanos {
+        self.record_write(bytes);
+        self.memoized_latency(bytes)
+    }
+
+    /// Records a read of `bytes` whose array latency the caller resolved
+    /// ahead with [`Self::access_latency`].
+    #[inline]
+    pub fn record_read(&mut self, bytes: u64) {
+        self.stats.reads += 1;
+        self.stats.bytes_read += bytes;
+    }
+
+    /// Records a write of `bytes` whose array latency the caller resolved
+    /// ahead with [`Self::access_latency`].
+    #[inline]
+    pub fn record_write(&mut self, bytes: u64) {
         self.stats.writes += 1;
         self.stats.bytes_written += bytes;
-        self.memoized_latency(bytes)
     }
 
     /// Duration of a full backup of the DRAM contents to the on-DIMM flash.
@@ -264,6 +280,12 @@ mod tests {
         assert_eq!(s.writes, 2);
         assert_eq!(s.bytes_read, 4096);
         assert_eq!(s.bytes_written, 128);
+        // Recording an access whose latency was resolved ahead counts alike.
+        dimm.record_read(4096);
+        dimm.record_write(8192);
+        let s = dimm.stats();
+        assert_eq!((s.reads, s.bytes_read), (2, 8192));
+        assert_eq!((s.writes, s.bytes_written), (3, 8320));
     }
 
     #[test]

@@ -57,8 +57,11 @@ impl CommandId {
 /// A single 64-byte NVMe command as manipulated by the HAMS NVMe engine.
 ///
 /// The `cid` (command identifier) is assigned when the command is submitted
-/// on a queue pair; a freshly constructed command carries `cid == 0`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// on a queue pair; a freshly constructed command carries `cid == 0`. Like
+/// the SQ entry it models, a command is a small plain value: it is `Copy`
+/// and fits in 64 bytes, so composing, serving and journalling one moves it
+/// with no heap and no drop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NvmeCommand {
     /// Command identifier, unique among outstanding commands of one queue.
     pub cid: u16,
@@ -89,6 +92,7 @@ impl NvmeCommand {
     /// Panics if `length` is zero: NVMe encodes a transfer's block count
     /// 0's-based, so a read or write always moves at least one block.
     #[must_use]
+    #[inline]
     pub fn read(nsid: u32, slba: u64, length: u64, prp: PrpList) -> Self {
         assert!(length > 0, "an NVMe read moves at least one block");
         NvmeCommand {
@@ -109,6 +113,7 @@ impl NvmeCommand {
     ///
     /// Panics if `length` is zero, as [`NvmeCommand::read`] does.
     #[must_use]
+    #[inline]
     pub fn write(nsid: u32, slba: u64, length: u64, prp: PrpList) -> Self {
         assert!(length > 0, "an NVMe write moves at least one block");
         NvmeCommand {

@@ -11,7 +11,8 @@
 //!   force-unit-access flag and the HAMS *journal tag* stored in the command's
 //!   reserved area ([`command`]),
 //! * PRP lists describing where in host memory (NVDIMM, for HAMS) the data for
-//!   a command lives ([`prp`]),
+//!   a command lives: one contiguous run of page-sized regions, so a command
+//!   is a small `Copy` value ([`prp`]),
 //! * the MSI coalescing model (threshold + timeout aggregation) that decides
 //!   when completion interrupts are posted ([`msi`]),
 //! * multi-queue submission: the [`QueueConfig`] shape of N queue pairs,

@@ -1,10 +1,71 @@
 //! Property-based tests for the PRP machinery and the MSI coalescing model.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+
 use hams_nvme::{MsiCoalescer, MsiCoalescing, PrpList};
 use hams_sim::Nanos;
 use proptest::prelude::*;
 
+fn hash_of(list: &PrpList) -> u64 {
+    let mut h = DefaultHasher::new();
+    list.hash(&mut h);
+    h.finish()
+}
+
 proptest! {
+    /// A PRP list is the enumeration of the pages a transfer touches, each
+    /// aligned down to the page size, kept here as the reference:
+    /// `(first_page..=last_page).map(|p| p * page_size)`. Page sizes are
+    /// drawn both as powers of two and not. Retargeting keeps every entry's
+    /// offset from the first, and two lists compare (and hash) equal exactly
+    /// when their entries do.
+    #[test]
+    fn prp_lists_equal_the_page_enumeration(
+        base in 0u64..(1 << 40),
+        len in 1u64..(1 << 20),
+        shift in 9u32..21,
+        odd in 500u64..70_000,
+        pow2 in any::<bool>(),
+        new_base in 0u64..(1 << 40),
+    ) {
+        let page_size = if pow2 { 1u64 << shift } else { odd };
+        let (first_page, last_page) = (base / page_size, (base + len - 1) / page_size);
+        let reference: Vec<u64> = (first_page..=last_page).map(|p| p * page_size).collect();
+        let list = PrpList::for_transfer(base, len, page_size);
+        prop_assert_eq!(list.len(), reference.len());
+        prop_assert_eq!(list.first().map(|e| e.address()), Some(reference[0]));
+        let entries: Vec<u64> = list.iter().map(|e| e.address()).collect();
+        prop_assert_eq!(&entries, &reference);
+
+        let mut moved = list;
+        moved.retarget(new_base);
+        let shifted: Vec<u64> = reference
+            .iter()
+            .map(|a| new_base.wrapping_add(a - reference[0]))
+            .collect();
+        prop_assert_eq!(moved.iter().map(|e| e.address()).collect::<Vec<_>>(), shifted);
+
+        // The same pages listed from the aligned start always match; a
+        // single pointer matches a one-entry list; a neighbouring page size
+        // and the retargeted list match only if their entries do.
+        let pages = reference.len() as u64;
+        let aligned = PrpList::for_transfer(reference[0], pages * page_size, page_size);
+        let others = [
+            aligned,
+            PrpList::single(reference[0]),
+            PrpList::for_transfer(base, len, page_size + 1),
+            moved,
+        ];
+        prop_assert!(list == aligned);
+        for other in others {
+            let same_entries = list.iter().eq(other.iter());
+            prop_assert_eq!(list == other, same_entries);
+            if same_entries {
+                prop_assert_eq!(hash_of(&list), hash_of(&other));
+            }
+        }
+    }
+
     /// A PRP list built for any transfer covers every byte of the transfer:
     /// the number of entries equals the number of pages the range straddles.
     #[test]
