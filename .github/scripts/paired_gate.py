@@ -29,9 +29,15 @@ report, not a verdict, since a declared model change moves it on purpose.
 Three probes time paths no benchmark workload runs, with HAMS_THREADS=1:
 `figures fig6` (the mmap path), `figures fig18` (the loose HAMS modes,
 which serve through the SSD's internal DRAM; every workload is tight and
-DRAM-less) and `figures fig26` (the fault path). A side's value in a pair
-is runs per second of its fastest of PROBE_RUNS runs, held to the bound of
-`host_accesses_per_s`.
+DRAM-less) and `figures fig26` (the fault path, served open-loop). A side's
+value in a pair is runs per second of its fastest of PROBE_RUNS runs, held
+to the bound of `host_accesses_per_s`.
+
+Each probe's printed output is treated like the fingerprint: every run of
+a side must print the same output (the gate stops with exit status 2 when
+one does not), and the gate reports whether the head's output is the
+base's, byte for byte (`same`) or not (`moved`), again as a report rather
+than a verdict.
 
 Ratios of paired runs follow Kalibera & Jones, "Rigorous Benchmarking in
 Reasonable Time" (ISMM 2013); perfbench's host rate already keeps the
@@ -41,6 +47,7 @@ Exit status: 0 when every verdict passes, 1 when one fails, 2 when a build
 or a run fails.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -120,19 +127,25 @@ def fingerprint_of(stdout):
     return found[0]
 
 
-def side_fingerprint(side, fingerprints):
-    """The one fingerprint every run of `side` printed. Simulated results
-    are deterministic, so two distinct values are an error."""
-    distinct = sorted(set(fingerprints))
+def output_hash(stdout):
+    """A 16-hex-digit digest of one probe run's printed output."""
+    return hashlib.sha256(stdout).hexdigest()[:16]
+
+
+def side_value(side, what, values):
+    """The one value every run of `side` printed, a simulated fingerprint
+    or a probe's output hash. Simulated results are deterministic, so two
+    distinct values are an error."""
+    distinct = sorted(set(values))
     if len(distinct) != 1:
-        raise RunError(f"{side} printed {len(distinct)} distinct simulated fingerprints "
-                       f"({', '.join(distinct)}): its simulated results are nondeterministic")
+        raise RunError(f"{side} printed {len(distinct)} distinct {what} "
+                       f"({', '.join(distinct)}): its runs are nondeterministic")
     return distinct[0]
 
 
-def fingerprint_report(workload, base, head):
-    """The report-only line saying whether the simulated results moved."""
-    return (f"{workload:<16} simulated fingerprint base {base} head {head}: "
+def report(label, what, base, head):
+    """The report-only line saying whether a simulated result moved."""
+    return (f"{label:<16} {what} base {base} head {head}: "
             f"{'same' if base == head else 'moved'}")
 
 
@@ -179,19 +192,22 @@ def build_figures(side):
         raise RunError(f"{side}: building figures failed")
 
 
-def probe_rate(side, figure):
-    """Runs per second of the fastest of PROBE_RUNS runs of `figures <figure>`."""
+def run_probe(side, figure):
+    """Runs per second of the fastest of PROBE_RUNS runs of `figures <figure>`,
+    and the hash of each run's output."""
     binary = os.path.join(side, ".bench_build", "release", "figures")
     env = side_env(side, HAMS_THREADS="1")
     fastest = float("inf")
+    outputs = []
     for _ in range(PROBE_RUNS):
         start = time.perf_counter()
-        run = subprocess.run([binary, figure], cwd=side, env=env, stdout=subprocess.DEVNULL)
+        run = subprocess.run([binary, figure], cwd=side, env=env, stdout=subprocess.PIPE)
         elapsed = time.perf_counter() - start
         if run.returncode != 0:
             raise RunError(f"{side}: figures {figure} exited {run.returncode}")
         fastest = min(fastest, elapsed)
-    return 1.0 / fastest
+        outputs.append(output_hash(run.stdout))
+    return 1.0 / fastest, outputs
 
 
 def paired(base, measure):
@@ -241,9 +257,10 @@ def main():
         use_head_benchmark(base)
         for workload in (w["name"] for w in bench["workloads"]):
             runs = paired(base, lambda side: run_perfbench(side, workload))
-            print(fingerprint_report(workload,
-                                     side_fingerprint("base", [b for (b, _, _), _ in runs]),
-                                     side_fingerprint("head", [h for _, (h, _, _) in runs])),
+            fingerprints = "simulated fingerprints"
+            print(report(workload, "simulated fingerprint",
+                         side_value("base", fingerprints, [b for (b, _, _), _ in runs]),
+                         side_value("head", fingerprints, [h for _, (h, _, _) in runs])),
                   flush=True)
             if not judge_failures(workload, [(b, h) for (_, _, b), (_, _, h) in runs]):
                 failed.append(f"{workload} failed_share")
@@ -254,9 +271,16 @@ def main():
         for side in (base, HEAD):
             build_figures(side)
         for figure in PROBES:
-            pairs = paired(base, lambda side: probe_rate(side, figure))
-            if not judge(f"figures {figure}", "runs_per_s", pairs, rate["better"], rate["bound"]):
-                failed.append(f"figures {figure}")
+            label = f"figures {figure}"
+            runs = paired(base, lambda side: run_probe(side, figure))
+            outputs = f"outputs of {label}"
+            print(report(label, "output",
+                         side_value("base", outputs, [o for (_, bo), _ in runs for o in bo]),
+                         side_value("head", outputs, [o for _, (_, ho) in runs for o in ho])),
+                  flush=True)
+            pairs = [(b, h) for (b, _), (h, _) in runs]
+            if not judge(label, "runs_per_s", pairs, rate["better"], rate["bound"]):
+                failed.append(label)
     except (RunError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

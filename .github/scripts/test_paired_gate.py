@@ -1,4 +1,4 @@
-"""Tests for the host-time gate's verdicts and its fingerprint checks.
+"""Tests for the host-time gate's verdicts and its fingerprint and output checks.
 
     python3 -m unittest discover -s .github/scripts -p 'test_*.py'
 """
@@ -6,7 +6,7 @@
 import unittest
 
 from paired_gate import (RunError, failed_share, failure_verdict, fingerprint_of,
-                         fingerprint_report, side_fingerprint, verdict)
+                         output_hash, report, side_value, verdict)
 
 
 class VerdictTest(unittest.TestCase):
@@ -125,19 +125,49 @@ class FingerprintTest(unittest.TestCase):
             fingerprint_of(RUN_OUTPUT.replace("185a4b0e4a20edda", ""))
 
     def test_every_run_of_a_side_must_agree(self):
-        self.assertEqual(side_fingerprint("base", ["a1", "a1", "a1"]), "a1")
+        what = "simulated fingerprints"
+        self.assertEqual(side_value("base", what, ["a1", "a1", "a1"]), "a1")
         with self.assertRaises(RunError) as caught:
-            side_fingerprint("head", ["a1", "b2", "a1"])
+            side_value("head", what, ["a1", "b2", "a1"])
         self.assertIn("nondeterministic", str(caught.exception))
         self.assertIn("head", str(caught.exception))
+        self.assertIn(what, str(caught.exception))
         with self.assertRaises(RunError):
-            side_fingerprint("base", [])
+            side_value("base", what, [])
 
     def test_the_report_says_whether_the_fingerprint_moved(self):
-        self.assertTrue(fingerprint_report("hit-update", "a1", "a1").endswith(
-            "base a1 head a1: same"))
-        self.assertTrue(fingerprint_report("hit-update", "a1", "b2").endswith(
-            "base a1 head b2: moved"))
+        self.assertTrue(report("hit-update", "simulated fingerprint", "a1", "a1").endswith(
+            "simulated fingerprint base a1 head a1: same"))
+        self.assertTrue(report("hit-update", "simulated fingerprint", "a1", "b2").endswith(
+            "simulated fingerprint base a1 head b2: moved"))
+
+
+class ProbeOutputTest(unittest.TestCase):
+    def test_the_hash_is_16_hex_digits_of_the_whole_output(self):
+        digest = output_hash(b"fig26 p99 12.5\n")
+        self.assertEqual(len(digest), 16)
+        int(digest, 16)
+        self.assertEqual(digest, output_hash(b"fig26 p99 12.5\n"))
+        # One changed byte, or a missing trailing newline, moves it.
+        self.assertNotEqual(digest, output_hash(b"fig26 p99 12.6\n"))
+        self.assertNotEqual(digest, output_hash(b"fig26 p99 12.5"))
+        self.assertNotEqual(output_hash(b""), output_hash(b"\n"))
+
+    def test_a_side_whose_probe_runs_print_two_outputs_is_an_error(self):
+        what = "outputs of figures fig26"
+        same = [output_hash(b"a\n")] * 3
+        self.assertEqual(side_value("base", what, same), same[0])
+        with self.assertRaises(RunError) as caught:
+            side_value("base", what, same + [output_hash(b"b\n")])
+        self.assertIn("nondeterministic", str(caught.exception))
+        self.assertIn("figures fig26", str(caught.exception))
+
+    def test_the_report_says_whether_the_output_moved(self):
+        a, b = output_hash(b"a\n"), output_hash(b"b\n")
+        self.assertEqual(report("figures fig26", "output", a, a),
+                         f"figures fig26    output base {a} head {a}: same")
+        self.assertEqual(report("figures fig26", "output", a, b),
+                         f"figures fig26    output base {a} head {b}: moved")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use hams_core::{ArrayState, AttachMode, FaultPlan, PersistMode, RebuildConfig};
+use hams_core::{ArrayState, AttachMode, FaultPlan, PersistMode};
 use hams_flash::{SsdConfig, SsdDevice};
 use hams_interconnect::{Ddr4Channel, Ddr4Config};
 use hams_nvme::{NvmeCommand, PrpList, QueueConfig};
@@ -1422,8 +1422,8 @@ pub fn timeline_traced_run(scale: &ScaleProfile) -> (OpenLoopMetrics, RunTelemet
     let service_rate = closed_loop_rate(PlatformKind::HamsTE.build(scale).as_mut(), spec, scale);
     let config = OpenLoopConfig::poisson(TIMELINE_OFFERED_FRACTION * service_rate);
     let mut platform = PlatformKind::HamsTE.build(scale);
-    // Size the span ring to the run: every access crosses at most the seven
-    // spine layers plus the admission door-block span, so eight spans per
+    // Size the span ring to the run: every access crosses the seven spine
+    // layers, a miss some of them more than once, and eight spans per
     // access keeps the recorder from evicting the early request spans.
     let mut telemetry = RunTelemetry::with_capacity(
         scale.accesses.saturating_mul(8).max(1),
@@ -1572,10 +1572,7 @@ pub fn fig26_fault_schedule(accesses: usize, offered_per_sec: f64) -> (FaultPlan
             span.scale(FIG26_FAIL_FRACTION),
             span.scale(FIG26_SPARE_FRACTION),
         )
-        .with_rebuild(RebuildConfig {
-            row_interval: span.scale(1e-4).max(Nanos::from_nanos(1)),
-            ..RebuildConfig::default()
-        });
+        .with_rebuild_interval(span.scale(1e-4).max(Nanos::from_nanos(1)));
     (plan, span)
 }
 

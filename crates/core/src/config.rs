@@ -4,7 +4,6 @@
 use hams_flash::{BackendTopology, SsdConfig};
 use hams_nvdimm::{NvdimmConfig, PinnedRegionLayout};
 use hams_nvme::QueueConfig;
-use hams_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
 use crate::tag_array::ShardConfig;
@@ -78,12 +77,6 @@ pub struct HamsConfig {
     /// spans, so by the shard-invariance contract any shape produces
     /// byte-identical metrics. [`ShardConfig::single`] labels every set 0.
     pub shards: ShardConfig,
-    /// Fixed latency of the HAMS cache-logic pipeline per request (tag
-    /// compare, command composition).
-    pub controller_overhead: Nanos,
-    /// Latency of submitting one command over the loose path (doorbell write
-    /// and BAR access across PCIe).
-    pub pcie_command_overhead: Nanos,
 }
 
 impl HamsConfig {
@@ -102,8 +95,6 @@ impl HamsConfig {
             backend: BackendTopology::single(),
             queues: QueueConfig::single(),
             shards: ShardConfig::single(),
-            controller_overhead: Nanos::from_nanos(20),
-            pcie_command_overhead: Nanos::from_nanos(600),
         }
     }
 
@@ -155,8 +146,6 @@ impl HamsConfig {
             backend: BackendTopology::single(),
             queues: QueueConfig::single(),
             shards: ShardConfig::single(),
-            controller_overhead: Nanos::from_nanos(20),
-            pcie_command_overhead: Nanos::from_nanos(600),
         }
     }
 
@@ -206,6 +195,18 @@ pub(crate) fn assert_mos_page_size(size: u64) {
     assert!(
         size >= 4096 && size.is_power_of_two(),
         "MoS page size must be a power-of-two multiple of 4 KB, got {size}"
+    );
+}
+
+/// Refuses a MoS page that is not a whole number of the archive's flash
+/// pages: the controller fixes, when it is built, how many flash pages back
+/// each MoS page.
+pub(crate) fn assert_whole_flash_pages(mos_page_size: u64, flash_page_size: u32) {
+    let flash_page_size = u64::from(flash_page_size);
+    assert!(
+        flash_page_size > 0 && mos_page_size.is_multiple_of(flash_page_size),
+        "MoS page size must be a whole number of flash pages, got {mos_page_size} bytes \
+         over {flash_page_size}-byte flash pages"
     );
 }
 

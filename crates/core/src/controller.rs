@@ -36,7 +36,9 @@ use hams_sim::{ComponentId, LatencyVector, Nanos};
 use hams_telemetry::{Layer, Span, TelemetrySink};
 use serde::{Deserialize, Serialize};
 
-use crate::config::{assert_mos_page_size, AttachMode, HamsConfig, PersistMode};
+use crate::config::{
+    assert_mos_page_size, assert_whole_flash_pages, AttachMode, HamsConfig, PersistMode,
+};
 use crate::engine::NvmeEngine;
 use crate::prp_pool::PrpPool;
 use crate::tag_array::{SetRef, ShardConfig, ShardedTagArray, TagProbe};
@@ -44,12 +46,21 @@ use crate::tag_array::{SetRef, ShardConfig, ShardedTagArray, TagProbe};
 /// Tag lookup: a tCL plus a few tBURSTs out of the NVDIMM (<20 ns).
 const TAG_READ: Nanos = Nanos::from_nanos(15);
 
+/// Fixed latency of the HAMS cache-logic pipeline per request (tag compare,
+/// command composition).
+const CONTROLLER_OVERHEAD: Nanos = Nanos::from_nanos(20);
+
+/// Latency of submitting one command over the loose path (doorbell write and
+/// BAR access across PCIe).
+const PCIE_COMMAND_OVERHEAD: Nanos = Nanos::from_nanos(600);
+
 /// What every miss moves, fixed by the [`HamsConfig`]: one MoS page over
-/// the attach mode's links and into or out of the NVDIMM array, and one
-/// stripe layout for a fill. Resolved once, when the controller is built,
-/// from the same model functions that price any transfer, so a miss reads
-/// these instead of recomputing them. (The 64-byte command's time lives in
-/// the [`RegisterInterface`], resolved the same way.)
+/// the attach mode's links and into or out of the NVDIMM array, one stripe
+/// layout for a fill, and the run of flash pages that back the MoS page.
+/// Resolved once, when the controller is built, from the same model
+/// functions that price any transfer, so a miss reads these instead of
+/// recomputing them. (The 64-byte command's time lives in the
+/// [`RegisterInterface`], resolved the same way.)
 #[derive(Debug)]
 struct MissShape {
     /// One MoS page's wire time on the DDR4 channel.
@@ -65,6 +76,9 @@ struct MissShape {
     /// it never stripes: its layout, like a single queue pair's, is the
     /// whole page.
     stripes: Box<[(u64, u64)]>,
+    /// Flash pages one MoS page spans: MoS page `p` lives in flash pages
+    /// `p * flash_pages ..` of the archive.
+    flash_pages: u64,
 }
 
 impl MissShape {
@@ -91,6 +105,7 @@ impl MissShape {
             },
             page_array: nvdimm.access_latency(page_bytes),
             stripes: stripes.into_boxed_slice(),
+            flash_pages: page_bytes / u64::from(config.ssd.geometry.page_size),
         }
     }
 }
@@ -236,12 +251,13 @@ impl HamsController {
     ///
     /// # Panics
     ///
-    /// Panics if the MoS page size is not a power-of-two multiple of 4 KB,
-    /// or if the NVDIMM is too small to host the pinned region plus at least
-    /// one MoS page.
+    /// Panics if the MoS page size is not a power-of-two multiple of 4 KB
+    /// or not a whole number of flash pages, or if the NVDIMM is too small to
+    /// host the pinned region plus at least one MoS page.
     #[must_use]
     pub fn new(config: HamsConfig) -> Self {
         assert_mos_page_size(config.mos_page_size);
+        assert_whole_flash_pages(config.mos_page_size, config.ssd.geometry.page_size);
         let nvdimm = Nvdimm::new(config.nvdimm);
         let pinned = PinnedRegion::at_top_of(nvdimm.capacity_bytes(), config.pinned);
         let num_sets = (pinned.cacheable_bytes() / config.mos_page_size) as usize;
@@ -400,8 +416,8 @@ impl HamsController {
         // The one set/tag division of the access.
         let at = self.tags.locate(page);
         let traced = self.trace.is_enabled();
-        let mut t = now + self.config.controller_overhead;
-        breakdown.add(ComponentId::HAMS, self.config.controller_overhead);
+        let mut t = now + CONTROLLER_OVERHEAD;
+        breakdown.add(ComponentId::HAMS, CONTROLLER_OVERHEAD);
 
         // Retire anything whose device service has completed.
         self.engine.retire(t);
@@ -645,10 +661,7 @@ impl HamsController {
     /// `(finished_at, dma_time)`.
     fn submit_command(&mut self, start: Nanos) -> (Nanos, Nanos) {
         match self.config.attach {
-            AttachMode::Loose => {
-                let overhead = self.config.pcie_command_overhead;
-                (start + overhead, overhead)
-            }
+            AttachMode::Loose => (start + PCIE_COMMAND_OVERHEAD, PCIE_COMMAND_OVERHEAD),
             AttachMode::Tight => {
                 let t = self.reg_iface.send_command(&mut self.ddr, start);
                 (t.finished_at, t.latency())
@@ -951,9 +964,8 @@ impl HamsController {
     /// the device owning its stripe.
     #[must_use]
     pub fn page_durable_on_flash(&self, page: u64) -> bool {
-        let flash_page = u64::from(self.config.ssd.geometry.page_size);
-        let start = page * self.config.mos_page_size / flash_page;
-        let count = (self.config.mos_page_size / flash_page).max(1);
+        let count = self.miss.flash_pages;
+        let start = page * count;
         (start..start + count).all(|lpn| self.archive.is_durable(lpn))
     }
 
@@ -1334,6 +1346,18 @@ mod tests {
                         let mut stripes = Vec::new();
                         stripe_ranges_into(page_bytes / LBA_SIZE, lanes, &mut stripes);
                         assert_eq!(*h.miss.stripes, *stripes, "{shape}");
+                        // The flash pages behind MoS page `p` are its byte
+                        // range divided by the flash page size.
+                        let flash_page = u64::from(config.ssd.geometry.page_size);
+                        for p in [0, 1, 7, 1_000_003] {
+                            let first = p * page_bytes / flash_page;
+                            let count = (page_bytes / flash_page).max(1);
+                            assert_eq!(
+                                (p * h.miss.flash_pages, h.miss.flash_pages),
+                                (first, count),
+                                "{shape} page {p}"
+                            );
+                        }
                     }
                 }
             }
@@ -1525,6 +1549,14 @@ mod tests {
             mos_page_size: 12 * 1024,
             ..HamsConfig::tiny_for_tests(AttachMode::Loose, PersistMode::Extend)
         };
+        let _ = HamsController::new(config);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of flash pages, got 4096 bytes over 8192-byte")]
+    fn a_mos_page_that_splits_a_flash_page_is_refused_when_the_controller_is_built() {
+        let mut config = HamsConfig::tiny_for_tests(AttachMode::Loose, PersistMode::Extend);
+        config.ssd.geometry.page_size = 8192;
         let _ = HamsController::new(config);
     }
 

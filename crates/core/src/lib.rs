@@ -60,9 +60,7 @@ pub use controller::{
     HamsController, HamsStats, MosAccessResult, PowerFailureEvent, RecoveryReport,
 };
 pub use engine::{EngineStats, NvmeEngine, TrackedCommand};
-pub use hams_flash::{
-    ArchiveSet, ArrayState, BackendTopology, FaultEvent, FaultPlan, FaultStats, RebuildConfig,
-};
+pub use hams_flash::{ArchiveSet, ArrayState, BackendTopology, FaultEvent, FaultPlan, FaultStats};
 pub use prp_pool::{CloneSlot, PrpPool};
 pub use tag_array::{
     MosTagArray, ShardConfig, ShardHashPolicy, ShardedTagArray, TagArrayStats, TagEntry, TagProbe,

@@ -780,10 +780,7 @@ mod tests {
         let spare_at = Nanos::from_micros(300);
         let plan = FaultPlan::new()
             .with_fail_stop(1, fail_at, spare_at)
-            .with_rebuild(crate::fault::RebuildConfig {
-                row_interval: Nanos::from_micros(10),
-                ..Default::default()
-            });
+            .with_rebuild_interval(Nanos::from_micros(10));
         set.set_fault_plan(plan);
         assert_eq!(set.array_state(), ArrayState::Healthy);
 
@@ -863,10 +860,7 @@ mod tests {
             set.set_fault_plan(
                 FaultPlan::new()
                     .with_fail_stop(3, Nanos::from_micros(50), Nanos::from_micros(200))
-                    .with_rebuild(crate::fault::RebuildConfig {
-                        row_interval: Nanos::from_micros(5),
-                        ..Default::default()
-                    }),
+                    .with_rebuild_interval(Nanos::from_micros(5)),
             );
             let mut now = Nanos::from_micros(60);
             let mut finishes = Vec::new();

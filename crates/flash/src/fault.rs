@@ -18,7 +18,7 @@
 //! reads (serviced on the survivors' real channel/die models, so they contend
 //! with foreground traffic) plus a per-LBA XOR charge. Degraded writes are
 //! absorbed by a parity update on the row's surviving parity buddy. Rebuild
-//! is background traffic: one stripe row per [`RebuildConfig::row_interval`],
+//! is background traffic: one stripe row per [`FaultPlan::rebuild_interval`],
 //! each row serviced as `N − 1` survivor reads plus a forced-unit-access
 //! program of the replacement — through the *same* device queues foreground
 //! commands use, which is what makes rebuild contend with serving.
@@ -54,24 +54,8 @@ pub struct FaultEvent {
     pub spare_at: Nanos,
 }
 
-/// Pacing and cost knobs for reconstruction and rebuild.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RebuildConfig {
-    /// Simulated time between consecutive rebuild rows — the rebuild rate
-    /// limiter that trades recovery time against foreground interference.
-    pub row_interval: Nanos,
-    /// XOR cost charged per 4 KB LBA reconstructed or rebuilt.
-    pub xor_per_lba: Nanos,
-}
-
-impl Default for RebuildConfig {
-    fn default() -> Self {
-        RebuildConfig {
-            row_interval: Nanos::from_micros(20),
-            xor_per_lba: Nanos::from_nanos(250),
-        }
-    }
-}
+/// XOR cost charged per 4 KB LBA reconstructed or rebuilt.
+const XOR_PER_LBA: Nanos = Nanos::from_nanos(250);
 
 /// A deterministic schedule of device faults for one run.
 ///
@@ -79,12 +63,23 @@ impl Default for RebuildConfig {
 /// device may only fail once the array is healthy again. (One failure at a
 /// time is what single-parity RAID-5 survives; overlapping failures would be
 /// data loss, which this model treats as a plan error.)
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// The injected faults, sorted by instant.
     pub events: Vec<FaultEvent>,
-    /// Rebuild pacing and reconstruction cost model.
-    pub rebuild: RebuildConfig,
+    /// Simulated time between consecutive rebuild rows — the rebuild rate
+    /// limiter that trades recovery time against foreground interference.
+    /// 20 µs unless [`FaultPlan::with_rebuild_interval`] replaces it.
+    pub rebuild_interval: Nanos,
+}
+
+impl Default for FaultPlan {
+    fn default() -> Self {
+        FaultPlan {
+            events: Vec::new(),
+            rebuild_interval: Nanos::from_micros(20),
+        }
+    }
 }
 
 impl FaultPlan {
@@ -111,10 +106,10 @@ impl FaultPlan {
         self
     }
 
-    /// Replaces the rebuild pacing / cost configuration.
+    /// Replaces the time between consecutive rebuild rows.
     #[must_use]
-    pub fn with_rebuild(mut self, rebuild: RebuildConfig) -> Self {
-        self.rebuild = rebuild;
+    pub fn with_rebuild_interval(mut self, interval: Nanos) -> Self {
+        self.rebuild_interval = interval;
         self
     }
 }
@@ -308,7 +303,7 @@ impl FaultInjector {
             last = event.spare_at;
         }
         assert!(
-            plan.rebuild.row_interval > Nanos::ZERO,
+            plan.rebuild_interval > Nanos::ZERO,
             "rebuild pacing must be positive"
         );
         FaultInjector {
@@ -491,7 +486,7 @@ impl FaultInjector {
                         let end = self.rebuild_row(devices, down, row, at);
                         let active = self.active.as_mut().expect("still rebuilding");
                         active.rebuilt += 1;
-                        active.next_row_at = at + self.plan.rebuild.row_interval;
+                        active.next_row_at = at + self.plan.rebuild_interval;
                         self.stats.rebuild_rows_done += 1;
                         self.pending_spans.push(RebuildSpan {
                             device: down,
@@ -617,7 +612,7 @@ impl FaultInjector {
     }
 
     fn xor_cost(&self, bytes: u64) -> Nanos {
-        Nanos::from_nanos(self.plan.rebuild.xor_per_lba.as_nanos() * bytes.div_ceil(LBA_SIZE))
+        Nanos::from_nanos(XOR_PER_LBA.as_nanos() * bytes.div_ceil(LBA_SIZE))
     }
 }
 

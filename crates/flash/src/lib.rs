@@ -51,8 +51,7 @@ pub use device::{
     IoCompletion, PowerLossReport, SsdConfig, SsdDevice, SsdError, SsdStats, LBA_SIZE,
 };
 pub use fault::{
-    ArrayState, FaultEvent, FaultInjector, FaultPlan, FaultStats, Raid5Layout, RebuildConfig,
-    RebuildSpan,
+    ArrayState, FaultEvent, FaultInjector, FaultPlan, FaultStats, Raid5Layout, RebuildSpan,
 };
 pub use fil::{Fil, FilCompletion};
 pub use ftl::{Ftl, FtlError, FtlStats, WriteOutcome};

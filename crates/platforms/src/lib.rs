@@ -51,8 +51,8 @@ pub use hams_nvme::QueueConfig;
 pub use mmap::MmapPlatform;
 pub use openloop::{
     run_tenant_set_open_loop, run_tenant_set_open_loop_traced, run_workload_open_loop,
-    run_workload_open_loop_traced, AdmissionPolicy, MultiTenantMetrics, OpenLoopConfig,
-    OpenLoopMetrics, OpenLoopRecord, TenantMetrics,
+    run_workload_open_loop_traced, MultiTenantMetrics, OpenLoopConfig, OpenLoopMetrics,
+    OpenLoopRecord, TenantMetrics, ADMISSION_QUEUE_DEPTH,
 };
 pub use platform::{AccessOutcome, BatchOutcome, BatchRequest, Platform};
 pub use runner::{

@@ -101,7 +101,6 @@ impl Observer for Tracer<'_> {
         let &OpenLoopRecord {
             tenant,
             arrival,
-            enqueued,
             started,
             finished,
         } = record;
@@ -113,10 +112,7 @@ impl Observer for Tracer<'_> {
         };
         let recorder = &mut self.telemetry.recorder;
         recorder.record(span(Layer::Request, "sojourn", arrival, finished));
-        if enqueued > arrival {
-            recorder.record(span(Layer::Admission, "door_block", arrival, enqueued));
-        }
-        recorder.record(span(Layer::Admission, "queue_wait", enqueued, started));
+        recorder.record(span(Layer::Admission, "queue_wait", arrival, started));
     }
 
     fn dispatch(

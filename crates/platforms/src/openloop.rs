@@ -8,13 +8,13 @@
 //! automation is supposed to beat the software stacks, is invisible. The
 //! open-loop driver here decouples the two: an
 //! [`ArrivalGenerator`](hams_workloads::ArrivalGenerator) schedules when
-//! requests *arrive*, a bounded admission queue of configurable depth holds
-//! them at the platform boundary (dropping or back-pressuring when full),
-//! and the platform serves FIFO batches through the same
-//! [`Platform::serve_batch_into`] hot path as closed-loop replay. Each served
-//! request records arrival → enqueue → dispatch → finish timestamps, and the
-//! sojourn time (finish − arrival) feeds a [`Histogram`] for p50/p99/p999
-//! reporting.
+//! requests *arrive*, an admission queue [`ADMISSION_QUEUE_DEPTH`] deep holds
+//! them at the platform boundary (an arrival that finds it full is dropped),
+//! and the platform serves FIFO batches of up to [`DEFAULT_BATCH_SIZE`]
+//! through the same [`Platform::serve_batch_into`] hot path as closed-loop
+//! replay. Each served request records arrival → dispatch → finish
+//! timestamps, and the sojourn time (finish − arrival) feeds a [`Histogram`]
+//! for p50/p99/p999 reporting.
 //!
 //! Every run is a [`TenantSet`] served through one engine. Its merged,
 //! time-ordered request stream ([`TenantSource`]) feeds one admission queue
@@ -31,12 +31,13 @@
 //! stream ahead in chunks, so the serving thread never draws an arrival gap,
 //! steps a trace or merges tenants. Closed-loop replay generates inline.
 //!
-//! At arrival-rate → ∞ ([`ArrivalProcess::Saturate`]) with a depth-1
-//! blocking queue and batch size 1, every dispatch instant equals the
-//! previous finish — exactly the closed-loop serial schedule — so
-//! [`run_workload_open_loop`] must produce [`RunMetrics`] byte-identical to
-//! [`crate::run_workload_serial`] (`tests/openloop_equivalence.rs`). Per-tenant
-//! counters always sum exactly to the merged totals
+//! At arrival-rate → ∞ ([`ArrivalProcess::Saturate`]) every request arrives
+//! at t = 0, so while none is dropped every dispatch instant equals the
+//! previous finish — exactly the closed-loop serial schedule, which batching
+//! does not change. A saturated run of at most [`ADMISSION_QUEUE_DEPTH`]
+//! requests must therefore produce [`RunMetrics`] byte-identical to
+//! [`crate::run_workload_serial`] (`tests/openloop_equivalence.rs`).
+//! Per-tenant counters always sum exactly to the merged totals
 //! (`tests/tenant_equivalence.rs`).
 
 use hams_sim::par::{prefetch, Prefetched};
@@ -50,31 +51,19 @@ use crate::observe::{Observer, Tracer};
 use crate::platform::{BatchOutcome, BatchRequest, Platform};
 use crate::runner::{MetricsFold, RunMetrics, ScaleProfile, DEFAULT_BATCH_SIZE};
 
-/// What the admission queue does with an arrival that finds it full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AdmissionPolicy {
-    /// Reject the request; it is counted in
-    /// [`OpenLoopMetrics::dropped`] and never reaches the platform.
-    Drop,
-    /// Hold the request at the door until a slot frees (the client blocks);
-    /// its enqueue timestamp becomes the instant the slot freed.
-    Block,
-}
+/// The most requests that wait at the platform boundary. An arrival that
+/// finds the admission queue this full is dropped.
+pub const ADMISSION_QUEUE_DEPTH: usize = 4096;
 
-/// Configuration of one open-loop run: the arrival process plus the
-/// admission-queue and histogram knobs.
+/// Configuration of one open-loop run: the arrival process, the sojourn
+/// histogram and record retention. Every run admits through one
+/// [`ADMISSION_QUEUE_DEPTH`]-deep dropping queue and dispatches batches of
+/// up to [`DEFAULT_BATCH_SIZE`] requests.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OpenLoopConfig {
     /// When requests arrive. Ignored by [`run_tenant_set_open_loop`], where
     /// each tenant's own [`ArrivalProcess`] drives its stream.
     pub arrivals: ArrivalProcess,
-    /// Maximum number of requests waiting at the platform boundary.
-    pub queue_depth: usize,
-    /// What happens to an arrival that finds the queue full.
-    pub policy: AdmissionPolicy,
-    /// Requests dispatched to [`Platform::serve_batch_into`] per call
-    /// (capped by what is queued; `0` is treated as `1`).
-    pub batch_size: usize,
     /// Bucket width of the sojourn-time histogram.
     pub sojourn_bucket: Nanos,
     /// Bucket count of the sojourn-time histogram.
@@ -87,58 +76,17 @@ pub struct OpenLoopConfig {
 }
 
 impl OpenLoopConfig {
-    /// A Poisson run at `rate_per_sec` with production-flavoured defaults:
-    /// a deep dropping queue and a 256 ns × 65 536-bucket sojourn histogram
-    /// (~16.8 ms of range before the overflow bucket's true-max tracking
-    /// takes over).
+    /// A Poisson run at `rate_per_sec` with a 256 ns × 65 536-bucket sojourn
+    /// histogram (~16.8 ms of range before the overflow bucket's true-max
+    /// tracking takes over).
     #[must_use]
     pub fn poisson(rate_per_sec: f64) -> Self {
         OpenLoopConfig {
             arrivals: ArrivalProcess::Poisson { rate_per_sec },
-            queue_depth: 4096,
-            policy: AdmissionPolicy::Drop,
-            batch_size: DEFAULT_BATCH_SIZE,
             sojourn_bucket: Nanos::from_nanos(256),
             sojourn_buckets: 65_536,
             keep_records: true,
         }
-    }
-
-    /// The degenerate configuration that reproduces closed-loop serial
-    /// serving: all arrivals at t = 0, one slot, blocking admission, batch
-    /// size 1. Pinned byte-identical to [`crate::run_workload_serial`].
-    #[must_use]
-    pub fn degenerate_serial() -> Self {
-        OpenLoopConfig {
-            arrivals: ArrivalProcess::Saturate,
-            queue_depth: 1,
-            policy: AdmissionPolicy::Block,
-            batch_size: 1,
-            sojourn_bucket: Nanos::from_nanos(256),
-            sojourn_buckets: 65_536,
-            keep_records: true,
-        }
-    }
-
-    /// Returns a copy with a different arrival process.
-    #[must_use]
-    pub fn with_arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.arrivals = arrivals;
-        self
-    }
-
-    /// Returns a copy with a different queue depth.
-    #[must_use]
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
-        self
-    }
-
-    /// Returns a copy with a different admission policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Returns a copy with per-request record retention switched on or off.
@@ -149,18 +97,16 @@ impl OpenLoopConfig {
     }
 }
 
-/// The life of one served request, as the four instants the engine records,
+/// The life of one served request, as the three instants the engine records,
 /// tagged with the tenant that issued it (0 for single-tenant runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpenLoopRecord {
     /// Index of the issuing tenant in its [`TenantSet`] (always 0 for
     /// [`run_workload_open_loop`]).
     pub tenant: usize,
-    /// When the request arrived at the platform boundary.
+    /// When the request arrived at the platform boundary and, unless it was
+    /// dropped, entered the admission queue.
     pub arrival: Nanos,
-    /// When it entered the admission queue (equals `arrival` unless a
-    /// blocking queue held it at the door).
-    pub enqueued: Nanos,
     /// When the platform started serving it.
     pub started: Nanos,
     /// When its outcome completed.
@@ -180,7 +126,7 @@ impl OpenLoopRecord {
         self.finished.saturating_sub(self.started)
     }
 
-    /// Time spent waiting before dispatch (door plus queue).
+    /// Time spent in the admission queue before dispatch.
     #[must_use]
     pub fn queue_wait(&self) -> Nanos {
         self.started.saturating_sub(self.arrival)
@@ -201,7 +147,7 @@ pub struct OpenLoopMetrics {
     pub arrivals: u64,
     /// Requests actually served.
     pub served: u64,
-    /// Requests rejected by a full [`AdmissionPolicy::Drop`] queue.
+    /// Requests dropped at a full admission queue.
     pub dropped: u64,
     /// Arrival instant of the first request the arrival process produced
     /// (zero when nothing arrived).
@@ -356,90 +302,51 @@ struct Queued {
     tenant: usize,
     access: Access,
     arrival: Nanos,
-    enqueued: Nanos,
 }
 
-/// The bounded FIFO between the arrival streams and the platform.
-///
-/// `door` models [`AdmissionPolicy::Block`]: the one client the full queue is
-/// back-pressuring. While it is occupied no later arrival can be admitted
-/// (open-loop clients are independent, but admission is a single FIFO door),
-/// which is exactly the head-of-line blocking a bounded listen queue shows.
-/// Arrival, drop and first-arrival accounting is kept per tenant; merged
-/// totals are the exact sums.
+/// The FIFO between the arrival streams and the platform: it holds up to
+/// [`ADMISSION_QUEUE_DEPTH`] requests and drops an arrival that finds it
+/// full. Arrival, drop and first-arrival accounting is kept per tenant;
+/// merged totals are the exact sums.
 #[derive(Debug)]
 struct AdmissionQueue {
-    depth: usize,
-    policy: AdmissionPolicy,
     queue: VecDeque<Queued>,
-    door: Option<(usize, Access, Nanos)>,
     /// Per-tenant count of requests pulled off the arrival streams.
     arrivals: Vec<u64>,
-    /// Per-tenant count of requests rejected by a full dropping queue.
+    /// Per-tenant count of requests dropped at a full queue.
     dropped: Vec<u64>,
     /// Per-tenant first arrival instant.
     first_arrival: Vec<Option<Nanos>>,
-    /// The instant the most recent blocked client got its slot; later
-    /// arrivals cannot have enqueued before it.
-    unblocked_at: Nanos,
 }
 
 impl AdmissionQueue {
-    /// A queue admitting up to `depth` requests. It never holds more than
+    /// An empty queue for `tenant_count` tenants. It never holds more than
     /// the run's `expected` requests, so that bounds the up-front
-    /// reservation: an unbounded `depth` (`usize::MAX`) allocates nothing
-    /// extra.
-    fn new(depth: usize, policy: AdmissionPolicy, tenant_count: usize, expected: usize) -> Self {
+    /// reservation.
+    fn new(tenant_count: usize, expected: usize) -> Self {
         AdmissionQueue {
-            depth: depth.max(1),
-            policy,
-            queue: VecDeque::with_capacity(depth.min(expected).max(1)),
-            door: None,
+            queue: VecDeque::with_capacity(ADMISSION_QUEUE_DEPTH.min(expected).max(1)),
             arrivals: vec![0; tenant_count],
             dropped: vec![0; tenant_count],
             first_arrival: vec![None; tenant_count],
-            unblocked_at: Nanos::ZERO,
         }
     }
 
-    /// Admits every arrival with instant ≤ `t`, in arrival order, applying
-    /// the overflow policy. The blocked door client (if any) is first in
-    /// line and enqueues at `t` itself — the moment its slot freed. Callers
-    /// must therefore invoke this at every instant a slot *actually* frees
-    /// (in particular at batch dispatch, when `pop_front` empties slots),
-    /// not only when the server goes idle.
+    /// Admits every arrival with instant ≤ `t`, in arrival order, dropping
+    /// each one that finds the queue full.
     fn admit_until(&mut self, source: &mut Prefetched<(usize, Access, Nanos)>, t: Nanos) {
-        loop {
-            let (item, from_door) = if let Some(blocked) = self.door.take() {
-                (blocked, true)
-            } else if source.peek().is_some_and(|&(_, _, arrival)| arrival <= t) {
-                let item = source.next().expect("peeked");
-                let (tenant, _, arrival) = item;
-                self.arrivals[tenant] += 1;
-                self.first_arrival[tenant].get_or_insert(arrival);
-                (item, false)
-            } else {
-                return;
-            };
-            let (tenant, access, arrival) = item;
-            if self.queue.len() < self.depth {
-                if from_door {
-                    self.unblocked_at = t;
-                }
+        while source.peek().is_some_and(|&(_, _, arrival)| arrival <= t) {
+            let (tenant, access, arrival) = source.next().expect("peeked");
+            self.arrivals[tenant] += 1;
+            self.first_arrival[tenant].get_or_insert(arrival);
+            if self.queue.len() < ADMISSION_QUEUE_DEPTH {
                 self.queue.push_back(Queued {
                     tenant,
                     access,
                     arrival,
-                    enqueued: arrival.max(self.unblocked_at),
                 });
             } else {
-                match self.policy {
-                    AdmissionPolicy::Drop => self.dropped[tenant] += 1,
-                    AdmissionPolicy::Block => {
-                        self.door = Some(item);
-                        return;
-                    }
-                }
+                self.dropped[tenant] += 1;
             }
         }
     }
@@ -496,7 +403,7 @@ pub fn run_workload_open_loop_traced(
 /// FIFO batch dispatch.
 ///
 /// `config.arrivals` is ignored — each tenant's own [`ArrivalProcess`]
-/// drives its stream; the queue, batch and histogram knobs apply to the
+/// drives its stream; the histogram and record settings apply to the
 /// shared platform boundary. Per-tenant counters always sum exactly to the
 /// merged totals (`tests/tenant_equivalence.rs`).
 ///
@@ -548,7 +455,6 @@ fn run_open_loop<O: Observer>(
         .collect();
     let source = TenantSource::new(set, &scaled, scale.seed, scale.accesses);
     let expected = set.total_accesses(scale.accesses);
-    let batch_size = config.batch_size.max(1);
     observer.start(platform);
     let mut fold = MetricsFold::new();
     let buckets = config.sojourn_buckets.max(1);
@@ -564,11 +470,11 @@ fn run_open_loop<O: Observer>(
     let mut served = 0u64;
     let mut last_finish = Nanos::ZERO;
 
-    let mut queue = AdmissionQueue::new(config.queue_depth, config.policy, set.len(), expected);
+    let mut queue = AdmissionQueue::new(set.len(), expected);
 
-    let cap = batch_size.min(expected.max(1));
+    let cap = DEFAULT_BATCH_SIZE.min(expected.max(1));
     let mut batch: Vec<BatchRequest> = Vec::with_capacity(cap);
-    let mut meta: Vec<(usize, Nanos, Nanos)> = Vec::with_capacity(cap);
+    let mut meta: Vec<(usize, Nanos)> = Vec::with_capacity(cap);
     let mut out = BatchOutcome::with_capacity(cap);
     // The instant the platform finished its last dispatched batch; it sits
     // idle from here until the next dispatch.
@@ -576,27 +482,23 @@ fn run_open_loop<O: Observer>(
 
     prefetch(source, |source| loop {
         // Catch the queue up to the server's clock, then — if it is idle and
-        // empty — jump it forward to the next arrival.
+        // empty — jump it forward to the next arrival. Every arrival up to
+        // the dispatch instant below is then admitted or dropped.
         queue.admit_until(source, server_free);
         if queue.queue.is_empty() {
-            debug_assert!(
-                queue.door.is_none(),
-                "a blocked client implies a full queue"
-            );
             let Some(&(_, _, next_arrival)) = source.peek() else {
                 break;
             };
-            queue.admit_until(source, server_free.max(next_arrival));
+            queue.admit_until(source, next_arrival);
         }
 
         // FIFO dispatch: the batch starts when the server is free and its
-        // head request is in the queue.
-        let head_enqueued = queue.queue.front().expect("non-empty").enqueued;
-        let start = server_free.max(head_enqueued);
+        // head request has arrived.
+        let start = server_free.max(queue.queue.front().expect("non-empty").arrival);
 
         batch.clear();
         meta.clear();
-        while batch.len() < batch_size {
+        while batch.len() < DEFAULT_BATCH_SIZE {
             let Some(q) = queue.queue.pop_front() else {
                 break;
             };
@@ -608,15 +510,8 @@ fn run_open_loop<O: Observer>(
                 access: q.access,
                 compute,
             });
-            meta.push((q.tenant, q.arrival, q.enqueued));
+            meta.push((q.tenant, q.arrival));
         }
-        // Dispatch freed queue slots *now*: a blocked door client gets its
-        // slot — and its enqueue timestamp — at the dispatch instant, not
-        // at the end of the batch it had to wait out. (Dispatch instants
-        // are unaffected: `start` only ever grows past `server_free`, so
-        // this earlier admission changes `enqueued` bookkeeping, never the
-        // schedule.)
-        queue.admit_until(source, start);
 
         platform.serve_batch_into(&batch, start, &mut out);
         assert_eq!(
@@ -629,14 +524,11 @@ fn run_open_loop<O: Observer>(
         );
 
         let mut ready = start;
-        for ((request, outcome), &(tenant, arrival, enqueued)) in
-            batch.iter().zip(&out.outcomes).zip(&meta)
-        {
+        for ((request, outcome), &(tenant, arrival)) in batch.iter().zip(&out.outcomes).zip(&meta) {
             fold.fold(ready, request.compute, outcome);
             let record = OpenLoopRecord {
                 tenant,
                 arrival,
-                enqueued,
                 started: ready,
                 finished: outcome.finished_at,
             };
@@ -746,111 +638,64 @@ mod tests {
         WorkloadSpec::by_name("rndRd").unwrap()
     }
 
+    /// Every request arrives at t = 0.
+    fn saturate() -> OpenLoopConfig {
+        OpenLoopConfig {
+            arrivals: ArrivalProcess::Saturate,
+            ..OpenLoopConfig::poisson(1.0)
+        }
+    }
+
     #[test]
     fn degenerate_open_loop_matches_serial_on_hams_te() {
         let scale = tiny_scale();
         let mut serial = PlatformKind::HamsTE.build(&scale);
         let mut open = PlatformKind::HamsTE.build(&scale);
         let reference = run_workload_serial(serial.as_mut(), spec(), &scale);
-        let ol = run_workload_open_loop(
-            open.as_mut(),
-            spec(),
-            &scale,
-            &OpenLoopConfig::degenerate_serial(),
-        );
+        let ol = run_workload_open_loop(open.as_mut(), spec(), &scale, &saturate());
         assert_eq!(ol.run, reference);
         assert_eq!(ol.served, scale.accesses as u64);
         assert_eq!(ol.dropped, 0);
     }
 
     #[test]
-    fn drop_policy_accounts_every_arrival() {
+    fn the_production_queue_admits_4096_and_drops_the_rest_from_the_later_tenant() {
+        // fig24–fig26 and perfbench admit through this queue.
+        assert_eq!(ADMISSION_QUEUE_DEPTH, 4096);
+        // Two saturating tenants offer 4,296 requests, all at t = 0. The
+        // merge breaks the ties toward tenant 0, so all 4,000 of its
+        // requests are admitted first, then 96 of tenant 1's; the first
+        // catch-up drops the other 200.
         let scale = tiny_scale();
-        let mut p = PlatformKind::Mmap.build(&scale);
-        // Saturate + a shallow dropping queue: nearly everything past the
-        // first window is rejected.
-        let config = OpenLoopConfig {
-            arrivals: ArrivalProcess::Saturate,
-            queue_depth: 8,
-            policy: AdmissionPolicy::Drop,
-            batch_size: 4,
-            sojourn_bucket: Nanos::from_nanos(256),
-            sojourn_buckets: 1024,
-            keep_records: true,
-        };
-        let m = run_workload_open_loop(p.as_mut(), spec(), &scale, &config);
-        assert_eq!(m.arrivals, scale.accesses as u64);
-        assert_eq!(m.arrivals, m.served + m.dropped);
-        assert!(m.dropped > 0, "a full dropping queue must drop");
-        assert_eq!(m.served, m.records.len() as u64);
-        assert_eq!(m.sojourn.count(), m.served);
-    }
-
-    #[test]
-    fn block_policy_never_drops() {
-        let scale = tiny_scale();
-        let mut p = PlatformKind::Mmap.build(&scale);
-        let config = OpenLoopConfig {
-            arrivals: ArrivalProcess::Saturate,
-            queue_depth: 3,
-            policy: AdmissionPolicy::Block,
-            batch_size: 2,
-            sojourn_bucket: Nanos::from_nanos(256),
-            sojourn_buckets: 1024,
-            keep_records: true,
-        };
-        let m = run_workload_open_loop(p.as_mut(), spec(), &scale, &config);
-        assert_eq!(m.dropped, 0);
-        assert_eq!(m.served, scale.accesses as u64);
-    }
-
-    #[test]
-    fn blocked_door_client_enqueues_at_the_dispatch_that_freed_its_slot() {
-        // Saturate + Block with depth 2 and batch 2: requests 0 and 1 fill
-        // the queue at t = 0 and request 2 blocks at the door. Its slot
-        // frees when batch [0, 1] is *dispatched* (popped) at t = 0 — the
-        // old engine only admitted it at the next admit_until(server_free),
-        // the end of that batch, inflating its queue wait by one batch
-        // service time.
-        let scale = ScaleProfile {
-            capacity_divisor: 2048,
-            accesses: 6,
-            seed: 5,
-        };
-        let config = OpenLoopConfig {
-            arrivals: ArrivalProcess::Saturate,
-            queue_depth: 2,
-            policy: AdmissionPolicy::Block,
-            batch_size: 2,
-            sojourn_bucket: Nanos::from_nanos(256),
-            sojourn_buckets: 1024,
-            keep_records: true,
-        };
-        for kind in [PlatformKind::Oracle, PlatformKind::HamsTE] {
-            let mut p = kind.build(&scale);
-            let m = run_workload_open_loop(p.as_mut(), spec(), &scale, &config);
-            assert_eq!(m.served, 6);
-            let r = &m.records;
-            // The door client of the first batch enqueues at that batch's
-            // dispatch instant (t = 0 under saturation)...
-            assert_eq!(
-                r[2].enqueued,
-                r[0].started,
-                "{}: door client enqueued at {:?}, batch dispatched at {:?}",
-                kind.label(),
-                r[2].enqueued,
-                r[0].started
-            );
-            // ...which is strictly before the batch finishes — the old
-            // engine's (buggy) enqueue instant.
-            assert!(
-                r[2].enqueued < r[1].finished,
-                "{}: door client's enqueue was deferred to the end of the batch",
-                kind.label()
-            );
-            // Same for the door client displaced by the second batch.
-            assert_eq!(r[4].enqueued, r[2].started, "{}", kind.label());
+        let set = TenantSet::new(vec![
+            TenantSpec::new("first", spec(), ArrivalProcess::Saturate).with_accesses(4_000),
+            TenantSpec::new(
+                "second",
+                WorkloadSpec::by_name("update").unwrap(),
+                ArrivalProcess::Saturate,
+            )
+            .with_accesses(296),
+        ]);
+        let mut p = PlatformKind::Oracle.build(&scale);
+        let m = run_tenant_set_open_loop(p.as_mut(), &set, &scale, &saturate());
+        let merged = &m.merged;
+        assert_eq!(
+            (merged.arrivals, merged.served, merged.dropped),
+            (4_296, 4_096, 200)
+        );
+        let counts: Vec<(u64, u64, u64)> = m
+            .tenants
+            .iter()
+            .map(|t| (t.arrivals, t.served, t.dropped))
+            .collect();
+        assert_eq!(counts, [(4_000, 4_000, 0), (296, 96, 200)]);
+        for (i, t) in m.tenants.iter().enumerate() {
+            assert_eq!(t.arrivals, t.served + t.dropped, "{}", t.name);
+            assert_eq!(t.sojourn.count(), t.served, "{}", t.name);
+            let recorded = merged.records.iter().filter(|r| r.tenant == i).count();
+            assert_eq!(recorded as u64, t.served, "{}", t.name);
         }
+        assert_eq!(merged.sojourn.count(), merged.served);
     }
 
     /// A platform that breaks the batch contract: it serves each batch
@@ -886,29 +731,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "short-changing returned 3 outcomes for an open-loop batch of 4")]
+    #[should_panic(expected = "short-changing returned 0 outcomes for an open-loop batch of 1")]
     fn a_platform_short_of_one_outcome_panics_without_hanging() {
         // Far more requests than the generator runs ahead, so it is blocked
         // on its full channel when the first batch's contract check fires;
-        // the test returning at all shows the unwind released it.
+        // the test returning at all shows the unwind released it. Poisson
+        // gaps are at least 1 ns, so the first batch is the first arrival
+        // alone and the rest of the stream stays in the channel.
         let scale = ScaleProfile {
             capacity_divisor: 2048,
             accesses: 20_000,
             seed: 3,
         };
-        let config = OpenLoopConfig {
-            arrivals: ArrivalProcess::Saturate,
-            queue_depth: 64,
-            policy: AdmissionPolicy::Block,
-            batch_size: 4,
-            sojourn_bucket: Nanos::from_nanos(256),
-            sojourn_buckets: 1024,
-            keep_records: false,
-        };
+        let config = OpenLoopConfig::poisson(1_000_000_000.0).with_records(false);
         let mut p = ShortChanging(PlatformKind::Oracle.build(&scale));
         let _ = run_workload_open_loop(&mut p, spec(), &scale, &config);
     }
-
     #[test]
     fn a_set_offering_no_requests_serves_nothing_and_returns() {
         let scale = tiny_scale();
@@ -999,36 +837,10 @@ mod tests {
             &OpenLoopConfig::poisson(2_000_000.0),
         );
         for r in &m.records {
-            assert!(r.arrival <= r.enqueued);
-            assert!(r.enqueued <= r.started);
+            assert!(r.arrival <= r.started);
             assert!(r.started <= r.finished);
             assert_eq!(r.sojourn(), r.queue_wait() + r.service());
             assert_eq!(r.tenant, 0);
-        }
-    }
-
-    #[test]
-    fn deeper_queue_drops_no_more() {
-        let scale = tiny_scale();
-        let base = OpenLoopConfig::poisson(50_000_000.0).with_queue_depth(4);
-        let mut shallow = PlatformKind::Mmap.build(&scale);
-        let s = run_workload_open_loop(shallow.as_mut(), spec(), &scale, &base);
-        // `usize::MAX` is an unbounded queue: it must admit every arrival
-        // without reserving `depth` slots up front.
-        for depth in [4096, usize::MAX] {
-            let mut deep = PlatformKind::Mmap.build(&scale);
-            let config = base.with_queue_depth(depth);
-            let d = run_workload_open_loop(deep.as_mut(), spec(), &scale, &config);
-            assert!(
-                d.dropped <= s.dropped,
-                "deepening the queue to {depth} added drops ({} -> {})",
-                s.dropped,
-                d.dropped
-            );
-            if depth == usize::MAX {
-                assert_eq!(d.served, scale.accesses as u64);
-                assert_eq!(d.dropped, 0);
-            }
         }
     }
 
@@ -1103,7 +915,7 @@ mod tests {
                 },
             ),
         ]);
-        let config = OpenLoopConfig::poisson(1.0).with_queue_depth(64);
+        let config = OpenLoopConfig::poisson(1.0);
         let mut plain = PlatformKind::HamsTE.build(&scale);
         let mut traced = PlatformKind::HamsTE.build(&scale);
         let reference = run_tenant_set_open_loop(plain.as_mut(), &set, &scale, &config);
@@ -1145,7 +957,7 @@ mod tests {
             .with_weight(2.0),
         ]);
         let mut p = PlatformKind::HamsTE.build(&scale);
-        let config = OpenLoopConfig::poisson(1.0).with_queue_depth(64);
+        let config = OpenLoopConfig::poisson(1.0);
         let m = run_tenant_set_open_loop(p.as_mut(), &set, &scale, &config);
         assert_eq!(m.tenants.len(), 2);
         let sum = |f: fn(&TenantMetrics) -> u64| m.tenants.iter().map(f).sum::<u64>();

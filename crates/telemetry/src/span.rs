@@ -9,7 +9,7 @@ use hams_sim::Nanos;
 pub enum Layer {
     /// Whole-request lifetime (arrival to completion) and its service phase.
     Request,
-    /// Open-loop admission: door blocking, queue wait, dispatch.
+    /// Open-loop admission: each request's wait in the queue until dispatch.
     Admission,
     /// HAMS controller access and its component breakdown.
     Controller,

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example degraded_serving`
 
-use hams::core::{FaultPlan, RebuildConfig};
+use hams::core::FaultPlan;
 use hams::platforms::{
     build_fault_platform, fault_label, run_workload, run_workload_open_loop, OpenLoopConfig,
     Platform, ScaleProfile,
@@ -48,10 +48,7 @@ fn main() {
     // run — slow enough to overlap plenty of foreground serving.
     let plan = FaultPlan::new()
         .with_fail_stop(0, span.scale(0.30), span.scale(0.40))
-        .with_rebuild(RebuildConfig {
-            row_interval: span.scale(1e-4).max(Nanos::from_nanos(1)),
-            ..RebuildConfig::default()
-        });
+        .with_rebuild_interval(span.scale(1e-4).max(Nanos::from_nanos(1)));
 
     let mut platform = build_fault_platform(&scale);
     platform.controller_mut().set_fault_plan(plan);

@@ -23,8 +23,8 @@
 
 use hams::core::{AttachMode, PersistMode};
 use hams::flash::{
-    ArchiveSet, ArrayState, BackendTopology, FaultPlan, FaultStats, Raid5Layout, RebuildConfig,
-    SsdConfig, LBA_SIZE,
+    ArchiveSet, ArrayState, BackendTopology, FaultPlan, FaultStats, Raid5Layout, SsdConfig,
+    LBA_SIZE,
 };
 use hams::nvme::{NvmeCommand, PrpList};
 use hams::platforms::{
@@ -143,10 +143,7 @@ fn fault_schedule_replays_byte_identically_across_runs_and_thread_counts() {
             healthy.total_time.scale(0.3),
             healthy.total_time.scale(0.4),
         )
-        .with_rebuild(RebuildConfig {
-            row_interval: healthy.total_time.scale(1e-4).max(Nanos::from_nanos(1)),
-            ..RebuildConfig::default()
-        });
+        .with_rebuild_interval(healthy.total_time.scale(1e-4).max(Nanos::from_nanos(1)));
     let end = healthy.total_time.scale(4.0);
     let reference = faulted_run(&scale, &plan, end, run_workload_serial);
     assert_eq!(
@@ -215,10 +212,7 @@ fn degraded_reads_reconstruct_and_rebuild_restores_durability() {
     set.set_fault_plan(
         FaultPlan::new()
             .with_fail_stop(down, Nanos::from_micros(100), Nanos::from_millis(50))
-            .with_rebuild(RebuildConfig {
-                row_interval: Nanos::from_micros(5),
-                ..RebuildConfig::default()
-            }),
+            .with_rebuild_interval(Nanos::from_micros(5)),
     );
 
     // Every read of the dead device's stripes while degraded costs one read

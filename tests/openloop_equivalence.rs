@@ -4,33 +4,29 @@
 //! `serve_batch_into` hot path as closed-loop replay, so it must degenerate
 //! to it exactly:
 //!
-//! 1. **Rate → ∞ with a depth-1 blocking queue and batch size 1 is the
-//!    serial schedule, byte for byte.** Under `ArrivalProcess::Saturate`
-//!    every dispatch instant equals the previous finish — exactly what
-//!    `run_workload_serial` does — so [`RunMetrics`] must be identical on
-//!    all 11 platforms.
-//! 2. **Saturated blocking admission is invisible to the run metrics.** With
-//!    all arrivals at t = 0 and nothing dropped, the queue depth and batch
-//!    size only change *when* requests sit in the queue, never the FIFO
-//!    service order or the dispatch instants, so [`RunMetrics`] stays pinned
-//!    to the serial reference for every depth × batch shape.
+//! 1. **Rate → ∞ through the production queue is the serial schedule, byte
+//!    for byte.** Under `ArrivalProcess::Saturate` every request arrives at
+//!    t = 0; while none is dropped, every dispatch instant equals the
+//!    previous finish — exactly what `run_workload_serial` does, which
+//!    batching does not change — so [`RunMetrics`] must be identical on all
+//!    11 platforms.
+//! 2. **Accounting closes.** `arrivals = served + dropped` always, a burst
+//!    past the queue's depth drops exactly its excess, and per-record
+//!    timestamps are ordered with the sojourn decomposing into wait +
+//!    service (property-tested over random rates and seeds).
+//! 3. **The knee finder is prefix-monotone.** The fig24 knee is the end of
+//!    the leading sustained prefix, so truncating a sweep can never move the
+//!    knee to a higher offered load (property-tested on synthetic curves).
 //!
 //! The all-platform pins also run each HAMS kind on a four-device RAID-0
 //! archive, derived from its single-device twin (`common::build_on`).
-//! 3. **Accounting closes.** `arrivals = served + dropped` always; a
-//!    blocking queue never drops; per-record timestamps are ordered and the
-//!    sojourn decomposes into wait + service (property-tested over random
-//!    rates, depths, policies and batch sizes).
-//! 4. **The knee finder is prefix-monotone.** The fig24 knee is the end of
-//!    the leading sustained prefix, so truncating a sweep can never move the
-//!    knee to a higher offered load (property-tested on synthetic curves).
 
 mod common;
 
 use common::build_on;
 use hams::platforms::{
-    run_workload_open_loop, run_workload_serial, AdmissionPolicy, OpenLoopConfig, PlatformKind,
-    ScaleProfile,
+    run_workload_open_loop, run_workload_serial, OpenLoopConfig, PlatformKind, ScaleProfile,
+    ADMISSION_QUEUE_DEPTH,
 };
 use hams::workloads::{ArrivalProcess, WorkloadSpec};
 use hams_bench::{fig24_knee, fig24_knees, OpenLoopRow};
@@ -54,6 +50,14 @@ fn every_platform() -> impl Iterator<Item = (PlatformKind, u16)> {
         .chain(raid)
 }
 
+/// Every request arrives at t = 0, through the production queue.
+fn saturate() -> OpenLoopConfig {
+    OpenLoopConfig {
+        arrivals: ArrivalProcess::Saturate,
+        ..OpenLoopConfig::poisson(1.0)
+    }
+}
+
 #[test]
 fn degenerate_open_loop_is_byte_identical_to_serial_on_all_platforms() {
     let scale = tiny();
@@ -63,12 +67,7 @@ fn degenerate_open_loop_is_byte_identical_to_serial_on_all_platforms() {
             let mut serial = build_on(kind, &scale, devices);
             let mut open = build_on(kind, &scale, devices);
             let reference = run_workload_serial(serial.as_mut(), spec, &scale);
-            let ol = run_workload_open_loop(
-                open.as_mut(),
-                spec,
-                &scale,
-                &OpenLoopConfig::degenerate_serial(),
-            );
+            let ol = run_workload_open_loop(open.as_mut(), spec, &scale, &saturate());
             assert_eq!(
                 ol.run,
                 reference,
@@ -84,52 +83,17 @@ fn degenerate_open_loop_is_byte_identical_to_serial_on_all_platforms() {
 }
 
 #[test]
-fn saturated_blocking_metrics_are_invariant_under_queue_and_batch_shape() {
-    let scale = tiny();
-    let spec = WorkloadSpec::by_name("rndRd").unwrap();
-    for (kind, devices) in [
-        (PlatformKind::HamsTE, 1),
-        (PlatformKind::HamsTE, 4),
-        (PlatformKind::Mmap, 1),
-        (PlatformKind::Oracle, 1),
-    ] {
-        let mut serial = build_on(kind, &scale, devices);
-        let reference = run_workload_serial(serial.as_mut(), spec, &scale);
-        for depth in [1usize, 3, 64] {
-            for batch in [1usize, 2, 256] {
-                let config = OpenLoopConfig::degenerate_serial()
-                    .with_queue_depth(depth)
-                    .with_policy(AdmissionPolicy::Block);
-                let config = OpenLoopConfig {
-                    batch_size: batch,
-                    ..config
-                };
-                let mut open = build_on(kind, &scale, devices);
-                let m = run_workload_open_loop(open.as_mut(), spec, &scale, &config);
-                assert_eq!(
-                    m.run,
-                    reference,
-                    "{} d{devices}: saturated blocking run at depth {depth} batch {batch} \
-                     diverged from the serial reference",
-                    kind.label()
-                );
-                assert_eq!(m.dropped, 0, "a blocking queue must never drop");
-                assert_eq!(m.served, scale.accesses as u64);
-            }
-        }
-    }
-}
-
-#[test]
 fn drop_policy_accounting_closes_on_every_platform() {
-    let scale = tiny();
+    // A saturating burst 200 requests deeper than the queue: the first
+    // catch-up admits ADMISSION_QUEUE_DEPTH of them and drops the rest.
+    let scale = ScaleProfile {
+        accesses: ADMISSION_QUEUE_DEPTH + 200,
+        ..tiny()
+    };
     let spec = WorkloadSpec::by_name("update").unwrap();
-    let config = OpenLoopConfig::degenerate_serial()
-        .with_queue_depth(8)
-        .with_policy(AdmissionPolicy::Drop);
     for (kind, devices) in every_platform() {
         let mut p = build_on(kind, &scale, devices);
-        let m = run_workload_open_loop(p.as_mut(), spec, &scale, &config);
+        let m = run_workload_open_loop(p.as_mut(), spec, &scale, &saturate());
         assert_eq!(
             m.arrivals,
             scale.accesses as u64,
@@ -142,9 +106,10 @@ fn drop_policy_accounting_closes_on_every_platform() {
             "{} d{devices}: arrivals must split exactly into served + dropped",
             kind.label()
         );
-        assert!(
-            m.dropped > 0,
-            "{} d{devices}: a saturated depth-8 dropping queue must reject something",
+        assert_eq!(
+            m.dropped,
+            200,
+            "{} d{devices}: a saturated full queue must drop the burst's excess",
             kind.label()
         );
         assert_eq!(m.served, m.records.len() as u64);
@@ -153,16 +118,12 @@ fn drop_policy_accounting_closes_on_every_platform() {
 }
 
 proptest! {
-    /// For any arrival rate, queue shape and batch size, every served
-    /// request's timestamps are ordered arrival ≤ enqueued ≤ started ≤
-    /// finished, so the sojourn bounds both of its components — and the
-    /// arrival accounting closes.
+    /// For any arrival rate, every served request's timestamps are ordered
+    /// arrival ≤ started ≤ finished, so the sojourn bounds both of its
+    /// components — and the arrival accounting closes.
     #[test]
     fn sojourn_dominates_wait_and_service_under_random_configs(
         rate_per_sec in 1_000.0f64..100_000_000.0,
-        depth in 1usize..64,
-        block in any::<bool>(),
-        batch in 1usize..16,
         hams in any::<bool>(),
         seed in 0u64..1_000,
     ) {
@@ -172,24 +133,13 @@ proptest! {
             seed,
         };
         let kind = if hams { PlatformKind::HamsTE } else { PlatformKind::Oracle };
-        let policy = if block { AdmissionPolicy::Block } else { AdmissionPolicy::Drop };
-        let config = OpenLoopConfig {
-            arrivals: ArrivalProcess::Poisson { rate_per_sec },
-            queue_depth: depth,
-            policy,
-            batch_size: batch,
-            ..OpenLoopConfig::poisson(rate_per_sec)
-        };
+        let config = OpenLoopConfig::poisson(rate_per_sec);
         let mut p = kind.build(&scale);
         let m = run_workload_open_loop(p.as_mut(), spec_update(), &scale, &config);
         prop_assert_eq!(m.arrivals, scale.accesses as u64);
         prop_assert_eq!(m.arrivals, m.served + m.dropped);
-        if block {
-            prop_assert_eq!(m.dropped, 0);
-        }
         for r in &m.records {
-            prop_assert!(r.arrival <= r.enqueued);
-            prop_assert!(r.enqueued <= r.started);
+            prop_assert!(r.arrival <= r.started);
             prop_assert!(r.started <= r.finished);
             prop_assert!(r.sojourn() >= r.service());
             prop_assert!(r.sojourn() >= r.queue_wait());

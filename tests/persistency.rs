@@ -322,10 +322,7 @@ fn power_failure_during_rebuild_loses_no_acknowledged_write() {
     hams.set_fault_plan(
         hams::core::FaultPlan::new()
             .with_fail_stop(1, now, now + Nanos::from_micros(1))
-            .with_rebuild(hams::core::RebuildConfig {
-                row_interval: Nanos::from_millis(100),
-                ..hams::core::RebuildConfig::default()
-            }),
+            .with_rebuild_interval(Nanos::from_millis(100)),
     );
     for i in 0..(sets + 16) {
         let addr = (i % sets + (i / sets) * sets) * page_size;
@@ -384,10 +381,7 @@ fn power_failure_during_rebuild_reports_the_replacements_buffered_write() {
         set.set_fault_plan(
             hams::core::FaultPlan::new()
                 .with_fail_stop(1, Nanos::from_millis(1), Nanos::from_millis(2))
-                .with_rebuild(hams::core::RebuildConfig {
-                    row_interval: Nanos::from_secs(10),
-                    ..hams::core::RebuildConfig::default()
-                }),
+                .with_rebuild_interval(Nanos::from_secs(10)),
         );
         let read = NvmeCommand::read(1, 0, 4096, PrpList::single(0));
         set.service(&read, Nanos::from_millis(3)).unwrap();

@@ -18,7 +18,7 @@ proptest! {
     /// A traced open-loop run's spans agree with the engine's own
     /// per-request records: the i-th request span covers exactly
     /// `[arrival, finished]` (its duration IS the recorded sojourn), the
-    /// i-th queue-wait span covers `[enqueued, started]`, and each request
+    /// i-th queue-wait span covers `[arrival, started]`, and each request
     /// span encloses its admission child.
     #[test]
     fn traced_open_loop_spans_match_the_engine_records(
@@ -68,7 +68,7 @@ proptest! {
             prop_assert_eq!(span.start, record.arrival);
             prop_assert_eq!(span.end, record.finished);
             prop_assert_eq!(span.duration(), record.sojourn());
-            prop_assert_eq!(wait.start, record.enqueued);
+            prop_assert_eq!(wait.start, record.arrival);
             prop_assert_eq!(wait.end, record.started);
             prop_assert!(span.encloses(wait), "admission wait escapes its request span");
         }

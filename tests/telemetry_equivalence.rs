@@ -79,11 +79,14 @@ fn traced_closed_loop_is_byte_identical_on_all_platforms() {
 fn traced_open_loop_is_byte_identical_on_all_platforms() {
     let scale = tiny();
     let spec = WorkloadSpec::by_name("rndRd").unwrap();
-    // A finite Poisson rate (queueing, possible drops) and the degenerate
-    // serial schedule (blocking admission) both stay pinned.
+    // A finite Poisson rate (queueing) and the saturated serial schedule
+    // (every request at t = 0) both stay pinned.
     let configs = [
-        OpenLoopConfig::poisson(2.0e5).with_queue_depth(64),
-        OpenLoopConfig::degenerate_serial(),
+        OpenLoopConfig::poisson(2.0e5),
+        OpenLoopConfig {
+            arrivals: ArrivalProcess::Saturate,
+            ..OpenLoopConfig::poisson(1.0)
+        },
     ];
     for config in &configs {
         for (kind, devices) in every_platform() {
@@ -191,7 +194,7 @@ fn traced_tenant_set_is_byte_identical_and_tags_tenants() {
             },
         ),
     ]);
-    let config = OpenLoopConfig::poisson(1.0).with_queue_depth(32);
+    let config = OpenLoopConfig::poisson(1.0);
     for (kind, devices) in [
         (PlatformKind::Mmap, 1),
         (PlatformKind::HamsTE, 1),
