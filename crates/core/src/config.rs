@@ -58,10 +58,9 @@ pub struct HamsConfig {
     /// ULL-Flash archive configuration (per device of the backend).
     pub ssd: SsdConfig,
     /// Shape of the archive backend: one device, a RAID-0 fan-out or a
-    /// RAID-5 parity array. [`BackendTopology::single`] reproduces the
-    /// single-archive engine, and a one-device RAID-0 matches it byte for
-    /// byte (`tests/shape_equivalence.rs`); multi-device shapes stripe the
-    /// unified LBA space across devices and legitimately change timing.
+    /// RAID-5 parity array. [`BackendTopology::single`] is the paper's one
+    /// archive, served with no stripe arithmetic; multi-device shapes stripe
+    /// the unified LBA space across devices and legitimately change timing.
     pub backend: BackendTopology,
     /// Layout of the pinned, MMU-invisible metadata region.
     pub pinned: PinnedRegionLayout,

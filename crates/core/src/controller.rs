@@ -25,7 +25,7 @@
 //!   MoS page's wire times on the attach mode's links, its NVDIMM array
 //!   latency, the fill's stripe layout and the 64-byte command's time.
 
-use hams_flash::{ArchiveSet, ArrayState, FaultPlan, FaultStats, PowerLossReport, LBA_SIZE};
+use hams_flash::{ArchiveSet, FaultPlan, PowerLossReport, LBA_SIZE};
 use hams_interconnect::{
     CxlConfig, CxlLink, Ddr4Channel, Ddr4Config, PcieConfig, PcieLink, RegisterInterface,
     RegisterInterfaceConfig,
@@ -353,12 +353,6 @@ impl HamsController {
         &self.archive
     }
 
-    /// Number of devices in the archive set.
-    #[must_use]
-    pub fn num_devices(&self) -> u16 {
-        self.archive.num_devices()
-    }
-
     /// The archive-set device owning MoS page `page`'s first stripe. With
     /// the default MoS-page stripe granularity the whole page lives there,
     /// as its directory state lives in one set.
@@ -550,26 +544,12 @@ impl HamsController {
     /// [`hams_flash::fault`]). The plan's state machine advances on the
     /// simulated clock of the serial archive command stream, so fault
     /// timing is deterministic for a given workload whatever the host
-    /// thread count. Requires the parity backend
-    /// ([`hams_flash::BackendTopology::Raid5`]), fixed when the controller
-    /// is built.
+    /// thread count. Requires a parity backend
+    /// ([`hams_flash::BackendTopology::raid5_striped`]), fixed when the
+    /// controller is built.
     /// Arming the injector does not change the archive's shape.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.archive.set_fault_plan(plan);
-    }
-
-    /// Current degraded-state-machine state of the archive set
-    /// (`Healthy` when no fault plan is installed).
-    #[must_use]
-    pub fn array_state(&self) -> ArrayState {
-        self.archive.array_state()
-    }
-
-    /// Fault / reconstruction / rebuild accounting, if a fault plan is
-    /// installed.
-    #[must_use]
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.archive.fault_stats()
     }
 
     /// Advances the fault state machine to `now` without serving traffic —
@@ -1415,28 +1395,6 @@ mod tests {
     }
 
     #[test]
-    fn single_backend_is_byte_identical_across_the_topology_enum() {
-        let base = HamsConfig::tiny_for_tests(AttachMode::Loose, PersistMode::Extend);
-        let stream = |h: &mut HamsController| {
-            let page = h.config().mos_page_size;
-            let span = h.cache_sets() as u64 + 24;
-            let mut t = Nanos::ZERO;
-            let mut results = Vec::new();
-            for i in 0..300u64 {
-                let r = h.access((i * 11 % span) * page, i % 3 == 0, 64, t);
-                t = r.finished_at;
-                results.push(r);
-            }
-            results
-        };
-        let mut single = HamsController::new(base);
-        let mut raid1 = HamsController::new(base.with_backend(BackendTopology::raid0(1)));
-        assert_eq!(raid1.num_devices(), 1);
-        assert_eq!(stream(&mut single), stream(&mut raid1));
-        assert_eq!(single.stats(), raid1.stats());
-    }
-
-    #[test]
     fn raid0_fans_striped_fills_across_devices_and_per_device_bytes_sum() {
         use hams_nvme::QueueConfig;
         // 64 KB pages, 4 queue stripes of 16 KB each, 16 KB RAID stripes:
@@ -1447,7 +1405,7 @@ mod tests {
         let mut single = HamsController::new(base);
         let mut raid =
             HamsController::new(base.with_backend(BackendTopology::raid0_striped(4, 16 * 1024)));
-        assert_eq!(raid.num_devices(), 4);
+        assert_eq!(raid.archive().num_devices(), 4);
         assert_eq!(
             raid.mos_capacity_bytes(),
             single.mos_capacity_bytes(),

@@ -12,10 +12,10 @@
 //! Two contracts shape the design (both pinned by
 //! `tests/shape_equivalence.rs`):
 //!
-//! * **Single is the old engine, byte for byte.** [`BackendTopology::single`]
-//!   (and `Raid0 { devices: 1 }`) delegates every call straight to one
-//!   [`SsdDevice`] — no stripe arithmetic on the path — so a single-device
-//!   archive set is indistinguishable from the pre-topology engine.
+//! * **One device is a bare device, byte for byte.** A one-device set
+//!   ([`BackendTopology::single`]) delegates every call straight to its
+//!   [`SsdDevice`] — no stripe arithmetic on the path — so it is
+//!   indistinguishable from the device alone.
 //! * **Striping is a partition of one address space.** The set exposes the
 //!   exported capacity of *one* archive and stripes that fixed LBA space
 //!   across the devices with identity local addressing (device `d` serves
@@ -42,78 +42,57 @@ use crate::device::{
 };
 use crate::fault::{ArrayState, FaultInjector, FaultPlan, FaultStats, RebuildSpan};
 
-/// Shape of the archive backend behind the HAMS controller.
+/// Shape of the archive backend behind the HAMS controller: how many
+/// archives, the stripe unit that spreads the exported LBA space across
+/// them round-robin (stripe `s` on device `s % N`), and whether the set
+/// keeps rotating parity. A single archive, the paper's configuration, is
+/// the one-device set ([`BackendTopology::single`]).
 ///
-/// `stripe_bytes` of `0` means "resolve to the controller's MoS page size"
+/// A stripe unit of `0` means "resolve to the controller's MoS page size"
 /// (see [`BackendTopology::resolved`]), which aligns device ownership with
 /// the tag directory: one page, one set, one device.
+///
+/// Parity (RAID-5 style, [`BackendTopology::raid5_striped`]) does not move
+/// data placement, which is what keeps a fault-free parity array
+/// metrics-byte-identical to plain striping: parity lives in the devices'
+/// reserved over-provisioned region (mirrored into a supercap-backed parity
+/// log) and is destaged in idle time, never through the serviced command
+/// stream. It only materialises as device traffic when a fault plan is
+/// installed: degraded reads reconstruct from the `N − 1` survivors plus
+/// XOR, and rebuild regenerates the lost device row by row (see
+/// [`crate::fault`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BackendTopology {
-    /// One ULL-Flash archive — the paper's configuration and the pre-topology
-    /// engine, byte for byte.
-    Single,
-    /// RAID-0 over `devices` archives: the exported LBA space is cut into
-    /// `stripe_bytes` units assigned round-robin, so independent stripes are
-    /// served by independent devices.
-    Raid0 {
-        /// Number of archives in the set (at least 1; 1 is `Single`).
-        devices: u16,
-        /// Stripe unit in bytes (multiple of 4 KB); `0` resolves to the MoS
-        /// page size.
-        stripe_bytes: u64,
-    },
-    /// RAID-5 style rotating parity over `devices` archives. Data placement
-    /// is identical to `Raid0` — stripe `s` on device `s % N` — which is
-    /// what keeps a fault-free parity array metrics-byte-identical to
-    /// striping: parity lives in the devices' reserved over-provisioned
-    /// region (mirrored into a supercap-backed parity log) and is destaged
-    /// in idle time, never through the serviced command stream. The parity
-    /// only materialises as device traffic when a fault plan is installed:
-    /// degraded reads reconstruct from the `N − 1` survivors plus XOR, and
-    /// rebuild regenerates the lost device row by row (see
-    /// [`crate::fault`]).
-    Raid5 {
-        /// Number of archives in the set (at least 2 — single parity needs
-        /// a survivor).
-        devices: u16,
-        /// Stripe unit in bytes (multiple of 4 KB); `0` resolves to the MoS
-        /// page size.
-        stripe_bytes: u64,
-    },
+pub struct BackendTopology {
+    /// Number of archives in the set (at least 1, and at least 2 with
+    /// parity, which needs a survivor).
+    devices: u16,
+    /// Stripe unit in bytes (a multiple of 4 KB); `0` resolves to the MoS
+    /// page size.
+    stripe_bytes: u64,
+    /// Whether the set keeps rotating parity.
+    parity: bool,
 }
 
 impl BackendTopology {
-    /// The single-archive backend — the original engine.
+    /// One ULL-Flash archive: the paper's configuration.
     #[must_use]
     pub fn single() -> Self {
-        BackendTopology::Single
+        Self::raid0(1)
     }
 
     /// RAID-0 over `devices` archives with MoS-page stripe granularity.
     #[must_use]
     pub fn raid0(devices: u16) -> Self {
-        BackendTopology::Raid0 {
-            devices: devices.max(1),
-            stripe_bytes: 0,
-        }
+        Self::raid0_striped(devices, 0)
     }
 
     /// RAID-0 over `devices` archives with an explicit stripe unit.
     #[must_use]
     pub fn raid0_striped(devices: u16, stripe_bytes: u64) -> Self {
-        BackendTopology::Raid0 {
+        BackendTopology {
             devices: devices.max(1),
             stripe_bytes,
-        }
-    }
-
-    /// Rotating-parity RAID-5 over `devices` archives with MoS-page stripe
-    /// granularity.
-    #[must_use]
-    pub fn raid5(devices: u16) -> Self {
-        BackendTopology::Raid5 {
-            devices: devices.max(2),
-            stripe_bytes: 0,
+            parity: false,
         }
     }
 
@@ -121,60 +100,40 @@ impl BackendTopology {
     /// stripe unit.
     #[must_use]
     pub fn raid5_striped(devices: u16, stripe_bytes: u64) -> Self {
-        BackendTopology::Raid5 {
+        BackendTopology {
             devices: devices.max(2),
             stripe_bytes,
+            parity: true,
         }
     }
 
     /// Number of devices in the set.
     #[must_use]
     pub fn device_count(&self) -> u16 {
-        match self {
-            BackendTopology::Single => 1,
-            BackendTopology::Raid0 { devices, .. } => (*devices).max(1),
-            BackendTopology::Raid5 { devices, .. } => (*devices).max(2),
-        }
+        self.devices
     }
 
     /// The configured stripe unit (`0` = resolve to the MoS page size).
     #[must_use]
     pub fn stripe_bytes(&self) -> u64 {
-        match self {
-            BackendTopology::Single => 0,
-            BackendTopology::Raid0 { stripe_bytes, .. }
-            | BackendTopology::Raid5 { stripe_bytes, .. } => *stripe_bytes,
-        }
+        self.stripe_bytes
     }
 
     /// Whether the topology keeps rotating parity, making degraded reads
     /// reconstructible — the prerequisite for installing a fault plan.
     #[must_use]
     pub fn has_parity(&self) -> bool {
-        matches!(self, BackendTopology::Raid5 { .. })
+        self.parity
     }
 
     /// The topology with a zero stripe unit resolved to `mos_page_size`.
     #[must_use]
     pub fn resolved(&self, mos_page_size: u64) -> Self {
-        let resolve = |s: u64| if s == 0 { mos_page_size } else { s };
-        match *self {
-            BackendTopology::Single => BackendTopology::Single,
-            BackendTopology::Raid0 {
-                devices,
-                stripe_bytes,
-            } => BackendTopology::Raid0 {
-                devices,
-                stripe_bytes: resolve(stripe_bytes),
-            },
-            BackendTopology::Raid5 {
-                devices,
-                stripe_bytes,
-            } => BackendTopology::Raid5 {
-                devices,
-                stripe_bytes: resolve(stripe_bytes),
-            },
+        let mut resolved = *self;
+        if resolved.stripe_bytes == 0 {
+            resolved.stripe_bytes = mos_page_size;
         }
+        resolved
     }
 }
 
@@ -225,10 +184,7 @@ impl ArchiveSet {
     #[must_use]
     pub fn new(config: SsdConfig, topology: BackendTopology, mos_page_size: u64) -> Self {
         let topology = topology.resolved(mos_page_size.max(LBA_SIZE));
-        let stripe_bytes = match topology {
-            BackendTopology::Single => mos_page_size.max(LBA_SIZE),
-            t => t.stripe_bytes(),
-        };
+        let stripe_bytes = topology.stripe_bytes();
         assert!(
             stripe_bytes >= LBA_SIZE && stripe_bytes.is_multiple_of(LBA_SIZE),
             "stripe unit must be a positive multiple of the {LBA_SIZE}-byte LBA, \
@@ -244,10 +200,10 @@ impl ArchiveSet {
         }
     }
 
-    /// A single-archive set — the original engine, byte for byte.
+    /// A single-archive set: every call goes straight to its one device.
     #[must_use]
     pub fn single(config: SsdConfig) -> Self {
-        Self::new(config, BackendTopology::Single, LBA_SIZE)
+        Self::new(config, BackendTopology::single(), LBA_SIZE)
     }
 
     /// The topology in force (stripe unit resolved).
@@ -300,7 +256,7 @@ impl ArchiveSet {
         &self.devices
     }
 
-    /// The first device — the whole set under [`BackendTopology::Single`].
+    /// The first device — the whole set when it has one device.
     #[must_use]
     pub fn primary(&self) -> &SsdDevice {
         &self.devices[0]
@@ -415,7 +371,7 @@ impl ArchiveSet {
     /// catching up paced rebuild rows), then routes — degraded reads of the
     /// down device reconstruct from the survivors, degraded writes are
     /// absorbed by parity, everything else serves exactly as the healthy
-    /// path would. Only parity (`Raid5`) topologies reach here.
+    /// path would. Only parity topologies reach here.
     fn service_faulted(&mut self, cmd: &NvmeCommand, now: Nanos) -> Result<IoCompletion, SsdError> {
         if let Some(injector) = self.fault.as_mut() {
             injector.poll(now, &mut self.devices);
@@ -504,13 +460,14 @@ impl ArchiveSet {
     ///
     /// # Panics
     ///
-    /// Panics unless the topology keeps parity ([`BackendTopology::Raid5`])
-    /// — without it a lost device is data loss, not degraded service — or
+    /// Panics unless the topology keeps parity
+    /// ([`BackendTopology::has_parity`]) — without it a lost device is data
+    /// loss, not degraded service — or
     /// if the plan itself is invalid (see [`FaultInjector::new`]).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         assert!(
             self.topology.has_parity(),
-            "fault injection needs the parity topology (Raid5); {:?} cannot \
+            "fault injection needs a parity topology; {:?} cannot \
              reconstruct a lost device",
             self.topology
         );
@@ -593,7 +550,6 @@ mod tests {
         let config = SsdConfig::tiny_for_tests();
         let mut bare = SsdDevice::new(config);
         let mut set = ArchiveSet::single(config);
-        let mut raid1 = ArchiveSet::new(config, BackendTopology::raid0(1), 4096);
         let mut now = Nanos::ZERO;
         for i in 0..48u64 {
             let cmd = if i % 3 == 0 {
@@ -603,13 +559,10 @@ mod tests {
             };
             let a = bare.service(&cmd, now).unwrap();
             let b = set.service(&cmd, now).unwrap();
-            let c = raid1.service(&cmd, now).unwrap();
-            assert_eq!(a, b, "Single diverged from the bare device");
-            assert_eq!(a, c, "Raid0 {{ devices: 1 }} diverged from the bare device");
+            assert_eq!(a, b, "the one-device set diverged from the bare device");
             now = a.finished_at;
         }
         assert_eq!(bare.stats(), &set.stats());
-        assert_eq!(bare.stats(), &raid1.stats());
         assert_eq!(set.capacity_bytes(), bare.capacity_bytes());
     }
 

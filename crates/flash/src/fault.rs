@@ -26,10 +26,11 @@
 //! Two contracts are pinned by `tests/fault_equivalence.rs`:
 //!
 //! * **Zero faults means zero bytes of difference.** An injector is only
-//!   consulted when a plan is installed, and a healthy `Raid5` array routes
-//!   data exactly like `Raid0` (parity is destaged from the supercap-backed
-//!   parity log in idle time, never through the serviced command stream), so
-//!   a fault-free run is metrics-byte-identical to its healthy twin.
+//!   consulted when a plan is installed, and a healthy parity array routes
+//!   data exactly like plain striping (parity is destaged from the
+//!   supercap-backed parity log in idle time, never through the serviced
+//!   command stream), so a fault-free run is metrics-byte-identical to its
+//!   healthy twin.
 //! * **Fault timing is deterministic.** The injector advances only on the
 //!   simulated clock carried by the (serial) archive command stream, so the
 //!   same plan yields byte-identical metrics across runs and thread counts.

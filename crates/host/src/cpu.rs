@@ -31,17 +31,6 @@ impl CpuConfig {
             context_switch: Nanos::from_micros(2),
         }
     }
-
-    /// The 4 GHz Intel i7-4790K used for the real-device characterisation of
-    /// §III-A.
-    #[must_use]
-    pub fn i7_4790k() -> Self {
-        CpuConfig {
-            frequency_hz: 4.0e9,
-            base_ipc: 2.0,
-            context_switch: Nanos::from_nanos(1_500),
-        }
-    }
 }
 
 /// A single CPU core with explicit stall accounting.
@@ -166,7 +155,13 @@ mod tests {
             runs in proptest::collection::vec((0u64..6, 1usize..5), 1..40),
             fast in any::<bool>(),
         ) {
-            let config = if fast { CpuConfig::i7_4790k() } else { CpuConfig::paper_default() };
+            // A second, faster core beside the paper's.
+            let fast_core = CpuConfig {
+                frequency_hz: 4.0e9,
+                base_ipc: 2.0,
+                context_switch: Nanos::from_nanos(1_500),
+            };
+            let config = if fast { fast_core } else { CpuConfig::paper_default() };
             let mut cpu = CpuModel::new(config);
             let mut instructions = 0u64;
             let mut compute_time = Nanos::ZERO;

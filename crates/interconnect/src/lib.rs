@@ -30,5 +30,5 @@ pub mod register;
 
 pub use cxl::{CxlConfig, CxlLink};
 pub use ddr4::{Ddr4Channel, Ddr4Config, Transfer};
-pub use pcie::{PcieConfig, PcieGeneration, PcieLink};
+pub use pcie::{PcieConfig, PcieLink};
 pub use register::{RegisterInterface, RegisterInterfaceConfig};

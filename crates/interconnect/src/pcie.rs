@@ -11,33 +11,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::ddr4::Transfer;
 
-/// PCIe generation, determining per-lane bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PcieGeneration {
-    /// PCIe 3.0: ~0.985 GB/s per lane after 128b/130b encoding.
-    Gen3,
-    /// PCIe 4.0: ~1.97 GB/s per lane.
-    Gen4,
-}
-
-impl PcieGeneration {
-    /// Usable bandwidth per lane in bytes per second.
-    #[must_use]
-    pub fn lane_bandwidth_bytes_per_sec(self) -> f64 {
-        match self {
-            PcieGeneration::Gen3 => 0.985e9,
-            PcieGeneration::Gen4 => 1.97e9,
-        }
-    }
-}
-
 /// Configuration of a PCIe link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PcieConfig {
-    /// Link generation.
-    pub generation: PcieGeneration,
     /// Number of lanes.
     pub lanes: u32,
+    /// Usable bandwidth per lane in bytes per second (PCIe 3.0: ~0.985 GB/s
+    /// after 128b/130b encoding).
+    pub lane_bandwidth_bytes_per_sec: f64,
     /// Maximum transaction-layer packet payload in bytes.
     pub max_payload_bytes: u64,
     /// Fixed per-TLP overhead: header serialisation, DLLP acknowledgement,
@@ -51,8 +32,8 @@ impl PcieConfig {
     #[must_use]
     pub fn gen3_x4() -> Self {
         PcieConfig {
-            generation: PcieGeneration::Gen3,
             lanes: 4,
+            lane_bandwidth_bytes_per_sec: 0.985e9,
             max_payload_bytes: 4096,
             per_packet_overhead: Nanos::from_nanos(250),
         }
@@ -61,7 +42,7 @@ impl PcieConfig {
     /// Aggregate link bandwidth in bytes per second.
     #[must_use]
     pub fn bandwidth_bytes_per_sec(&self) -> f64 {
-        self.generation.lane_bandwidth_bytes_per_sec() * f64::from(self.lanes)
+        self.lane_bandwidth_bytes_per_sec * f64::from(self.lanes)
     }
 }
 
@@ -180,12 +161,5 @@ mod tests {
     fn zero_bytes_is_free() {
         let mut link = PcieLink::new(PcieConfig::gen3_x4());
         assert_eq!(link.transfer(0, Nanos::ZERO).service, Nanos::ZERO);
-    }
-
-    #[test]
-    fn gen4_doubles_gen3() {
-        let g3 = PcieGeneration::Gen3.lane_bandwidth_bytes_per_sec();
-        let g4 = PcieGeneration::Gen4.lane_bandwidth_bytes_per_sec();
-        assert!((g4 / g3 - 2.0).abs() < 0.01);
     }
 }

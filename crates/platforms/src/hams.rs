@@ -369,7 +369,7 @@ mod tests {
                 },
                 tight
             );
-            assert_eq!(cxl.backend, BackendTopology::Single);
+            assert_eq!(cxl.backend, BackendTopology::single());
         }
     }
 
@@ -537,7 +537,7 @@ mod tests {
         };
         let mut single = build(BackendTopology::single());
         let mut raid = build(BackendTopology::raid0_striped(4, LBA_SIZE));
-        assert_eq!(raid.controller().num_devices(), 4);
+        assert_eq!(raid.controller().archive().num_devices(), 4);
         let mut t_s = Nanos::ZERO;
         let mut t_r = Nanos::ZERO;
         for i in 0..96u64 {

@@ -56,9 +56,8 @@ pub use openloop::{
 };
 pub use platform::{AccessOutcome, BatchOutcome, BatchRequest, Platform};
 pub use runner::{
-    run_grid, run_grid_serial, run_workload, run_workload_batched, run_workload_serial,
-    run_workload_traced, PlatformKind, RunMetrics, ScaleProfile, ACCESSES_PER_SQL_OP,
-    DEFAULT_BATCH_SIZE,
+    run_grid, run_grid_serial, run_workload, run_workload_serial, run_workload_traced,
+    PlatformKind, RunMetrics, ScaleProfile, ACCESSES_PER_SQL_OP, DEFAULT_BATCH_SIZE,
 };
 pub use summary::{
     feature_table, headline_claims, paper_config, FeatureRow, HeadlineClaims, PaperConfig,

@@ -1,6 +1,6 @@
 //! Run observers: what a serving loop reports besides its metrics.
 //!
-//! The closed loop ([`crate::run_workload_batched`]) and the open loop
+//! The closed loop ([`crate::run_workload`]) and the open loop
 //! ([`crate::run_tenant_set_open_loop`]) are each one body, generic over an
 //! [`Observer`]. `()` observes nothing: every hook is an empty default, so
 //! the untraced loops compile with no telemetry code at all.
@@ -11,7 +11,7 @@
 use hams_sim::Nanos;
 use hams_telemetry::{Layer, RunTelemetry, Span, TelemetrySink};
 
-use crate::openloop::OpenLoopRecord;
+use crate::openloop::{OpenLoopRecord, TenantMetrics};
 use crate::platform::{AccessOutcome, BatchRequest, Platform};
 
 /// Hooks a serving loop calls at fixed points of a run.
@@ -29,14 +29,13 @@ pub(crate) trait Observer {
     fn request(&mut self, _request: &BatchRequest, _record: &OpenLoopRecord) {}
 
     /// An open-loop dispatch freed the server at `at`, leaving `queued`
-    /// requests waiting; `served` so far, and `dropped` per tenant.
+    /// requests waiting; `ledgers` holds each tenant's counts so far.
     fn dispatch(
         &mut self,
         _platform: &dyn Platform,
         _at: Nanos,
         _queued: usize,
-        _served: u64,
-        _dropped: &[u64],
+        _ledgers: &[TenantMetrics],
     ) {
     }
 
@@ -120,18 +119,18 @@ impl Observer for Tracer<'_> {
         platform: &dyn Platform,
         at: Nanos,
         queued: usize,
-        served: u64,
-        dropped: &[u64],
+        ledgers: &[TenantMetrics],
     ) {
-        while self.drop_series.len() < dropped.len() {
+        while self.drop_series.len() < ledgers.len() {
             let tenant = self.drop_series.len();
             self.drop_series.push(format!("tenant{tenant}_dropped"));
         }
+        let served: u64 = ledgers.iter().map(|t| t.served).sum();
         let registry = &mut self.telemetry.registry;
         registry.gauge("admission_queue_depth", at, queued as f64);
         registry.counter("requests_served", at, served as f64);
-        for (name, &count) in self.drop_series.iter().zip(dropped) {
-            registry.counter(name, at, count as f64);
+        for (name, ledger) in self.drop_series.iter().zip(ledgers) {
+            registry.counter(name, at, ledger.dropped as f64);
         }
         self.sample_gauges(platform, at);
     }

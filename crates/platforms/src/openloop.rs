@@ -21,10 +21,11 @@
 //! and one platform: N independent clients, each with its own workload,
 //! arrival process and QoS weight — the harness for noisy-neighbour
 //! interference studies (`fig25`). The tenant id is threaded through
-//! [`OpenLoopRecord`], and every request is also accounted to its tenant's
-//! own sojourn histogram and arrival/served/dropped counters.
-//! [`run_workload_open_loop`] is the one-tenant set of its workload and
-//! arrival process.
+//! [`OpenLoopRecord`]. Each tenant's [`TenantMetrics`] is its ledger, the
+//! only place a request is counted: admission counts its arrival (or drop)
+//! there, and serving its finish and sojourn. The merged totals are derived
+//! from the ledgers when the run ends. [`run_workload_open_loop`] is the
+//! one-tenant set of its workload and arrival process.
 //!
 //! The engine builds the merged source on the calling thread, then serves it
 //! through [`hams_sim::par::prefetch`]: one producer thread generates the
@@ -37,7 +38,8 @@
 //! does not change. A saturated run of at most [`ADMISSION_QUEUE_DEPTH`]
 //! requests must therefore produce [`RunMetrics`] byte-identical to
 //! [`crate::run_workload_serial`] (`tests/openloop_equivalence.rs`).
-//! Per-tenant counters always sum exactly to the merged totals
+//! The merged totals are the sums of the tenant ledgers, and each ledger
+//! conserves its requests: arrivals = served + dropped
 //! (`tests/tenant_equivalence.rs`).
 
 use hams_sim::par::{prefetch, Prefetched};
@@ -181,16 +183,6 @@ impl OpenLoopMetrics {
         self.served as f64 / self.wall_span().as_secs_f64().max(1e-12)
     }
 
-    /// Fraction of arrivals that were dropped.
-    #[must_use]
-    pub fn drop_fraction(&self) -> f64 {
-        if self.arrivals == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.arrivals as f64
-        }
-    }
-
     /// The sojourn percentiles the paper-style tail report uses:
     /// (p50, p99, p999). `None` entries mean no request was served.
     #[must_use]
@@ -200,7 +192,8 @@ impl OpenLoopMetrics {
     }
 }
 
-/// One tenant's share of a multi-tenant open-loop run.
+/// One tenant's share of an open-loop run: its ledger, which the run fills
+/// as it admits and serves the tenant's requests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantMetrics {
     /// Tenant index in the [`TenantSet`].
@@ -234,16 +227,6 @@ impl TenantMetrics {
         self.served as f64 / span.as_secs_f64().max(1e-12)
     }
 
-    /// Fraction of this tenant's arrivals that were dropped.
-    #[must_use]
-    pub fn drop_fraction(&self) -> f64 {
-        if self.arrivals == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.arrivals as f64
-        }
-    }
-
     /// This tenant's (p50, p99, p999) sojourn percentiles.
     #[must_use]
     pub fn sojourn_p50_p99_p999(&self) -> [Option<Nanos>; 3] {
@@ -253,8 +236,9 @@ impl TenantMetrics {
 }
 
 /// A multi-tenant open-loop run: the merged-stream metrics plus one
-/// [`TenantMetrics`] per tenant. Per-tenant arrivals/served/dropped always
-/// sum exactly to the merged totals (pinned in
+/// [`TenantMetrics`] per tenant. The merged arrivals, served, dropped,
+/// first arrival, last finish and sojourn histogram are derived from the
+/// tenant ledgers when the run ends (pinned in
 /// `tests/tenant_equivalence.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiTenantMetrics {
@@ -304,59 +288,33 @@ struct Queued {
     arrival: Nanos,
 }
 
-/// The FIFO between the arrival streams and the platform: it holds up to
-/// [`ADMISSION_QUEUE_DEPTH`] requests and drops an arrival that finds it
-/// full. Arrival, drop and first-arrival accounting is kept per tenant;
-/// merged totals are the exact sums.
-#[derive(Debug)]
-struct AdmissionQueue {
-    queue: VecDeque<Queued>,
-    /// Per-tenant count of requests pulled off the arrival streams.
-    arrivals: Vec<u64>,
-    /// Per-tenant count of requests dropped at a full queue.
-    dropped: Vec<u64>,
-    /// Per-tenant first arrival instant.
-    first_arrival: Vec<Option<Nanos>>,
-}
-
-impl AdmissionQueue {
-    /// An empty queue for `tenant_count` tenants. It never holds more than
-    /// the run's `expected` requests, so that bounds the up-front
-    /// reservation.
-    fn new(tenant_count: usize, expected: usize) -> Self {
-        AdmissionQueue {
-            queue: VecDeque::with_capacity(ADMISSION_QUEUE_DEPTH.min(expected).max(1)),
-            arrivals: vec![0; tenant_count],
-            dropped: vec![0; tenant_count],
-            first_arrival: vec![None; tenant_count],
+/// Admits every arrival with instant ≤ `t`, in arrival order, counting each
+/// on its tenant's ledger (the first one also sets the tenant's first
+/// arrival). An arrival that finds `queue` holding [`ADMISSION_QUEUE_DEPTH`]
+/// requests is counted as dropped there instead of queued.
+fn admit_until(
+    queue: &mut VecDeque<Queued>,
+    source: &mut Prefetched<(usize, Access, Nanos)>,
+    ledgers: &mut [TenantMetrics],
+    t: Nanos,
+) {
+    while source.peek().is_some_and(|&(_, _, arrival)| arrival <= t) {
+        let (tenant, access, arrival) = source.next().expect("peeked");
+        let ledger = &mut ledgers[tenant];
+        if ledger.arrivals == 0 {
+            ledger.first_arrival = arrival;
+        }
+        ledger.arrivals += 1;
+        if queue.len() < ADMISSION_QUEUE_DEPTH {
+            queue.push_back(Queued {
+                tenant,
+                access,
+                arrival,
+            });
+        } else {
+            ledger.dropped += 1;
         }
     }
-
-    /// Admits every arrival with instant ≤ `t`, in arrival order, dropping
-    /// each one that finds the queue full.
-    fn admit_until(&mut self, source: &mut Prefetched<(usize, Access, Nanos)>, t: Nanos) {
-        while source.peek().is_some_and(|&(_, _, arrival)| arrival <= t) {
-            let (tenant, access, arrival) = source.next().expect("peeked");
-            self.arrivals[tenant] += 1;
-            self.first_arrival[tenant].get_or_insert(arrival);
-            if self.queue.len() < ADMISSION_QUEUE_DEPTH {
-                self.queue.push_back(Queued {
-                    tenant,
-                    access,
-                    arrival,
-                });
-            } else {
-                self.dropped[tenant] += 1;
-            }
-        }
-    }
-}
-
-/// Per-tenant accumulators the serving loop maintains.
-struct TenantAccum {
-    served: u64,
-    last_finish: Nanos,
-    sojourn: Histogram,
 }
 
 /// Runs one workload through the open-loop engine on one platform: a
@@ -404,8 +362,8 @@ pub fn run_workload_open_loop_traced(
 ///
 /// `config.arrivals` is ignored — each tenant's own [`ArrivalProcess`]
 /// drives its stream; the histogram and record settings apply to the
-/// shared platform boundary. Per-tenant counters always sum exactly to the
-/// merged totals (`tests/tenant_equivalence.rs`).
+/// shared platform boundary. The merged totals are derived from the tenant
+/// ledgers (`tests/tenant_equivalence.rs`).
 ///
 /// # Panics
 ///
@@ -436,7 +394,7 @@ pub fn run_tenant_set_open_loop_traced(
 
 /// The open-loop engine behind all four entry points: the set's merged
 /// `(tenant, access, arrival)` stream through the admission queue and FIFO
-/// batch dispatch.
+/// batch dispatch, counted on one ledger per tenant.
 ///
 /// The source is built here, on the calling thread, so an invalid set
 /// panics where it always did; [`prefetch`] then runs it on its producer
@@ -458,19 +416,27 @@ fn run_open_loop<O: Observer>(
     observer.start(platform);
     let mut fold = MetricsFold::new();
     let buckets = config.sojourn_buckets.max(1);
-    let mut sojourn = Histogram::new(config.sojourn_bucket, buckets);
-    let mut tenants: Vec<TenantAccum> = (0..set.len())
-        .map(|_| TenantAccum {
+    let mut ledgers: Vec<TenantMetrics> = set
+        .tenants
+        .iter()
+        .enumerate()
+        .map(|(i, t)| TenantMetrics {
+            tenant: i,
+            name: t.name.clone(),
+            weight: t.weight,
+            offered_rate_per_sec: t.arrivals.mean_rate_per_sec(),
+            arrivals: 0,
             served: 0,
+            dropped: 0,
+            first_arrival: Nanos::ZERO,
             last_finish: Nanos::ZERO,
             sojourn: Histogram::new(config.sojourn_bucket, buckets),
         })
         .collect();
     let mut records = Vec::with_capacity(if config.keep_records { expected } else { 0 });
-    let mut served = 0u64;
-    let mut last_finish = Nanos::ZERO;
-
-    let mut queue = AdmissionQueue::new(set.len(), expected);
+    // The admission queue never holds more than the run's `expected`
+    // requests, so that bounds its up-front reservation.
+    let mut queue = VecDeque::with_capacity(ADMISSION_QUEUE_DEPTH.min(expected).max(1));
 
     let cap = DEFAULT_BATCH_SIZE.min(expected.max(1));
     let mut batch: Vec<BatchRequest> = Vec::with_capacity(cap);
@@ -484,22 +450,22 @@ fn run_open_loop<O: Observer>(
         // Catch the queue up to the server's clock, then — if it is idle and
         // empty — jump it forward to the next arrival. Every arrival up to
         // the dispatch instant below is then admitted or dropped.
-        queue.admit_until(source, server_free);
-        if queue.queue.is_empty() {
+        admit_until(&mut queue, source, &mut ledgers, server_free);
+        if queue.is_empty() {
             let Some(&(_, _, next_arrival)) = source.peek() else {
                 break;
             };
-            queue.admit_until(source, next_arrival);
+            admit_until(&mut queue, source, &mut ledgers, next_arrival);
         }
 
         // FIFO dispatch: the batch starts when the server is free and its
         // head request has arrived.
-        let start = server_free.max(queue.queue.front().expect("non-empty").arrival);
+        let start = server_free.max(queue.front().expect("non-empty").arrival);
 
         batch.clear();
         meta.clear();
         while batch.len() < DEFAULT_BATCH_SIZE {
-            let Some(q) = queue.queue.pop_front() else {
+            let Some(q) = queue.pop_front() else {
                 break;
             };
             // Compute phases are priced in dispatch order, which is trace
@@ -532,13 +498,10 @@ fn run_open_loop<O: Observer>(
                 started: ready,
                 finished: outcome.finished_at,
             };
-            sojourn.record(record.sojourn());
-            served += 1;
-            last_finish = last_finish.max(record.finished);
-            let acc = &mut tenants[tenant];
-            acc.served += 1;
-            acc.last_finish = acc.last_finish.max(record.finished);
-            acc.sojourn.record(record.sojourn());
+            let ledger = &mut ledgers[tenant];
+            ledger.served += 1;
+            ledger.last_finish = ledger.last_finish.max(record.finished);
+            ledger.sojourn.record(record.sojourn());
             observer.request(request, &record);
             if config.keep_records {
                 records.push(record);
@@ -546,31 +509,21 @@ fn run_open_loop<O: Observer>(
             ready = outcome.finished_at;
         }
         server_free = out.finished_at(start);
-        observer.dispatch(
-            platform,
-            server_free,
-            queue.queue.len(),
-            served,
-            &queue.dropped,
-        );
+        observer.dispatch(platform, server_free, queue.len(), &ledgers);
     });
 
-    let AdmissionQueue {
-        arrivals,
-        dropped,
-        first_arrival,
-        ..
-    } = queue;
-    let arrivals_total: u64 = arrivals.iter().sum();
-    let dropped_total: u64 = dropped.iter().sum();
-    debug_assert_eq!(arrivals_total, served + dropped_total);
-    let first_arrival_merged = first_arrival
-        .iter()
-        .flatten()
-        .copied()
-        .min()
-        .unwrap_or(Nanos::ZERO);
     observer.finish(platform);
+    let total = |count: fn(&TenantMetrics) -> u64| ledgers.iter().map(count).sum::<u64>();
+    let (arrivals, served, dropped) = (
+        total(|t| t.arrivals),
+        total(|t| t.served),
+        total(|t| t.dropped),
+    );
+    debug_assert_eq!(arrivals, served + dropped);
+    let mut sojourn = Histogram::new(config.sojourn_bucket, buckets);
+    for ledger in &ledgers {
+        sojourn.merge(&ledger.sojourn);
+    }
     let mut run = fold.finish(platform, set.tenants[0].spec, scaled[0]);
     if set.len() > 1 {
         // The fold labelled and byte-accounted the run with tenant 0's spec,
@@ -578,43 +531,37 @@ fn run_open_loop<O: Observer>(
         // from what was actually served.
         run.workload = set.workload_label();
         let secs = run.total_time.as_secs_f64().max(1e-12);
-        let bytes: u64 = tenants
+        let bytes: u64 = ledgers
             .iter()
             .zip(&scaled)
-            .map(|(acc, s)| acc.served * s.access_bytes)
+            .map(|(t, s)| t.served * s.access_bytes)
             .sum();
         run.pages_per_sec = bytes as f64 / 4096.0 / secs;
     }
     let merged = OpenLoopMetrics {
         run,
         offered_rate_per_sec: set.offered_rate_per_sec(),
-        arrivals: arrivals_total,
+        arrivals,
         served,
-        dropped: dropped_total,
-        first_arrival: first_arrival_merged,
-        last_finish,
+        dropped,
+        first_arrival: ledgers
+            .iter()
+            .filter(|t| t.arrivals > 0)
+            .map(|t| t.first_arrival)
+            .min()
+            .unwrap_or(Nanos::ZERO),
+        last_finish: ledgers
+            .iter()
+            .map(|t| t.last_finish)
+            .max()
+            .unwrap_or(Nanos::ZERO),
         sojourn,
         records,
     };
-    let tenants = set
-        .tenants
-        .iter()
-        .zip(tenants)
-        .enumerate()
-        .map(|(i, (t, acc))| TenantMetrics {
-            tenant: i,
-            name: t.name.clone(),
-            weight: t.weight,
-            offered_rate_per_sec: t.arrivals.mean_rate_per_sec(),
-            arrivals: arrivals[i],
-            served: acc.served,
-            dropped: dropped[i],
-            first_arrival: first_arrival[i].unwrap_or(Nanos::ZERO),
-            last_finish: acc.last_finish,
-            sojourn: acc.sojourn,
-        })
-        .collect();
-    MultiTenantMetrics { merged, tenants }
+    MultiTenantMetrics {
+        merged,
+        tenants: ledgers,
+    }
 }
 
 #[cfg(test)]
@@ -781,6 +728,38 @@ mod tests {
             assert_eq!((t.arrivals, t.served, t.dropped), (0, 0, 0));
             assert_eq!(t.sojourn.count(), 0);
         }
+    }
+
+    #[test]
+    fn merged_totals_are_derived_from_the_ledgers_past_a_silent_tenant() {
+        // Tenant 0 offers nothing, so its ledger's zero first arrival must
+        // not become the merged one. Nothing is dropped at this load, so the
+        // records see every request and are an independent oracle.
+        let scale = tiny_scale();
+        let poisson = |rate_per_sec| ArrivalProcess::Poisson { rate_per_sec };
+        let set = TenantSet::new(vec![
+            TenantSpec::new("silent", spec(), poisson(1_000_000.0)).with_accesses(0),
+            TenantSpec::new("reader", spec(), poisson(300_000.0)),
+            TenantSpec::new(
+                "writer",
+                WorkloadSpec::by_name("update").unwrap(),
+                poisson(600_000.0),
+            ),
+        ]);
+        let mut p = PlatformKind::HamsTE.build(&scale);
+        let m = run_tenant_set_open_loop(p.as_mut(), &set, &scale, &OpenLoopConfig::poisson(1.0));
+        let merged = &m.merged;
+        assert_eq!(merged.dropped, 0);
+        assert_eq!(merged.records.len() as u64, merged.served);
+        let first = merged.records.iter().map(|r| r.arrival).min().unwrap();
+        let last = merged.records.iter().map(|r| r.finished).max().unwrap();
+        assert!(!first.is_zero());
+        assert_eq!((merged.first_arrival, merged.last_finish), (first, last));
+        let mut sojourn = Histogram::new(Nanos::from_nanos(256), 65_536);
+        for r in &merged.records {
+            sojourn.record(r.sojourn());
+        }
+        assert_eq!(merged.sojourn, sojourn);
     }
 
     #[test]

@@ -322,17 +322,7 @@ pub fn run_workload(
     spec: WorkloadSpec,
     scale: &ScaleProfile,
 ) -> RunMetrics {
-    run_workload_batched(platform, spec, scale, DEFAULT_BATCH_SIZE)
-}
-
-/// [`run_workload`] with an explicit batch size (`0` is treated as `1`).
-pub fn run_workload_batched(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    batch_size: usize,
-) -> RunMetrics {
-    run_closed_loop(platform, spec, scale, batch_size, ())
+    run_closed_loop(platform, spec, scale, ())
 }
 
 /// [`run_workload`] with telemetry collection.
@@ -350,26 +340,18 @@ pub fn run_workload_traced(
     scale: &ScaleProfile,
     telemetry: &mut RunTelemetry,
 ) -> RunMetrics {
-    run_closed_loop(
-        platform,
-        spec,
-        scale,
-        DEFAULT_BATCH_SIZE,
-        Tracer::new(telemetry),
-    )
+    run_closed_loop(platform, spec, scale, Tracer::new(telemetry))
 }
 
-/// The closed loop behind [`run_workload_batched`] and
-/// [`run_workload_traced`]: each batch issues when the previous one
-/// finishes.
+/// The closed loop behind [`run_workload`] and [`run_workload_traced`]:
+/// each batch of up to [`DEFAULT_BATCH_SIZE`] accesses issues when the
+/// previous one finishes.
 fn run_closed_loop<O: Observer>(
     platform: &mut dyn Platform,
     spec: WorkloadSpec,
     scale: &ScaleProfile,
-    batch_size: usize,
     mut observer: O,
 ) -> RunMetrics {
-    let batch_size = batch_size.max(1);
     observer.start(platform);
     let scaled = scale.scale_spec(spec);
     let mut fold = MetricsFold::new();
@@ -378,12 +360,13 @@ fn run_closed_loop<O: Observer>(
     // Both the request and the outcome buffer are reused across every batch
     // of the replay ([`Platform::serve_batch_into`]'s scratch contract), so
     // the serving loop allocates nothing after warm-up.
-    let mut batch: Vec<BatchRequest> = Vec::with_capacity(batch_size.min(scale.accesses));
-    let mut result = BatchOutcome::with_capacity(batch_size.min(scale.accesses));
+    let cap = DEFAULT_BATCH_SIZE.min(scale.accesses);
+    let mut batch: Vec<BatchRequest> = Vec::with_capacity(cap);
+    let mut result = BatchOutcome::with_capacity(cap);
 
     loop {
         batch.clear();
-        while batch.len() < batch_size {
+        while batch.len() < DEFAULT_BATCH_SIZE {
             let Some(access) = trace.next() else { break };
             // Compute phase between memory accesses, priced by the runner's
             // CPU model so platforms never see instruction counts.
@@ -607,21 +590,6 @@ mod tests {
             let s = run_workload_serial(serial.as_mut(), spec, &scale);
             let b = run_workload(batched.as_mut(), spec, &scale);
             assert_eq!(s, b, "{} diverged between serial and batched", kind.label());
-        }
-    }
-
-    #[test]
-    fn batch_size_does_not_change_metrics() {
-        let scale = quick_scale();
-        let spec = WorkloadSpec::by_name("KMN").unwrap();
-        let reference = {
-            let mut p = PlatformKind::HamsTE.build(&scale);
-            run_workload_batched(p.as_mut(), spec, &scale, 1)
-        };
-        for batch_size in [0, 7, 64, 100_000] {
-            let mut p = PlatformKind::HamsTE.build(&scale);
-            let m = run_workload_batched(p.as_mut(), spec, &scale, batch_size);
-            assert_eq!(reference, m, "batch size {batch_size} diverged");
         }
     }
 

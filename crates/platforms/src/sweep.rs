@@ -119,8 +119,8 @@ pub fn fault_label() -> String {
 }
 
 /// The parity-archive fault scenario (`hams-TP-r5`): the d4 shape of
-/// [`build_raid_sweep_platform`] on the rotating-parity `Raid5` backend
-/// instead of `Raid0`, in persist mode so every store reaches the archive
+/// [`build_raid_sweep_platform`] on a rotating-parity backend instead of
+/// plain RAID-0, in persist mode so every store reaches the archive
 /// as a journal-tagged write — the traffic that matters when a device is
 /// out: degraded writes are parity-absorbed and the rebuild has real
 /// durable pages to copy onto the spare. With zero injected faults this
@@ -179,7 +179,7 @@ mod tests {
         for n in [1u16, 2, 4] {
             let platform = build_raid_sweep_platform(&scale, n);
             assert_eq!(platform.name(), "hams-TE");
-            assert_eq!(platform.controller().num_devices(), n);
+            assert_eq!(platform.controller().archive().num_devices(), n);
         }
         assert_eq!(
             build_raid_sweep_platform(&scale, 4)
@@ -192,7 +192,7 @@ mod tests {
         let cxl = build_cxl_platform(&scale);
         assert_eq!(cxl.name(), "hams-CE");
         assert_eq!(cxl.controller().config().attach, AttachMode::Cxl);
-        assert_eq!(cxl.controller().num_devices(), 4);
+        assert_eq!(cxl.controller().archive().num_devices(), 4);
     }
 
     #[test]
@@ -200,7 +200,10 @@ mod tests {
         let scale = ScaleProfile::test_tiny();
         let platform = build_fault_platform(&scale);
         assert_eq!(platform.name(), "hams-TP");
-        assert_eq!(platform.controller().num_devices(), FAULT_SWEEP_DEVICES);
+        assert_eq!(
+            platform.controller().archive().num_devices(),
+            FAULT_SWEEP_DEVICES
+        );
         assert!(platform.controller().archive().topology().has_parity());
         assert_eq!(
             platform.controller().archive().stripe_lbas(),

@@ -117,6 +117,34 @@ impl Histogram {
         self.sum += u128::from(t.as_nanos());
     }
 
+    /// Adds every sample `other` recorded, as if each had been recorded
+    /// here. Only `other`'s non-empty buckets are written, so merging a
+    /// sparse histogram into an empty one touches no more of a large bucket
+    /// array than recording its samples would have.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two histograms are binned differently.
+    pub fn merge(&mut self, other: &Histogram) {
+        assert!(
+            self.bucket_width == other.bucket_width && self.buckets.len() == other.buckets.len(),
+            "cannot merge a {} x {} histogram into a {} x {} one",
+            other.buckets.len(),
+            other.bucket_width,
+            self.buckets.len(),
+            self.bucket_width
+        );
+        for (mine, &theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            if theirs > 0 {
+                *mine += theirs;
+            }
+        }
+        self.overflow += other.overflow;
+        self.overflow_max = self.overflow_max.max(other.overflow_max);
+        self.count += other.count;
+        self.sum += other.sum;
+    }
+
     /// Number of samples recorded.
     #[must_use]
     pub fn count(&self) -> u64 {

@@ -154,6 +154,29 @@ proptest! {
         prop_assert_eq!(h.count(), samples.len() as u64);
     }
 
+    /// Merging two histograms equals one histogram that recorded every
+    /// sample, overflow maximum included, however the samples are split
+    /// between the two.
+    #[test]
+    fn histogram_merge_equals_recording_every_sample(
+        samples in proptest::collection::vec((1u64..150_000, any::<bool>()), 0..300),
+    ) {
+        // 1,024 buckets of 100 ns: samples from 102,400 ns on overflow.
+        let new = || Histogram::new(Nanos::from_nanos(100), 1_024);
+        let (mut all, mut left, mut right) = (new(), new(), new());
+        for &(ns, to_left) in &samples {
+            let t = Nanos::from_nanos(ns);
+            all.record(t);
+            if to_left {
+                left.record(t);
+            } else {
+                right.record(t);
+            }
+        }
+        left.merge(&right);
+        prop_assert_eq!(left, all);
+    }
+
     /// Breakdown component fractions always sum to 1 (or 0 for an empty one).
     #[test]
     fn breakdown_fractions_normalise(components in proptest::collection::vec((0usize..6, 1u64..1_000_000), 0..30)) {
@@ -259,4 +282,26 @@ proptest! {
         }
         prop_assert_eq!(by_id, by_name);
     }
+}
+
+#[test]
+fn merging_an_empty_histogram_changes_nothing() {
+    let new = || Histogram::new(Nanos::from_nanos(10), 4);
+    let mut h = new();
+    for ns in [5, 15, 70, 90] {
+        h.record(Nanos::from_nanos(ns));
+    }
+    let recorded = h.clone();
+    h.merge(&new());
+    assert_eq!(h, recorded);
+    let mut empty = new();
+    empty.merge(&recorded);
+    assert_eq!(empty, recorded);
+}
+
+#[test]
+#[should_panic(expected = "cannot merge")]
+fn merging_differently_binned_histograms_panics() {
+    let mut h = Histogram::new(Nanos::from_nanos(10), 4);
+    h.merge(&Histogram::new(Nanos::from_nanos(20), 4));
 }

@@ -94,7 +94,7 @@ fn main() {
     }
     println!();
 
-    let stats = controller.fault_stats().expect("plan installed");
+    let stats = controller.archive().fault_stats().expect("plan installed");
     println!("--- degraded-mode accounting ---");
     println!("degraded reads            {}", stats.degraded_reads);
     println!("reconstruction reads      {}", stats.reconstruction_reads);

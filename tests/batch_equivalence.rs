@@ -1,11 +1,12 @@
 //! The batched serving path and the parallel grid must be *semantically
 //! invisible*: for every platform, `serve_batch_into` (and the batched runner
 //! built on it) produces metrics byte-identical to the per-access reference
-//! loop, and the parallel grid matches a serial sweep cell for cell.
+//! loop, wherever a stream is cut into batches, and the parallel grid
+//! matches a serial sweep cell for cell.
 
 use hams::platforms::{
-    run_grid, run_grid_serial, run_workload, run_workload_batched, run_workload_serial,
-    BatchOutcome, BatchRequest, PlatformKind, ScaleProfile,
+    run_grid, run_grid_serial, run_workload, run_workload_serial, BatchOutcome, BatchRequest,
+    PlatformKind, ScaleProfile,
 };
 use hams::sim::Nanos;
 use hams::workloads::{TraceGenerator, WorkloadSpec};
@@ -82,22 +83,47 @@ fn serve_batch_outcomes_equal_the_access_loop_for_every_platform() {
 }
 
 #[test]
-fn batch_size_is_metrically_invisible() {
+fn batch_boundaries_are_metrically_invisible() {
     let scale = tiny();
-    let spec = WorkloadSpec::by_name("seqWr").unwrap();
+    let spec = scale.scale_spec(WorkloadSpec::by_name("seqWr").unwrap());
+    let stream: Vec<BatchRequest> = TraceGenerator::new(spec, scale.seed, scale.accesses)
+        .map(|access| BatchRequest {
+            access,
+            compute: Nanos::from_nanos(access.compute_instructions % 50),
+        })
+        .collect();
+    let start = Nanos::from_micros(2);
     for kind in [
         PlatformKind::HamsLE,
         PlatformKind::Mmap,
         PlatformKind::FlatFlashP,
     ] {
-        let reference = {
-            let mut p = kind.build(&scale);
-            run_workload_batched(p.as_mut(), spec, &scale, 1)
-        };
-        for batch_size in [3, 32, 777, usize::MAX] {
-            let mut p = kind.build(&scale);
-            let m = run_workload_batched(p.as_mut(), spec, &scale, batch_size);
-            assert_eq!(reference, m, "{} at batch size {batch_size}", kind.label());
+        let mut whole = kind.build(&scale);
+        let mut reference = BatchOutcome::with_capacity(stream.len());
+        whole.serve_batch_into(&stream, start, &mut reference);
+        let end = reference.finished_at(start);
+        for batch_size in [1, 3, 32, 777] {
+            // Each batch issues when the previous one finished, as the
+            // runners dispatch them.
+            let mut split = kind.build(&scale);
+            let mut batch = BatchOutcome::with_capacity(batch_size);
+            let mut outcomes = Vec::with_capacity(stream.len());
+            let mut t = start;
+            for requests in stream.chunks(batch_size) {
+                split.serve_batch_into(requests, t, &mut batch);
+                t = batch.finished_at(t);
+                outcomes.extend_from_slice(&batch.outcomes);
+            }
+            let label = format!("{} in batches of {batch_size}", kind.label());
+            assert_eq!(outcomes, reference.outcomes, "{label}");
+            assert_eq!(t, end, "{label}");
+            assert_eq!(split.hit_rate(), whole.hit_rate(), "{label}");
+            assert_eq!(split.memory_delay(), whole.memory_delay(), "{label}");
+            assert_eq!(
+                split.device_energy(end),
+                whole.device_energy(end),
+                "{label}"
+            );
         }
     }
 }

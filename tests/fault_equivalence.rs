@@ -85,9 +85,12 @@ fn zero_fault_parity_platform_is_byte_identical_to_its_raid0_twin() {
             twin.controller().archive().device_stats(),
             "per-device command streams diverged on {workload}"
         );
-        assert_eq!(parity.controller().array_state(), ArrayState::Healthy);
+        assert_eq!(
+            parity.controller().archive().array_state(),
+            ArrayState::Healthy
+        );
         assert!(
-            parity.controller().fault_stats().is_none(),
+            parity.controller().archive().fault_stats().is_none(),
             "no plan installed, so no fault machinery may have engaged"
         );
     }
@@ -118,8 +121,8 @@ fn faulted_run(
     platform.controller_mut().set_fault_plan(plan.clone());
     let metrics = serve(&mut platform, spec, scale);
     platform.controller_mut().advance_faults(end);
-    let stats = *platform.controller().fault_stats().unwrap();
-    let state = platform.controller().array_state();
+    let stats = *platform.controller().archive().fault_stats().unwrap();
+    let state = platform.controller().archive().array_state();
     let transitions = platform
         .controller()
         .archive()
@@ -313,7 +316,7 @@ fn open_loop_fault_schedule_replays_byte_identically() {
         let m = run_workload_open_loop(&mut platform, spec, &scale, &config);
         let end = m.last_finish.max(span).scale(2.0);
         platform.controller_mut().advance_faults(end);
-        let stats = *platform.controller().fault_stats().unwrap();
+        let stats = *platform.controller().archive().fault_stats().unwrap();
         (m.run, m.arrivals, m.served, m.dropped, m.last_finish, stats)
     };
     let first = run();

@@ -159,7 +159,7 @@ fn persist_mode_raid_failure_and_recovery_are_byte_identical_to_the_single_devic
         let mut single = HamsController::new(base);
         let mut raid =
             HamsController::new(base.with_backend(BackendTopology::raid0_striped(4, 4096)));
-        assert_eq!(raid.num_devices(), 4);
+        assert_eq!(raid.archive().num_devices(), 4);
         let page_size = raid.config().mos_page_size;
         let sets = raid.cache_sets() as u64;
         let mut now_a = Nanos::ZERO;
@@ -227,7 +227,7 @@ fn power_failure_mid_striped_raid_fill_recovers_every_acknowledged_write() {
     // cross-device conflict this test exists for.
     let mut devices_seen = std::collections::BTreeSet::new();
     for tracked in &pending {
-        assert!(tracked.device < hams.num_devices());
+        assert!(tracked.device < hams.archive().num_devices());
         devices_seen.insert(tracked.device);
     }
     assert!(
@@ -282,8 +282,11 @@ fn power_failure_mid_parity_update_loses_no_acknowledged_write() {
         now = hams.access(addr, true, 64, now).finished_at;
         written.push(hams.page_of(addr));
     }
-    assert_eq!(hams.array_state(), hams::core::ArrayState::Degraded);
-    let stats = *hams.fault_stats().unwrap();
+    assert_eq!(
+        hams.archive().array_state(),
+        hams::core::ArrayState::Degraded
+    );
+    let stats = *hams.archive().fault_stats().unwrap();
     assert!(
         stats.parity_absorbed_writes > 0,
         "the degraded phase must have parity-absorbed at least one write"
@@ -330,11 +333,11 @@ fn power_failure_during_rebuild_loses_no_acknowledged_write() {
         written.push(hams.page_of(addr));
     }
     assert_eq!(
-        hams.array_state(),
+        hams.archive().array_state(),
         hams::core::ArrayState::Rebuilding,
         "phase 2 must have run while the rebuild was still in flight"
     );
-    let stats = *hams.fault_stats().unwrap();
+    let stats = *hams.archive().fault_stats().unwrap();
     assert!(
         stats.rebuild_rows_done < stats.rebuild_rows_total,
         "the power must fail before the rebuild runs dry"
@@ -351,8 +354,11 @@ fn power_failure_during_rebuild_loses_no_acknowledged_write() {
     // healthy array — the journal replayed into both survivors and the
     // reconstructed device.
     hams.advance_faults(now + Nanos::from_secs(100));
-    assert_eq!(hams.array_state(), hams::core::ArrayState::Healthy);
-    let stats = *hams.fault_stats().unwrap();
+    assert_eq!(
+        hams.archive().array_state(),
+        hams::core::ArrayState::Healthy
+    );
+    let stats = *hams.archive().fault_stats().unwrap();
     assert_eq!(stats.repairs_completed, 1);
     assert_eq!(stats.rebuild_rows_done, stats.rebuild_rows_total);
     for page in &written {
